@@ -14,13 +14,15 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 from .applications import (BundleInstance, CompetitiveParams,
                            certify_bundling, competitive_separating,
                            solve_bundling)
 from .errors import ScreenkitError, SizeGuardExceeded, StructuralError
-from .io import canonical_json, load_instance, load_params
+from .io import (canonical_json, float_table, load_instance, load_params,
+                 read_field)
 from .model import validate_instance
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_downward_1d,
                      solve_full_1d, solve_joint)
@@ -43,6 +45,32 @@ def _load(path: str):
         raise _CliExit(f"no such file: {path}", 1)
     except StructuralError as exc:
         raise _CliExit(str(exc), 1)
+
+
+def _load_params(path: str, kind: str, parse):
+    """Parsed fields of a params file of one kind; file and parse problems exit 1."""
+    try:
+        found, params = load_params(path)
+        if found != kind:
+            raise StructuralError(f"expected kind {kind!r}, got {found!r}")
+        return parse(params)
+    except FileNotFoundError:
+        raise _CliExit(f"no such file: {path}", 1)
+    except StructuralError as exc:
+        raise _CliExit(str(exc), 1)
+
+
+def _competitive_fields(params: dict) -> dict:
+    unknown = sorted(set(params) - {f.name for f in fields(CompetitiveParams)})
+    if unknown:
+        raise StructuralError(f"unknown competitive parameters: {unknown}")
+    return {k: read_field(params, k, float) for k in params}
+
+
+def _bundling_fields(params: dict) -> dict:
+    tables = ("values", "prob", "quality_grid", "cost_samples")
+    return {"n_goods": read_field(params, "n_goods", int),
+            **{k: read_field(params, k, float_table) for k in tables}}
 
 
 class _CliExit(Exception):
@@ -238,10 +266,8 @@ def cmd_converse(args) -> int:
 
 def cmd_competitive(args) -> int:
     if args.params:
-        kind, params = load_params(args.params)
-        if kind != "competitive":
-            raise _CliExit(f"expected kind 'competitive', got {kind!r}", 1)
-        p = CompetitiveParams(**params)
+        p = CompetitiveParams(**_load_params(args.params, "competitive",
+                                             _competitive_fields))
     else:
         p = CompetitiveParams()
     sep = competitive_separating(p)
@@ -260,16 +286,8 @@ def cmd_competitive(args) -> int:
 
 def cmd_bundling(args) -> int:
     if args.params:
-        kind, params = load_params(args.params)
-        if kind != "bundling":
-            raise _CliExit(f"expected kind 'bundling', got {kind!r}", 1)
-        import numpy as np
-        b = BundleInstance(
-            int(params["n_goods"]),
-            np.asarray(params["values"], dtype=float),
-            np.asarray(params["prob"], dtype=float),
-            np.asarray(params["quality_grid"], dtype=float),
-            np.asarray(params["cost_samples"], dtype=float))
+        b = BundleInstance(**_load_params(args.params, "bundling",
+                                          _bundling_fields))
     else:
         from .presets import bundling_default
         b = bundling_default()
@@ -339,7 +357,9 @@ def _add_common(sub):
     sub.add_argument("--timing", action="store_true",
                      help="include runtime_ms (breaks byte-identical output)")
     sub.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                     help="joint enumeration size guard")
+                     help="ceiling on A^m, the number of joint assignments "
+                          "(A options, m support points); checked before "
+                          "the search")
 
 
 def build_parser() -> argparse.ArgumentParser:

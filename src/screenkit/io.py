@@ -41,24 +41,37 @@ _REQUIRED = ("theta_a", "x_grid", "u_a", "v_a", "theta_b", "y_set",
              "y0_index", "u_b", "v_b", "support", "prob")
 
 
+def read_field(data: dict, key: str, convert):
+    """`convert(data[key])`; a value it rejects raises StructuralError."""
+    if key not in data:
+        raise StructuralError(f"missing field {key!r}")
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError, IndexError) as exc:
+        raise StructuralError(f"malformed field {key!r}: {exc}") from exc
+
+
+def float_table(value) -> np.ndarray:
+    """JSON numbers, nested to any rectangular shape, as a float array."""
+    return np.asarray(value, dtype=float)
+
+
 def instance_from_dict(data: dict) -> ScreeningInstance:
     missing = [k for k in _REQUIRED if k not in data]
     if missing:
         raise StructuralError(f"instance is missing fields: {missing}")
-    prod = ProductiveSpec(
-        np.asarray(data["theta_a"], dtype=float),
-        np.asarray(data["x_grid"], dtype=float),
-        np.asarray(data["u_a"], dtype=float),
-        np.asarray(data["v_a"], dtype=float))
+    prod = ProductiveSpec(*(read_field(data, k, float_table)
+                            for k in ("theta_a", "x_grid", "u_a", "v_a")))
     cost = CostlySpec(
-        np.asarray(data["theta_b"], dtype=float),
-        np.asarray(data["y_set"], dtype=float),
-        int(data["y0_index"]),
-        np.asarray(data["u_b"], dtype=float),
-        np.asarray(data["v_b"], dtype=float))
+        read_field(data, "theta_b", float_table),
+        read_field(data, "y_set", float_table),
+        read_field(data, "y0_index", int),
+        read_field(data, "u_b", float_table),
+        read_field(data, "v_b", float_table))
     dist = JointDistribution(
-        tuple((int(p[0]), int(p[1])) for p in data["support"]),
-        tuple(float(w) for w in data["prob"]))
+        read_field(data, "support",
+                   lambda pts: tuple((int(p[0]), int(p[1])) for p in pts)),
+        read_field(data, "prob", lambda ws: tuple(float(w) for w in ws)))
     return ScreeningInstance(prod, cost, dist)
 
 
@@ -74,7 +87,7 @@ def save_instance(inst: ScreeningInstance, path: Pathish) -> None:
 def load_instance(path: Pathish) -> ScreeningInstance:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise StructuralError(f"not valid JSON: {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise StructuralError(f"instance file must hold an object: {path}")
@@ -90,7 +103,7 @@ def load_params(path: Pathish) -> tuple:
     """
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise StructuralError(f"not valid JSON: {path}: {exc}") from exc
     if not isinstance(data, dict) or "kind" not in data:
         raise StructuralError(f"parameter file needs a 'kind' field: {path}")

@@ -178,15 +178,41 @@ def _batch_transfers(U: np.ndarray, allocs: np.ndarray):
     return D, infeasible
 
 
+def _price(U: np.ndarray, VG: np.ndarray, prob: np.ndarray, allocs: np.ndarray):
+    """Expected principal value and transfers of each assignment row.
+
+    Infeasible rows get value -inf. A row's result does not depend on the
+    other rows of the batch, so any batching prices an assignment alike.
+    """
+    D, infeasible = _batch_transfers(U, allocs)
+    idx = np.arange(allocs.shape[1])
+    values = (prob[None, :] * (VG[idx[None, :], allocs] + D)).sum(axis=1)
+    values[infeasible] = -np.inf
+    return values, D
+
+
 def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
                 chunk: int = 1 << 14) -> JointSolveResult:
-    """Exact optimum of the joint problem by allocation enumeration.
+    """Exact optimum of the joint problem by branch and bound.
 
     Every support point independently receives one (x, y) option; transfers
     are the componentwise-maximal feasible point of the full IC + IR system
-    for that assignment. Assignments whose total surplus cannot reach the
-    running optimum are pruned (sound: transfers never exceed willingness to
-    pay), with ties kept so the optimal set is classified exactly.
+    for that assignment. The size guard bounds the A^m assignments of the
+    space and is checked before any search.
+
+    The incumbent starts at the best baseline-only assignment. A depth-first
+    search then assigns support points in support order, extending blocks of
+    up to `chunk` prefixes by every option in lexicographic order, and drops
+    a prefix when
+      - its surplus plus the most surplus the remaining points can add falls
+        below the incumbent (sound: transfers never exceed willingness to
+        pay), or
+      - its newest point and an earlier one form a negative IC 2-cycle
+        U_q(a_q) - U_q(a_p) + U_p(a_p) - U_p(a_q) < -FEAS_TOL, which every
+        completion keeps and the leaf pricing rejects.
+    Both tests allow FEAS_TOL, so no assignment within FEAS_TOL of the
+    optimum is dropped: the optimal set is classified exactly, ties kept,
+    and the mechanism is the lexicographically smallest optimal assignment.
     """
     prod, cost, dist = inst.productive, inst.costly, inst.dist
     m = inst.n_support
@@ -203,14 +229,12 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     U = prod.u_a[opt_x][:, ia].T + cost.u_b[opt_y][:, ib].T   # (m, A)
     VG = prod.v_a[opt_x][:, ia].T + cost.v_b[opt_y][:, ib].T  # gross principal
     surplus = prob[:, None] * (U + VG)
-
-    def evaluate(ids: np.ndarray):
-        allocs = _decode(ids, m, A)
-        D, infeasible = _batch_transfers(U, allocs)
-        idx = np.arange(m)
-        values = (prob[None, :] * (VG[idx[None, :], allocs] + D)).sum(axis=1)
-        values[infeasible] = -np.inf
-        return allocs, D, values
+    # rest[d]: the most surplus points d, ..., m - 1 can add
+    rest = np.append(np.cumsum(surplus.max(axis=1)[::-1])[::-1], 0.0)
+    # negative[q, p, a_p, a_q]: q taking a_q and p taking a_p close a
+    # negative 2-cycle in the IC constraint graph
+    negative = (U[:, None, None, :] - U[:, None, :, None]
+                + U[None, :, :, None] - U[None, :, None, :]) < -FEAS_TOL
 
     # seed the prune bound with the baseline-only assignments
     y0_opts = np.array([k for k, (_, iy) in enumerate(options) if iy == cost.y0_index])
@@ -219,58 +243,63 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     base_total = y0_opts.size ** m
     for start in range(0, base_total, chunk):
         ids = np.arange(start, min(start + chunk, base_total), dtype=np.int64)
-        digits = _decode(ids, m, y0_opts.size)
-        allocs = y0_opts[digits]
-        D, infeasible = _batch_transfers(U, allocs)
-        idx = np.arange(m)
-        values = (prob[None, :] * (VG[idx[None, :], allocs] + D)).sum(axis=1)
-        values[infeasible] = -np.inf
+        values, _ = _price(U, VG, prob, y0_opts[_decode(ids, m, y0_opts.size)])
         n_evaluated += ids.size
         if values.size:
             best = max(best, float(values.max()))
 
-    # full sweep with surplus-bound pruning; optimum ties kept
-    cand_ids = []
+    # depth-first over blocks of prefixes: at most chunk * A prefixes live
+    # per depth whatever the prune rate, and leaves come out in
+    # lexicographic order, so the first strict improvement is the smallest
+    # optimal assignment
+    n_nodes = 0
     cand_vals = []
-    best_id = None
+    cand_base = []
     best_val = -np.inf
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        allocs = _decode(ids, m, A)
-        idx = np.arange(m)
-        bound = surplus[idx[None, :], allocs].sum(axis=1)
-        keep = bound >= best - FEAS_TOL
-        if not keep.any():
+    best_alloc = best_t = None
+    stack = [(np.zeros((1, 0), dtype=np.intp), np.zeros(1))]
+    while stack:
+        prefixes, partial = stack.pop()
+        d = prefixes.shape[1]
+        child = partial[:, None] + surplus[d]                 # (k, A)
+        keep = child >= best - FEAS_TOL - rest[d + 1]
+        if d:
+            keep &= ~negative[d][np.arange(d), prefixes].any(axis=1)
+        rows, opts = np.nonzero(keep)
+        n_nodes += rows.size
+        if not rows.size:
             continue
-        ids = ids[keep]
-        allocs, D, values = evaluate(ids)
-        n_evaluated += ids.size
-        top = float(values.max())
-        if top > best_val:
-            best_val = top
-            best_id = int(ids[int(np.argmax(values))])
-        best = max(best, top)
-        near = values >= best - FEAS_TOL
-        cand_ids.append(ids[near])
-        cand_vals.append(values[near])
+        prefixes = np.column_stack((prefixes[rows], opts))
+        partial = child[rows, opts]
+        if d + 1 < m:
+            for start in reversed(range(0, rows.size, chunk)):
+                stack.append((prefixes[start:start + chunk],
+                              partial[start:start + chunk]))
+            continue
+        for start in range(0, rows.size, chunk):
+            leaves = prefixes[start:start + chunk]
+            values, D = _price(U, VG, prob, leaves)
+            n_evaluated += leaves.shape[0]
+            i = int(np.argmax(values))
+            top = float(values[i])
+            if top > best_val:
+                best_val, best_alloc, best_t = top, leaves[i].copy(), D[i].copy()
+            best = max(best, top)
+            near = values >= best - FEAS_TOL
+            cand_vals.append(values[near])
+            cand_base.append((opt_y[leaves[near]] == cost.y0_index).all(axis=1))
 
-    if best_id is None:
-        raise StructuralError("joint enumeration found no feasible assignment")
-    all_ids = np.concatenate(cand_ids)
-    all_vals = np.concatenate(cand_vals)
-    optima = all_ids[all_vals >= best_val - FEAS_TOL]
-    y_digits = opt_y[_decode(optima, m, A)]
-    baseline_mask = (y_digits == cost.y0_index).all(axis=1)
-    some_baseline = bool(baseline_mask.any())
-    all_baseline = bool(baseline_mask.all())
-
-    alloc, D, values = evaluate(np.array([best_id], dtype=np.int64))
-    mech = Mechanism(tuple(opt_x[alloc[0]]), tuple(opt_y[alloc[0]]),
-                     tuple(float(t) for t in D[0]))
+    if best_alloc is None:
+        raise StructuralError("joint search found no feasible assignment")
+    optimal = np.concatenate(cand_vals) >= best_val - FEAS_TOL
+    baseline_mask = np.concatenate(cand_base)[optimal]
+    mech = Mechanism(tuple(opt_x[best_alloc]), tuple(opt_y[best_alloc]),
+                     tuple(float(t) for t in best_t))
     return JointSolveResult(
-        float(best_val), mech, some_baseline, all_baseline,
-        {"method": "enumeration", "enumerated": total, "evaluated": n_evaluated,
-         "optima": int(optima.size)})
+        best_val, mech, bool(baseline_mask.any()), bool(baseline_mask.all()),
+        {"method": "branch_and_bound", "enumerated": total,
+         "evaluated": n_evaluated, "nodes": n_nodes,
+         "optima": int(baseline_mask.size)})
 
 
 # ---------------------------------------------------------------------------

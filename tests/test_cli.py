@@ -157,3 +157,47 @@ def test_csv_uses_crlf(capsys, tmp_path):
     code, _ = run(capsys, "report", "--out", str(out))
     assert code == 0
     assert out.read_bytes().endswith(b"\r\n")
+
+
+def _write(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+def _edited(name, drop=(), **changes):
+    data = json.loads((INSTANCE_DIR / name).read_text())
+    for key in drop:
+        del data[key]
+    data.update(changes)
+    return data
+
+
+MALFORMED = {
+    "params_missing_file": lambda tmp: ["bundling", "--params", "/no/such.json"],
+    "params_invalid_json": lambda tmp: ["bundling", "--params", _write(tmp, "{]")],
+    "params_without_kind": lambda tmp: [
+        "bundling", "--params",
+        _write(tmp, _edited("bundling_default.json", drop=("kind",)))],
+    "ragged_u_a": lambda tmp: [
+        "solve", "--instance",
+        _write(tmp, _edited("example1.json", u_a=[[0.0, 0.0], [0.0]]))],
+    "non_numeric_prob": lambda tmp: [
+        "solve", "--instance",
+        _write(tmp, _edited("example1.json", prob=["half", 0.5]))],
+    "competitive_unknown_key": lambda tmp: [
+        "competitive", "--params",
+        _write(tmp, _edited("competitive_default.json", gamma=1.0))],
+    "bundling_missing_values": lambda tmp: [
+        "bundling", "--params",
+        _write(tmp, _edited("bundling_default.json", drop=("values",)))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_line_exit_1(case, capsys, tmp_path):
+    code = main(MALFORMED[case](tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
