@@ -38,11 +38,17 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _unreadable(path: str, exc: OSError) -> _CliExit:
+    if isinstance(exc, FileNotFoundError):
+        return _CliExit(f"no such file: {path}", 1)
+    return _CliExit(f"cannot read {path}: {exc.strerror or exc}", 1)
+
+
 def _load(path: str):
     try:
         return load_instance(path)
-    except FileNotFoundError:
-        raise _CliExit(f"no such file: {path}", 1)
+    except OSError as exc:
+        raise _unreadable(path, exc)
     except StructuralError as exc:
         raise _CliExit(str(exc), 1)
 
@@ -54,8 +60,8 @@ def _load_params(path: str, kind: str, parse):
         if found != kind:
             raise StructuralError(f"expected kind {kind!r}, got {found!r}")
         return parse(params)
-    except FileNotFoundError:
-        raise _CliExit(f"no such file: {path}", 1)
+    except OSError as exc:
+        raise _unreadable(path, exc)
     except StructuralError as exc:
         raise _CliExit(str(exc), 1)
 
@@ -236,7 +242,13 @@ def _verify_instances(args):
                 args.seed, stream=k)
 
 
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise _CliExit(f"--random must be nonnegative, got {n}", 1)
+
+
 def cmd_verify(args) -> int:
+    _check_count(args.random)
     if not args.instance and not args.random:
         raise _CliExit("verify needs --instance or --random N", 1)
     rows = []
@@ -312,6 +324,7 @@ def cmd_bundling(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_count(args.random)
     workers = max(1, int(os.environ.get("SCREENKIT_THREADS", "1")))
 
     def one(k: int) -> dict:
@@ -339,11 +352,14 @@ def cmd_report(args) -> int:
     for path in args.results:
         try:
             data = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise _CliExit(f"no such file: {path}", 1)
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise _unreadable(path, exc)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise _CliExit(f"not valid JSON: {path}: {exc}", 1)
-        rows.extend(data if isinstance(data, list) else [data])
+        data = data if isinstance(data, list) else [data]
+        if not all(isinstance(row, dict) for row in data):
+            raise _CliExit(f"result rows must be objects: {path}", 1)
+        rows.extend(data)
     rows.sort(key=lambda r: (str(r.get("instance_id", "")),
                              str(r.get("mode", ""))))
     _emit(rows, "csv", args.out)

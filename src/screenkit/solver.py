@@ -16,7 +16,7 @@ import numpy as np
 from .errors import SizeGuardExceeded, StructuralError
 from .model import (FEAS_TOL, JointDistribution, Mechanism, ScreeningInstance)
 from .transfers import (OneDimInstance, closed_form_downward_transfers,
-                        graph_optimal_transfers, onedim_value)
+                        onedim_value)
 
 #: Default ceiling on exact enumeration size.
 DEFAULT_GUARD = 10 ** 7
@@ -97,47 +97,60 @@ def solve_full_1d(inst: OneDimInstance) -> SolveResult:
     with every local downward constraint binding, so each type contributes
     its weighted virtual surplus and an exact dynamic program over monotone
     allocations finds the optimum; no ironing step is needed. Transfers come
-    from the constraint-graph maximum over the full IC set.
+    from the O(n) closed form of the downward relaxation. The lowest type's
+    participation and every local downward constraint bind there, so these
+    transfers bound every feasible vector from above; a level-wise check that
+    they also satisfy every IC and participation constraint makes them the
+    full-IC maximum (Rochet 1987, cycle monotonicity). The check needs
+    O(n * n_x) work: a type's best deviation takes the cheapest transfer
+    among the types allocated each level.
     """
     n, n_alloc = inst.n, inst.n_alloc
     u, v, mu = inst.u, inst.v, inst.mu
     tail = np.concatenate([np.cumsum(mu[::-1])[::-1][1:], [0.0]])  # tail[j] = sum_{i>j} mu_i
-    contrib = np.empty((n, n_alloc))
-    for j in range(n):
-        base = mu[j] * (u[:, j] + v[:, j])
-        if j < n - 1:
-            base = base - (u[:, j + 1] - u[:, j]) * tail[j]
-        contrib[j] = base
+    contrib = mu[:, None] * (u.T + v.T)
+    contrib[:-1] -= (u.T[1:] - u.T[:-1]) * tail[:-1, None]
     # M[j][c] = contrib + best continuation; G[j][c] = max over allocations >= c
-    G_next = np.zeros(n_alloc)
-    stage_m = []
+    rows = contrib.tolist()
+    G = [0.0] * n_alloc
+    stage_m = [None] * n
+    stage_g = [None] * n
     for j in range(n - 1, -1, -1):
-        M = contrib[j] + G_next
-        G = np.maximum.accumulate(M[::-1])[::-1]
-        stage_m.append(M)
-        G_next = G
-    stage_m.reverse()
+        M = [a + b for a, b in zip(rows[j], G)]
+        G = M[:]
+        for c in range(n_alloc - 2, -1, -1):
+            if G[c + 1] > G[c]:
+                G[c] = G[c + 1]
+        stage_m[j], stage_g[j] = M, G
     x_idx = []
     floor = 0
-    for j in range(n):
-        M = stage_m[j]
-        suffix = np.maximum.accumulate(M[::-1])[::-1]
+    for M, G in zip(stage_m, stage_g):
         c = floor
-        while M[c] != suffix[floor]:
+        while M[c] != G[floor]:
             c += 1
         x_idx.append(c)
         floor = c
-    t = graph_optimal_transfers(inst, x_idx, "all")
+    t = closed_form_downward_transfers(inst, x_idx)
+    cheapest = np.full(n_alloc, np.inf)
+    np.minimum.at(cheapest, x_idx, t)
+    # best of mimicking each level at its cheapest transfer and opting out
+    best_deviation = np.maximum((u - cheapest[:, None]).max(axis=0), 0.0)
+    gain = best_deviation - (u[x_idx, np.arange(n)] - t)
+    worst = int(np.argmax(gain))
+    if gain[worst] > FEAS_TOL:
+        raise StructuralError(
+            f"closed-form transfers leave type {worst} a deviation gain of "
+            f"{gain[worst]:.3g}; instance likely violates increasing "
+            f"differences")
     value = onedim_value(inst, x_idx, t)
-    dp_value = float(G_next[0])
+    dp_value = stage_g[0][0]
     if abs(value - dp_value) > FEAS_TOL:
         raise StructuralError(
             f"full-IC transfers disagree with the dynamic program "
             f"({value:.12g} vs {dp_value:.12g}); instance likely violates "
             f"increasing differences")
-    return SolveResult("full1d", float(value), tuple(int(i) for i in x_idx),
-                       tuple(float(x) for x in t),
-                       {"method": "monotone_dp", "stages": n})
+    return SolveResult("full1d", float(value), tuple(x_idx),
+                       tuple(t.tolist()), {"method": "monotone_dp", "stages": n})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .errors import NotDominated, NotMonotone, SizeGuardExceeded, StructuralError
@@ -131,6 +130,8 @@ def _admissible(p_pts: np.ndarray, q_pts: np.ndarray) -> np.ndarray:
 
 def _flow_between(p: DiscreteDistribution, q: DiscreteDistribution):
     """Max flow through the admissibility graph, integer units."""
+    import networkx as nx  # imported here: most runs never call max-flow
+
     wp, wq = _integer_weights(p.prob), _integer_weights(q.prob)
     adm = _admissible(p.points, q.points)
     g = nx.DiGraph()

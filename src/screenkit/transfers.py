@@ -5,7 +5,9 @@ the closed form pins every type's transfer through the binding pattern of the
 relaxed problem: local downward constraints bind along monotonic runs, and
 inside each U-shaped region every type is held to its region origin. The same
 transfers fall out of single-source shortest paths on the difference
-constraint graph, which this module also implements as an independent oracle.
+constraint graph, which this module also implements. That route is O(n^3)
+and serves only as an independent oracle: the one-dimensional solvers price
+with the closed form.
 """
 from __future__ import annotations
 

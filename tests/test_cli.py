@@ -191,6 +191,12 @@ MALFORMED = {
     "bundling_missing_values": lambda tmp: [
         "bundling", "--params",
         _write(tmp, _edited("bundling_default.json", drop=("values",)))],
+    "report_non_object_rows": lambda tmp: ["report", _write(tmp, [1, 2])],
+    "instance_is_directory": lambda tmp: ["solve", "--instance", str(tmp)],
+    "params_is_directory": lambda tmp: ["bundling", "--params", str(tmp)],
+    "verify_negative_random": lambda tmp: ["verify", "--random", "-1"],
+    "sweep_negative_random": lambda tmp: [
+        "sweep", "--random", "-1", "--seed", "0"],
 }
 
 

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from screenkit import (GeneratorKnobs, SizeGuardExceeded, agent_payoff,
+from screenkit import (GeneratorKnobs, OneDimInstance, SizeGuardExceeded,
+                       StructuralError, agent_payoff,
                        default_convergence_family, discretize_family,
                        example1_instance, example2_instance,
                        example3_instance, graph_optimal_transfers,
@@ -91,18 +92,75 @@ def test_single_type_full_extraction():
     assert res.value == pytest.approx(want, abs=1e-9)
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_full1d_matches_graph_transfer_enumeration(seed):
-    inst = random_onedim_instance(seed, n=4, n_x=3, stream=301)
+def check_full1d_against_enumeration(inst):
+    """Value, smallest maximizer and transfers against all monotone allocations."""
+    n, n_x = inst.n, inst.n_alloc
     res = solve_full_1d(inst)
-    best = -np.inf
-    for combo in itertools.product(range(3), repeat=4):
-        if any(combo[j] > combo[j + 1] for j in range(3)):
+    values = {}
+    for combo in itertools.product(range(n_x), repeat=n):
+        if any(combo[j] > combo[j + 1] for j in range(n - 1)):
             continue  # increasing differences force monotone optima
         t = graph_optimal_transfers(inst, combo, "all")
-        value = sum(inst.mu[j] * (inst.v[combo[j]][j] + t[j]) for j in range(4))
-        best = max(best, value)
+        values[combo] = sum(inst.mu[j] * (inst.v[combo[j]][j] + t[j])
+                            for j in range(n))
+    best = max(values.values())
     assert res.value == pytest.approx(best, abs=1e-9)
+    assert res.x_idx == min(c for c, v in values.items() if v >= best - 1e-9)
+    np.testing.assert_allclose(
+        res.t, graph_optimal_transfers(inst, res.x_idx, "all"), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_full1d_matches_graph_transfer_enumeration(seed):
+    check_full1d_against_enumeration(
+        random_onedim_instance(seed, n=4, n_x=3, stream=301))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_full1d_breaks_ties_toward_smallest_allocation(seed):
+    # small integer tables with exact binary weights: many exact ties
+    rng = np.random.default_rng([seed, 303])
+    a = np.cumsum(rng.integers(0, 3, 3))
+    b = np.cumsum(rng.integers(0, 3, 3))
+    u = np.outer(b, a) + np.cumsum(rng.integers(0, 2, 3))
+    v = np.tile(rng.integers(-2, 3, (3, 1)), (1, 3))
+    check_full1d_against_enumeration(OneDimInstance(
+        np.arange(1.0, 4.0), np.array([0.25, 0.25, 0.5]), np.arange(3.0), u, v))
+
+
+@pytest.mark.parametrize("n_a", [1, 64, 320])
+def test_full1d_transfers_match_graph_oracle(n_a):
+    knobs = GeneratorKnobs(n_a=n_a, n_b=2, n_x=6, n_y=2, max_paths=1)
+    line = productive_marginal(random_positive_instance(n_a, knobs))
+    assert line.n == n_a
+    res = solve_full_1d(line)
+    np.testing.assert_allclose(
+        res.t, graph_optimal_transfers(line, res.x_idx, "all"), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("u, v", [
+    # the low type gains more from the high allocation and mimics the high type
+    ([[0.0, 0.0], [2.0, 1.0]], [[0.0, 0.0], [-5.0, 0.0]]),
+    # both types take the high allocation; the high type's rent goes negative
+    ([[0.0, 0.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+])
+def test_full1d_rejects_decreasing_differences(u, v):
+    inst = OneDimInstance(np.array([1.0, 2.0]), np.array([0.5, 0.5]),
+                          np.array([0.0, 1.0]), np.array(u), np.array(v))
+    with pytest.raises(StructuralError):
+        solve_full_1d(inst)
+
+
+def test_full1d_does_not_price_on_the_constraint_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_full_1d priced on the O(n^3) graph route")
+
+    monkeypatch.setattr("screenkit.transfers.graph_optimal_transfers", refuse)
+    monkeypatch.setattr("screenkit.solver.graph_optimal_transfers", refuse,
+                        raising=False)
+    knobs = GeneratorKnobs(n_a=16, n_b=2, n_x=4, n_y=2, max_paths=1)
+    res = solve_full_1d(productive_marginal(random_positive_instance(3, knobs)))
+    assert len(res.x_idx) == 16
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -1,8 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import screenkit
 from screenkit import (DiscreteDistribution, NotDominated, check_dominance,
                        check_stochastic_monotonicity, dominance_by_upper_sets,
                        example2_instance, example3_instance, instance_rng,
@@ -130,3 +135,14 @@ def test_dominance_is_reflexive_and_respects_upward_shifts(seed):
     up = DiscreteDistribution(p.points + 1.0, p.prob)
     assert check_dominance(p, up)
     assert not check_dominance(up, p)
+
+
+def test_import_leaves_networkx_unloaded():
+    # networkx is only needed by max-flow, which imports it on first use
+    src = str(Path(screenkit.__file__).resolve().parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import screenkit; "
+             "print('networkx' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
