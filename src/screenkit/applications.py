@@ -48,6 +48,11 @@ class BundleInstance:
         prob = np.asarray(self.prob, dtype=float)
         grid = np.asarray(self.quality_grid, dtype=float)
         cost = np.asarray(self.cost_samples, dtype=float)
+        fields = (("values", values), ("prob", prob),
+                  ("quality_grid", grid), ("cost_samples", cost))
+        for name, arr in fields:
+            if not np.all(np.isfinite(arr)):
+                raise StructuralError(f"{name} contains non-finite entries")
         n_bundles = 2 ** int(self.n_goods)
         if self.n_goods < 1:
             raise StructuralError("need at least one good")
@@ -80,8 +85,7 @@ class BundleInstance:
         slopes = np.diff(cost) / np.diff(grid)
         if (np.diff(slopes) < -FEAS_TOL).any():
             raise StructuralError("cost must be convex on the grid")
-        for name, arr in (("values", values), ("prob", prob),
-                          ("quality_grid", grid), ("cost_samples", cost)):
+        for name, arr in fields:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_goods", int(self.n_goods))
@@ -222,35 +226,32 @@ def _bundle_options(b: BundleInstance):
     """Every probabilistic-bundling option on the shared grid.
 
     An option fixes a bundle distribution alpha (grid-valued, summing to
-    exactly one) and a quality for each bundle it uses. Returns agent values
-    per type, principal cost, and the (alpha, q) descriptors.
+    exactly one) and a quality for each bundle it uses. Options come per
+    composition of the grid steps across bundles, compositions in
+    lexicographic order of their cut points and the qualities of the used
+    bundles in lexicographic order of grid index within each. Returns agent
+    values per type (n_types, n_options), principal utility before transfers
+    and the alpha and q rows (n_options, n_bundles) that describe each option.
     """
     grid = b.quality_grid
     steps = grid.size - 1
     n_bundles = 2 ** b.n_goods
-    agent_rows = []
-    cost_col = []
-    descr = []
-    # compositions of the grid steps across bundles give all alpha patterns
+    alphas, slots = [], []
     for cuts in itertools.combinations(range(steps + n_bundles - 1), n_bundles - 1):
-        parts = []
-        prev = -1
-        for c in cuts + (steps + n_bundles - 1,):
-            parts.append(c - prev - 1)
-            prev = c
-        alpha = np.array(parts) / steps
-        used = [i for i in range(n_bundles) if parts[i] > 0]
-        for qs in itertools.product(range(grid.size), repeat=len(used)):
-            q = np.zeros(n_bundles)
-            for slot, bundle in zip(qs, used):
-                q[bundle] = grid[slot]
-            weights = alpha * q
-            agent_rows.append(b.values @ weights)
-            cost_col.append(float(alpha[used] @ b.cost_samples[list(qs)]))
-            descr.append((tuple(alpha), tuple(q)))
-    U = np.array(agent_rows).T          # (n_types, n_options)
-    P = -np.array(cost_col)             # principal utility before transfers
-    return U, P, descr
+        parts = np.diff((-1,) + cuts + (steps + n_bundles - 1,)) - 1
+        used = np.flatnonzero(parts)
+        slot = np.zeros((grid.size ** used.size, n_bundles), dtype=np.intp)
+        slot[:, used] = np.indices((grid.size,) * used.size).reshape(used.size, -1).T
+        slots.append(slot)
+        alphas.append(np.broadcast_to(parts / steps, slot.shape))
+    alpha = np.concatenate(alphas)
+    slot = np.concatenate(slots)
+    q = np.where(alpha > 0, grid[slot], 0.0)
+    weights = alpha * q
+    U = sum(b.values[:, k, None] * weights[:, k] for k in range(n_bundles))
+    # an unused bundle has alpha 0 and slot 0, where the cost is 0
+    P = -sum(alpha[:, k] * b.cost_samples[slot[:, k]] for k in range(n_bundles))
+    return U, P, alpha, q
 
 
 @dataclass(frozen=True)
@@ -265,6 +266,26 @@ class BundlingCertificate:
         return self.menu_value >= self.brute_force_value - FEAS_TOL
 
 
+#: Most option pairs `certify_bundling` prices at once.
+_PAIR_BLOCK = 1 << 16
+
+
+def _distinct_options(U: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Ascending indices of the options that no identical option beats.
+
+    Options whose agent-value columns are bitwise identical differ only in
+    principal utility, and a pair's value rises with either option's P, so
+    each such group keeps its largest P, ties going to the smallest index.
+    """
+    keys = np.ascontiguousarray(U.T).view(np.int64)
+    _, group = np.unique(keys, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    order = np.lexsort((np.arange(P.size), -P, group))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = group[order[1:]] != group[order[:-1]]
+    return np.sort(order[first])
+
+
 def certify_bundling(b: BundleInstance) -> BundlingCertificate:
     """Exhaustive check that the quality menu beats probabilistic bundling.
 
@@ -273,24 +294,38 @@ def certify_bundling(b: BundleInstance) -> BundlingCertificate:
     piecewise linear between samples, so the scalar solver already attains
     the continuum optimum at a grid point and the comparison is exact up to
     float tolerance. Supports one or two consumer types.
+
+    With two types, each pair of options (one per type) is priced by the
+    two-type relaxation of the IC and participation constraints. Pairs run
+    only over the options `_distinct_options` keeps, which attain the same
+    maximum as all options, in blocks of at most `_PAIR_BLOCK` pairs; the best
+    pair is the first maximizer in row-major order over those options.
+    `options` still counts every enumerated option.
     """
     if b.n_types > 2:
         raise SizeGuardExceeded("certificate supports at most two types",
                                 b.n_types, 2)
     menu_value = solve_bundling(b).value
-    U, P, descr = _bundle_options(b)
+    U, P, alpha, q = _bundle_options(b)
     n_o = U.shape[1]
+
+    def descriptor(i):
+        return (tuple(alpha[i]), tuple(q[i]))
+
     if b.n_types == 1:
         vals = P + U[0]
         best = int(np.argmax(vals))
         return BundlingCertificate(float(vals[best]), float(menu_value),
-                                   n_o, (descr[best],))
+                                   n_o, (descriptor(best),))
+    keep = _distinct_options(U, P)
+    U, P = U[:, keep], P[keep]
+    n_k = keep.size
     mu = b.prob
     best_val = -np.inf
     best_pair = (0, 0)
-    chunk = max(1, (1 << 22) // n_o)
-    for start in range(0, n_o, chunk):
-        rows = slice(start, min(start + chunk, n_o))
+    rows_per_block = max(1, _PAIR_BLOCK // n_k)
+    for start in range(0, n_k, rows_per_block):
+        rows = slice(start, min(start + rows_per_block, n_k))
         u1_i = U[0, rows][:, None]
         u2_i = U[1, rows][:, None]
         u1_j = U[0][None, :]
@@ -308,9 +343,10 @@ def certify_bundling(b: BundleInstance) -> BundlingCertificate:
         top = float(vals.flat[flat])
         if top > best_val:
             best_val = top
-            best_pair = (start + flat // n_o, flat % n_o)
+            best_pair = (start + flat // n_k, flat % n_k)
     return BundlingCertificate(float(best_val), float(menu_value), n_o,
-                               (descr[best_pair[0]], descr[best_pair[1]]))
+                               (descriptor(keep[best_pair[0]]),
+                                descriptor(keep[best_pair[1]])))
 
 
 # ---------------------------------------------------------------------------

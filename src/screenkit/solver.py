@@ -7,7 +7,6 @@ lexicographically smallest allocation.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,32 +60,65 @@ def productive_marginal(inst: ScreeningInstance) -> OneDimInstance:
 # ---------------------------------------------------------------------------
 
 
-def solve_downward_1d(inst: OneDimInstance, guard: int = DEFAULT_GUARD) -> SolveResult:
+def solve_downward_1d(inst: OneDimInstance, guard: int = DEFAULT_GUARD,
+                      chunk: int = 1 << 14) -> SolveResult:
     """Maximize expected payoff subject to downward IC and participation only.
 
-    Enumerates every allocation (size-guarded), prices each by the closed
-    form, and keeps the lexicographically smallest maximizer. Optimal
-    allocations here may be non-monotone.
+    Enumerates every allocation (size-guarded) in lexicographic order, in
+    blocks of up to `chunk`, and keeps the lexicographically smallest
+    maximizer. Optimal allocations here may be non-monotone.
+
+    The downward constraints t_p <= t_q + u[x_p, p] - u[x_q, p] (q < p) and
+    participation t_p <= u[x_p, p] form an acyclic difference system, so one
+    forward sweep over the types gives a whole block its maximal transfers
+    (Rochet 1987). Allocations whose sweep value comes within a
+    magnitude-scaled tolerance of the running maximum are re-priced with the
+    closed form and compared strictly in enumeration order, which gives the
+    result of closed-form pricing of every allocation bit for bit. Where the
+    closed form leaves the sweep by more than the tolerance, the table breaks
+    the model's assumptions (u falls in the type or differences decrease),
+    the closed form is infeasible and the sweep's transfers stay.
     """
     n, n_alloc = inst.n, inst.n_alloc
     total = n_alloc ** n
     if total > guard:
         raise SizeGuardExceeded("downward enumeration too large", total, guard)
-    u_rows = inst.u.tolist()
-    v_rows = inst.v.tolist()
-    mu = inst.mu.tolist()
+    u, v, mu = inst.u, inst.v, inst.mu
+    # far above rounding, which is O(n * 1e-16) of the table's magnitude. A
+    # kept value lies within tol plus rounding of its sweep value, so every
+    # maximizer's sweep value comes within 3 * tol of the sweep maximum
+    tol = 1e-9 * n * (1.0 + np.abs(u).max() + np.abs(v).max())
+    u_by_type = np.ascontiguousarray(u.T)
+    v_by_type = np.ascontiguousarray(v.T)
+    u_rows = u.tolist()
+    v_rows = v.tolist()
+    mu_list = mu.tolist()
+    sweep_best = -np.inf
     best = -float("inf")
-    best_x = None
-    best_t = None
-    for combo in itertools.product(range(n_alloc), repeat=n):
-        t = closed_form_downward_transfers(inst, combo, _u_rows=u_rows)
-        value = 0.0
-        for i in range(n):
-            value += mu[i] * (v_rows[combo[i]][i] + t[i])
-        if value > best:
-            best, best_x, best_t = value, combo, t
-    return SolveResult("downward1d", float(best), tuple(best_x),
-                       tuple(float(v) for v in best_t),
+    best_x = best_t = None
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        x = np.ascontiguousarray(_decode(ids, n, n_alloc).T)   # (n, block)
+        t = np.take_along_axis(u_by_type, x, axis=1)           # u[x_p, p]
+        for p in range(1, n):
+            # the most type p gains by imitating a lower type, or 0
+            rent = (u_by_type[p].take(x[:p]) - t[:p]).max(axis=0)
+            t[p] -= np.maximum(rent, 0.0)
+        values = mu @ (np.take_along_axis(v_by_type, x, axis=1) + t)
+        sweep_best = max(sweep_best, float(values.max()))
+        for col in np.flatnonzero(values >= sweep_best - 3 * tol):
+            combo = tuple(x[:, col].tolist())
+            t_col = closed_form_downward_transfers(inst, combo, _u_rows=u_rows)
+            if np.abs(t_col - t[:, col]).max() > tol:
+                t_col, value = t[:, col], float(values[col])
+            else:
+                value = 0.0
+                for i in range(n):
+                    value += mu_list[i] * (v_rows[combo[i]][i] + t_col[i])
+            if value > best:
+                best, best_x, best_t = value, combo, t_col
+    return SolveResult("downward1d", float(best), best_x,
+                       tuple(float(ti) for ti in best_t),
                        {"method": "enumeration", "enumerated": total})
 
 

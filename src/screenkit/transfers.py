@@ -49,6 +49,8 @@ class OneDimInstance:
         for name in ("u", "v"):
             if getattr(self, name).shape != shape:
                 raise StructuralError(f"{name} must have shape {shape}")
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise StructuralError(f"{name} contains non-finite entries")
 
     @property
     def n(self) -> int:

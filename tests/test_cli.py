@@ -126,6 +126,13 @@ def test_sweep_output_independent_of_thread_count(tmp_path):
     assert sweep_bytes(tmp_path, 1, "t1") == sweep_bytes(tmp_path, 3, "t3")
 
 
+def test_package_runs_as_module():
+    proc = subprocess.run([sys.executable, "-m", "screenkit", "--help"],
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"usage" in proc.stdout
+
+
 def test_report_empty_input(capsys, tmp_path):
     out = tmp_path / "report.csv"
     code, _ = run(capsys, "report", "--out", str(out))
@@ -207,3 +214,22 @@ def test_malformed_input_is_one_line_exit_1(case, capsys, tmp_path):
     assert code == 1
     assert "Traceback" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, row, col, bad", [
+    ("values", 0, 1, float("nan")),
+    ("values", 1, 3, float("inf")),
+    ("cost_samples", 2, None, float("nan")),
+])
+def test_non_finite_bundling_params_exit_3(field, row, col, bad, capsys, tmp_path):
+    data = json.loads((INSTANCE_DIR / "bundling_default.json").read_text())
+    if col is None:
+        data[field][row] = bad
+    else:
+        data[field][row][col] = bad
+    code = main(["bundling", "--params", _write(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert f"{field} contains non-finite entries" in err

@@ -128,6 +128,17 @@ def test_full1d_breaks_ties_toward_smallest_allocation(seed):
         np.arange(1.0, 4.0), np.array([0.25, 0.25, 0.5]), np.arange(3.0), u, v))
 
 
+@pytest.mark.parametrize("solver", [solve_downward_1d, solve_full_1d])
+@pytest.mark.parametrize("table, bad", [("v", np.nan), ("u", np.inf),
+                                        ("v", -np.inf)])
+def test_onedim_solvers_reject_non_finite_tables(solver, table, bad):
+    tables = {"u": np.array([[0.0, 0.0], [1.0, 2.0]]), "v": np.zeros((2, 2))}
+    tables[table][1, 1] = bad
+    with pytest.raises(StructuralError, match=f"{table} contains non-finite"):
+        solver(OneDimInstance(np.array([1.0, 2.0]), np.array([0.5, 0.5]),
+                              np.array([0.0, 1.0]), tables["u"], tables["v"]))
+
+
 @pytest.mark.parametrize("n_a", [1, 64, 320])
 def test_full1d_transfers_match_graph_oracle(n_a):
     knobs = GeneratorKnobs(n_a=n_a, n_b=2, n_x=6, n_y=2, max_paths=1)
