@@ -20,6 +20,9 @@ from .transfers import (OneDimInstance, closed_form_downward_transfers,
 #: Default ceiling on exact enumeration size.
 DEFAULT_GUARD = 10 ** 7
 
+#: Allocations `solve_downward_1d` prices per block.
+_DOWNWARD_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -60,65 +63,72 @@ def productive_marginal(inst: ScreeningInstance) -> OneDimInstance:
 # ---------------------------------------------------------------------------
 
 
-def solve_downward_1d(inst: OneDimInstance, guard: int = DEFAULT_GUARD,
-                      chunk: int = 1 << 14) -> SolveResult:
+def solve_downward_1d(inst: OneDimInstance,
+                      guard: int = DEFAULT_GUARD) -> SolveResult:
     """Maximize expected payoff subject to downward IC and participation only.
 
     Enumerates every allocation (size-guarded) in lexicographic order, in
-    blocks of up to `chunk`, and keeps the lexicographically smallest
+    blocks of `_DOWNWARD_CHUNK`, and keeps the lexicographically smallest
     maximizer. Optimal allocations here may be non-monotone.
 
     The downward constraints t_p <= t_q + u[x_p, p] - u[x_q, p] (q < p) and
     participation t_p <= u[x_p, p] form an acyclic difference system, so one
     forward sweep over the types gives a whole block its maximal transfers
-    (Rochet 1987). Allocations whose sweep value comes within a
-    magnitude-scaled tolerance of the running maximum are re-priced with the
-    closed form and compared strictly in enumeration order, which gives the
-    result of closed-form pricing of every allocation bit for bit. Where the
-    closed form leaves the sweep by more than the tolerance, the table breaks
-    the model's assumptions (u falls in the type or differences decrease),
-    the closed form is infeasible and the sweep's transfers stay.
+    (Rochet 1987). The sweep rounds differently from the closed form, so
+    allocations whose sweep value comes within a magnitude-scaled tolerance
+    of the running maximum are re-priced with the closed form before the
+    strict comparison in enumeration order; the result is that of closed-form
+    pricing of every allocation, bit for bit. Where the closed form leaves
+    the sweep by more than the tolerance, the table breaks the model's
+    assumptions (u falls in the type or differences decrease), the closed
+    form is infeasible and the sweep's transfers stay.
     """
     n, n_alloc = inst.n, inst.n_alloc
     total = n_alloc ** n
     if total > guard:
         raise SizeGuardExceeded("downward enumeration too large", total, guard)
-    u, v, mu = inst.u, inst.v, inst.mu
     # far above rounding, which is O(n * 1e-16) of the table's magnitude. A
-    # kept value lies within tol plus rounding of its sweep value, so every
-    # maximizer's sweep value comes within 3 * tol of the sweep maximum
-    tol = 1e-9 * n * (1.0 + np.abs(u).max() + np.abs(v).max())
-    u_by_type = np.ascontiguousarray(u.T)
-    v_by_type = np.ascontiguousarray(v.T)
-    u_rows = u.tolist()
-    v_rows = v.tolist()
-    mu_list = mu.tolist()
-    sweep_best = -np.inf
-    best = -float("inf")
+    # re-priced value lies within tol plus rounding of its sweep value, so
+    # every maximizer's sweep value comes within 3 * tol of the sweep maximum
+    tol = 1e-9 * n * (1.0 + np.abs(inst.u).max() + np.abs(inst.v).max())
+    u_by_type = np.ascontiguousarray(inst.u.T)
+    v_by_type = np.ascontiguousarray(inst.v.T)
+    u_rows = inst.u.tolist()
+
+    def payoff(x, t):
+        # summed type by type from 0.0, like a scalar loop over the types
+        surplus = np.take_along_axis(v_by_type, x, axis=1) + t
+        values = np.zeros(x.shape[1])
+        for p in range(n):
+            values += inst.mu[p] * surplus[p]
+        return values
+
+    sweep_best = best = -np.inf
     best_x = best_t = None
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _DOWNWARD_CHUNK):
+        ids = np.arange(start, min(start + _DOWNWARD_CHUNK, total), dtype=np.int64)
         x = np.ascontiguousarray(_decode(ids, n, n_alloc).T)   # (n, block)
         t = np.take_along_axis(u_by_type, x, axis=1)           # u[x_p, p]
         for p in range(1, n):
             # the most type p gains by imitating a lower type, or 0
             rent = (u_by_type[p].take(x[:p]) - t[:p]).max(axis=0)
             t[p] -= np.maximum(rent, 0.0)
-        values = mu @ (np.take_along_axis(v_by_type, x, axis=1) + t)
-        sweep_best = max(sweep_best, float(values.max()))
-        for col in np.flatnonzero(values >= sweep_best - 3 * tol):
-            combo = tuple(x[:, col].tolist())
-            t_col = closed_form_downward_transfers(inst, combo, _u_rows=u_rows)
-            if np.abs(t_col - t[:, col]).max() > tol:
-                t_col, value = t[:, col], float(values[col])
-            else:
-                value = 0.0
-                for i in range(n):
-                    value += mu_list[i] * (v_rows[combo[i]][i] + t_col[i])
-            if value > best:
-                best, best_x, best_t = value, combo, t_col
-    return SolveResult("downward1d", float(best), best_x,
-                       tuple(float(ti) for ti in best_t),
+        values = payoff(x, t)
+        sweep_best = max(sweep_best, values.max())
+        near = np.flatnonzero(values >= sweep_best - 3 * tol)
+        if near.size == 0:
+            continue
+        x, t = x[:, near], t[:, near]
+        for k in range(near.size):
+            closed = closed_form_downward_transfers(inst, x[:, k], _u_rows=u_rows)
+            if np.abs(closed - t[:, k]).max() <= tol:
+                t[:, k] = closed
+        values = payoff(x, t)
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best, best_x, best_t = float(values[k]), x[:, k], t[:, k]
+    return SolveResult("downward1d", best, tuple(best_x.tolist()),
+                       tuple(best_t.tolist()),
                        {"method": "enumeration", "enumerated": total})
 
 

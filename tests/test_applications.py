@@ -79,8 +79,9 @@ def test_joint_solver_agrees_with_quality_menu_on_reduction():
     assert joint.all_optima_baseline   # strictly costly instruments idle
 
 
-def _random_bundle(seed):
-    rng = instance_rng(seed, stream=501)
+def random_bundle(seed, stream=501, grid=np.linspace(0, 1, 5)):
+    """Two goods, two types and a convex cost on `grid`."""
+    rng = instance_rng(seed, stream=stream)
     vstar = np.sort(rng.uniform(3.0, 9.0, 2))
     if vstar[1] - vstar[0] < 0.3:
         vstar[1] = vstar[0] + 0.3
@@ -91,15 +92,14 @@ def _random_bundle(seed):
     values[0, 1:3] = tau_lo * vstar[0]
     values[1, 1:3] = tau_hi * vstar[1]
     mu = rng.uniform(0.3, 0.7)
-    steps = np.sort(rng.uniform(0.05, 0.8, 4))
+    steps = np.sort(rng.uniform(0.05, 0.8, grid.size - 1))
     cost = np.concatenate([[0.0], np.cumsum(steps)])
-    return BundleInstance(2, values, np.array([mu, 1.0 - mu]),
-                          np.linspace(0, 1, 5), cost)
+    return BundleInstance(2, values, np.array([mu, 1.0 - mu]), grid, cost)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_certificate_on_random_instances(seed):
-    cert = certify_bundling(_random_bundle(seed))
+    cert = certify_bundling(random_bundle(seed))
     assert cert.menu_is_optimal, (cert.brute_force_value, cert.menu_value)
 
 
