@@ -2,13 +2,14 @@
 
 Subcommands: solve, verify, converse, competitive, bundling, sweep, report.
 Outputs are deterministic for a fixed config and seed; runtimes are only
-included when asked for. Exit codes: 0 success, 1 file or parse problem,
-2 size guard, 3 failed validation or verification.
+included when asked for. Exit codes: 0 success, 1 usage, file or parse
+problem, 2 size guard, 3 failed validation or verification.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _io
 import os
 import sys
@@ -378,8 +379,21 @@ def _add_common(sub):
                           "the search")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 through `main`, like other bad input, not 2."""
+
+    def error(self, message):
+        raise _CliExit(f"{self.format_usage()}{self.prog}: error: {message}", 1)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The command-line parser, built once per process on first use.
+
+    Every `parse_args` call fills a fresh namespace, so sharing it between
+    calls of `main` carries nothing over.
+    """
+    ap = _Parser(
         prog="screenkit",
         description="Finite screening problems with a productive allocation "
                     "and costly instruments: solvers and verification.")
@@ -446,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _CliExit as exc:
         return _fail(str(exc), exc.code)

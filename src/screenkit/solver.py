@@ -8,6 +8,7 @@ lexicographically smallest allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -255,7 +256,20 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     for that assignment. The size guard bounds the A^m assignments of the
     space and is checked before any search.
 
-    The incumbent starts at the best baseline-only assignment. A depth-first
+    The incumbent starts at the best baseline-only menu that gives every
+    support point of a productive level the same allocation, nondecreasing
+    in the level: C(n_x + L - 1, L) assignments for L levels and n_x
+    allocations, not all n_x^m baseline-only ones. Each is a real assignment
+    priced exactly, so the incumbent is a feasible value or -inf and never
+    above the optimum, and the search below is exact whatever it is. Where
+    u_a has strict increasing differences it is the best of all n_x^m:
+    implementability makes a baseline-only assignment nondecreasing in the
+    level (Mussa and Rosen 1978; Rochet 1987), and the points of one level
+    differ at y0 only by constants, so IC leaves them indifferent between
+    their options; moving them all to the option worth more to the principal
+    keeps every constraint and does not lower the value. Without increasing
+    differences the incumbent can be lower, and the search prunes less but
+    returns the same result. A depth-first
     search then assigns support points in support order, extending blocks of
     up to `chunk` prefixes by every option in lexicographic order, and drops
     a prefix when
@@ -291,17 +305,16 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     negative = (U[:, None, None, :] - U[:, None, :, None]
                 + U[None, :, :, None] - U[None, :, None, :]) < -FEAS_TOL
 
-    # seed the prune bound with the baseline-only assignments
-    y0_opts = np.array([k for k, (_, iy) in enumerate(options) if iy == cost.y0_index])
+    # seed the prune bound with the level-constant, monotone baseline menus
+    levels, level_of = np.unique(ia, return_inverse=True)
+    menus = combinations_with_replacement(range(prod.n_alloc), levels.size)
     best = -np.inf
     n_evaluated = 0
-    base_total = y0_opts.size ** m
-    for start in range(0, base_total, chunk):
-        ids = np.arange(start, min(start + chunk, base_total), dtype=np.int64)
-        values, _ = _price(U, VG, prob, y0_opts[_decode(ids, m, y0_opts.size)])
-        n_evaluated += ids.size
-        if values.size:
-            best = max(best, float(values.max()))
+    while block := list(islice(menus, chunk)):
+        x = np.array(block)[:, level_of]
+        values, _ = _price(U, VG, prob, x * cost.n_alloc + cost.y0_index)
+        n_evaluated += len(block)
+        best = max(best, float(values.max()))
 
     # depth-first over blocks of prefixes: at most chunk * A prefixes live
     # per depth whatever the prune rate, and leaves come out in

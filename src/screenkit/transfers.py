@@ -117,6 +117,13 @@ def closed_form_downward_transfers(inst: OneDimInstance, x_idx: Sequence,
     Each type pays its own gross utility less the rents accumulated along the
     binding chain: local downward steps over the free indices below it, plus
     one origin-anchored term per U-shaped region it sits in or above.
+
+    The result is the downward maximum only when u rises in the type and has
+    increasing differences. Otherwise it can break participation or IC:
+    u = [[2, 0], [2, 2]] with x = (0, 1) gives t = (2, 4), leaving type 1 a
+    payoff of -2. Nothing here checks the table; `solve_full_1d` raises
+    StructuralError when the transfers fail its IC and participation check,
+    and `solve_downward_1d` keeps its sweep's transfers where the two differ.
     """
     u = _u_rows if _u_rows is not None else inst.u.tolist()
     x_idx = [int(i) for i in x_idx]

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from screenkit.cli import main
+import screenkit
+from screenkit.cli import build_parser, main
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 EX1 = str(INSTANCE_DIR / "example1.json")
@@ -17,6 +18,15 @@ EX3 = str(INSTANCE_DIR / "example3.json")
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def run_fresh(*argv, env=None):
+    """Run the command line in a new interpreter that imports this screenkit."""
+    src = str(Path(screenkit.__file__).resolve().parent.parent)
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", *argv], env=env,
+                          capture_output=True)
 
 
 def test_solve_downward_example1(capsys, tmp_path):
@@ -115,10 +125,8 @@ def test_bad_json_is_exit_1(capsys, tmp_path):
 def sweep_bytes(tmp_path, threads, tag):
     out = tmp_path / f"sweep-{tag}.csv"
     env = dict(os.environ, SCREENKIT_THREADS=str(threads))
-    proc = subprocess.run(
-        [sys.executable, "-m", "screenkit.cli", "sweep", "--random", "12",
-         "--seed", "3", "--out", str(out), "--format", "csv"],
-        env=env, capture_output=True)
+    proc = run_fresh("screenkit.cli", "sweep", "--random", "12", "--seed", "3",
+                     "--out", str(out), "--format", "csv", env=env)
     assert proc.returncode == 0, proc.stderr.decode()
     return out.read_bytes()
 
@@ -127,8 +135,7 @@ def test_sweep_output_independent_of_thread_count(tmp_path):
 
 
 def test_package_runs_as_module():
-    proc = subprocess.run([sys.executable, "-m", "screenkit", "--help"],
-                          capture_output=True)
+    proc = run_fresh("screenkit", "--help")
     assert proc.returncode == 0, proc.stderr.decode()
     assert b"usage" in proc.stdout
 
@@ -233,3 +240,61 @@ def test_non_finite_bundling_params_exit_3(field, row, col, bad, capsys, tmp_pat
     assert "Traceback" not in err
     assert err.count("\n") == 1
     assert f"{field} contains non-finite entries" in err
+
+
+USAGE_ERRORS = {
+    "solve_without_instance": ["solve"],
+    "unknown_flag": ["solve", "--instance", EX1, "--bogus"],
+    "non_integer_random": ["verify", "--random", "abc"],
+    "no_command": [],
+    "unknown_command": ["nosuch"],
+    "bad_choice": ["solve", "--instance", EX1, "--mode", "sideways"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_is_exit_1(case, capsys):
+    # main returns instead of raising SystemExit, and 1 is not the guard's 2
+    code = main(USAGE_ERRORS[case])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: screenkit")
+    assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_usage_error_exit_code_in_fresh_interpreter():
+    proc = run_fresh("screenkit", "solve")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"usage: screenkit solve")
+    assert b"Traceback" not in proc.stderr
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: screenkit verify")
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys):
+    # each pair differs by one flag; run both orders in one process
+    pairs = [
+        (["verify", "--instance", EX2, "--strict"], ["verify", "--instance", EX2]),
+        (["solve", "--instance", EX2, "--mode", "joint", "--guard", "8"],
+         ["solve", "--instance", EX2, "--mode", "joint"]),
+        (["solve", "--instance", EX3, "--mode", "joint", "--format", "csv"],
+         ["solve", "--instance", EX3, "--mode", "joint"]),
+    ]
+    fresh = {}
+    for argv in (argv for pair in pairs for argv in pair):
+        proc = run_fresh("screenkit", *argv)
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    for first, second in pairs:
+        for argv in (first, second, first, second):
+            code = main(argv)
+            captured = capsys.readouterr()
+            got = (code, captured.out.encode(), captured.err.encode())
+            assert got == fresh[tuple(argv)], argv
+    assert build_parser() is build_parser()

@@ -1,20 +1,25 @@
 """Branch-and-bound joint search against the exhaustive enumerator it replaced."""
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from screenkit import (FEAS_TOL, GeneratorKnobs, JointDistribution,
-                       ScreeningInstance, SizeGuardExceeded, StructuralError,
-                       load_instance, random_negative_instance,
-                       random_positive_instance, solve_joint)
-from screenkit.solver import _batch_transfers, _decode
+from screenkit import (FEAS_TOL, CostlySpec, GeneratorKnobs,
+                       JointDistribution, ProductiveSpec, ScreeningInstance,
+                       SizeGuardExceeded, StructuralError, load_instance,
+                       random_negative_instance, random_positive_instance,
+                       solve_joint)
+from screenkit.solver import _batch_transfers, _decode, _price
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
 
 def enumerate_joint(inst, guard=10 ** 7, chunk=1 << 14):
     """Reference: decode every assignment id, prune on the surplus bound only.
+
+    The prune bound is seeded with every baseline-only assignment, not only
+    the level-constant monotone ones `solve_joint` starts from.
 
     Returns (value, x, y, t, some_optimum_baseline, all_optima_baseline,
     number of optima), the value being the float maximum and the mechanism
@@ -87,7 +92,48 @@ def _summary(res):
             res.all_optima_baseline, res.certificate["optima"])
 
 
+def off_assumption_instance(seed, shifted_baseline, increasing_differences):
+    """Five support points and six options, off the theorem's assumptions.
+
+    `shifted_baseline` makes u_b at y0 vary with theta_b; without
+    `increasing_differences`, u_a is a random integer table.
+    """
+    rng = np.random.default_rng(seed)
+    n_a, n_b, n_x, n_y = 3, 2, 3, 2
+    if increasing_differences:
+        u_a = np.outer(np.arange(n_x), 1.0 + np.arange(n_a))
+    else:
+        u_a = rng.integers(-2, 3, (n_x, n_a)).astype(float)
+    v_a = rng.integers(-3, 3, (n_x, n_a)).astype(float)
+    u_b = np.vstack([rng.integers(-2, 3, n_b) if shifted_baseline else np.zeros(n_b),
+                     rng.integers(-2, 1, n_b)]).astype(float)
+    v_b = np.vstack([np.zeros(n_b), rng.integers(-2, 1, n_b)]).astype(float)
+    support = [(a, b) for a in range(n_a) for b in range(n_b)][:5]
+    prob = rng.uniform(0.5, 1.5, len(support))
+    return ScreeningInstance(
+        ProductiveSpec(np.arange(n_a, dtype=float), np.arange(n_x, dtype=float),
+                       u_a, v_a),
+        CostlySpec(np.arange(n_b, dtype=float), np.arange(n_y, dtype=float), 0,
+                   u_b, v_b),
+        JointDistribution(tuple(support), prob / prob.sum()))
+
+
+#: (seed, shifted baseline, increasing differences) per off-assumption case;
+#: seeds where the baseline does shift and, without increasing differences,
+#: the level-constant seed falls below the all-baseline one
+OFF_ASSUMPTION = {
+    "shifted-baseline-0": (0, True, True),
+    "shifted-baseline-3": (3, True, True),
+    "decreasing-differences-1": (1, False, False),
+    "decreasing-differences-4": (4, False, False),
+    "shifted-decreasing-4": (4, True, False),
+    "shifted-decreasing-6": (6, True, False),
+}
+
+
 def _cases():
+    for name, knobs in OFF_ASSUMPTION.items():
+        yield name, lambda k=knobs: off_assumption_instance(*k)
     for k in (1, 2, 3):
         yield f"example{k}", lambda k=k: load_instance(INSTANCE_DIR / f"example{k}.json")
     for seed in range(20):
@@ -139,3 +185,71 @@ def test_support_permutation_leaves_joint_result(name):
         assert got.some_optimum_baseline == want.some_optimum_baseline
         assert got.all_optima_baseline == want.all_optima_baseline
 
+
+def baseline_seeds(inst):
+    """Best value over all baseline-only assignments, and over those that are
+    constant on each productive level and nondecreasing in it."""
+    prod, cost, dist = inst.productive, inst.costly, inst.dist
+    m = inst.n_support
+    ia = np.array([a for a, _ in dist.support])
+    ib = np.array([b for _, b in dist.support])
+    opt_x = np.repeat(np.arange(prod.n_alloc), cost.n_alloc)
+    opt_y = np.tile(np.arange(cost.n_alloc), prod.n_alloc)
+    U = prod.u_a[opt_x][:, ia].T + cost.u_b[opt_y][:, ib].T
+    VG = prod.v_a[opt_x][:, ia].T + cost.v_b[opt_y][:, ib].T
+    prob = np.asarray(dist.prob)
+
+    def best(x):
+        return _price(U, VG, prob, x * cost.n_alloc + cost.y0_index)[0].max()
+
+    every = _decode(np.arange(prod.n_alloc ** m), m, prod.n_alloc)
+    levels, level_of = np.unique(ia, return_inverse=True)
+    menus = np.array(list(combinations_with_replacement(range(prod.n_alloc),
+                                                        levels.size)))
+    return best(every), best(menus[:, level_of])
+
+
+@pytest.mark.parametrize("name", sorted(OFF_ASSUMPTION))
+def test_off_assumption_cases_keep_their_seed_gap(name):
+    # with increasing differences the level-constant seed loses nothing, a
+    # shifted baseline notwithstanding; without them it is strictly lower,
+    # so the differential test above runs the search from a weaker bound
+    inst = CASES[name]()
+    every, monotone = baseline_seeds(inst)
+    assert monotone <= every
+    if OFF_ASSUMPTION[name][2]:
+        assert monotone == every
+    else:
+        assert monotone < every - FEAS_TOL
+    if OFF_ASSUMPTION[name][1]:
+        assert np.ptp(inst.costly.u_b[inst.costly.y0_index]) > 0
+
+
+def _relabelled(inst, order):
+    cost = inst.costly
+    order = np.asarray(order)
+    y0 = int(np.flatnonzero(order == cost.y0_index)[0])
+    return ScreeningInstance(inst.productive, CostlySpec(
+        cost.theta_b, cost.y_set[order], y0, cost.u_b[order], cost.v_b[order]),
+        inst.dist)
+
+
+@pytest.mark.parametrize("name", ["example2", "example3",  # example1: one instrument
+                                  "negative-0", "negative-1", "negative-2",
+                                  "positive-1", "positive-4", "heavy-0",
+                                  "shifted-baseline-0",
+                                  "decreasing-differences-1"])
+def test_instrument_relabelling_leaves_joint_result(name):
+    inst = CASES[name]()
+    want = solve_joint(inst)
+    n_y = inst.costly.n_alloc
+    assert n_y > 1
+    rng = np.random.default_rng(9)
+    # the roll moves y0 to the next index; the mechanism may change with the
+    # option order, the optimal set's size and kind may not
+    for order in (np.roll(np.arange(n_y), 1), *(rng.permutation(n_y) for _ in range(2))):
+        got = solve_joint(_relabelled(inst, order))
+        assert got.value == pytest.approx(want.value, abs=1e-9)
+        assert got.some_optimum_baseline == want.some_optimum_baseline
+        assert got.all_optima_baseline == want.all_optima_baseline
+        assert got.certificate["optima"] == want.certificate["optima"]
