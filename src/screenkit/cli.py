@@ -11,10 +11,8 @@ import argparse
 import csv
 import functools
 import io as _io
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -255,10 +253,6 @@ def cmd_verify(args) -> int:
     rows = []
     failed = False
     for instance_id, inst in _verify_instances(args):
-        if args.converse:
-            rows.append(_converse_payload(inst, args.coordinate, args.margin,
-                                          instance_id))
-            continue
         payload = _verify_payload(inst, args.guard, args.timing, instance_id)
         if payload["applicable"] and not payload["passed"]:
             failed = True
@@ -326,22 +320,16 @@ def cmd_bundling(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_count(args.random)
-    workers = max(1, int(os.environ.get("SCREENKIT_THREADS", "1")))
-
-    def one(k: int) -> dict:
+    rows = []
+    for k in range(args.random):
         inst = random_positive_instance(args.seed, stream=k)
         instance_id = f"seed{args.seed}-{k}"
         if args.mode:
-            return _solve_payload(inst, args.mode, args.guard, args.timing,
-                                  instance_id)
-        return _verify_payload(inst, args.guard, args.timing, instance_id)
-
-    if workers == 1:
-        rows = [one(k) for k in range(args.random)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(args.random)))
-    rows.sort(key=lambda r: int(r["instance_id"].rsplit("-", 1)[1]))
+            rows.append(_solve_payload(inst, args.mode, args.guard,
+                                       args.timing, instance_id))
+        else:
+            rows.append(_verify_payload(inst, args.guard, args.timing,
+                                        instance_id))
     _emit(rows, args.format, args.out)
     failed = any(r.get("applicable") and not r.get("passed") for r in rows)
     return 3 if failed else 0
@@ -367,10 +355,15 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(sub):
+def _add_output(sub):
     sub.add_argument("--out", default=None, help="write output here")
     sub.add_argument("--format", default="json",
                      choices=("json", "csv", "pretty-table"))
+
+
+def _add_solving(sub):
+    """Output options plus --timing and --guard, for the commands that solve."""
+    _add_output(sub)
     sub.add_argument("--timing", action="store_true",
                      help="include runtime_ms (breaks byte-identical output)")
     sub.add_argument("--guard", type=int, default=DEFAULT_GUARD,
@@ -405,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("downward1d", "full1d", "joint"))
     s.add_argument("--strict", action="store_true",
                    help="fail (exit 3) if assumption checks fail")
-    _add_common(s)
+    _add_solving(s)
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="check the reduction theorem")
@@ -415,11 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--strict", action="store_true",
                    help="treat flagged assumptions as failures")
-    v.add_argument("--converse", action="store_true",
-                   help="build the dominating menu for dependent types")
-    v.add_argument("--coordinate", type=int, default=0)
-    v.add_argument("--margin", type=float, default=1e-6)
-    _add_common(v)
+    _add_solving(v)
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("converse",
@@ -427,19 +416,19 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--instance", required=True)
     c.add_argument("--coordinate", type=int, default=0)
     c.add_argument("--margin", type=float, default=1e-6)
-    _add_common(c)
+    _add_output(c)
     c.set_defaults(func=cmd_converse)
 
     k = sub.add_parser("competitive", help="Pareto-optimal separating offers")
     k.add_argument("--params", default=None)
-    _add_common(k)
+    _add_output(k)
     k.set_defaults(func=cmd_competitive)
 
     b = sub.add_parser("bundling", help="grand-bundle quality menu")
     b.add_argument("--params", default=None)
     b.add_argument("--certify", action="store_true",
                    help="brute-force the bundling mechanisms (two types)")
-    _add_common(b)
+    _add_output(b)
     b.set_defaults(func=cmd_bundling)
 
     w = sub.add_parser("sweep", help="batch-run generated instances")
@@ -448,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--mode", default=None,
                    choices=("downward1d", "full1d", "joint"),
                    help="solve in this mode instead of verifying")
-    _add_common(w)
+    _add_solving(w)
     w.set_defaults(func=cmd_sweep)
 
     r = sub.add_parser("report", help="aggregate result files into CSV")

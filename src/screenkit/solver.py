@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import SizeGuardExceeded, StructuralError
 from .model import (FEAS_TOL, JointDistribution, Mechanism, ScreeningInstance)
+from .stochastics import scalar_levels
 from .transfers import (OneDimInstance, closed_form_downward_transfers,
                         onedim_value)
 
@@ -49,11 +50,7 @@ class JointSolveResult:
 
 def productive_marginal(inst: ScreeningInstance) -> OneDimInstance:
     """Scalar-type problem induced by ignoring the costly instruments."""
-    levels = sorted({ia for ia, _ in inst.dist.support})
-    weight = {ia: 0.0 for ia in levels}
-    for (ia, _), pr in zip(inst.dist.support, inst.dist.prob):
-        weight[ia] += float(pr)
-    mu = np.array([weight[ia] for ia in levels])
+    levels, mu, _ = scalar_levels(inst)
     return OneDimInstance(
         inst.productive.theta_a[levels], mu, inst.productive.x_grid,
         inst.productive.u_a[:, levels], inst.productive.v_a[:, levels])
@@ -306,7 +303,8 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
                 + U[None, :, :, None] - U[None, :, None, :]) < -FEAS_TOL
 
     # seed the prune bound with the level-constant, monotone baseline menus
-    levels, level_of = np.unique(ia, return_inverse=True)
+    levels = scalar_levels(inst)[0]
+    level_of = np.searchsorted(levels, ia)
     menus = combinations_with_replacement(range(prod.n_alloc), levels.size)
     best = -np.inf
     n_evaluated = 0

@@ -151,15 +151,25 @@ def _flow_between(p: DiscreteDistribution, q: DiscreteDistribution):
     return value, flow
 
 
-def _cdf_dominates(p: DiscreteDistribution, q: DiscreteDistribution, tol: float) -> bool:
-    # scalar case: p below q iff F_p >= F_q everywhere
-    grid = np.unique(np.concatenate([p.points[:, 0], q.points[:, 0]]))
-    for v in grid:
-        fp = float(p.prob[p.points[:, 0] <= v + 0.0].sum())
-        fq = float(q.prob[q.points[:, 0] <= v + 0.0].sum())
-        if fp < fq - tol:
-            return False
-    return True
+def _row_cdfs(laws: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """CDF of each row of a law table at the distinct values of its columns.
+
+    Row l of `laws` puts mass laws[l, j] on the scalar values[j]. Entry
+    [l, k] of the result is the mass row l puts at or below the k-th
+    smallest distinct value, accumulated in ascending order of the values.
+    """
+    order = np.argsort(values, kind="stable")
+    tops = np.flatnonzero(np.append(np.diff(values[order]) != 0, True))
+    return np.cumsum(laws[:, order], axis=1)[:, tops]
+
+
+def _unordered_rows(cdf: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
+    """Indices k where row k of a CDF table is not below row k + 1.
+
+    A scalar law is stochastically below another iff its CDF is nowhere
+    smaller by more than tol.
+    """
+    return np.flatnonzero((cdf[:-1] < cdf[1:] - tol).any(axis=1))
 
 
 def check_dominance(p: DiscreteDistribution, q: DiscreteDistribution,
@@ -168,7 +178,10 @@ def check_dominance(p: DiscreteDistribution, q: DiscreteDistribution,
     if p.dim != q.dim:
         raise StructuralError("distributions must share a dimension")
     if p.dim == 1:
-        return _cdf_dominates(p, q, tol)
+        laws = np.zeros((2, len(p) + len(q)))
+        laws[0, :len(p)], laws[1, len(p):] = p.prob, q.prob
+        values = np.concatenate([p.points[:, 0], q.points[:, 0]])
+        return not _unordered_rows(_row_cdfs(laws, values), tol).size
     value, _ = _flow_between(p, q)
     return _FLOW_SCALE - value <= _FLOW_SLACK
 
@@ -252,27 +265,37 @@ def strassen_coupling(p: DiscreteDistribution, q: DiscreteDistribution) -> Coupl
 
 
 def scalar_levels(inst: ScreeningInstance):
-    """Scalar-type indices in the support, their marginal, and conditionals.
+    """Productive levels of the support, their marginal, and the conditionals.
 
-    Returns (a_indices, a_probs, conditionals) where each conditional is a
-    list of (theta_b index, conditional probability) sorted by index.
+    Returns (a_indices, a_probs, cond): the theta_a indices in the support,
+    ascending; their marginal masses, summed in support order; and the
+    (L, n_b) table whose row l is the law of the theta_b index at level
+    a_indices[l], zero off the support. Everything that groups the support
+    by productive level reads this table.
     """
-    by_level: dict = {}
-    for (ia, ib), pr in zip(inst.dist.support, inst.dist.prob):
-        by_level.setdefault(ia, {})
-        by_level[ia][ib] = by_level[ia].get(ib, 0.0) + float(pr)
-    a_indices = sorted(by_level)
-    a_probs = np.array([sum(by_level[ia].values()) for ia in a_indices])
-    conds = []
-    for ia, total in zip(a_indices, a_probs):
-        items = sorted(by_level[ia].items())
-        conds.append([(ib, w / total) for ib, w in items])
-    return tuple(a_indices), a_probs, conds
+    pairs = np.array(inst.dist.support).reshape(-1, 2)
+    a_indices, level = np.unique(pairs[:, 0], return_inverse=True)
+    n_b = inst.costly.n_types
+    a_probs = np.bincount(level, weights=inst.dist.prob)
+    cells = np.bincount(level * n_b + pairs[:, 1], weights=inst.dist.prob,
+                        minlength=a_indices.size * n_b)
+    return a_indices, a_probs, cells.reshape(-1, n_b) / a_probs[:, None]
 
 
-def _conditional_distribution(inst: ScreeningInstance, cond) -> DiscreteDistribution:
-    idx = [ib for ib, _ in cond]
-    return DiscreteDistribution(inst.costly.theta_b[idx], [w for _, w in cond])
+def _conditional_distribution(inst: ScreeningInstance, row) -> DiscreteDistribution:
+    on = np.flatnonzero(row)
+    return DiscreteDistribution(inst.costly.theta_b[on], row[on])
+
+
+def _level_values(inst: ScreeningInstance, a_indices, k: int) -> tuple:
+    """Productive values of support levels k and k + 1: a failure witness."""
+    theta = inst.productive.theta_a
+    return float(theta[a_indices[k]]), float(theta[a_indices[k + 1]])
+
+
+def _not_monotone(inst: ScreeningInstance, a_indices, k: int) -> NotMonotone:
+    return NotMonotone(f"costly type not stochastically monotone at levels "
+                       f"{_level_values(inst, a_indices, k)}")
 
 
 def check_stochastic_monotonicity(inst: ScreeningInstance):
@@ -280,15 +303,20 @@ def check_stochastic_monotonicity(inst: ScreeningInstance):
 
     Returns (ok, witness); the witness is the offending pair of scalar-type
     values. Adjacent support levels suffice since the order is transitive.
+    A scalar costly type compares conditional CDFs; higher dimensions run
+    one max-flow per adjacent pair, stopping at the first failure.
     """
-    a_indices, _, conds = scalar_levels(inst)
-    for k in range(len(a_indices) - 1):
-        lo = _conditional_distribution(inst, conds[k])
-        hi = _conditional_distribution(inst, conds[k + 1])
-        if not check_dominance(lo, hi):
-            return False, (float(inst.productive.theta_a[a_indices[k]]),
-                           float(inst.productive.theta_a[a_indices[k + 1]]))
-    return True, None
+    a_indices, _, cond = scalar_levels(inst)
+    if inst.costly.dim == 1:
+        bad = _unordered_rows(_row_cdfs(cond, inst.costly.theta_b[:, 0]))
+        k = int(bad[0]) if bad.size else None
+    else:
+        dists = [_conditional_distribution(inst, row) for row in cond]
+        k = next((k for k in range(len(dists) - 1)
+                  if not check_dominance(dists[k], dists[k + 1])), None)
+    if k is None:
+        return True, None
+    return False, _level_values(inst, a_indices, k)
 
 
 # ---------------------------------------------------------------------------
@@ -296,81 +324,63 @@ def check_stochastic_monotonicity(inst: ScreeningInstance):
 # ---------------------------------------------------------------------------
 
 
-def _quantile_paths(inst: ScreeningInstance, a_indices, conds):
-    # scalar costly type: common-quantile coupling across levels
-    cdfs = []
-    for cond in conds:
-        vals = sorted(cond, key=lambda item: inst.costly.theta_b[item[0], 0])
-        cum = []
-        acc = 0.0
-        for ib, w in vals:
-            acc += w
-            cum.append((acc, ib))
-        cum[-1] = (1.0, cum[-1][1])
-        cdfs.append(cum)
-    cuts = {1.0}
-    for cum in cdfs:
-        for acc, _ in cum[:-1]:
-            cuts.add(acc)
-    levels = sorted(cuts)
-    merged = [levels[0]]
-    for u in levels[1:]:
+def _quantile_paths(inst: ScreeningInstance, a_indices, cond):
+    # scalar costly type: common-quantile coupling across levels. The values
+    # are distinct, so the CDF columns are the theta_b indices in `order`
+    theta = inst.costly.theta_b[:, 0]
+    cdf = _row_cdfs(cond, theta)
+    bad = _unordered_rows(cdf)
+    if bad.size:
+        raise _not_monotone(inst, a_indices, int(bad[0]))
+    order = np.argsort(theta, kind="stable")
+    on = cond[:, order] > 0
+    # each row reaches exactly 1 at its top support point
+    top = on.shape[1] - 1 - np.argmax(on[:, ::-1], axis=1)
+    cdf[np.arange(on.shape[1]) >= top[:, None]] = 1.0
+    cuts = sorted(set(cdf[on].tolist()))
+    merged = [cuts[0]]
+    for u in cuts[1:]:
         if u - merged[-1] > PROB_TOL:
             merged.append(u)
         else:
             merged[-1] = u  # collapse near-equal cuts, keep the top one
-    paths = []
-    lo = 0.0
-    for hi in merged:
-        mid = 0.5 * (lo + hi)
-        b_idx = []
-        for cum in cdfs:
-            for acc, ib in cum:
-                if acc >= mid:
-                    b_idx.append(ib)
-                    break
-        paths.append(TypePath(hi - lo, tuple(b_idx)))
-        lo = hi
-    return paths
+    bounds = [0.0] + merged
+    mids = [0.5 * (lo + hi) for lo, hi in zip(bounds, merged)]
+    # at each mid quantile every level takes its first point reaching it
+    picks = order[np.argmax(cdf >= np.array(mids)[:, None, None], axis=2)]
+    return [TypePath(hi - lo, tuple(row))
+            for lo, hi, row in zip(bounds, merged, picks.tolist())]
 
 
-def _peeled_paths(inst: ScreeningInstance, a_indices, conds):
-    # chain exact integer couplings level to level, then peel bottleneck paths
+def _peeled_paths(inst: ScreeningInstance, a_indices, cond):
+    # chain exact integer couplings level to level, then peel bottleneck
+    # paths; the first adjacent pair without a coupling is not monotone
     levels = len(a_indices)
+    cols = [np.flatnonzero(row).tolist() for row in cond]
     if levels == 1:
-        return [TypePath(w, (ib,)) for ib, w in conds[0]]
-    dists = [_conditional_distribution(inst, cond) for cond in conds]
+        return [TypePath(float(cond[0, ib]), (ib,)) for ib in cols[0]]
+    dists = [_conditional_distribution(inst, row) for row in cond]
     edge_units = []
     for k in range(levels - 1):
-        coupling = strassen_coupling(dists[k], dists[k + 1])
+        try:
+            coupling = strassen_coupling(dists[k], dists[k + 1])
+        except NotDominated:
+            raise _not_monotone(inst, a_indices, k) from None
         units = np.rint(coupling.mass * _FLOW_SCALE).astype(np.int64)
         edge_units.append(units)
     paths = []
-    first = edge_units[0]
-    while True:
-        rows = first.sum(axis=1)
-        start = next((i for i in range(len(rows)) if rows[i] > 0), None)
-        if start is None:
-            break
-        chain = [start]
-        bottleneck = None
-        node = start
-        ok = True
-        for k in range(levels - 1):
-            row = edge_units[k][node]
-            nxt = next((j for j in range(row.size) if row[j] > 0), None)
-            if nxt is None:
-                ok = False
-                break
-            units = int(row[nxt])
-            bottleneck = units if bottleneck is None else min(bottleneck, units)
-            chain.append(nxt)
-            node = nxt
-        if not ok:
-            raise NotMonotone("coupling chain lost mass; cannot peel a full path")
-        for k in range(levels - 1):
-            edge_units[k][chain[k], chain[k + 1]] -= bottleneck
-        b_idx = tuple(conds[k][chain[k]][0] for k in range(levels))
+    while (starts := np.flatnonzero(edge_units[0].sum(axis=1))).size:
+        chain = [int(starts[0])]
+        for units in edge_units:
+            nxt = np.flatnonzero(units[chain[-1]])
+            if not nxt.size:
+                raise NotMonotone("coupling chain lost mass; cannot peel a full path")
+            chain.append(int(nxt[0]))
+        steps = list(zip(edge_units, chain, chain[1:]))
+        bottleneck = min(int(units[i, j]) for units, i, j in steps)
+        for units, i, j in steps:
+            units[i, j] -= bottleneck
+        b_idx = tuple(col[i] for col, i in zip(cols, chain))
         paths.append(TypePath(bottleneck / _FLOW_SCALE, b_idx))
     return paths
 
@@ -378,20 +388,18 @@ def _peeled_paths(inst: ScreeningInstance, a_indices, conds):
 def path_decomposition(inst: ScreeningInstance) -> PathMixture:
     """Write the joint type law as a weighted mixture of monotone paths.
 
-    Requires stochastic monotonicity (NotMonotone otherwise). The scalar
-    costly case uses the common-quantile coupling; higher dimensions chain
-    exact monotone couplings between adjacent levels and repeatedly peel the
-    bottleneck trajectory. The mixture reproduces the joint law to 1e-9 and
-    every path is componentwise nondecreasing.
+    Requires stochastic monotonicity (NotMonotone naming the first failing
+    pair of levels otherwise). The scalar costly case uses the
+    common-quantile coupling; higher dimensions chain exact monotone
+    couplings between adjacent levels, one max-flow per pair, and
+    repeatedly peel the bottleneck trajectory. The mixture reproduces the
+    joint law to 1e-9 and every path is componentwise nondecreasing.
     """
-    ok, witness = check_stochastic_monotonicity(inst)
-    if not ok:
-        raise NotMonotone(f"costly type not stochastically monotone at levels {witness}")
-    a_indices, a_probs, conds = scalar_levels(inst)
+    a_indices, a_probs, cond = scalar_levels(inst)
     if inst.costly.dim == 1:
-        paths = _quantile_paths(inst, a_indices, conds)
+        paths = _quantile_paths(inst, a_indices, cond)
     else:
-        paths = _peeled_paths(inst, a_indices, conds)
+        paths = _peeled_paths(inst, a_indices, cond)
     mixture = PathMixture(a_indices, a_probs, tuple(paths))
     _assert_reproduces(inst, mixture)
     return mixture

@@ -23,7 +23,7 @@ from .model import (FEAS_TOL, VALUE_TOL, CostlySpec, ICViolation,
                     validate_instance)
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_full_1d,
                      solve_joint)
-from .stochastics import DiscreteDistribution, TypePath, check_dominance
+from .stochastics import TypePath, _row_cdfs, _unordered_rows, scalar_levels
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +107,16 @@ class ShiftResult:
 
 def _line_instance(inst: ScreeningInstance, path: TypePath) -> ScreeningInstance:
     """One-path restriction of the instance, carrying the scalar marginal."""
-    levels = sorted({ia for ia, _ in inst.dist.support})
+    levels, weight, _ = scalar_levels(inst)
     if len(path.b_indices) != len(levels):
         raise PreconditionFailed("path length does not match the number of "
                                  "productive type levels")
-    weight = {ia: 0.0 for ia in levels}
-    for (ia, _), pr in zip(inst.dist.support, inst.dist.prob):
-        weight[ia] += float(pr)
     rows = inst.costly.theta_b[list(path.b_indices)]
     if not all((rows[k + 1] >= rows[k] - FEAS_TOL).all() for k in range(len(rows) - 1)):
         raise PreconditionFailed("path is not monotone in the costly type")
-    support = tuple((ia, ib) for ia, ib in zip(levels, path.b_indices))
-    dist = JointDistribution(support, tuple(weight[ia] for ia in levels))
-    return ScreeningInstance(inst.productive, inst.costly, dist)
+    support = tuple(zip(levels.tolist(), path.b_indices))
+    return ScreeningInstance(inst.productive, inst.costly,
+                             JointDistribution(support, weight))
 
 
 def shift_mechanism(inst: ScreeningInstance, path: TypePath,
@@ -392,24 +389,15 @@ def _coordinate_marginals(inst: ScreeningInstance, coord: int):
 
 
 def _check_nonincreasing_coordinate(inst: ScreeningInstance, coord: int) -> None:
-    levels = sorted({ia for ia, _ in inst.dist.support})
-    conds = {}
-    for (ia, ib), pr in zip(inst.dist.support, inst.dist.prob):
-        conds.setdefault(ia, {})
-        key = float(inst.costly.theta_b[ib, coord])
-        conds[ia][key] = conds[ia].get(key, 0.0) + float(pr)
-    dists = []
-    for ia in levels:
-        total = sum(conds[ia].values())
-        pts = sorted(conds[ia])
-        dists.append(DiscreteDistribution(
-            np.array(pts).reshape(-1, 1),
-            np.array([conds[ia][p] / total for p in pts])))
-    for k in range(len(levels) - 1):
-        if not check_dominance(dists[k + 1], dists[k]):
-            raise PreconditionFailed(
-                f"coordinate {coord} is not stochastically nonincreasing in "
-                f"the productive type (levels {levels[k]} vs {levels[k + 1]})")
+    levels, _, cond = scalar_levels(inst)
+    cdf = _row_cdfs(cond, inst.costly.theta_b[:, coord])
+    # rising in reversed level order; its last failure is the lowest pair
+    bad = _unordered_rows(cdf[::-1])
+    if bad.size:
+        k = levels.size - 2 - int(bad[-1])
+        raise PreconditionFailed(
+            f"coordinate {coord} is not stochastically nonincreasing in "
+            f"the productive type (levels {levels[k]} vs {levels[k + 1]})")
 
 
 def _converse_instance(inst: ScreeningInstance, coord: int, m0: float,

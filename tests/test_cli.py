@@ -122,16 +122,16 @@ def test_bad_json_is_exit_1(capsys, tmp_path):
     assert code == 1
 
 
-def sweep_bytes(tmp_path, threads, tag):
+def sweep_bytes(tmp_path, tag):
     out = tmp_path / f"sweep-{tag}.csv"
-    env = dict(os.environ, SCREENKIT_THREADS=str(threads))
     proc = run_fresh("screenkit.cli", "sweep", "--random", "12", "--seed", "3",
-                     "--out", str(out), "--format", "csv", env=env)
+                     "--out", str(out), "--format", "csv")
     assert proc.returncode == 0, proc.stderr.decode()
     return out.read_bytes()
 
-def test_sweep_output_independent_of_thread_count(tmp_path):
-    assert sweep_bytes(tmp_path, 1, "t1") == sweep_bytes(tmp_path, 3, "t3")
+
+def test_sweep_output_identical_across_fresh_runs(tmp_path):
+    assert sweep_bytes(tmp_path, "first") == sweep_bytes(tmp_path, "second")
 
 
 def test_package_runs_as_module():
@@ -261,6 +261,32 @@ def test_usage_error_is_exit_1(case, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: screenkit")
     assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+# options that only the solving commands take, and verify's old converse
+# mode: argv, then the arguments argparse reports as unrecognized
+NOT_ACCEPTED = {
+    "converse_timing": (["converse", "--instance", EX3, "--timing"], "--timing"),
+    "converse_guard": (["converse", "--instance", EX3, "--guard", "1"], "--guard 1"),
+    "competitive_timing": (["competitive", "--timing"], "--timing"),
+    "bundling_guard": (["bundling", "--guard", "1"], "--guard 1"),
+    "verify_converse": (["verify", "--instance", EX3, "--converse"], "--converse"),
+    "verify_margin": (["verify", "--instance", EX3, "--margin", "0.1"], "--margin 0.1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ACCEPTED))
+def test_unaccepted_option_is_usage_error(case, capsys):
+    argv, rejected = NOT_ACCEPTED[case]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: screenkit")
+    # after argparse's usage text, one error line naming the option
+    errors = [line for line in captured.err.splitlines() if "error: " in line]
+    assert errors == [f"screenkit: error: unrecognized arguments: {rejected}"]
     assert "Traceback" not in captured.err
 
 

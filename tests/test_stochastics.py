@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import screenkit
-from screenkit import (DiscreteDistribution, NotDominated, check_dominance,
-                       check_stochastic_monotonicity, dominance_by_upper_sets,
-                       example2_instance, example3_instance, instance_rng,
-                       path_decomposition, random_negative_instance,
-                       random_positive_instance, strassen_coupling)
+from screenkit import (DiscreteDistribution, GeneratorKnobs, JointDistribution,
+                       NotDominated, NotMonotone, ScreeningInstance,
+                       check_dominance, check_stochastic_monotonicity,
+                       dominance_by_upper_sets, example2_instance,
+                       example3_instance, instance_rng, path_decomposition,
+                       random_negative_instance, random_positive_instance,
+                       strassen_coupling)
 
 
 def dist1(pairs):
@@ -39,20 +41,28 @@ def test_multivariate_dominance_needs_coupling_not_just_marginals():
     assert not check_dominance(diag, anti)
 
 
-def _random_grid_dist(rng, max_pts=4):
-    grid = [(float(a), float(b)) for a in range(3) for b in range(3)]
+GRIDS = {1: [(float(a),) for a in range(6)],
+         2: [(float(a), float(b)) for a in range(3) for b in range(3)]}
+
+
+def _random_grid_dist(rng, max_pts=4, dim=2):
+    grid = GRIDS[dim]
     k = int(rng.integers(1, max_pts + 1))
     idx = rng.choice(len(grid), size=k, replace=False)
     w = rng.uniform(0.2, 1.0, k)
     return dist1([(grid[i], wi / w.sum()) for i, wi in zip(idx, w)])
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_flow_and_upper_set_routes_agree(seed):
+# two-dimensional draws go through max-flow, one-dimensional ones through CDFs
+@pytest.mark.parametrize("dim, seed",
+                         [pytest.param(2, s, id=str(s)) for s in range(40)]
+                         + [pytest.param(1, s, id=f"1d-{s}") for s in range(40)])
+def test_flow_and_upper_set_routes_agree(dim, seed):
     rng = instance_rng(seed, stream=101)
-    p = _random_grid_dist(rng)
-    q = _random_grid_dist(rng)
+    p = _random_grid_dist(rng, dim=dim)
+    q = _random_grid_dist(rng, dim=dim)
     assert check_dominance(p, q) == dominance_by_upper_sets(p, q)
+    assert check_dominance(q, p) == dominance_by_upper_sets(q, p)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -85,6 +95,96 @@ def test_stochastic_monotonicity_verdicts():
     ok, witness = check_stochastic_monotonicity(example3_instance())
     assert not ok
     assert witness is not None
+
+
+def reverse_levels(inst):
+    """The same joint law with the productive levels in reverse order."""
+    top = inst.productive.n_types - 1
+    support = sorted(((top - ia, ib), pr)
+                     for (ia, ib), pr in zip(inst.dist.support, inst.dist.prob))
+    pairs, prob = zip(*support)
+    return ScreeningInstance(inst.productive, inst.costly,
+                             JointDistribution(pairs, np.array(prob)))
+
+
+def first_unordered_levels(inst):
+    """Productive values of the first adjacent level pair whose conditional
+    costly laws are not ordered, by upper-set enumeration pair by pair."""
+    by_level = {}
+    for (ia, ib), pr in zip(inst.dist.support, inst.dist.prob):
+        by_level.setdefault(ia, []).append((ib, pr))
+    laws = []
+    for ia in sorted(by_level):
+        ib, w = zip(*by_level[ia])
+        w = np.array(w)
+        laws.append((ia, DiscreteDistribution(inst.costly.theta_b[list(ib)],
+                                              w / w.sum())))
+    theta = inst.productive.theta_a
+    for (ia, lo), (ja, hi) in zip(laws, laws[1:]):
+        if not dominance_by_upper_sets(lo, hi):
+            return float(theta[ia]), float(theta[ja])
+    return None
+
+
+def monotonicity_cases():
+    for seed in range(12):
+        for dim in (1, 2):
+            knobs = GeneratorKnobs(n_a=2 + seed % 3, n_b=2 + seed % 3, dim=dim,
+                                   max_paths=1 + seed % 3)
+            inst = random_positive_instance(seed, knobs, stream=104)
+            yield f"positive{dim}d-{seed}", inst
+            yield f"reversed{dim}d-{seed}", reverse_levels(inst)
+        yield f"negative-{seed}", random_negative_instance(seed)
+
+
+MONOTONICITY_CASES = dict(monotonicity_cases())
+
+
+@pytest.mark.parametrize("case", sorted(MONOTONICITY_CASES))
+def test_monotonicity_matches_pairwise_oracle(case):
+    inst = MONOTONICITY_CASES[case]
+    witness = first_unordered_levels(inst)
+    assert check_stochastic_monotonicity(inst) == (witness is None, witness)
+
+
+def test_generated_cases_hold_both_verdicts():
+    verdicts = {(case.split("-")[0], first_unordered_levels(inst) is None)
+                for case, inst in MONOTONICITY_CASES.items()}
+    for kind in ("reversed1d", "reversed2d"):
+        assert (kind, False) in verdicts and (kind, True) in verdicts
+    assert ("negative", False) in verdicts
+
+
+@pytest.mark.parametrize("case", ["example3", "reversed2d"])
+def test_path_decomposition_names_failing_level_pair(case):
+    if case == "example3":
+        inst = example3_instance()
+    else:
+        knobs = GeneratorKnobs(n_a=4, n_b=3, dim=2)
+        inst = reverse_levels(random_positive_instance(3, knobs, stream=104))
+    witness = first_unordered_levels(inst)
+    assert witness is not None
+    with pytest.raises(NotMonotone) as exc:
+        path_decomposition(inst)
+    assert str(exc.value) == (f"costly type not stochastically monotone at "
+                              f"levels {witness}")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_path_decomposition_runs_one_flow_per_level_pair(seed, monkeypatch):
+    import screenkit.stochastics as stochastics
+    calls = []
+    flow = stochastics._flow_between
+
+    def counted(p, q):
+        calls.append(1)
+        return flow(p, q)
+
+    monkeypatch.setattr(stochastics, "_flow_between", counted)
+    knobs = GeneratorKnobs(n_a=3 + seed, n_b=3, dim=2)
+    mixture = path_decomposition(random_positive_instance(seed, knobs))
+    assert len(mixture.a_indices) == 3 + seed
+    assert len(calls) == len(mixture.a_indices) - 1
 
 
 @pytest.mark.parametrize("seed", range(10))
