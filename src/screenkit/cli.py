@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import io as _io
+import math
 import sys
 import time
 from dataclasses import fields
@@ -232,38 +233,24 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _verify_instances(args):
-    if args.instance:
-        yield Path(args.instance).stem, _load(args.instance)
-    else:
-        for k in range(args.random):
-            yield f"seed{args.seed}-{k}", random_positive_instance(
-                args.seed, stream=k)
-
-
 def _check_count(n: int) -> None:
     if n < 0:
         raise _CliExit(f"--random must be nonnegative, got {n}", 1)
 
 
 def cmd_verify(args) -> int:
-    _check_count(args.random)
-    if not args.instance and not args.random:
-        raise _CliExit("verify needs --instance or --random N", 1)
-    rows = []
-    failed = False
-    for instance_id, inst in _verify_instances(args):
-        payload = _verify_payload(inst, args.guard, args.timing, instance_id)
-        if payload["applicable"] and not payload["passed"]:
-            failed = True
-        if args.strict and payload["assumptions"] != "ok":
-            failed = True
-        rows.append(payload)
-    _emit(rows if len(rows) > 1 else rows[0], args.format, args.out)
+    payload = _verify_payload(_load(args.instance), args.guard, args.timing,
+                              Path(args.instance).stem)
+    _emit(payload, args.format, args.out)
+    failed = payload["applicable"] and not payload["passed"]
+    if args.strict and payload["assumptions"] != "ok":
+        failed = True
     return 3 if failed else 0
 
 
 def cmd_converse(args) -> int:
+    if not (math.isfinite(args.margin) and args.margin >= 0):
+        raise _CliExit(f"--margin must be finite and nonnegative, got {args.margin}", 1)
     inst = _load(args.instance)
     payload = _converse_payload(inst, args.coordinate, args.margin,
                                 Path(args.instance).stem)
@@ -402,10 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="check the reduction theorem")
-    v.add_argument("--instance", default=None)
-    v.add_argument("--random", type=int, default=0, metavar="N",
-                   help="verify N generated instances instead of a file")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--instance", required=True)
     v.add_argument("--strict", action="store_true",
                    help="treat flagged assumptions as failures")
     _add_solving(v)

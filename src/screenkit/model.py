@@ -17,8 +17,8 @@ sides exactly zero; evaluators append it implicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,10 +195,10 @@ class ScreeningInstance:
     def n_support(self) -> int:
         return len(self.dist)
 
-    def type_vector(self, p: int) -> np.ndarray:
-        """Full type of support point p as a vector (theta_a, theta_b...)."""
-        ia, ib = self.dist.support[p]
-        return np.concatenate(([self.productive.theta_a[ia]], self.costly.theta_b[ib]))
+    def payoffs(self, x, y, t):
+        """`payoff_tables` of the support for options (x[k], y[k], t[k])."""
+        p, c = self.productive, self.costly
+        return payoff_tables((p.u_a, p.v_a, c.u_b, c.v_b), self.dist.support, x, y, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,6 +284,79 @@ def mechanism_value(inst: ScreeningInstance, mech: Mechanism) -> float:
 
 
 # ---------------------------------------------------------------------------
+# payoff tables: every IC, IR and best-response check reads these
+# ---------------------------------------------------------------------------
+
+
+def payoff_tables(tables, support, x, y, t):
+    """Agent and principal payoffs, each (..., point, option).
+
+    `tables` is (u_a, v_a, u_b, v_b). Support point (ia, ib) taking option
+    k = (x[k], y[k], t[k]) gets u_a[x, ia] + u_b[y, ib] - t, and the
+    principal gets v_a[x, ia] + v_b[y, ib] + t. Leading axes of u_b, v_b and
+    t broadcast, so one call prices a family of instances that differ only
+    in their instrument utilities and transfers.
+    """
+    u_a, v_a, u_b, v_b = tables
+    ia, ib = np.asarray(support, dtype=int).reshape(-1, 2).T
+    x = np.asarray(x, dtype=int)[None, :]
+    y = np.asarray(y, dtype=int)[None, :]
+    t = np.asarray(t, dtype=float)[..., None, :]
+    ia, ib = ia[:, None], ib[:, None]
+    return (u_a[x, ia] + u_b[..., y, ib] - t,
+            v_a[x, ia] + v_b[..., y, ib] + t)
+
+
+def best_response(agent, principal, prob):
+    """Each agent's pick over the last axis, and the menu's value.
+
+    The outside option pays both sides zero. The agent takes a
+    payoff-maximizing option; agent ties (within FEAS_TOL) break toward the
+    principal, principal ties toward the lowest option index, and the
+    outside option loses all ties. Returns (choice, value): choice is the
+    option index or OUTSIDE, and value sums prob times the principal's
+    payoff at the choice over the point axis, in point order.
+    """
+    zero = np.zeros(agent.shape[:-1] + (1,))
+    agent = np.concatenate((agent, zero), axis=-1)  # outside option last
+    principal = np.concatenate((principal, zero), axis=-1)
+    cand = agent >= agent.max(axis=-1, keepdims=True) - FEAS_TOL
+    best = np.where(cand, principal, -np.inf).max(axis=-1, keepdims=True)
+    choice = (cand & (principal >= best - FEAS_TOL)).argmax(axis=-1)
+    payoff = np.take_along_axis(principal, choice[..., None], axis=-1)[..., 0]
+    value = 0.0 + np.cumsum(prob * payoff, axis=-1)[..., -1]
+    return np.where(choice == agent.shape[-1] - 1, OUTSIDE, choice), value
+
+
+def deviation_mask(leq: np.ndarray, direction: str) -> np.ndarray:
+    """(deviator, target) pairs an IC check covers, from leq[i, j] = type i <= type j.
+
+    "downward" keeps targets below the deviator, "upward" targets above it,
+    "all" every pair.
+    """
+    masks = {"downward": leq.T, "upward": leq, "all": np.ones_like(leq)}
+    if direction not in masks:
+        raise ValueError(f"unknown direction {direction!r}")
+    return masks[direction]
+
+
+def ic_gains(agent: np.ndarray, allowed: np.ndarray) -> list:
+    """(deviator, target, gain) for every allowed pair gaining above FEAS_TOL.
+
+    agent[p, q] is p's payoff from q's option, so the diagonal is truthful
+    play and never gains. Rows are deviators, in order, then targets.
+    """
+    gain = agent - np.diagonal(agent)[:, None]
+    return [ICViolation(int(p), int(q), float(gain[p, q]))
+            for p, q in zip(*np.nonzero(allowed & (gain > FEAS_TOL)))]
+
+
+def ir_shortfalls(own: np.ndarray) -> list:
+    """(point, payoff) for every truthful payoff below the outside option."""
+    return [IRViolation(int(p), float(own[p])) for p in np.flatnonzero(own < -FEAS_TOL)]
+
+
+# ---------------------------------------------------------------------------
 # menus
 # ---------------------------------------------------------------------------
 
@@ -291,36 +364,14 @@ def mechanism_value(inst: ScreeningInstance, mech: Mechanism) -> float:
 def menu_best_response(inst: ScreeningInstance, menu: Menu):
     """Assign every support point its chosen option and value the menu.
 
-    Each type takes an agent-payoff-maximizing option; agent ties (within
-    FEAS_TOL) break toward the principal, principal ties toward the lowest
-    option index, with the outside option losing all ties. Returns
-    (assignment, value) where assignment[p] is an option index or OUTSIDE
-    and value is exactly the probability-weighted sum of principal payoffs
-    over the assignment.
+    Ties break as in `best_response`. Returns (assignment, value) where
+    assignment[p] is an option index or OUTSIDE and value is exactly the
+    probability-weighted sum of principal payoffs over the assignment.
     """
     options = menu.options if isinstance(menu, Menu) else tuple(menu)
-    assignment = []
-    value = 0.0
-    for p in range(inst.n_support):
-        agent_vals = [agent_payoff(inst, p, o) for o in options]
-        best_agent = max(agent_vals, default=0.0)
-        best_agent = max(best_agent, 0.0)  # outside option
-        cand = [k for k, a in enumerate(agent_vals) if a >= best_agent - FEAS_TOL]
-        outside_ok = 0.0 >= best_agent - FEAS_TOL
-        if cand:
-            pvals = [principal_payoff(inst, p, options[k]) for k in cand]
-            best_p = max(pvals)
-            if outside_ok:
-                best_p = max(best_p, 0.0)
-            chosen = next((k for k, pv in zip(cand, pvals) if pv >= best_p - FEAS_TOL), None)
-            if chosen is None:  # only the outside option attains best_p
-                chosen = OUTSIDE
-        else:
-            chosen = OUTSIDE
-        assignment.append(chosen)
-        picked = None if chosen == OUTSIDE else options[chosen]
-        value += float(inst.dist.prob[p]) * principal_payoff(inst, p, picked)
-    return assignment, value
+    x, y, t = np.array(options, dtype=float).reshape(-1, 3).T
+    choice, value = best_response(*inst.payoffs(x, y, t), inst.dist.prob)
+    return choice.tolist(), float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +379,11 @@ def menu_best_response(inst: ScreeningInstance, menu: Menu):
 # ---------------------------------------------------------------------------
 
 
-def _type_leq(inst: ScreeningInstance, p: int, q: int) -> bool:
-    """Componentwise order on full type vectors: type(p) <= type(q)."""
-    return bool(np.all(inst.type_vector(p) <= inst.type_vector(q) + 0.0))
+def _mechanism_payoffs(inst: ScreeningInstance, mech: Mechanism) -> np.ndarray:
+    """Agent table (deviator, target): what each point gets from each bundle."""
+    if len(mech) != inst.n_support:
+        raise StructuralError("mechanism length must match support size")
+    return inst.payoffs(mech.x, mech.y, mech.t)[0]
 
 
 def check_ic(inst: ScreeningInstance, mech: Mechanism, direction: str = "all"):
@@ -340,36 +393,16 @@ def check_ic(inst: ScreeningInstance, mech: Mechanism, direction: str = "all"):
     componentwise below the deviator, "upward" to componentwise above; "all"
     checks every ordered pair. A violation is a strict gain above FEAS_TOL.
     """
-    if direction not in ("downward", "upward", "all"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if len(mech) != inst.n_support:
-        raise StructuralError("mechanism length must match support size")
-    out = []
-    for p in range(inst.n_support):
-        truthful = agent_payoff(inst, p, mech.option(p))
-        for q in range(inst.n_support):
-            if q == p:
-                continue
-            if direction == "downward" and not _type_leq(inst, q, p):
-                continue
-            if direction == "upward" and not _type_leq(inst, p, q):
-                continue
-            gain = agent_payoff(inst, p, mech.option(q)) - truthful
-            if gain > FEAS_TOL:
-                out.append(ICViolation(p, q, float(gain)))
-    return out
+    ia, ib = np.array(inst.dist.support).T
+    types = np.column_stack((inst.productive.theta_a[ia], inst.costly.theta_b[ib]))
+    leq = (types[:, None, :] <= types[None, :, :]).all(axis=-1)
+    allowed = deviation_mask(leq, direction)
+    return ic_gains(_mechanism_payoffs(inst, mech), allowed)
 
 
 def check_ir(inst: ScreeningInstance, mech: Mechanism):
     """List support points whose truthful payoff falls below the outside option."""
-    if len(mech) != inst.n_support:
-        raise StructuralError("mechanism length must match support size")
-    out = []
-    for p in range(inst.n_support):
-        payoff = agent_payoff(inst, p, mech.option(p))
-        if payoff < -FEAS_TOL:
-            out.append(IRViolation(p, float(payoff)))
-    return out
+    return ir_shortfalls(np.diagonal(_mechanism_payoffs(inst, mech)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,17 @@ certifies that by evaluation rather than by the bounds alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (InputNotIC, OutOfRange, PreconditionFailed,
                      StructuralError)
-from .model import (FEAS_TOL, VALUE_TOL, CostlySpec, ICViolation,
-                    JointDistribution, Mechanism, Menu, ProductiveSpec,
-                    ScreeningInstance, ValidationReport, agent_payoff,
-                    check_ic, check_ir, mechanism_value, menu_best_response,
+from .model import (FEAS_TOL, VALUE_TOL, CostlySpec, JointDistribution,
+                    Mechanism, Menu, ProductiveSpec, ScreeningInstance,
+                    ValidationReport, best_response, check_ic, check_ir,
+                    ic_gains, ir_shortfalls, mechanism_value, payoff_tables,
                     validate_instance)
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_full_1d,
                      solve_joint)
@@ -144,11 +144,11 @@ def shift_mechanism(inst: ScreeningInstance, path: TypePath,
                   for k in range(n))
     shifted = Mechanism(mech.x, (y0,) * n, t_new)
 
-    for k in range(n):
-        before = agent_payoff(line, k, mech.option(k))
-        after = agent_payoff(line, k, shifted.option(k))
-        if abs(before - after) > 1e-12:
-            raise StructuralError(f"shift changed a truthful payoff at point {k}")
+    before, after = (np.diagonal(line.payoffs(m.x, m.y, m.t)[0])
+                     for m in (mech, shifted))
+    moved = np.flatnonzero(np.abs(before - after) > 1e-12)
+    if moved.size:
+        raise StructuralError(f"shift changed a truthful payoff at point {moved[0]}")
     down = check_ic(line, shifted, "downward")
     if down:
         raise StructuralError(f"shift broke a downward constraint: {down[0]}")
@@ -213,7 +213,7 @@ class MultiplicativeInstance:
             raise StructuralError("theta_b must be nonpositive")
         if mu.shape != ta.shape or (mu <= 0).any():
             raise StructuralError("mu must be positive per type")
-        if abs(mu.sum() - 1.0) > 1e-9:
+        if abs(mu.sum() - 1.0) > FEAS_TOL:
             raise StructuralError("mu must sum to one")
         if (c < -FEAS_TOL).any():
             raise StructuralError("instrument weights must be nonnegative")
@@ -256,11 +256,12 @@ class MultiplicativeMechanism:
     t: tuple
 
 
-def _mult_agent_payoff(minst: MultiplicativeInstance, k: int, j: int,
-                       mech: MultiplicativeMechanism) -> float:
-    """Payoff of type k reporting as type j."""
-    return (minst.theta_a[k] * minst.u(mech.x[j])
-            + float(minst.theta_b[k] @ minst.c[mech.y[j]]) - mech.t[j])
+def _mult_payoffs(minst: MultiplicativeInstance,
+                  mech: MultiplicativeMechanism) -> np.ndarray:
+    """Agent table (type, bundle): theta^A_k u(x_j) + theta^B_k . c(y_j) - t_j."""
+    u = np.array([minst.u(x) for x in mech.x], dtype=float)
+    return (np.outer(minst.theta_a, u) + minst.theta_b @ minst.c[list(mech.y)].T
+            - np.asarray(mech.t, dtype=float))
 
 
 def _mult_principal_value(minst: MultiplicativeInstance,
@@ -290,13 +291,14 @@ def shift_multiplicative(minst: MultiplicativeInstance,
     if min(mech.t) < -FEAS_TOL:
         raise PreconditionFailed("transfers must be nonnegative; replace "
                                  "loss-making options with the null option first")
-    for k in range(n):
-        own = _mult_agent_payoff(minst, k, k, mech)
-        if own < -FEAS_TOL:
-            raise InputNotIC(f"participation violated at type {k}")
-        for j in range(n):
-            if _mult_agent_payoff(minst, k, j, mech) > own + FEAS_TOL:
-                raise InputNotIC(f"IC violated: type {k} prefers bundle {j}")
+    table = _mult_payoffs(minst, mech)
+    ir = ir_shortfalls(np.diagonal(table))
+    ic = ic_gains(table, np.ones((n, n), dtype=bool))
+    if ir and (not ic or ir[0].point <= ic[0].deviator):
+        raise InputNotIC(f"participation violated at type {ir[0].point}")
+    if ic:
+        raise InputNotIC(f"IC violated: type {ic[0].deviator} prefers "
+                         f"bundle {ic[0].target}")
 
     x_new = []
     for k in range(n):
@@ -309,32 +311,29 @@ def shift_multiplicative(minst: MultiplicativeInstance,
     shifted = MultiplicativeMechanism(tuple(x_new), (minst.y0_index,) * n,
                                       tuple(float(v) for v in mech.t))
 
-    for k in range(n):
-        if not -FEAS_TOL <= x_new[k] <= mech.x[k] + FEAS_TOL:
-            raise StructuralError(f"shifted allocation left [0, x] at type {k}")
-        before = _mult_agent_payoff(minst, k, k, mech)
-        after = _mult_agent_payoff(minst, k, k, shifted)
-        if abs(before - after) > 1e-9:
-            raise StructuralError(f"shift changed a truthful payoff at type {k}")
-        if after < -1e-9:
-            raise StructuralError(f"shift broke participation at type {k}")
-        for j in range(k):
-            if _mult_agent_payoff(minst, k, j, shifted) > after + 1e-9:
-                raise StructuralError(
-                    f"shift broke downward IC: type {k} prefers bundle {j}")
+    x_old, x_new = np.asarray(mech.x, dtype=float), np.asarray(x_new)
+    left = np.flatnonzero((x_new < -FEAS_TOL) | (x_new > x_old + FEAS_TOL))
+    if left.size:
+        raise StructuralError(f"shifted allocation left [0, x] at type {left[0]}")
+    after = _mult_payoffs(minst, shifted)
+    moved = np.flatnonzero(np.abs(np.diagonal(table) - np.diagonal(after)) > FEAS_TOL)
+    if moved.size:
+        raise StructuralError(f"shift changed a truthful payoff at type {moved[0]}")
+    broke = ir_shortfalls(np.diagonal(after))
+    if broke:
+        raise StructuralError(f"shift broke participation at type {broke[0].point}")
+    down = ic_gains(after, np.tri(n, k=-1, dtype=bool))
+    if down:
+        raise StructuralError(f"shift broke downward IC: type {down[0].deviator} "
+                              f"prefers bundle {down[0].target}")
 
     before_val = _mult_principal_value(minst, mech)
     after_val = _mult_principal_value(minst, shifted)
     improvement = after_val - before_val
-    if improvement < -1e-9:
+    if improvement < -FEAS_TOL:
         raise StructuralError("multiplicative shift decreased the principal's "
                               "payoff despite a nondecreasing cost")
-    upward = tuple(
-        ICViolation(k, j, _mult_agent_payoff(minst, k, j, shifted)
-                    - _mult_agent_payoff(minst, k, k, shifted))
-        for k in range(n) for j in range(k + 1, n)
-        if _mult_agent_payoff(minst, k, j, shifted)
-        > _mult_agent_payoff(minst, k, k, shifted) + FEAS_TOL)
+    upward = tuple(ic_gains(after, ~np.tri(n, dtype=bool)))
     return ShiftResult(shifted, before_val, after_val, float(improvement),
                        upward, improvement > FEAS_TOL)
 
@@ -382,10 +381,9 @@ def _median_split(values: Sequence[float], masses: Sequence[float],
 
 def _coordinate_marginals(inst: ScreeningInstance, coord: int):
     """Per-support-point productive values, coordinate values, and weights."""
-    t0 = np.array([inst.productive.theta_a[ia] for ia, _ in inst.dist.support])
-    t1 = np.array([inst.costly.theta_b[ib, coord] for _, ib in inst.dist.support])
-    w = np.asarray(inst.dist.prob)
-    return t0, t1, w
+    ia, ib = np.array(inst.dist.support).T
+    return (inst.productive.theta_a[ia], inst.costly.theta_b[ib, coord],
+            np.asarray(inst.dist.prob))
 
 
 def _check_nonincreasing_coordinate(inst: ScreeningInstance, coord: int) -> None:
@@ -398,25 +396,6 @@ def _check_nonincreasing_coordinate(inst: ScreeningInstance, coord: int) -> None
         raise PreconditionFailed(
             f"coordinate {coord} is not stochastically nonincreasing in "
             f"the productive type (levels {levels[k]} vs {levels[k + 1]})")
-
-
-def _converse_instance(inst: ScreeningInstance, coord: int, m0: float,
-                       m1: float, eps: float) -> ScreeningInstance:
-    prod, cost = inst.productive, inst.costly
-    x = prod.x_grid
-    span = x[-1] - x[0]
-    f = np.where(prod.theta_a <= m0, 1.0, 2.0)
-    g = np.where(cost.theta_b[:, coord] <= m1, -1.0, -eps)
-    u_a = np.outer((x - x[0]) / span, f)
-    v_a = np.zeros_like(u_a)
-    indicator = np.ones(cost.n_alloc)
-    indicator[cost.y0_index] = 0.0
-    u_b = np.outer(indicator, g)
-    v_b = np.zeros_like(u_b)
-    return ScreeningInstance(
-        ProductiveSpec(prod.theta_a, x, u_a, v_a),
-        CostlySpec(cost.theta_b, cost.y_set, cost.y0_index, u_b, v_b),
-        inst.dist)
 
 
 def converse_construct(inst: ScreeningInstance, coord: int = 0,
@@ -459,55 +438,70 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
         q = 2.0 * float(w[(t0 >= m0 - eps) & (t0 <= m0 + eps)].sum()) + 1.0
         return r, q
 
-    def evaluate(eps: float):
-        built = _converse_instance(inst, coord, m0, m1, eps)
-        menu = Menu((
-            (xhat_idx, cost.y0_index, 2.0 - eps),
-            (xhat_idx, yhat_idx, 1.0 - eps),
-            (x0_idx, cost.y0_index, 0.0)))
-        _, menu_value = menu_best_response(built, menu)
-        return built, menu, float(menu_value)
+    # built tables: two levels f per productive type, g per costly type;
+    # eps enters only g of the types above the costly median
+    x = prod.x_grid
+    rise = (x - x[0]) / (x[-1] - x[0])
+    f = np.where(prod.theta_a <= m0, 1.0, 2.0)
+    u_a = np.outer(rise, f)
+    v_a = np.zeros_like(u_a)
+    low = cost.theta_b[:, coord] <= m1
+    indicator = np.ones(cost.n_alloc)
+    indicator[cost.y0_index] = 0.0
+    v_b = np.zeros((cost.n_alloc, cost.n_types))
+    menu_x = (xhat_idx, xhat_idx, x0_idx)
+    menu_y = (cost.y0_index, yhat_idx, cost.y0_index)
+
+    def built_tables(eps: np.ndarray):
+        """Instrument utilities (eps, y, b) and menu transfers (eps, option)."""
+        g = np.where(low, -1.0, -eps[:, None])
+        t = np.stack((2.0 - eps, 1.0 - eps, np.zeros_like(eps)), axis=-1)
+        return indicator[:, None] * g[:, None, :], t
 
     # productive-only optimum does not depend on eps (only g does)
-    probe = _converse_instance(inst, coord, m0, m1, 0.01)
-    productive_value = solve_full_1d(productive_marginal(probe)).value
+    line = productive_marginal(inst)
+    u_line = np.outer(rise, np.where(line.theta <= m0, 1.0, 2.0))
+    productive_value = solve_full_1d(
+        replace(line, u=u_line, v=np.zeros_like(u_line))).value
 
-    def certified(eps: float):
-        r, q = bounds(eps)
-        built, menu, menu_value = evaluate(eps)
-        ok = (r > q
-              and menu_value >= r - FEAS_TOL
-              and menu_value > productive_value + dominance_margin)
-        return ok, (built, menu, menu_value, r, q)
+    def search(candidates, best, slack: float):
+        """Best certified (eps, menu value, r, q): every candidate priced at once."""
+        eps = np.asarray(candidates, dtype=float)
+        u_b, t = built_tables(eps)
+        agent, principal = payoff_tables((u_a, v_a, u_b, v_b), inst.dist.support,
+                                         menu_x, menu_y, t)
+        _, values = best_response(agent, principal, inst.dist.prob)
+        for e, value in zip(candidates, values.tolist()):
+            r, q = bounds(e)
+            if (r > q and value >= r - FEAS_TOL
+                    and value > productive_value + dominance_margin
+                    and (best is None or value > best[1] + slack)):
+                best = (e, value, r, q)
+        return best
 
     # coarse grid plus a geometric tail: when the discount window barely
     # clears 1/4 only a very small eps certifies
     coarse = [0.01 * k for k in range(1, 50)]
     tail = [1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-7, 1e-8]
-    best = None
-    for eps in coarse + tail:
-        ok, payload = certified(eps)
-        if ok and (best is None or payload[2] > best[1][2]):
-            best = (eps, payload)
+    best = search(coarse + tail, None, 0.0)
     if best is not None:
-        center = best[0]
-        for k in range(-9, 10):
-            eps = center + 0.001 * k
-            if eps <= 0 or eps >= 0.5:
-                continue
-            ok, payload = certified(eps)
-            if ok and payload[2] > best[1][2] + 1e-15:
-                best = (eps, payload)
+        refine = [best[0] + 0.001 * k for k in range(-9, 10)]
+        best = search([e for e in refine if 0 < e < 0.5], best, 1e-15)
     if best is None:
         raise StructuralError(
             "preconditions held but no epsilon certified strict dominance; "
             "construction or solver is inconsistent")
-    eps_star, (built, menu, menu_value, r_val, q_val) = best
-    f = tuple(float(v) for v in np.where(prod.theta_a <= m0, 1.0, 2.0))
-    g = tuple(float(v) for v in
-              np.where(cost.theta_b[:, coord] <= m1, -1.0, -eps_star))
+    eps_star, menu_value, r_val, q_val = best
+    u_b, t = built_tables(np.array([eps_star]))
+    built = ScreeningInstance(
+        ProductiveSpec(prod.theta_a, x, u_a, v_a),
+        CostlySpec(cost.theta_b, cost.y_set, cost.y0_index, u_b[0], v_b),
+        inst.dist)
+    menu = Menu(tuple(zip(menu_x, menu_y, t[0])))
+    g = np.where(low, -1.0, -eps_star)
     return ConverseArtifacts(
         instance=built, menu=menu, coordinate=coord, m0=m0, m1=m1,
-        f_values=f, g_values=g, eps_star=float(eps_star),
+        f_values=tuple(f.tolist()), g_values=tuple(g.tolist()),
+        eps_star=float(eps_star),
         r_val=float(r_val), q_val=float(q_val),
         menu_value=float(menu_value), productive_value=float(productive_value))

@@ -17,7 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotImplementable, StructuralError
-from .model import FEAS_TOL, PROB_TOL
+from .model import (FEAS_TOL, PROB_TOL, deviation_mask, ic_gains,
+                    ir_shortfalls)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,37 +263,21 @@ def binding_report(inst: OneDimInstance, x_idx: Sequence, t: Sequence,
 # ---------------------------------------------------------------------------
 
 
+def _onedim_payoffs(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> np.ndarray:
+    """Agent table (deviator, target): u[x_q, p] - t_q."""
+    return inst.u[np.asarray(x_idx, dtype=int)].T - np.asarray(t, dtype=float)
+
+
 def onedim_ic_violations(inst: OneDimInstance, x_idx: Sequence, t: Sequence,
                          direction: str = "all") -> list:
     """(deviator, target, gain) triples violating IC in the given direction."""
-    if direction not in ("downward", "upward", "all"):
-        raise ValueError(f"unknown direction {direction!r}")
-    u = inst.u
-    x_idx = [int(i) for i in x_idx]
-    out = []
-    for p in range(inst.n):
-        truthful = u[x_idx[p], p] - t[p]
-        for q in range(inst.n):
-            if q == p:
-                continue
-            if direction == "downward" and q > p:
-                continue
-            if direction == "upward" and q < p:
-                continue
-            gain = (u[x_idx[q], p] - t[q]) - truthful
-            if gain > FEAS_TOL:
-                out.append((p, q, float(gain)))
-    return out
+    order = np.arange(inst.n)
+    allowed = deviation_mask(order[:, None] <= order[None, :], direction)
+    return ic_gains(_onedim_payoffs(inst, x_idx, t), allowed)
 
 
 def onedim_ir_violations(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> list:
-    u = inst.u
-    out = []
-    for p in range(inst.n):
-        payoff = u[int(x_idx[p]), p] - t[p]
-        if payoff < -FEAS_TOL:
-            out.append((p, float(payoff)))
-    return out
+    return ir_shortfalls(np.diagonal(_onedim_payoffs(inst, x_idx, t)))
 
 
 def onedim_value(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> float:

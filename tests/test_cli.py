@@ -69,7 +69,8 @@ def test_verify_diagnostic_vs_strict(capsys):
 
 
 def test_verify_random_batch(capsys):
-    code, out = run(capsys, "verify", "--random", "5", "--seed", "11")
+    # generated batches verify through sweep; verify takes one instance file
+    code, out = run(capsys, "sweep", "--random", "5", "--seed", "11")
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 5
@@ -208,7 +209,12 @@ MALFORMED = {
     "report_non_object_rows": lambda tmp: ["report", _write(tmp, [1, 2])],
     "instance_is_directory": lambda tmp: ["solve", "--instance", str(tmp)],
     "params_is_directory": lambda tmp: ["bundling", "--params", str(tmp)],
-    "verify_negative_random": lambda tmp: ["verify", "--random", "-1"],
+    "converse_nan_margin": lambda tmp: [
+        "converse", "--instance", EX3, "--margin", "nan"],
+    "converse_inf_margin": lambda tmp: [
+        "converse", "--instance", EX3, "--margin", "inf"],
+    "converse_negative_margin": lambda tmp: [
+        "converse", "--instance", EX3, "--margin", "-1"],
     "sweep_negative_random": lambda tmp: [
         "sweep", "--random", "-1", "--seed", "0"],
 }
@@ -245,7 +251,9 @@ def test_non_finite_bundling_params_exit_3(field, row, col, bad, capsys, tmp_pat
 USAGE_ERRORS = {
     "solve_without_instance": ["solve"],
     "unknown_flag": ["solve", "--instance", EX1, "--bogus"],
-    "non_integer_random": ["verify", "--random", "abc"],
+    "non_integer_random": ["sweep", "--random", "abc", "--seed", "0"],
+    "verify_without_instance": ["verify"],
+    "verify_random": ["verify", "--random", "5", "--seed", "11"],
     "no_command": [],
     "unknown_command": ["nosuch"],
     "bad_choice": ["solve", "--instance", EX1, "--mode", "sideways"],
