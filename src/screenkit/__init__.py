@@ -11,12 +11,14 @@ from .model import (FEAS_TOL, OUTSIDE, PROB_TOL, VALUE_TOL, CheckResult,
                     ValidationReport, agent_payoff, check_ic, check_ir,
                     mechanism_value, menu_best_response, principal_payoff,
                     validate_instance)
-from .stochastics import (Coupling, DiscreteDistribution, GeneratorKnobs,
-                          PathMixture, TypePath, check_dominance,
+from .stochastics import (MASS_TOL, Coupling, DiscreteDistribution,
+                          GeneratorKnobs, LevelCouplings, PathMixture,
+                          TypePath, check_dominance,
                           check_stochastic_monotonicity,
                           dominance_by_upper_sets, instance_rng,
-                          path_decomposition, random_negative_instance,
-                          random_positive_instance, strassen_coupling)
+                          level_couplings, path_decomposition,
+                          random_negative_instance, random_positive_instance,
+                          strassen_coupling)
 from .transfers import (BindingEntry, BindingReport, OneDimInstance, URegions,
                         binding_report, closed_form_downward_transfers,
                         graph_optimal_transfers, onedim_ic_violations,

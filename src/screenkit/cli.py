@@ -26,7 +26,7 @@ from .io import (canonical_json, float_table, load_instance, load_params,
 from .model import validate_instance
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_downward_1d,
                      solve_full_1d, solve_joint)
-from .stochastics import random_positive_instance
+from .stochastics import level_couplings, random_positive_instance
 from .theorems import converse_construct, verify_theorem1
 
 REPORT_COLUMNS = ("instance_id", "mode", "value", "gap", "y0_as",
@@ -138,10 +138,10 @@ def _pretty(rows: list) -> str:
 
 
 def _solve_payload(inst, mode: str, guard: int, timing: bool,
-                   instance_id: str) -> dict:
+                   instance_id: str, levels=None) -> dict:
     t0 = time.perf_counter()
     if mode == "joint":
-        res = solve_joint(inst, guard=guard)
+        res = solve_joint(inst, guard=guard, levels=levels)
         mech = res.mechanism
         payload = {
             "instance_id": instance_id,
@@ -222,13 +222,15 @@ def _converse_payload(inst, coordinate: int, margin: float,
 
 def cmd_solve(args) -> int:
     inst = _load(args.instance)
+    levels = None
     if args.strict:
-        report = validate_instance(inst)
+        levels = level_couplings(inst)  # validation and solve_joint share it
+        report = validate_instance(inst, levels)
         if not report.assumptions_hold:
             raise _CliExit(
                 f"assumption checks failed: {report.failures}", 3)
     payload = _solve_payload(inst, args.mode, args.guard, args.timing,
-                             Path(args.instance).stem)
+                             Path(args.instance).stem, levels)
     _emit(payload, args.format, args.out)
     return 0
 

@@ -42,12 +42,17 @@ _REQUIRED = ("theta_a", "x_grid", "u_a", "v_a", "theta_b", "y_set",
 
 
 def read_field(data: dict, key: str, convert):
-    """`convert(data[key])`; a value it rejects raises StructuralError."""
+    """`convert(data[key])`; a value it rejects raises StructuralError.
+
+    Rejection is any TypeError, ValueError, IndexError or KeyError (a
+    mis-shaped value) or OverflowError (an infinite one where an integer
+    belongs).
+    """
     if key not in data:
         raise StructuralError(f"missing field {key!r}")
     try:
         return convert(data[key])
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
         raise StructuralError(f"malformed field {key!r}: {exc}") from exc
 
 

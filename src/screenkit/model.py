@@ -536,12 +536,13 @@ def _check_baseline(spec: CostlySpec) -> CheckResult:
     return CheckResult(True)
 
 
-def validate_instance(inst: ScreeningInstance) -> ValidationReport:
+def validate_instance(inst: ScreeningInstance, levels=None) -> ValidationReport:
     """Run every model assumption check and return a full report.
 
     Structural defects raise StructuralError at construction; everything here
     is reported, never raised, so diagnostic runs on violating instances
     (including the strictness of the instrument-surplus sign) stay possible.
+    Pass `levels` to reuse a computed `stochastics.level_couplings(inst)`.
     """
     from .stochastics import check_stochastic_monotonicity  # local to avoid a cycle
 
@@ -550,7 +551,7 @@ def validate_instance(inst: ScreeningInstance) -> ValidationReport:
     checks["productive_increasing_differences"] = _check_increasing_differences(inst.productive)
     checks["surplus_single_crossing"] = _check_single_crossing(inst.productive)
     checks["costly_monotone"] = _check_costly_monotone(inst.costly)
-    ok, witness = check_stochastic_monotonicity(inst)
+    ok, witness = check_stochastic_monotonicity(inst, levels)
     checks["stochastic_monotone"] = CheckResult(ok, witness)
     checks["costly_sign"] = _check_costly_sign(inst.costly)
     checks["costly_sign_strict"] = CheckResult(inst.costly.strictly_costly, None,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SizeGuardExceeded, StructuralError
 from .model import (FEAS_TOL, JointDistribution, Mechanism, ScreeningInstance)
-from .stochastics import scalar_levels
+from .stochastics import LevelCouplings, level_couplings, scalar_levels
 from .transfers import (OneDimInstance, closed_form_downward_transfers,
                         onedim_value)
 
@@ -24,6 +24,10 @@ DEFAULT_GUARD = 10 ** 7
 
 #: Allocations `solve_downward_1d` prices per block.
 _DOWNWARD_CHUNK = 1 << 14
+
+#: Bellman-Ford slack: distances that still fall by more than this after m
+#: sweeps reveal a negative cycle, an assignment no transfers implement.
+_CYCLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,7 @@ def _batch_transfers(U: np.ndarray, allocs: np.ndarray):
             break
         D = newD
     cand = (D[:, None, :] + W).min(axis=2)
-    infeasible = (cand < D - 1e-12).any(axis=1)
+    infeasible = (cand < D - _CYCLE_TOL).any(axis=1)
     return D, infeasible
 
 
@@ -244,8 +248,65 @@ def _price(U: np.ndarray, VG: np.ndarray, prob: np.ndarray, allocs: np.ndarray):
     return values, D
 
 
+def _option_tables(inst: ScreeningInstance):
+    """Options in x-major order, and the agent's and the principal's gross
+    utility of each (support point, option): opt_x, opt_y, U, VG."""
+    prod, cost = inst.productive, inst.costly
+    opt_x = np.repeat(np.arange(prod.n_alloc), cost.n_alloc)
+    opt_y = np.tile(np.arange(cost.n_alloc), prod.n_alloc)
+    ia, ib = np.array(inst.dist.support).reshape(-1, 2).T
+    U = prod.u_a[opt_x][:, ia].T + cost.u_b[opt_y][:, ib].T
+    VG = prod.v_a[opt_x][:, ia].T + cost.v_b[opt_y][:, ib].T
+    return opt_x, opt_y, U, VG
+
+
+def _path_rent_bound(inst: ScreeningInstance, levels: LevelCouplings,
+                     U: np.ndarray, VG: np.ndarray):
+    """The path-rent bound: (g, lift) with value <= sum_p g[p, a_p] + lift.
+
+    Holds for every assignment a and its maximal IC and IR transfers. For
+    support point p at level j, with T_j the mass of the levels above j and
+    mu_j the coupling of levels j and j + 1,
+
+        g[p, a] = prob_p (U_p(a) + VG_p(a)) - T_j sum_q mu_j(p, q) (U_q(a) - U_p(a)).
+
+    IC of q against p's option bounds q's rent below by p's rent plus
+    U_q(a_p) - U_p(a_p); weighting those constraints by T_j mu_j(p, q) chains
+    every point's rent down to the participation of the lowest level
+    (Myerson 1981, taken along the couplings). Any coupling will do. The
+    chain is exact when every point sends out no more weight than its mass
+    plus what it receives; couplings read off the integer max-flow miss
+    their marginals by up to MASS_TOL, and `lift` prices that shortfall at
+    the largest rent any point can get, (m - 1) times the largest gain of
+    one point over another from the same option.
+    """
+    prob = np.asarray(inst.dist.prob)
+    ia, ib = np.array(inst.dist.support).reshape(-1, 2).T
+    lv = np.searchsorted(levels.a_indices, ia)
+    above = np.append(np.cumsum(levels.a_probs[::-1])[::-1][1:], 0.0)
+    n_b = levels.cond.shape[1]
+    mu = np.concatenate((np.reshape(levels.couplings, (-1, n_b, n_b)),
+                         np.zeros((1, n_b, n_b))))  # no level above the top
+    # weight[p, q]: multiplier of q's IC against p's option, q one level up
+    weight = (above[lv][:, None] * mu[lv[:, None], ib[:, None], ib[None, :]]
+              * (lv[None, :] == lv[:, None] + 1))
+    inflow = weight.sum(axis=1)
+    g = prob[:, None] * (U + VG) - (weight @ U - inflow[:, None] * U)
+    shortfall = np.maximum(weight.sum(axis=0) - inflow - prob, 0.0).sum()
+    return g, shortfall * (len(prob) - 1) * float(np.ptp(U, axis=0).max())
+
+
+def joint_space(inst: ScreeningInstance, guard: int = DEFAULT_GUARD) -> int:
+    """Size A^m of the joint assignment space; SizeGuardExceeded above guard."""
+    total = (inst.productive.n_alloc * inst.costly.n_alloc) ** inst.n_support
+    if total > guard:
+        raise SizeGuardExceeded("joint enumeration too large", total, guard)
+    return total
+
+
 def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
-                chunk: int = 1 << 14) -> JointSolveResult:
+                chunk: int = 1 << 14, levels: LevelCouplings | None = None,
+                full1d: SolveResult | None = None) -> JointSolveResult:
     """Exact optimum of the joint problem by branch and bound.
 
     Every support point independently receives one (x, y) option; transfers
@@ -253,66 +314,85 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     for that assignment. The size guard bounds the A^m assignments of the
     space and is checked before any search.
 
-    The incumbent starts at the best baseline-only menu that gives every
+    The search prunes with the paper's proof as a bound. Chaining each
+    point's IC against the level below along a coupling of adjacent
+    conditional costly laws bounds every IC assignment's value by a
+    separable virtual surplus, sum_p g_p(a_p) (`_path_rent_bound`). It holds
+    for any coupling; `levels` (default `level_couplings(inst)`) supplies the
+    monotone one where the paper's assumption holds, which makes it tight,
+    and the product coupling on unordered pairs. Its root value, the sum of
+    max_a g_p(a), caps the optimum; the certificate's `root_certified` says
+    it equals it, so the bound alone proves the optimal value.
+
+    The incumbent starts lazily. First comes one row: the full-IC productive
+    optimum (`full1d`, default `solve_full_1d` of the productive marginal)
+    with every instrument at baseline. Only when that row misses the root
+    bound does the seed enumerate the baseline-only menus that give every
     support point of a productive level the same allocation, nondecreasing
     in the level: C(n_x + L - 1, L) assignments for L levels and n_x
-    allocations, not all n_x^m baseline-only ones. Each is a real assignment
-    priced exactly, so the incumbent is a feasible value or -inf and never
-    above the optimum, and the search below is exact whatever it is. Where
-    u_a has strict increasing differences it is the best of all n_x^m:
-    implementability makes a baseline-only assignment nondecreasing in the
-    level (Mussa and Rosen 1978; Rochet 1987), and the points of one level
-    differ at y0 only by constants, so IC leaves them indifferent between
-    their options; moving them all to the option worth more to the principal
-    keeps every constraint and does not lower the value. Without increasing
-    differences the incumbent can be lower, and the search prunes less but
-    returns the same result. A depth-first
-    search then assigns support points in support order, extending blocks of
-    up to `chunk` prefixes by every option in lexicographic order, and drops
-    a prefix when
+    allocations, not all n_x^m baseline-only ones. Each seed row is a real
+    assignment priced exactly, so the incumbent is a feasible value or -inf
+    and never above the optimum, and the search below is exact whatever it
+    is. Where u_a has strict increasing differences the monotone seed is the
+    best of all n_x^m: implementability makes a baseline-only assignment
+    nondecreasing in the level (Mussa and Rosen 1978; Rochet 1987), and the
+    points of one level differ at y0 only by constants, so IC leaves them
+    indifferent between their options; moving them all to the option worth
+    more to the principal keeps every constraint and does not lower the
+    value. Without increasing differences the incumbent can be lower, and
+    the search prunes less but returns the same result.
+
+    A depth-first search then assigns support points in support order,
+    extending blocks of up to `chunk` prefixes by every option in
+    lexicographic order, and drops a prefix when
       - its surplus plus the most surplus the remaining points can add falls
         below the incumbent (sound: transfers never exceed willingness to
         pay), or
+      - its partial g plus the most g the remaining points can add falls
+        below the incumbent, or
       - its newest point and an earlier one form a negative IC 2-cycle
         U_q(a_q) - U_q(a_p) + U_p(a_p) - U_p(a_q) < -FEAS_TOL, which every
         completion keeps and the leaf pricing rejects.
-    Both tests allow FEAS_TOL, so no assignment within FEAS_TOL of the
+    Every test allows FEAS_TOL, so no assignment within FEAS_TOL of the
     optimum is dropped: the optimal set is classified exactly, ties kept,
     and the mechanism is the lexicographically smallest optimal assignment.
     """
-    prod, cost, dist = inst.productive, inst.costly, inst.dist
+    cost, dist = inst.costly, inst.dist
     m = inst.n_support
-    options = [(ix, iy) for ix in range(prod.n_alloc) for iy in range(cost.n_alloc)]
-    A = len(options)
-    total = A ** m
-    if total > guard:
-        raise SizeGuardExceeded("joint enumeration too large", total, guard)
+    total = joint_space(inst, guard)
+    levels = level_couplings(inst) if levels is None else levels
+    if full1d is None:
+        try:
+            full1d = solve_full_1d(productive_marginal(inst))
+        except StructuralError:
+            pass  # off the assumptions; the monotone seed stands in
     prob = np.asarray(dist.prob)
-    ia = np.array([a for a, _ in dist.support])
-    ib = np.array([b for _, b in dist.support])
-    opt_x = np.array([o[0] for o in options])
-    opt_y = np.array([o[1] for o in options])
-    U = prod.u_a[opt_x][:, ia].T + cost.u_b[opt_y][:, ib].T   # (m, A)
-    VG = prod.v_a[opt_x][:, ia].T + cost.v_b[opt_y][:, ib].T  # gross principal
+    opt_x, opt_y, U, VG = _option_tables(inst)
     surplus = prob[:, None] * (U + VG)
-    # rest[d]: the most surplus points d, ..., m - 1 can add
+    g, lift = _path_rent_bound(inst, levels, U, VG)
+    # rest[d], bound[d]: the most surplus and g points d, ..., m - 1 can add
     rest = np.append(np.cumsum(surplus.max(axis=1)[::-1])[::-1], 0.0)
+    bound = np.append(np.cumsum(g.max(axis=1)[::-1])[::-1], 0.0) + lift
     # negative[q, p, a_p, a_q]: q taking a_q and p taking a_p close a
     # negative 2-cycle in the IC constraint graph
     negative = (U[:, None, None, :] - U[:, None, :, None]
                 + U[None, :, :, None] - U[None, :, None, :]) < -FEAS_TOL
 
-    # seed the prune bound with the level-constant, monotone baseline menus
-    levels = scalar_levels(inst)[0]
-    level_of = np.searchsorted(levels, ia)
-    menus = combinations_with_replacement(range(prod.n_alloc), levels.size)
+    level_of = np.searchsorted(levels.a_indices, [a for a, _ in dist.support])
     best = -np.inf
     n_evaluated = 0
-    while block := list(islice(menus, chunk)):
-        x = np.array(block)[:, level_of]
-        values, _ = _price(U, VG, prob, x * cost.n_alloc + cost.y0_index)
-        n_evaluated += len(block)
-        best = max(best, float(values.max()))
+    if full1d is not None:
+        lifted = np.array(full1d.x_idx)[level_of] * cost.n_alloc + cost.y0_index
+        best = float(_price(U, VG, prob, lifted[None, :])[0][0])
+        n_evaluated = 1
+    if best < bound[0] - FEAS_TOL:
+        menus = combinations_with_replacement(range(inst.productive.n_alloc),
+                                              levels.a_indices.size)
+        while block := list(islice(menus, chunk)):
+            x = np.array(block)[:, level_of]
+            values, _ = _price(U, VG, prob, x * cost.n_alloc + cost.y0_index)
+            n_evaluated += len(block)
+            best = max(best, float(values.max()))
 
     # depth-first over blocks of prefixes: at most chunk * A prefixes live
     # per depth whatever the prune rate, and leaves come out in
@@ -323,12 +403,14 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     cand_base = []
     best_val = -np.inf
     best_alloc = best_t = None
-    stack = [(np.zeros((1, 0), dtype=np.intp), np.zeros(1))]
+    stack = [(np.zeros((1, 0), dtype=np.intp), np.zeros(1), np.zeros(1))]
     while stack:
-        prefixes, partial = stack.pop()
+        prefixes, partial, partial_g = stack.pop()
         d = prefixes.shape[1]
         child = partial[:, None] + surplus[d]                 # (k, A)
-        keep = child >= best - FEAS_TOL - rest[d + 1]
+        child_g = partial_g[:, None] + g[d]
+        floor = best - FEAS_TOL
+        keep = (child >= floor - rest[d + 1]) & (child_g >= floor - bound[d + 1])
         if d:
             keep &= ~negative[d][np.arange(d), prefixes].any(axis=1)
         rows, opts = np.nonzero(keep)
@@ -336,11 +418,11 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
         if not rows.size:
             continue
         prefixes = np.column_stack((prefixes[rows], opts))
-        partial = child[rows, opts]
+        partial, partial_g = child[rows, opts], child_g[rows, opts]
         if d + 1 < m:
             for start in reversed(range(0, rows.size, chunk)):
-                stack.append((prefixes[start:start + chunk],
-                              partial[start:start + chunk]))
+                block = slice(start, start + chunk)
+                stack.append((prefixes[block], partial[block], partial_g[block]))
             continue
         for start in range(0, rows.size, chunk):
             leaves = prefixes[start:start + chunk]
@@ -365,7 +447,8 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
         best_val, mech, bool(baseline_mask.any()), bool(baseline_mask.all()),
         {"method": "branch_and_bound", "enumerated": total,
          "evaluated": n_evaluated, "nodes": n_nodes,
-         "optima": int(baseline_mask.size)})
+         "optima": int(baseline_mask.size),
+         "root_certified": bool(bound[0] <= best_val + FEAS_TOL)})
 
 
 # ---------------------------------------------------------------------------

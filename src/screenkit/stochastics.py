@@ -4,8 +4,10 @@ Dominance between finitely supported laws on R^N is decided by an exact
 max-flow on the componentwise admissibility graph (capacities are
 probabilities scaled to integers at 1e-12 resolution, so there is no flow
 tolerance to tune). Exhaustive upper-set enumeration is kept alongside as an
-independent oracle. Monotone couplings feed the path decomposition: every
-stochastically monotone joint law is a finite mixture of nondecreasing paths.
+independent oracle. One pass couples the conditional costly laws of adjacent
+productive levels (`level_couplings`); it decides monotonicity and feeds the
+path decomposition (every stochastically monotone joint law is a finite
+mixture of nondecreasing paths) and the joint solver's path-rent bound.
 """
 from __future__ import annotations
 
@@ -21,6 +23,10 @@ from .model import (FEAS_TOL, PROB_TOL, CostlySpec, JointDistribution,
 _FLOW_SCALE = 10 ** 12
 # Flow shortfall accepted as "dominated within tolerance" (1e-9 of mass).
 _FLOW_SLACK = 10 ** 3
+#: Mass a law, a coupling or a path mixture may be off by: the flow slack.
+MASS_TOL = _FLOW_SLACK / _FLOW_SCALE
+# Slack when comparing costly-type coordinates copied from one table.
+_ORDER_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +51,7 @@ class DiscreteDistribution:
             raise StructuralError("prob must align with points")
         if not np.all(self.prob > 0):
             raise StructuralError("probabilities must be strictly positive")
-        if abs(float(self.prob.sum()) - 1.0) > 1e-9:
+        if abs(float(self.prob.sum()) - 1.0) > MASS_TOL:
             raise StructuralError("probabilities must sum to 1")
         seen = {tuple(row) for row in self.points}
         if len(seen) != self.points.shape[0]:
@@ -242,7 +248,7 @@ def strassen_coupling(p: DiscreteDistribution, q: DiscreteDistribution) -> Coupl
     """Monotone coupling of p below q; raises NotDominated if none exists.
 
     The coupling lives on componentwise-comparable pairs and matches both
-    marginals to within 1e-9.
+    marginals to within MASS_TOL.
     """
     if p.dim != q.dim:
         raise StructuralError("distributions must share a dimension")
@@ -260,7 +266,7 @@ def strassen_coupling(p: DiscreteDistribution, q: DiscreteDistribution) -> Coupl
 
 
 # ---------------------------------------------------------------------------
-# conditionals and monotonicity of a joint law
+# conditionals, level couplings and monotonicity of a joint law
 # ---------------------------------------------------------------------------
 
 
@@ -282,11 +288,6 @@ def scalar_levels(inst: ScreeningInstance):
     return a_indices, a_probs, cells.reshape(-1, n_b) / a_probs[:, None]
 
 
-def _conditional_distribution(inst: ScreeningInstance, row) -> DiscreteDistribution:
-    on = np.flatnonzero(row)
-    return DiscreteDistribution(inst.costly.theta_b[on], row[on])
-
-
 def _level_values(inst: ScreeningInstance, a_indices, k: int) -> tuple:
     """Productive values of support levels k and k + 1: a failure witness."""
     theta = inst.productive.theta_a
@@ -298,25 +299,88 @@ def _not_monotone(inst: ScreeningInstance, a_indices, k: int) -> NotMonotone:
                        f"{_level_values(inst, a_indices, k)}")
 
 
-def check_stochastic_monotonicity(inst: ScreeningInstance):
+@dataclass(frozen=True, eq=False)
+class LevelCouplings:
+    """The support grouped by productive level, and a coupling per level pair.
+
+    `a_indices`, `a_probs` and `cond` are `scalar_levels(inst)`.
+    `couplings[k][i, j]` is the mass a coupling of the conditional laws at
+    levels k and k + 1 sends from theta_b index i to theta_b index j; its
+    marginals are rows k and k + 1 of `cond`. `first_unordered` is the first
+    k whose pair is not stochastically ordered, or None.
+    """
+
+    a_indices: np.ndarray
+    a_probs: np.ndarray
+    cond: np.ndarray
+    couplings: tuple
+    first_unordered: int | None
+
+
+def _quantile_couplings(cdf: np.ndarray, order: np.ndarray) -> tuple:
+    """Common-quantile coupling of every adjacent pair of CDF rows.
+
+    Column k of `cdf` is theta_b index order[k]. Each law owns one interval
+    of quantiles per point, and the coupling sends the overlap of two
+    intervals from the lower law's point to the upper law's. It is monotone
+    wherever the lower law's CDF lies above the upper's.
+    """
+    lo = np.concatenate((np.zeros((cdf.shape[0], 1)), cdf[:, :-1]), axis=1)
+    overlap = (np.minimum(cdf[:-1, :, None], cdf[1:, None, :])
+               - np.maximum(lo[:-1, :, None], lo[1:, None, :]))
+    mass = np.zeros_like(overlap)
+    mass[:, order[:, None], order[None, :]] = np.maximum(overlap, 0.0)
+    return tuple(mass)
+
+
+def level_couplings(inst: ScreeningInstance) -> LevelCouplings:
+    """Couple the conditional costly laws of every adjacent pair of levels.
+
+    One pass serves the monotonicity check, the path decomposition and the
+    joint solver's path-rent bound. A scalar costly type takes the
+    common-quantile coupling of the conditional CDFs and runs no flow.
+    Higher dimensions run one max-flow per pair (`strassen_coupling`); a
+    pair with no monotone coupling gets the product coupling instead, as the
+    rent bound holds for any coupling. Adjacent pairs decide monotonicity
+    since the order is transitive.
+    """
+    a_indices, a_probs, cond = scalar_levels(inst)
+    theta = inst.costly.theta_b
+    if inst.costly.dim == 1:
+        cdf = _row_cdfs(cond, theta[:, 0])
+        bad = _unordered_rows(cdf).tolist()
+        couplings = _quantile_couplings(cdf, np.argsort(theta[:, 0], kind="stable"))
+    else:
+        on = [np.flatnonzero(row) for row in cond]
+        dists = [DiscreteDistribution(theta[cols], row[cols])
+                 for cols, row in zip(on, cond)]
+        bad, couplings = [], []
+        for k in range(len(dists) - 1):
+            try:
+                block = strassen_coupling(dists[k], dists[k + 1]).mass
+            except NotDominated:
+                block = np.outer(dists[k].prob, dists[k + 1].prob)
+                bad.append(k)
+            mass = np.zeros((theta.shape[0],) * 2)
+            mass[np.ix_(on[k], on[k + 1])] = block
+            couplings.append(mass)
+    return LevelCouplings(a_indices, a_probs, cond, tuple(couplings),
+                          bad[0] if bad else None)
+
+
+def check_stochastic_monotonicity(inst: ScreeningInstance,
+                                  levels: LevelCouplings | None = None):
     """Check that the costly type rises stochastically with the scalar type.
 
     Returns (ok, witness); the witness is the offending pair of scalar-type
-    values. Adjacent support levels suffice since the order is transitive.
-    A scalar costly type compares conditional CDFs; higher dimensions run
-    one max-flow per adjacent pair, stopping at the first failure.
+    values, the first adjacent pair of levels `level_couplings` finds
+    unordered. Pass `levels` to reuse a computed `level_couplings(inst)`.
     """
-    a_indices, _, cond = scalar_levels(inst)
-    if inst.costly.dim == 1:
-        bad = _unordered_rows(_row_cdfs(cond, inst.costly.theta_b[:, 0]))
-        k = int(bad[0]) if bad.size else None
-    else:
-        dists = [_conditional_distribution(inst, row) for row in cond]
-        k = next((k for k in range(len(dists) - 1)
-                  if not check_dominance(dists[k], dists[k + 1])), None)
+    levels = level_couplings(inst) if levels is None else levels
+    k = levels.first_unordered
     if k is None:
         return True, None
-    return False, _level_values(inst, a_indices, k)
+    return False, _level_values(inst, levels.a_indices, k)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +388,11 @@ def check_stochastic_monotonicity(inst: ScreeningInstance):
 # ---------------------------------------------------------------------------
 
 
-def _quantile_paths(inst: ScreeningInstance, a_indices, cond):
+def _quantile_paths(inst: ScreeningInstance, cond):
     # scalar costly type: common-quantile coupling across levels. The values
     # are distinct, so the CDF columns are the theta_b indices in `order`
     theta = inst.costly.theta_b[:, 0]
     cdf = _row_cdfs(cond, theta)
-    bad = _unordered_rows(cdf)
-    if bad.size:
-        raise _not_monotone(inst, a_indices, int(bad[0]))
     order = np.argsort(theta, kind="stable")
     on = cond[:, order] > 0
     # each row reaches exactly 1 at its top support point
@@ -352,22 +413,14 @@ def _quantile_paths(inst: ScreeningInstance, a_indices, cond):
             for lo, hi, row in zip(bounds, merged, picks.tolist())]
 
 
-def _peeled_paths(inst: ScreeningInstance, a_indices, cond):
-    # chain exact integer couplings level to level, then peel bottleneck
-    # paths; the first adjacent pair without a coupling is not monotone
-    levels = len(a_indices)
-    cols = [np.flatnonzero(row).tolist() for row in cond]
-    if levels == 1:
-        return [TypePath(float(cond[0, ib]), (ib,)) for ib in cols[0]]
-    dists = [_conditional_distribution(inst, row) for row in cond]
-    edge_units = []
-    for k in range(levels - 1):
-        try:
-            coupling = strassen_coupling(dists[k], dists[k + 1])
-        except NotDominated:
-            raise _not_monotone(inst, a_indices, k) from None
-        units = np.rint(coupling.mass * _FLOW_SCALE).astype(np.int64)
-        edge_units.append(units)
+def _peeled_paths(levels: LevelCouplings):
+    # chain the exact integer couplings level to level, then peel bottleneck
+    # paths
+    if not levels.couplings:
+        return [TypePath(float(levels.cond[0, ib]), (ib,))
+                for ib in np.flatnonzero(levels.cond[0]).tolist()]
+    edge_units = [np.rint(mass * _FLOW_SCALE).astype(np.int64)
+                  for mass in levels.couplings]
     paths = []
     while (starts := np.flatnonzero(edge_units[0].sum(axis=1))).size:
         chain = [int(starts[0])]
@@ -380,8 +433,7 @@ def _peeled_paths(inst: ScreeningInstance, a_indices, cond):
         bottleneck = min(int(units[i, j]) for units, i, j in steps)
         for units, i, j in steps:
             units[i, j] -= bottleneck
-        b_idx = tuple(col[i] for col, i in zip(cols, chain))
-        paths.append(TypePath(bottleneck / _FLOW_SCALE, b_idx))
+        paths.append(TypePath(bottleneck / _FLOW_SCALE, tuple(chain)))
     return paths
 
 
@@ -390,17 +442,20 @@ def path_decomposition(inst: ScreeningInstance) -> PathMixture:
 
     Requires stochastic monotonicity (NotMonotone naming the first failing
     pair of levels otherwise). The scalar costly case uses the
-    common-quantile coupling; higher dimensions chain exact monotone
-    couplings between adjacent levels, one max-flow per pair, and
-    repeatedly peel the bottleneck trajectory. The mixture reproduces the
-    joint law to 1e-9 and every path is componentwise nondecreasing.
+    common-quantile coupling across all levels; higher dimensions chain the
+    exact monotone couplings of `level_couplings`, one max-flow per adjacent
+    pair, and repeatedly peel the bottleneck trajectory. The mixture
+    reproduces the joint law to MASS_TOL and every path is componentwise
+    nondecreasing.
     """
-    a_indices, a_probs, cond = scalar_levels(inst)
+    levels = level_couplings(inst)
+    if levels.first_unordered is not None:
+        raise _not_monotone(inst, levels.a_indices, levels.first_unordered)
     if inst.costly.dim == 1:
-        paths = _quantile_paths(inst, a_indices, cond)
+        paths = _quantile_paths(inst, levels.cond)
     else:
-        paths = _peeled_paths(inst, a_indices, cond)
-    mixture = PathMixture(a_indices, a_probs, tuple(paths))
+        paths = _peeled_paths(levels)
+    mixture = PathMixture(levels.a_indices, levels.a_probs, tuple(paths))
     _assert_reproduces(inst, mixture)
     return mixture
 
@@ -410,13 +465,13 @@ def _assert_reproduces(inst: ScreeningInstance, mixture: PathMixture):
     want = {pair: float(pr) for pair, pr in zip(inst.dist.support, inst.dist.prob)}
     keys = set(got) | set(want)
     worst = max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in keys)
-    if worst > 1e-9:
+    if worst > MASS_TOL:
         raise NotMonotone(f"path mixture fails to reproduce the joint law (err {worst:g})")
     theta = inst.costly.theta_b
     for path in mixture.paths:
         for k in range(len(path.b_indices) - 1):
             lo, hi = path.b_indices[k], path.b_indices[k + 1]
-            if not np.all(theta[lo] <= theta[hi] + 1e-12):
+            if not np.all(theta[lo] <= theta[hi] + _ORDER_TOL):
                 raise NotMonotone("peeled path is not monotone")
 
 

@@ -21,9 +21,10 @@ from .model import (FEAS_TOL, VALUE_TOL, CostlySpec, JointDistribution,
                     ValidationReport, best_response, check_ic, check_ir,
                     ic_gains, ir_shortfalls, mechanism_value, payoff_tables,
                     validate_instance)
-from .solver import (DEFAULT_GUARD, productive_marginal, solve_full_1d,
-                     solve_joint)
-from .stochastics import TypePath, _row_cdfs, _unordered_rows, scalar_levels
+from .solver import (DEFAULT_GUARD, joint_space, productive_marginal,
+                     solve_full_1d, solve_joint)
+from .stochastics import (TypePath, _row_cdfs, _unordered_rows,
+                          level_couplings, scalar_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +67,15 @@ def verify_theorem1(inst: ScreeningInstance,
     Solves the joint problem exactly, solves the induced scalar problem under
     full IC, and reports the gap. When any assumption check fails the report
     is diagnostic: the gap is whatever it is and `passed` stays False without
-    implying an error.
+    implying an error. One `level_couplings` pass serves the monotonicity
+    check and the joint solver's bound, and the scalar optimum seeds the
+    joint search; the size guard is checked before either solve.
     """
-    status = validate_instance(inst)
-    joint = solve_joint(inst, guard=guard)
+    levels = level_couplings(inst)
+    status = validate_instance(inst, levels)
+    joint_space(inst, guard)
     productive = solve_full_1d(productive_marginal(inst))
+    joint = solve_joint(inst, guard=guard, levels=levels, full1d=productive)
     gap = joint.value - productive.value
     if gap < -FEAS_TOL:
         raise StructuralError(
@@ -408,7 +413,11 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     those unwilling to use the instrument and discounts it behind the
     instrument for the rest. Dominance over every productive-only mechanism
     is certified by solving that problem, never by the r/q bounds alone.
+    `dominance_margin` must be finite and nonnegative (StructuralError).
     """
+    if not (np.isfinite(dominance_margin) and dominance_margin >= 0):
+        raise StructuralError(f"dominance_margin must be finite and "
+                              f"nonnegative, got {dominance_margin}")
     prod, cost = inst.productive, inst.costly
     if prod.n_alloc < 2:
         raise PreconditionFailed("need at least two productive allocations")

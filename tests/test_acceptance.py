@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from screenkit import (CompetitiveParams, DiscreteDistribution, FEAS_TOL,
-                       GeneratorKnobs, AssumptionFailed, Mechanism,
+                       GeneratorKnobs, AssumptionFailed,
                        agent_payoff, binding_report, bundling_default,
                        certify_bundling, check_dominance, check_ic, check_ir,
                        closed_form_downward_transfers, competitive_separating,
@@ -27,8 +27,9 @@ from screenkit import (CompetitiveParams, DiscreteDistribution, FEAS_TOL,
                        solve_joint, strassen_coupling, validate_instance,
                        verify_theorem1)
 from screenkit.applications import BundleInstance
-from screenkit.solver import _batch_transfers
 from screenkit.theorems import _line_instance
+
+from helpers import THEOREM_KNOBS, ic_mechanism_on_line
 
 
 @contextmanager
@@ -91,22 +92,13 @@ def test_criterion_03_example3_menu_regression():
         assert best_of(lambda: solve_full_1d(line)) < 1e-3
 
 
-_THEOREM_KNOBS = (
-    GeneratorKnobs(),
-    GeneratorKnobs(n_a=4, n_b=3, n_x=3, n_y=2),
-    GeneratorKnobs(n_a=2, n_b=2, n_x=2, n_y=2, strict_costly=False),
-    GeneratorKnobs(n_a=4, n_b=3, n_x=2, n_y=2, dim=2),
-    GeneratorKnobs(n_a=3, n_b=3, n_x=3, n_y=2, dim=2, strict_costly=False),
-)
-
-
 def test_criterion_04_theorem_suite_positive_instances():
     with crit(4, "200 positively correlated instances: joint == productive, "
                  "strictly costly keeps y at baseline"):
         t0 = time.perf_counter()
         for seed in range(200):
             inst = random_positive_instance(
-                seed, _THEOREM_KNOBS[seed % len(_THEOREM_KNOBS)], stream=501)
+                seed, THEOREM_KNOBS[seed % len(THEOREM_KNOBS)], stream=501)
             rep = verify_theorem1(inst)
             assert rep.applicable, seed
             assert abs(rep.gap) <= 1e-6, (seed, rep.gap)
@@ -328,27 +320,6 @@ def test_criterion_13_grid_convergence():
         assert gaps[-1] < 1e-2
 
 
-def _mechanism_on_line(line, rng):
-    m = line.n_support
-    n_x, n_y = line.productive.n_alloc, line.costly.n_alloc
-    options = [(ix, iy) for ix in range(n_x) for iy in range(n_y)]
-    U = np.array([[agent_payoff(line, p, (ix, iy, 0.0)) for ix, iy in options]
-                  for p in range(m)])
-    for _ in range(60):
-        x = np.sort(rng.integers(0, n_x, m))
-        y = rng.integers(0, n_y, m)
-        if n_y > 1 and not (y != line.costly.y0_index).any():
-            continue
-        alloc = np.array([[options.index((int(xi), int(yi)))
-                           for xi, yi in zip(x, y)]])
-        D, infeasible = _batch_transfers(U, alloc)
-        if infeasible[0]:
-            continue
-        return Mechanism(tuple(int(i) for i in x), tuple(int(i) for i in y),
-                         tuple(float(v) for v in D[0]))
-    return None
-
-
 def test_criterion_14_shift_operations():
     with crit(14, "200 IC+IR path mechanisms: shift keeps truthful payoffs "
                   "and downward IC, weakly improves, strictly when costly"):
@@ -361,7 +332,7 @@ def test_criterion_14_shift_operations():
             inst = random_positive_instance(seed, knobs, stream=601)
             path = path_decomposition(inst).paths[0]
             line = _line_instance(inst, path)
-            mech = _mechanism_on_line(line, instance_rng(seed, stream=602))
+            mech = ic_mechanism_on_line(line, instance_rng(seed, stream=602))
             seed += 1
             if mech is None:
                 continue

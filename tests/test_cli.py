@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import screenkit
 from screenkit.cli import build_parser, main
@@ -217,6 +222,15 @@ MALFORMED = {
         "converse", "--instance", EX3, "--margin", "-1"],
     "sweep_negative_random": lambda tmp: [
         "sweep", "--random", "-1", "--seed", "0"],
+    "support_point_is_object": lambda tmp: [
+        "verify", "--instance",
+        _write(tmp, _edited("example2.json", support=[{}, [1, 1]]))],
+    "infinite_y0_index": lambda tmp: [
+        "verify", "--instance",
+        _write(tmp, _edited("example2.json", y0_index=float("inf")))],
+    "infinite_support_index": lambda tmp: [
+        "verify", "--instance",
+        _write(tmp, _edited("example2.json", support=[[0, 0], [1, float("inf")]]))],
 }
 
 
@@ -332,3 +346,53 @@ def test_shared_parser_carries_no_state_between_calls(capsys):
             got = (code, captured.out.encode(), captured.err.encode())
             assert got == fresh[tuple(argv)], argv
     assert build_parser() is build_parser()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the instance boundary
+# ---------------------------------------------------------------------------
+
+# boundary values first, then small random JSON
+JSON_VALUES = st.sampled_from(
+    [float("inf"), float("-inf"), float("nan"), 1e308, -1, 10 ** 30, True,
+     None, "", {}, []]) | st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2),
+                                                                 inner, max_size=2),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_example2(draw):
+    """example2.json with one field dropped, replaced, or changed at one leaf."""
+    data = json.loads((INSTANCE_DIR / "example2.json").read_text())
+    key = draw(st.sampled_from(sorted(data)))
+    action = draw(st.sampled_from(("drop", "replace", "leaf")))
+    if action == "drop":
+        del data[key]
+    elif action == "replace" or not isinstance(data[key], list):
+        data[key] = draw(JSON_VALUES)
+    else:
+        node = data[key]
+        while True:
+            i = draw(st.integers(0, len(node) - 1))
+            if not (isinstance(node[i], list) and node[i] and draw(st.booleans())):
+                break
+            node = node[i]
+        node[i] = draw(JSON_VALUES)
+    return data
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=mutated_example2())
+def test_mutated_instances_keep_the_exit_contract(data):
+    # exit 0 to 3 with at most one stderr line; an escaping exception fails
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), data)
+        for argv in (["verify", "--instance", path],
+                     ["solve", "--mode", "joint", "--instance", path]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -1,4 +1,5 @@
 """Branch-and-bound joint search against the exhaustive enumerator it replaced."""
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -7,10 +8,13 @@ import pytest
 
 from screenkit import (FEAS_TOL, CostlySpec, GeneratorKnobs,
                        JointDistribution, ProductiveSpec, ScreeningInstance,
-                       SizeGuardExceeded, StructuralError, load_instance,
-                       random_negative_instance, random_positive_instance,
-                       solve_joint)
-from screenkit.solver import _batch_transfers, _decode, _price
+                       SizeGuardExceeded, StructuralError, level_couplings,
+                       load_instance, random_negative_instance,
+                       random_positive_instance, solve_joint, verify_theorem1)
+from screenkit.solver import (_batch_transfers, _decode, _option_tables,
+                              _path_rent_bound, _price)
+
+from helpers import THEOREM_KNOBS
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -253,3 +257,99 @@ def test_instrument_relabelling_leaves_joint_result(name):
         assert got.some_optimum_baseline == want.some_optimum_baseline
         assert got.all_optima_baseline == want.all_optima_baseline
         assert got.certificate["optima"] == want.certificate["optima"]
+
+
+# ---------------------------------------------------------------------------
+# the path-rent bound
+# ---------------------------------------------------------------------------
+
+
+def _every_assignment(inst):
+    """Option tables, every assignment of a small space, and its priced value."""
+    _, _, U, VG = _option_tables(inst)
+    m, A = U.shape
+    allocs = _decode(np.arange(A ** m), m, A)
+    values, _ = _price(U, VG, np.asarray(inst.dist.prob), allocs)
+    return U, VG, allocs, values
+
+
+def _product_couplings(levels):
+    return replace(levels, couplings=tuple(
+        np.outer(lo, hi) for lo, hi in zip(levels.cond, levels.cond[1:])))
+
+
+#: CASES whose whole assignment space is small enough to price
+SMALL_CASES = sorted(OFF_ASSUMPTION) + [
+    "example1", "example2", "example3", "negative-0", "negative-1",
+    "negative-5", "negative-11", "positive-1", "positive-4"]
+
+
+@pytest.mark.parametrize("coupling", ["level", "product"])
+@pytest.mark.parametrize("name", SMALL_CASES)
+def test_path_rent_bound_caps_every_feasible_assignment(name, coupling):
+    # the chain of IC constraints along any coupling bounds the value of
+    # every implementable assignment; level_couplings gives the monotone
+    # coupling where the levels are ordered
+    inst = CASES[name]()
+    levels = level_couplings(inst)
+    if coupling == "product":
+        levels = _product_couplings(levels)
+    U, VG, allocs, values = _every_assignment(inst)
+    g, lift = _path_rent_bound(inst, levels, U, VG)
+    bound = g[np.arange(inst.n_support), allocs].sum(axis=1)
+    feasible = values > -np.inf
+    assert feasible.any()
+    assert lift <= FEAS_TOL
+    assert (bound[feasible] >= values[feasible] - FEAS_TOL).all()
+
+
+@pytest.mark.parametrize("name", ["example2", "negative-1", "positive-1"])
+def test_lift_covers_couplings_with_wrong_marginals(name):
+    # too much coupled mass makes some point pay out more rent weight than it
+    # holds; the lift prices that and keeps the bound sound
+    inst = CASES[name]()
+    levels = level_couplings(inst)
+    levels = replace(levels, couplings=tuple(2.0 * c for c in levels.couplings))
+    U, VG, allocs, values = _every_assignment(inst)
+    g, lift = _path_rent_bound(inst, levels, U, VG)
+    bound = g[np.arange(inst.n_support), allocs].sum(axis=1) + lift
+    assert lift > 0
+    assert (bound >= values - FEAS_TOL).all()
+
+
+def test_root_bound_certifies_the_theorem():
+    # on positive instances the monotone coupling makes the bound the
+    # productive-only virtual surplus, so the root bound alone proves the
+    # optimum unless that surplus needs ironing
+    certified = [solve_joint(random_positive_instance(
+        seed, THEOREM_KNOBS[seed % len(THEOREM_KNOBS)], stream=507)
+    ).certificate["root_certified"] for seed in range(60)]
+    assert sum(certified) >= 55
+    # off the assumptions the bound is loose here and the search does the work
+    assert not any(solve_joint(CASES[name]()).certificate["root_certified"]
+                   for name in OFF_ASSUMPTION)
+
+
+def _scaled(inst, c):
+    prod, cost = inst.productive, inst.costly
+    return ScreeningInstance(
+        ProductiveSpec(prod.theta_a, prod.x_grid, c * prod.u_a, c * prod.v_a),
+        CostlySpec(cost.theta_b, cost.y_set, cost.y0_index, c * cost.u_b,
+                   c * cost.v_b),
+        inst.dist)
+
+
+@pytest.mark.parametrize("knobs", range(len(THEOREM_KNOBS)))
+def test_scaling_utilities_scales_the_value_and_keeps_verdicts(knobs):
+    # every tolerance is absolute, so scaling all four utility tables by
+    # 1e-3 or 1e3 must move no decision of the prune or of the verdicts
+    for seed in range(8):
+        inst = random_positive_instance(seed, THEOREM_KNOBS[knobs], stream=508)
+        want, report = solve_joint(inst), verify_theorem1(inst)
+        for c in (1e-3, 1e3):
+            got, scaled = solve_joint(_scaled(inst, c)), verify_theorem1(_scaled(inst, c))
+            assert got.value == pytest.approx(c * want.value, rel=1e-9, abs=0)
+            assert got.certificate["optima"] == want.certificate["optima"]
+            assert scaled.passed == report.passed
+            assert scaled.y0_almost_surely == report.y0_almost_surely
+            assert scaled.some_optimum_baseline == report.some_optimum_baseline

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import screenkit
-from screenkit import (DiscreteDistribution, GeneratorKnobs, JointDistribution,
-                       NotDominated, NotMonotone, ScreeningInstance,
-                       check_dominance, check_stochastic_monotonicity,
-                       dominance_by_upper_sets, example2_instance,
-                       example3_instance, instance_rng, path_decomposition,
+from screenkit import (MASS_TOL, DiscreteDistribution, GeneratorKnobs,
+                       JointDistribution, NotDominated, NotMonotone,
+                       ScreeningInstance, check_dominance,
+                       check_stochastic_monotonicity, dominance_by_upper_sets,
+                       example2_instance, example3_instance, instance_rng,
+                       level_couplings, path_decomposition,
                        random_negative_instance, random_positive_instance,
-                       strassen_coupling)
+                       save_instance, strassen_coupling)
 
 
 def dist1(pairs):
@@ -185,6 +186,53 @@ def test_path_decomposition_runs_one_flow_per_level_pair(seed, monkeypatch):
     mixture = path_decomposition(random_positive_instance(seed, knobs))
     assert len(mixture.a_indices) == 3 + seed
     assert len(calls) == len(mixture.a_indices) - 1
+
+
+@pytest.mark.parametrize("case", sorted(MONOTONICITY_CASES))
+def test_level_couplings_keep_marginals_and_order(case):
+    inst = MONOTONICITY_CASES[case]
+    levels = level_couplings(inst)
+    theta = inst.costly.theta_b
+    leq = (theta[:, None, :] <= theta[None, :, :]).all(axis=-1)
+    unordered = []
+    for k, mass in enumerate(levels.couplings):
+        assert mass.min() >= 0
+        assert np.abs(mass.sum(axis=1) - levels.cond[k]).max() <= MASS_TOL
+        assert np.abs(mass.sum(axis=0) - levels.cond[k + 1]).max() <= MASS_TOL
+        lo, hi = (DiscreteDistribution(theta[row > 0], row[row > 0])
+                  for row in levels.cond[k:k + 2])
+        if dominance_by_upper_sets(lo, hi):
+            assert mass[~leq].sum() <= MASS_TOL  # monotone
+        else:
+            unordered.append(k)
+    assert levels.first_unordered == (unordered[0] if unordered else None)
+
+
+@pytest.mark.parametrize("command", [["verify"], ["solve", "--strict"]])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_validation_and_joint_share_one_flow_per_level_pair(dim, command,
+                                                            monkeypatch, tmp_path):
+    # validation and the joint solver read one level_couplings pass: L - 1
+    # flows in dim 2, and none for a scalar costly type
+    import screenkit.stochastics as stochastics
+    from screenkit.cli import main
+    calls = []
+    flow = stochastics._flow_between
+
+    def counted(p, q):
+        calls.append(1)
+        return flow(p, q)
+
+    monkeypatch.setattr(stochastics, "_flow_between", counted)
+    knobs = GeneratorKnobs(n_a=5, n_b=3, n_x=2, n_y=2, dim=dim, max_paths=1)
+    inst = random_positive_instance(4, knobs)
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    argv = command + ["--instance", str(path), "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    n_levels = len({ia for ia, _ in inst.dist.support})
+    assert len(calls) == (n_levels - 1 if dim == 2 else 0)
+    assert n_levels > 2
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -3,16 +3,18 @@ import pytest
 
 from screenkit import (FEAS_TOL, GeneratorKnobs, InputNotIC, Mechanism,
                        MultiplicativeInstance, MultiplicativeMechanism,
-                       PreconditionFailed, agent_payoff, check_ic, check_ir,
+                       PreconditionFailed, StructuralError, agent_payoff,
+                       check_ic, check_ir,
                        converse_construct, example2_instance,
                        example2_mechanism, example3_instance,
                        menu_best_response, path_decomposition,
                        random_negative_instance, random_positive_instance,
                        shift_mechanism, shift_multiplicative, solve_full_1d,
                        productive_marginal, verify_theorem1)
-from screenkit.solver import _batch_transfers
 from screenkit.stochastics import instance_rng
 from screenkit.theorems import _line_instance
+
+from helpers import ic_mechanism_on_line
 
 
 # ---------------------------------------------------------------------------
@@ -55,28 +57,6 @@ def _line_and_path(seed, knobs=None):
     return inst, path, _line_instance(inst, path)
 
 
-def _ic_mechanism_on_line(line, rng, want_instrument=True):
-    """Random feasible mechanism: monotone x, random y, maximal transfers."""
-    m = line.n_support
-    n_x, n_y = line.productive.n_alloc, line.costly.n_alloc
-    options = [(ix, iy) for ix in range(n_x) for iy in range(n_y)]
-    U = np.array([[agent_payoff(line, p, (ix, iy, 0.0)) for ix, iy in options]
-                  for p in range(m)])
-    for _ in range(60):
-        x = np.sort(rng.integers(0, n_x, m))
-        y = rng.integers(0, n_y, m)
-        if want_instrument and n_y > 1 and not (y != line.costly.y0_index).any():
-            continue
-        alloc = np.array([[options.index((int(xi), int(yi)))
-                           for xi, yi in zip(x, y)]])
-        D, infeasible = _batch_transfers(U, alloc)
-        if infeasible[0]:
-            continue
-        return Mechanism(tuple(int(i) for i in x), tuple(int(i) for i in y),
-                         tuple(float(v) for v in D[0]))
-    return None
-
-
 def test_example2_shift_frozen_values():
     inst = example2_instance()
     path = path_decomposition(inst).paths[0]
@@ -95,7 +75,7 @@ def test_example2_shift_frozen_values():
 def test_shift_preserves_payoffs_and_downward_ic(seed):
     inst, path, line = _line_and_path(seed)
     rng = instance_rng(seed, stream=401)
-    mech = _ic_mechanism_on_line(line, rng)
+    mech = ic_mechanism_on_line(line, rng)
     if mech is None:
         pytest.skip("no feasible instrument-using mechanism drawn")
     result = shift_mechanism(inst, path, mech)
@@ -227,3 +207,12 @@ def test_converse_productive_value_matches_solver():
     line = productive_marginal(art.instance)
     assert solve_full_1d(line).value == pytest.approx(
         art.productive_value, abs=1e-9)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1e-9])
+def test_converse_rejects_bad_margin_before_any_work(margin):
+    # a positively correlated input fails a precondition once work starts;
+    # the margin is checked first
+    with pytest.raises(StructuralError, match="dominance_margin"):
+        converse_construct(random_positive_instance(0, GeneratorKnobs(n_a=2)),
+                           dominance_margin=margin)
