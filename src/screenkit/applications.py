@@ -7,17 +7,19 @@ answers are known or checkable by an independent route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from math import comb
 from typing import Optional
 
 import numpy as np
 
 from .errors import (AssumptionFailed, OutOfRange, RatioMonotonicityFailed,
                      SizeGuardExceeded, StructuralError)
-from .model import (FEAS_TOL, CostlySpec, JointDistribution, ProductiveSpec,
-                    ScreeningInstance)
-from .solver import SolveResult, productive_marginal, solve_full_1d
-from .stochastics import DiscreteDistribution, check_dominance
+from .model import (FEAS_TOL, PROB_TOL, CostlySpec, JointDistribution,
+                    ProductiveSpec, ScreeningInstance)
+from .solver import (_CYCLE_TOL, DEFAULT_GUARD, SolveResult,
+                     productive_marginal, solve_full_1d)
+from .stochastics import check_stochastic_monotonicity
 
 
 # ---------------------------------------------------------------------------
@@ -53,14 +55,16 @@ class BundleInstance:
         for name, arr in fields:
             if not np.all(np.isfinite(arr)):
                 raise StructuralError(f"{name} contains non-finite entries")
-        n_bundles = 2 ** int(self.n_goods)
-        if self.n_goods < 1:
-            raise StructuralError("need at least one good")
-        if values.shape[1] != n_bundles:
-            raise StructuralError(f"values must have {n_bundles} bundle columns")
+        n_goods = int(self.n_goods)
+        # 2 ** n_goods > n_goods: the column count bounds n_goods before the power
+        if (values.ndim != 2 or not 1 <= n_goods <= values.shape[1]
+                or values.shape[1] != 2 ** n_goods):
+            raise StructuralError(f"values need 2 ** n_goods bundle columns, "
+                                  f"n_goods >= 1; got {values.shape}, {n_goods}")
+        n_bundles = values.shape[1]
         if prob.shape != (values.shape[0],) or (prob <= 0).any():
             raise StructuralError("prob must be positive per type")
-        if abs(prob.sum() - 1.0) > 1e-9:
+        if abs(prob.sum() - 1.0) > PROB_TOL:
             raise StructuralError("prob must sum to one")
         if np.abs(values[:, 0]).max() > 0:
             raise StructuralError("the empty bundle must be worth zero")
@@ -72,7 +76,7 @@ class BundleInstance:
                             f"bundle {b} worth more than superset {c}")
         if grid.ndim != 1 or grid.size < 2:
             raise StructuralError("quality grid needs at least two points")
-        if abs(grid[0]) > 0 or abs(grid[-1] - 1.0) > 1e-12:
+        if abs(grid[0]) > 0 or abs(grid[-1] - 1.0) > PROB_TOL:
             raise StructuralError("quality grid must run from 0 to 1")
         if (np.diff(grid) <= 0).any():
             raise StructuralError("quality grid must be strictly increasing")
@@ -80,15 +84,16 @@ class BundleInstance:
             raise StructuralError("cost samples must align with the grid")
         if abs(cost[0]) > 0:
             raise StructuralError("cost at zero quality must be zero")
-        if (np.diff(cost) < -FEAS_TOL).any():
+        if (cost[1:] < cost[:-1] - FEAS_TOL).any():
             raise StructuralError("cost must be nondecreasing")
-        slopes = np.diff(cost) / np.diff(grid)
-        if (np.diff(slopes) < -FEAS_TOL).any():
+        # slopes rise, cross-multiplied by grid steps (<= 1) not to overflow
+        dc, dg = np.diff(cost), np.diff(grid)
+        if (dc[1:] * dg[:-1] - dc[:-1] * dg[1:] < -FEAS_TOL * dg[:-1] * dg[1:]).any():
             raise StructuralError("cost must be convex on the grid")
         for name, arr in fields:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n_goods", int(self.n_goods))
+        object.__setattr__(self, "n_goods", n_goods)
 
     @property
     def n_types(self) -> int:
@@ -103,40 +108,38 @@ class BundleInstance:
         return self.values[:, self.grand]
 
 
+def _group_types(b: BundleInstance, rows: np.ndarray):
+    """Types grouped by exact grand-bundle value and by row (`rows[k]` is
+    type k's): the distinct values and rows, ascending; the ascending (value,
+    row) index pairs the types occupy; and their masses, summed in type order.
+    """
+    levels, level = np.unique(b.grand_values, return_inverse=True)
+    points, point = np.unique(rows, axis=0, return_inverse=True)
+    cells, cell = np.unique(level * len(points) + point.reshape(-1),
+                            return_inverse=True)
+    support = tuple(zip(*np.divmod(cells, len(points))))
+    mass = np.bincount(cell, weights=b.prob)
+    return levels, points, support, mass
+
+
 def _check_ratio_monotonicity(b: BundleInstance) -> None:
     """Substitute-bundle value ratios must rise stochastically with the
-    grand-bundle value."""
-    vstar = b.grand_values
-    tau = b.values[:, :b.grand] / vstar[:, None]
-    levels = np.unique(vstar)
-    dists = []
-    for lv in levels:
-        mask = np.isclose(vstar, lv)
-        rows = tau[mask]
-        w = b.prob[mask]
-        uniq: dict = {}
-        for row, pr in zip(rows, w):
-            key = tuple(row)
-            uniq[key] = uniq.get(key, 0.0) + float(pr)
-        pts = list(uniq)
-        total = sum(uniq.values())
-        dists.append(DiscreteDistribution(
-            np.array(pts), [uniq[p] / total for p in pts]))
-    for k in range(len(levels) - 1):
-        if not check_dominance(dists[k], dists[k + 1]):
-            raise RatioMonotonicityFailed(
-                f"bundle value ratios fall between grand-bundle values "
-                f"{levels[k]:.6g} and {levels[k + 1]:.6g}")
+    grand-bundle value.
 
-
-def _substochastic_vectors(grid: np.ndarray, n: int):
-    """All vectors over the grid with coordinates summing to at most one."""
-    out = []
-    for combo in itertools.product(range(grid.size), repeat=n):
-        vec = grid[list(combo)]
-        if vec.sum() <= 1.0 + 1e-12:
-            out.append(vec)
-    return np.array(out)
+    The ratio rows form the costly type of an instance with zero utility
+    tables, so the package's one monotonicity check decides.
+    """
+    levels, ratios, support, mass = _group_types(
+        b, b.values[:, :b.grand] / b.grand_values[:, None])
+    zeros_a, zeros_b = np.zeros((1, levels.size)), np.zeros((1, len(ratios)))
+    ok, witness = check_stochastic_monotonicity(ScreeningInstance(
+        ProductiveSpec(levels, np.zeros(1), zeros_a, zeros_a),
+        CostlySpec(ratios, np.zeros(1), 0, zeros_b, zeros_b),
+        JointDistribution(support, mass)))
+    if not ok:
+        raise RatioMonotonicityFailed(
+            f"bundle value ratios fall between grand-bundle values "
+            f"{witness[0]!r} and {witness[1]!r}")
 
 
 def bundling_reduce(b: BundleInstance, guard: int = 10 ** 6) -> ScreeningInstance:
@@ -147,45 +150,29 @@ def bundling_reduce(b: BundleInstance, guard: int = 10 ** 6) -> ScreeningInstanc
     the (nonpositive) value difference. Ratios must rise stochastically with
     the grand value or the recast problem loses its ordering.
     """
-    _check_ratio_monotonicity(b)
     vstar = b.grand_values
     if (vstar <= 0).any():
         raise StructuralError("grand-bundle values must be positive")
-    theta_rows = b.values[:, :b.grand] - vstar[:, None]
-    levels = np.unique(vstar)
-    level_of = {float(lv): k for k, lv in enumerate(levels)}
-    uniq_rows: list = []
-    row_of: dict = {}
-    for row in theta_rows:
-        key = tuple(row)
-        if key not in row_of:
-            row_of[key] = len(uniq_rows)
-            uniq_rows.append(row)
-    theta_b = np.array(uniq_rows)
-    weight: dict = {}
-    for k in range(b.n_types):
-        pair = (level_of[float(vstar[k])], row_of[tuple(theta_rows[k])])
-        weight[pair] = weight.get(pair, 0.0) + float(b.prob[k])
-    support = tuple(sorted(weight))
-    dist = JointDistribution(support, tuple(weight[p] for p in support))
+    _check_ratio_monotonicity(b)
+    levels, theta_b, support, mass = _group_types(
+        b, b.values[:, :b.grand] - vstar[:, None])
 
-    n_sub = b.grand  # proper bundles, empty included
-    if b.quality_grid.size ** n_sub > guard:
+    n_sub, grid = b.grand, b.quality_grid  # proper bundles, empty included
+    if grid.size ** n_sub > guard:
         raise SizeGuardExceeded("instrument enumeration too large",
-                                b.quality_grid.size ** n_sub, guard)
-    y_vectors = _substochastic_vectors(b.quality_grid, n_sub)
-    zero = int(np.argmin(np.abs(y_vectors).sum(axis=1)))
-    if np.abs(y_vectors[zero]).sum() > 0:
-        raise StructuralError("instrument set lost the zero vector")
-    u_a = np.outer(b.quality_grid, levels)
+                                grid.size ** n_sub, guard)
+    # vectors over the grid summing to at most one, in lexicographic order
+    # of grid index; the first is the baseline, zero as grid[0] is
+    y_vectors = grid[np.indices((grid.size,) * n_sub).reshape(n_sub, -1).T]
+    y_vectors = y_vectors[y_vectors.sum(axis=1) <= 1.0 + PROB_TOL]
+    u_a = np.outer(grid, levels)
     v_a = np.tile(-b.cost_samples[:, None], (1, levels.size))
     u_b = y_vectors @ theta_b.T
-    v_b = np.zeros_like(u_b)
     return ScreeningInstance(
-        ProductiveSpec(levels, b.quality_grid, u_a, v_a),
+        ProductiveSpec(levels, grid, u_a, v_a),
         CostlySpec(theta_b, np.arange(y_vectors.shape[0], dtype=float),
-                   zero, u_b, v_b),
-        dist)
+                   0, u_b, np.zeros_like(u_b)),
+        JointDistribution(support, mass))
 
 
 @dataclass(frozen=True)
@@ -207,19 +194,13 @@ def solve_bundling(b: BundleInstance) -> BundlingSolution:
     """
     reduced = bundling_reduce(b)
     onedim = solve_full_1d(productive_marginal(reduced))
-    grid = b.quality_grid
-    seen = set()
-    menu = []
+    menu = {}  # (quality, price to 12 places) -> first such row
     for xi, t in zip(onedim.x_idx, onedim.t):
-        q = float(grid[xi])
-        if q <= 0.0:
-            continue
-        key = (q, round(t, 12))
-        if key not in seen:
-            seen.add(key)
-            menu.append((q, float(t)))
-    menu.sort()
-    return BundlingSolution(onedim.value, tuple(menu), onedim, reduced)
+        q = float(b.quality_grid[xi])
+        if q > 0.0:
+            menu.setdefault((q, round(t, 12)), (q, float(t)))
+    return BundlingSolution(onedim.value, tuple(sorted(menu.values())),
+                            onedim, reduced)
 
 
 def _bundle_options(b: BundleInstance):
@@ -277,16 +258,15 @@ def _distinct_options(U: np.ndarray, P: np.ndarray) -> np.ndarray:
     principal utility, and a pair's value rises with either option's P, so
     each such group keeps its largest P, ties going to the smallest index.
     """
-    keys = np.ascontiguousarray(U.T).view(np.int64)
-    _, group = np.unique(keys, axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    order = np.lexsort((np.arange(P.size), -P, group))
+    keys = U.view(np.int64)
+    order = np.lexsort((np.arange(P.size), -P, *keys[::-1]))
     first = np.ones(order.size, dtype=bool)
-    first[1:] = group[order[1:]] != group[order[:-1]]
+    first[1:] = (keys[:, order[1:]] != keys[:, order[:-1]]).any(axis=0)
     return np.sort(order[first])
 
 
-def certify_bundling(b: BundleInstance) -> BundlingCertificate:
+def certify_bundling(b: BundleInstance,
+                     solution: BundlingSolution | None = None) -> BundlingCertificate:
     """Exhaustive check that the quality menu beats probabilistic bundling.
 
     Enumerates every grid-valued bundling mechanism with maximal feasible
@@ -300,14 +280,23 @@ def certify_bundling(b: BundleInstance) -> BundlingCertificate:
     only over the options `_distinct_options` keeps, which attain the same
     maximum as all options, in blocks of at most `_PAIR_BLOCK` pairs; the best
     pair is the first maximizer in row-major order over those options.
-    `options` still counts every enumerated option.
+    `options` still counts every enumerated option; above `DEFAULT_GUARD`
+    options it raises SizeGuardExceeded before enumerating any. Pass the
+    `solve_bundling(b)` result as `solution` to reuse it.
     """
     if b.n_types > 2:
         raise SizeGuardExceeded("certificate supports at most two types",
                                 b.n_types, 2)
-    menu_value = solve_bundling(b).value
+    # options using k of B bundles on a G-point grid: C(B, k) bundle sets,
+    # C(G - 2, k - 1) splits of alpha's G - 1 grid steps, G qualities each
+    n_bundles, g = 2 ** b.n_goods, b.quality_grid.size
+    n_options = sum(comb(n_bundles, k) * comb(g - 2, k - 1) * g ** k
+                    for k in range(1, n_bundles + 1))
+    if n_options > DEFAULT_GUARD:
+        raise SizeGuardExceeded("bundling option enumeration too large",
+                                n_options, DEFAULT_GUARD)
+    menu_value = (solve_bundling(b) if solution is None else solution).value
     U, P, alpha, q = _bundle_options(b)
-    n_o = U.shape[1]
 
     def descriptor(i):
         return (tuple(alpha[i]), tuple(q[i]))
@@ -316,7 +305,7 @@ def certify_bundling(b: BundleInstance) -> BundlingCertificate:
         vals = P + U[0]
         best = int(np.argmax(vals))
         return BundlingCertificate(float(vals[best]), float(menu_value),
-                                   n_o, (descriptor(best),))
+                                   n_options, (descriptor(best),))
     keep = _distinct_options(U, P)
     U, P = U[:, keep], P[keep]
     n_k = keep.size
@@ -338,13 +327,13 @@ def certify_bundling(b: BundleInstance) -> BundlingCertificate:
         d2 = np.minimum(d2, d1 + w12)
         vals = (mu[0] * (P[rows][:, None] + d1)
                 + mu[1] * (P[None, :] + d2))
-        vals[w12 + w21 < -1e-12] = -np.inf
+        vals[w12 + w21 < -_CYCLE_TOL] = -np.inf
         flat = int(np.argmax(vals))
         top = float(vals.flat[flat])
         if top > best_val:
             best_val = top
             best_pair = (start + flat // n_k, flat % n_k)
-    return BundlingCertificate(float(best_val), float(menu_value), n_o,
+    return BundlingCertificate(float(best_val), float(menu_value), n_options,
                                (descriptor(keep[best_pair[0]]),
                                 descriptor(keep[best_pair[1]])))
 
@@ -502,6 +491,8 @@ class CompetitiveParams:
     b_h: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite(astuple(self)).all():
+            raise StructuralError("competitive parameters must be finite")
         if not self.theta_h > self.theta_l >= 0:
             raise AssumptionFailed("types_ordered",
                                    "need theta_h > theta_l >= 0")
@@ -641,10 +632,10 @@ def competitive_separating(p: CompetitiveParams,
                               "work-only separation")
     # self-selection, both directions
     low_at_h = p.theta_h * x_star - p.psi_l(x_star) - p.c_l(y_star)
-    if low_at_h > p.low_type_utility + 1e-9:
+    if low_at_h > p.low_type_utility + FEAS_TOL:
         raise StructuralError("low type prefers the high offer")
     high_at_l = (p.theta_l * p.efficient_low - p.psi_h(p.efficient_low))
-    if v_star < high_at_l - 1e-9:
+    if v_star < high_at_l - FEAS_TOL:
         raise StructuralError("high type prefers the low offer")
     checked = n_coarse * n_coarse + xs.size * ys.size + n_coarse + xs0.size
     return SeparatingSet(offer_l, offer_h, float(v_star), float(v_no),

@@ -158,7 +158,7 @@ def _solve_payload(inst, mode: str, guard: int, timing: bool,
             "certificate": res.certificate,
         }
     elif mode in ("downward1d", "full1d"):
-        line = productive_marginal(inst)
+        line = productive_marginal(inst, levels)
         solver = solve_downward_1d if mode == "downward1d" else solve_full_1d
         res = solver(line)
         payload = {
@@ -294,7 +294,7 @@ def cmd_bundling(args) -> int:
         "menu": [list(opt) for opt in sol.menu],
     }
     if args.certify:
-        cert = certify_bundling(b)
+        cert = certify_bundling(b, sol)
         payload["certificate"] = {
             "brute_force_value": cert.brute_force_value,
             "options": cert.options,

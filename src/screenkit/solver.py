@@ -25,6 +25,9 @@ DEFAULT_GUARD = 10 ** 7
 #: Allocations `solve_downward_1d` prices per block.
 _DOWNWARD_CHUNK = 1 << 14
 
+#: Prefixes, seed menus or leaves `solve_joint` extends or prices per block.
+_JOINT_CHUNK = 1 << 14
+
 #: Bellman-Ford slack: distances that still fall by more than this after m
 #: sweeps reveal a negative cycle, an assignment no transfers implement.
 _CYCLE_TOL = 1e-12
@@ -52,12 +55,14 @@ class JointSolveResult:
     certificate: dict
 
 
-def productive_marginal(inst: ScreeningInstance) -> OneDimInstance:
-    """Scalar-type problem induced by ignoring the costly instruments."""
-    levels, mu, _ = scalar_levels(inst)
-    return OneDimInstance(
-        inst.productive.theta_a[levels], mu, inst.productive.x_grid,
-        inst.productive.u_a[:, levels], inst.productive.v_a[:, levels])
+def productive_marginal(inst: ScreeningInstance,
+                        levels: LevelCouplings | None = None) -> OneDimInstance:
+    """Scalar-type problem induced by ignoring the costly instruments; pass
+    `levels`, a computed `level_couplings(inst)`, to reuse its level table."""
+    a, mu = (scalar_levels(inst)[:2] if levels is None
+             else (levels.a_indices, levels.a_probs))
+    p = inst.productive
+    return OneDimInstance(p.theta_a[a], mu, p.x_grid, p.u_a[:, a], p.v_a[:, a])
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +310,7 @@ def joint_space(inst: ScreeningInstance, guard: int = DEFAULT_GUARD) -> int:
 
 
 def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
-                chunk: int = 1 << 14, levels: LevelCouplings | None = None,
+                levels: LevelCouplings | None = None,
                 full1d: SolveResult | None = None) -> JointSolveResult:
     """Exact optimum of the joint problem by branch and bound.
 
@@ -343,7 +348,7 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     the search prunes less but returns the same result.
 
     A depth-first search then assigns support points in support order,
-    extending blocks of up to `chunk` prefixes by every option in
+    extending blocks of up to `_JOINT_CHUNK` prefixes by every option in
     lexicographic order, and drops a prefix when
       - its surplus plus the most surplus the remaining points can add falls
         below the incumbent (sound: transfers never exceed willingness to
@@ -363,7 +368,7 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     levels = level_couplings(inst) if levels is None else levels
     if full1d is None:
         try:
-            full1d = solve_full_1d(productive_marginal(inst))
+            full1d = solve_full_1d(productive_marginal(inst, levels))
         except StructuralError:
             pass  # off the assumptions; the monotone seed stands in
     prob = np.asarray(dist.prob)
@@ -388,14 +393,14 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     if best < bound[0] - FEAS_TOL:
         menus = combinations_with_replacement(range(inst.productive.n_alloc),
                                               levels.a_indices.size)
-        while block := list(islice(menus, chunk)):
+        while block := list(islice(menus, _JOINT_CHUNK)):
             x = np.array(block)[:, level_of]
             values, _ = _price(U, VG, prob, x * cost.n_alloc + cost.y0_index)
             n_evaluated += len(block)
             best = max(best, float(values.max()))
 
-    # depth-first over blocks of prefixes: at most chunk * A prefixes live
-    # per depth whatever the prune rate, and leaves come out in
+    # depth-first over blocks of prefixes: at most _JOINT_CHUNK * A prefixes
+    # live per depth whatever the prune rate, and leaves come out in
     # lexicographic order, so the first strict improvement is the smallest
     # optimal assignment
     n_nodes = 0
@@ -420,12 +425,12 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
         prefixes = np.column_stack((prefixes[rows], opts))
         partial, partial_g = child[rows, opts], child_g[rows, opts]
         if d + 1 < m:
-            for start in reversed(range(0, rows.size, chunk)):
-                block = slice(start, start + chunk)
+            for start in reversed(range(0, rows.size, _JOINT_CHUNK)):
+                block = slice(start, start + _JOINT_CHUNK)
                 stack.append((prefixes[block], partial[block], partial_g[block]))
             continue
-        for start in range(0, rows.size, chunk):
-            leaves = prefixes[start:start + chunk]
+        for start in range(0, rows.size, _JOINT_CHUNK):
+            leaves = prefixes[start:start + _JOINT_CHUNK]
             values, D = _price(U, VG, prob, leaves)
             n_evaluated += leaves.shape[0]
             i = int(np.argmax(values))

@@ -68,13 +68,13 @@ def verify_theorem1(inst: ScreeningInstance,
     full IC, and reports the gap. When any assumption check fails the report
     is diagnostic: the gap is whatever it is and `passed` stays False without
     implying an error. One `level_couplings` pass serves the monotonicity
-    check and the joint solver's bound, and the scalar optimum seeds the
-    joint search; the size guard is checked before either solve.
+    check, the productive marginal and the joint bound, and the scalar optimum
+    seeds the joint search; the size guard is checked before either solve.
     """
     levels = level_couplings(inst)
     status = validate_instance(inst, levels)
     joint_space(inst, guard)
-    productive = solve_full_1d(productive_marginal(inst))
+    productive = solve_full_1d(productive_marginal(inst, levels))
     joint = solve_joint(inst, guard=guard, levels=levels, full1d=productive)
     gap = joint.value - productive.value
     if gap < -FEAS_TOL:

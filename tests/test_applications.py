@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from screenkit import (AssumptionFailed, BundleInstance, CompetitiveParams,
-                       OutOfRange, RatioMonotonicityFailed, StructuralError,
-                       bundling_default, bundling_reduce, certify_bundling,
-                       competitive_separating, instance_rng,
+                       OutOfRange, RatioMonotonicityFailed, SizeGuardExceeded,
+                       StructuralError, bundling_default, bundling_reduce,
+                       certify_bundling, competitive_separating, instance_rng,
                        make_application_instance, solve_bundling, solve_joint,
                        validate_instance, verify_theorem1)
+from screenkit.applications import _bundle_options
+from screenkit.solver import DEFAULT_GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +43,38 @@ def test_reduce_requires_ratio_monotonicity():
                        np.linspace(0, 1, 5), np.zeros(5))
     with pytest.raises(RatioMonotonicityFailed):
         bundling_reduce(b)
+
+
+def test_ratio_check_groups_types_by_exact_grand_value():
+    # grand values a hair apart are two levels, and the ratios fall between them
+    lo, hi = 5.0, 5.0 + 1e-7
+    values = np.array([[0.0, 0.9 * lo, 0.9 * lo, lo],
+                       [0.0, 0.2 * hi, 0.2 * hi, hi]])
+    b = BundleInstance(2, values, np.array([0.5, 0.5]), np.linspace(0, 1, 3),
+                       np.zeros(3))
+    with pytest.raises(RatioMonotonicityFailed, match=f"{lo!r} and {hi!r}"):
+        bundling_reduce(b)
+    # equal grand values pool into one level, whatever the ratios
+    values = np.array([[0.0, 0.9 * lo, 0.9 * lo, lo],
+                       [0.0, 0.2 * lo, 0.2 * lo, lo]])
+    inst = bundling_reduce(BundleInstance(2, values, np.array([0.5, 0.5]),
+                                          np.linspace(0, 1, 3), np.zeros(3)))
+    assert inst.productive.theta_a.tolist() == [lo]
+    assert inst.dist.support == ((0, 0), (0, 1))
+
+
+def test_bundle_validation_bounds_n_goods_before_any_power():
+    # 2 ** 10 ** 12 would never finish; the column count bounds n_goods first
+    with pytest.raises(StructuralError, match="bundle columns"):
+        BundleInstance(10 ** 12, np.array([[0.0, 2.0]]), np.array([1.0]),
+                       np.linspace(0, 1, 3), np.zeros(3))
+
+
+def test_bundle_mass_is_checked_at_the_reduction_tolerance():
+    # 5e-10 off one passes no check downstream, so construction names prob
+    with pytest.raises(StructuralError, match="prob must sum to one"):
+        BundleInstance(2, bundling_default().values, np.array([0.5, 0.5 + 5e-10]),
+                       np.linspace(0, 1, 5), np.zeros(5))
 
 
 def test_reduced_instance_structure():
@@ -103,11 +137,29 @@ def test_certificate_on_random_instances(seed):
     assert cert.menu_is_optimal, (cert.brute_force_value, cert.menu_value)
 
 
+@pytest.mark.parametrize("n_goods", [1, 2])
+@pytest.mark.parametrize("points", [2, 3, 4, 5, 7])
+def test_option_count_closed_form_matches_enumeration(n_goods, points):
+    values = np.zeros((1, 2 ** n_goods))
+    values[0, 1:] = 1.0
+    b = BundleInstance(n_goods, values, np.array([1.0]),
+                       np.linspace(0, 1, points), np.zeros(points))
+    assert certify_bundling(b).options == _bundle_options(b)[0].shape[1]
+
+
+def test_certificate_guards_the_option_count_before_enumerating():
+    # 2.7e9 options on a 30-point grid, which bundling_reduce's guard admits
+    b = random_bundle(0, grid=np.linspace(0, 1, 30))
+    with pytest.raises(SizeGuardExceeded, match="option enumeration") as exc:
+        certify_bundling(b)
+    assert exc.value.required == 2_694_535_320
+    assert exc.value.guard == DEFAULT_GUARD
+
+
 def test_certificate_rejects_three_types():
     values = np.array([[0.0, 1.0, 1.0, 2.0]] * 3)
     values[1] *= 2
     values[2] *= 3
-    from screenkit import SizeGuardExceeded
     b = BundleInstance(2, values, np.array([1 / 3] * 3),
                        np.linspace(0, 1, 5), np.zeros(5))
     with pytest.raises(SizeGuardExceeded):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,45 @@ def test_bundling_certify(capsys):
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(4.0)
     assert payload["certificate"]["menu_is_optimal"] is True
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Count calls to the function `name` through every module holding it."""
+    calls = []
+    func = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return func(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_bundling_certify_solves_the_menu_once(capsys, monkeypatch):
+    from screenkit import applications, cli
+    calls = _count_calls(monkeypatch, "solve_bundling", (applications, cli))
+    code, _ = run(capsys, "bundling", "--params",
+                  str(INSTANCE_DIR / "bundling_default.json"), "--certify")
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["solve", "--mode", "joint", "--strict"],
+    ["solve", "--mode", "full1d", "--strict"],
+])
+def test_one_level_table_per_command(argv, capsys, monkeypatch, tmp_path):
+    from screenkit import solver, stochastics, theorems
+    path = tmp_path / "positive.json"
+    screenkit.save_instance(screenkit.random_positive_instance(3), path)
+    calls = _count_calls(monkeypatch, "scalar_levels",
+                         (stochastics, solver, theorems))
+    code, _ = run(capsys, *argv, "--instance", str(path))
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_guard_exceeded_is_exit_2(capsys):
@@ -349,7 +389,7 @@ def test_shared_parser_carries_no_state_between_calls(capsys):
 
 
 # ---------------------------------------------------------------------------
-# fuzzing the instance boundary
+# fuzzing the instance and params boundary
 # ---------------------------------------------------------------------------
 
 # boundary values first, then small random JSON
@@ -363,9 +403,9 @@ JSON_VALUES = st.sampled_from(
 
 
 @st.composite
-def mutated_example2(draw):
-    """example2.json with one field dropped, replaced, or changed at one leaf."""
-    data = json.loads((INSTANCE_DIR / "example2.json").read_text())
+def mutated_file(draw, name):
+    """A file of instances/ with one field dropped, replaced, or changed at one leaf."""
+    data = json.loads((INSTANCE_DIR / name).read_text())
     key = draw(st.sampled_from(sorted(data)))
     action = draw(st.sampled_from(("drop", "replace", "leaf")))
     if action == "drop":
@@ -383,16 +423,63 @@ def mutated_example2(draw):
     return data
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(data=mutated_example2())
-def test_mutated_instances_keep_the_exit_contract(data):
-    # exit 0 to 3 with at most one stderr line; an escaping exception fails
+def keeps_the_exit_contract(data, *commands):
+    """Each command on `data` exits 0 to 3 with at most one stderr line.
+
+    An escaping exception fails the caller, and so does any warning, which
+    a command-line run would print as two more stderr lines. Returns the
+    exit codes.
+    """
+    codes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(Path(tmp), data)
-        for argv in (["verify", "--instance", path],
-                     ["solve", "--mode", "joint", "--instance", path]):
+        for argv in commands:
+            argv = [path if arg is None else arg for arg in argv]
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = main(argv)
             assert code in (0, 1, 2, 3), argv
             assert err.getvalue().count("\n") <= 1, err.getvalue()
+            assert not caught, [str(w.message) for w in caught]
+            codes.append(code)
+    return codes
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=mutated_file("example2.json"))
+def test_mutated_instances_keep_the_exit_contract(data):
+    keeps_the_exit_contract(data, ["verify", "--instance", None],
+                            ["solve", "--mode", "joint", "--instance", None])
+
+
+BUNDLING = (["bundling", "--params", None],
+            ["bundling", "--certify", "--params", None])
+
+
+@pytest.mark.parametrize("name, changes, code", [
+    # n_goods bounds no power before the column count does
+    ("bundling_default.json", {"n_goods": 1e12}, 3),
+    # convexity is checked without overflowing slopes
+    ("bundling_default.json", {"cost_samples": [0.0, 0.1, 0.3, 0.6, 1e308]}, 0),
+    ("competitive_default.json", {"b_h": float("inf")}, 3),
+    ("competitive_default.json", {"b_l": float("inf")}, 3),
+])
+def test_params_boundary_values_keep_the_exit_contract(name, changes, code):
+    commands = BUNDLING if name.startswith("bundling") else (
+        ["competitive", "--params", None],)
+    codes = keeps_the_exit_contract(_edited(name, **changes), *commands)
+    assert codes == [code] * len(commands)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=mutated_file("bundling_default.json"))
+def test_mutated_bundling_params_keep_the_exit_contract(data):
+    keeps_the_exit_contract(data, *BUNDLING)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=mutated_file("competitive_default.json"))
+def test_mutated_competitive_params_keep_the_exit_contract(data):
+    keeps_the_exit_contract(data, ["competitive", "--params", None])

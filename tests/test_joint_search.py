@@ -11,6 +11,7 @@ from screenkit import (FEAS_TOL, CostlySpec, GeneratorKnobs,
                        SizeGuardExceeded, StructuralError, level_couplings,
                        load_instance, random_negative_instance,
                        random_positive_instance, solve_joint, verify_theorem1)
+from screenkit import solver
 from screenkit.solver import (_batch_transfers, _decode, _option_tables,
                               _path_rent_bound, _price)
 
@@ -154,12 +155,13 @@ CASES = dict(_cases())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_branch_and_bound_matches_enumeration(name):
+def test_branch_and_bound_matches_enumeration(name, monkeypatch):
     inst = CASES[name]()
     want = enumerate_joint(inst)
     # small blocks split ties and leaves across blocks
-    for chunk in (1 << 14, 5):
-        res = solve_joint(inst, chunk=chunk)
+    for chunk in (solver._JOINT_CHUNK, 5):
+        monkeypatch.setattr(solver, "_JOINT_CHUNK", chunk)
+        res = solve_joint(inst)
         assert _summary(res) == want
     cert = res.certificate
     assert cert["method"] == "branch_and_bound"
@@ -353,3 +355,29 @@ def test_scaling_utilities_scales_the_value_and_keeps_verdicts(knobs):
             assert scaled.passed == report.passed
             assert scaled.y0_almost_surely == report.y0_almost_surely
             assert scaled.some_optimum_baseline == report.some_optimum_baseline
+
+
+def _with_dominated_instrument(inst, c=1.0):
+    # every type and the principal lose c on the new instrument, so y0 with
+    # c more in transfers leaves the agent as well off and the principal
+    # better off: no optimum uses it
+    cost = inst.costly
+    row = np.full((1, cost.n_types), -c)
+    return ScreeningInstance(inst.productive, CostlySpec(
+        cost.theta_b, np.append(cost.y_set, cost.y_set.max() + 1.0),
+        cost.y0_index, np.vstack((cost.u_b, row)), np.vstack((cost.v_b, row))),
+        inst.dist)
+
+
+@pytest.mark.parametrize("knobs", range(len(THEOREM_KNOBS)))
+def test_dominated_instrument_changes_no_optimum_and_no_verdict(knobs):
+    assert THEOREM_KNOBS[knobs].n_y >= 2
+    for seed in range(6):
+        inst = random_positive_instance(seed, THEOREM_KNOBS[knobs], stream=509)
+        padded = _with_dominated_instrument(inst)
+        assert _summary(solve_joint(padded)) == _summary(solve_joint(inst))
+        want, got = verify_theorem1(inst), verify_theorem1(padded)
+        for name in ("v_joint", "v_productive", "passed", "y0_almost_surely",
+                     "some_optimum_baseline"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.assumption_status.failures == want.assumption_status.failures
