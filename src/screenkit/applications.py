@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (AssumptionFailed, OutOfRange, RatioMonotonicityFailed,
                      SizeGuardExceeded, StructuralError)
 from .model import (FEAS_TOL, PROB_TOL, CostlySpec, JointDistribution,
-                    ProductiveSpec, ScreeningInstance)
+                    ProductiveSpec, ScreeningInstance, frozen_array)
 from .solver import (_CYCLE_TOL, DEFAULT_GUARD, SolveResult,
                      productive_marginal, solve_full_1d)
 from .stochastics import check_stochastic_monotonicity
@@ -46,10 +46,10 @@ class BundleInstance:
     cost_samples: np.ndarray  # C on quality_grid
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        prob = np.asarray(self.prob, dtype=float)
-        grid = np.asarray(self.quality_grid, dtype=float)
-        cost = np.asarray(self.cost_samples, dtype=float)
+        values = np.atleast_2d(frozen_array(self.values))
+        prob = frozen_array(self.prob)
+        grid = frozen_array(self.quality_grid)
+        cost = frozen_array(self.cost_samples)
         fields = (("values", values), ("prob", prob),
                   ("quality_grid", grid), ("cost_samples", cost))
         for name, arr in fields:
@@ -91,7 +91,6 @@ class BundleInstance:
         if (dc[1:] * dg[:-1] - dc[:-1] * dg[1:] < -FEAS_TOL * dg[:-1] * dg[1:]).any():
             raise StructuralError("cost must be convex on the grid")
         for name, arr in fields:
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_goods", n_goods)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .model import (CostlySpec, JointDistribution, ProductiveSpec,
-                    ScreeningInstance)
+                    ScreeningInstance, frozen_array)
 
 Pathish = Union[str, Path]
 
@@ -57,8 +57,11 @@ def read_field(data: dict, key: str, convert):
 
 
 def float_table(value) -> np.ndarray:
-    """JSON numbers, nested to any rectangular shape, as a float array."""
-    return np.asarray(value, dtype=float)
+    """JSON numbers, nested to any rectangular shape, as a float array.
+
+    It is read-only, so the containers share it rather than copy it.
+    """
+    return frozen_array(value)
 
 
 def instance_from_dict(data: dict) -> ScreeningInstance:

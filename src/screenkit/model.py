@@ -35,8 +35,15 @@ PROB_TOL = 1e-12
 OUTSIDE = -1
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
+def frozen_array(values, dtype=float) -> np.ndarray:
+    """Read-only array of `values` that no caller can write through.
+
+    A fresh conversion is frozen in place and a read-only array is shared;
+    only an array that would alias a writable caller array is copied.
+    """
     arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable and (arr is values or arr.base is not None):
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -60,10 +67,10 @@ class ProductiveSpec:
     v_a: np.ndarray      # (n_x, n_a) principal utility
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_a", _frozen_array(self.theta_a))
-        object.__setattr__(self, "x_grid", _frozen_array(self.x_grid))
-        object.__setattr__(self, "u_a", _frozen_array(self.u_a))
-        object.__setattr__(self, "v_a", _frozen_array(self.v_a))
+        object.__setattr__(self, "theta_a", frozen_array(self.theta_a))
+        object.__setattr__(self, "x_grid", frozen_array(self.x_grid))
+        object.__setattr__(self, "u_a", frozen_array(self.u_a))
+        object.__setattr__(self, "v_a", frozen_array(self.v_a))
         if self.theta_a.ndim != 1 or self.theta_a.size == 0:
             raise StructuralError("theta_a must be a nonempty 1-D array")
         if self.x_grid.ndim != 1 or self.x_grid.size == 0:
@@ -99,13 +106,13 @@ class CostlySpec:
     v_b: np.ndarray       # (n_y, n_b) principal utility
 
     def __post_init__(self):
-        theta_b = np.asarray(self.theta_b, dtype=float)
+        theta_b = frozen_array(self.theta_b)
         if theta_b.ndim == 1:
             theta_b = theta_b.reshape(-1, 1)
-        object.__setattr__(self, "theta_b", _frozen_array(theta_b))
-        object.__setattr__(self, "y_set", _frozen_array(self.y_set))
-        object.__setattr__(self, "u_b", _frozen_array(self.u_b))
-        object.__setattr__(self, "v_b", _frozen_array(self.v_b))
+        object.__setattr__(self, "theta_b", theta_b)
+        object.__setattr__(self, "y_set", frozen_array(self.y_set))
+        object.__setattr__(self, "u_b", frozen_array(self.u_b))
+        object.__setattr__(self, "v_b", frozen_array(self.v_b))
         object.__setattr__(self, "y0_index", int(self.y0_index))
         if self.theta_b.ndim != 2 or self.theta_b.size == 0:
             raise StructuralError("theta_b must be a nonempty (n_b, N) array")
@@ -161,7 +168,7 @@ class JointDistribution:
     def __post_init__(self):
         support = tuple((int(a), int(b)) for a, b in self.support)
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "prob", _frozen_array(self.prob))
+        object.__setattr__(self, "prob", frozen_array(self.prob))
         if len(support) == 0:
             raise StructuralError("support must be nonempty")
         if len(set(support)) != len(support):

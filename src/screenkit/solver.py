@@ -16,8 +16,7 @@ import numpy as np
 from .errors import SizeGuardExceeded, StructuralError
 from .model import (FEAS_TOL, JointDistribution, Mechanism, ScreeningInstance)
 from .stochastics import LevelCouplings, level_couplings, scalar_levels
-from .transfers import (OneDimInstance, closed_form_downward_transfers,
-                        onedim_value)
+from .transfers import OneDimInstance, _closed_form, onedim_value
 
 #: Default ceiling on exact enumeration size.
 DEFAULT_GUARD = 10 ** 7
@@ -62,7 +61,10 @@ def productive_marginal(inst: ScreeningInstance,
     a, mu = (scalar_levels(inst)[:2] if levels is None
              else (levels.a_indices, levels.a_probs))
     p = inst.productive
-    return OneDimInstance(p.theta_a[a], mu, p.x_grid, p.u_a[:, a], p.v_a[:, a])
+    theta, u, v = p.theta_a[a], p.u_a[:, a], p.v_a[:, a]
+    for fresh in (theta, u, v):
+        fresh.setflags(write=False)  # shared by the instance, not copied
+    return OneDimInstance(theta, mu, p.x_grid, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ def solve_downward_1d(inst: OneDimInstance,
             continue
         x, t = x[:, near], t[:, near]
         for k in range(near.size):
-            closed = closed_form_downward_transfers(inst, x[:, k], _u_rows=u_rows)
+            closed = _closed_form(u_rows, x[:, k])
             if np.abs(closed - t[:, k]).max() <= tol:
                 t[:, k] = closed
         values = payoff(x, t)
@@ -179,7 +181,7 @@ def solve_full_1d(inst: OneDimInstance) -> SolveResult:
             c += 1
         x_idx.append(c)
         floor = c
-    t = closed_form_downward_transfers(inst, x_idx)
+    t = _closed_form(u.tolist(), x_idx)
     cheapest = np.full(n_alloc, np.inf)
     np.minimum.at(cheapest, x_idx, t)
     # best of mimicking each level at its cheapest transfer and opting out

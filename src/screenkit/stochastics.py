@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotDominated, NotMonotone, SizeGuardExceeded, StructuralError
 from .model import (FEAS_TOL, PROB_TOL, CostlySpec, JointDistribution,
-                    ProductiveSpec, ScreeningInstance)
+                    ProductiveSpec, ScreeningInstance, frozen_array)
 
 # Probabilities are scaled by this before max-flow; one unit is 1e-12 mass.
 _FLOW_SCALE = 10 ** 12
@@ -37,14 +37,11 @@ class DiscreteDistribution:
     prob: np.ndarray    # (k,) strictly positive, sums to 1
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = frozen_array(self.points)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        pr = np.asarray(self.prob, dtype=float)
-        pr.setflags(write=False)
-        object.__setattr__(self, "prob", pr)
+        object.__setattr__(self, "prob", frozen_array(self.prob))
         if self.points.ndim != 2 or self.points.size == 0:
             raise StructuralError("points must be a nonempty (k, N) array")
         if self.prob.shape != (self.points.shape[0],):
@@ -74,9 +71,7 @@ class Coupling:
     mass: np.ndarray  # (len(p), len(q))
 
     def __post_init__(self):
-        m = np.asarray(self.mass, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "mass", m)
+        object.__setattr__(self, "mass", frozen_array(self.mass))
 
     def marginal_error(self) -> float:
         row = np.abs(self.mass.sum(axis=1) - self.p.prob).max()
@@ -101,9 +96,7 @@ class PathMixture:
     paths: tuple         # TypePath entries
 
     def __post_init__(self):
-        pr = np.asarray(self.a_probs, dtype=float)
-        pr.setflags(write=False)
-        object.__setattr__(self, "a_probs", pr)
+        object.__setattr__(self, "a_probs", frozen_array(self.a_probs))
         object.__setattr__(self, "a_indices", tuple(int(i) for i in self.a_indices))
         object.__setattr__(self, "paths", tuple(self.paths))
 
@@ -135,26 +128,33 @@ def _admissible(p_pts: np.ndarray, q_pts: np.ndarray) -> np.ndarray:
 
 
 def _flow_between(p: DiscreteDistribution, q: DiscreteDistribution):
-    """Max flow through the admissibility graph, integer units."""
-    import networkx as nx  # imported here: most runs never call max-flow
+    """Max flow through the admissibility graph, integer units.
 
-    wp, wq = _integer_weights(p.prob), _integer_weights(q.prob)
-    adm = _admissible(p.points, q.points)
-    g = nx.DiGraph()
-    for i, w in enumerate(wp):
-        if w > 0:
-            g.add_edge("s", ("p", i), capacity=w)
-    for j, w in enumerate(wq):
-        if w > 0:
-            g.add_edge(("q", j), "t", capacity=w)
-    for i in range(len(p)):
-        for j in range(len(q)):
-            if adm[i, j]:
-                g.add_edge(("p", i), ("q", j), capacity=_FLOW_SCALE)
-    if "s" not in g or "t" not in g:
-        return 0, {}
-    value, flow = nx.maximum_flow(g, "s", "t")
-    return value, flow
+    Edmonds-Karp on a dense residual table over source, p points, q points and
+    sink. Returns the value and the units p point i sends to q point j.
+    """
+    k, n = len(p), len(p) + len(q) + 2
+    cap = np.zeros((n, n), dtype=np.int64)
+    cap[0, 1:k + 1] = _integer_weights(p.prob)
+    cap[k + 1:-1, -1] = _integer_weights(q.prob)
+    cap[1:k + 1, k + 1:-1] = _FLOW_SCALE * _admissible(p.points, q.points)
+    cap = cap.tolist()
+    while True:
+        prev, queue = {0: 0}, [0]
+        for a in queue:  # breadth first; prev[b] is the node that reached b
+            reached = [b for b, c in enumerate(cap[a]) if c and b not in prev]
+            prev.update(dict.fromkeys(reached, a))
+            queue += reached
+        if n - 1 not in prev:  # a residual q -> p edge holds the flow p -> q
+            return _FLOW_SCALE - sum(cap[0]), np.array(cap)[k + 1:-1, 1:k + 1].T
+        path, b = [], n - 1
+        while b:
+            path.append((prev[b], b))
+            b = prev[b]
+        push = min(cap[a][b] for a, b in path)
+        for a, b in path:
+            cap[a][b] -= push
+            cap[b][a] += push
 
 
 def _row_cdfs(laws: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -252,17 +252,10 @@ def strassen_coupling(p: DiscreteDistribution, q: DiscreteDistribution) -> Coupl
     """
     if p.dim != q.dim:
         raise StructuralError("distributions must share a dimension")
-    value, flow = _flow_between(p, q)
+    value, units = _flow_between(p, q)
     if _FLOW_SCALE - value > _FLOW_SLACK:
         raise NotDominated("no monotone coupling: distributions are not ordered")
-    mass = np.zeros((len(p), len(q)))
-    for node, edges in flow.items():
-        if isinstance(node, tuple) and node[0] == "p":
-            i = node[1]
-            for target, units in edges.items():
-                if isinstance(target, tuple) and target[0] == "q" and units:
-                    mass[i, target[1]] = units / _FLOW_SCALE
-    return Coupling(p, q, mass)
+    return Coupling(p, q, units / _FLOW_SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +276,7 @@ def scalar_levels(inst: ScreeningInstance):
     a_indices, level = np.unique(pairs[:, 0], return_inverse=True)
     n_b = inst.costly.n_types
     a_probs = np.bincount(level, weights=inst.dist.prob)
+    a_probs.setflags(write=False)  # shared by the marginal and the mixture
     cells = np.bincount(level * n_b + pairs[:, 1], weights=inst.dist.prob,
                         minlength=a_indices.size * n_b)
     return a_indices, a_probs, cells.reshape(-1, n_b) / a_probs[:, None]
@@ -427,13 +421,17 @@ def _peeled_paths(levels: LevelCouplings):
         for units in edge_units:
             nxt = np.flatnonzero(units[chain[-1]])
             if not nxt.size:
-                raise NotMonotone("coupling chain lost mass; cannot peel a full path")
+                break
             chain.append(int(nxt[0]))
         steps = list(zip(edge_units, chain, chain[1:]))
         bottleneck = min(int(units[i, j]) for units, i, j in steps)
         for units, i, j in steps:
             units[i, j] -= bottleneck
-        paths.append(TypePath(bottleneck / _FLOW_SCALE, tuple(chain)))
+        # a chain stops short only where a flow fell short, by at most
+        # _FLOW_SLACK units; that stranded mass is dropped, and
+        # _assert_reproduces bounds what the mixture loses
+        if len(chain) == len(edge_units) + 1:
+            paths.append(TypePath(bottleneck / _FLOW_SCALE, tuple(chain)))
     return paths
 
 

@@ -19,8 +19,8 @@ from .errors import (InputNotIC, OutOfRange, PreconditionFailed,
 from .model import (FEAS_TOL, VALUE_TOL, CostlySpec, JointDistribution,
                     Mechanism, Menu, ProductiveSpec, ScreeningInstance,
                     ValidationReport, best_response, check_ic, check_ir,
-                    ic_gains, ir_shortfalls, mechanism_value, payoff_tables,
-                    validate_instance)
+                    frozen_array, ic_gains, ir_shortfalls, mechanism_value,
+                    payoff_tables, validate_instance)
 from .solver import (DEFAULT_GUARD, joint_space, productive_marginal,
                      solve_full_1d, solve_joint)
 from .stochastics import (TypePath, _row_cdfs, _unordered_rows,
@@ -202,10 +202,10 @@ class MultiplicativeInstance:
     u_inverse: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        ta = np.asarray(self.theta_a, dtype=float)
-        tb = np.atleast_2d(np.asarray(self.theta_b, dtype=float))
-        mu = np.asarray(self.mu, dtype=float)
-        c = np.atleast_2d(np.asarray(self.c, dtype=float))
+        ta = frozen_array(self.theta_a)
+        tb = np.atleast_2d(frozen_array(self.theta_b))
+        mu = frozen_array(self.mu)
+        c = np.atleast_2d(frozen_array(self.c))
         if ta.ndim != 1 or ta.size == 0:
             raise StructuralError("theta_a must be a nonempty vector")
         if (ta <= 0).any():
@@ -227,7 +227,6 @@ class MultiplicativeInstance:
         if c.shape[1] != tb.shape[1]:
             raise StructuralError("c and theta_b dimensions disagree")
         for name, arr in (("theta_a", ta), ("theta_b", tb), ("mu", mu), ("c", c)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property

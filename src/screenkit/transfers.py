@@ -17,8 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotImplementable, StructuralError
-from .model import (FEAS_TOL, PROB_TOL, deviation_mask, ic_gains,
-                    ir_shortfalls)
+from .model import (FEAS_TOL, PROB_TOL, deviation_mask, frozen_array,
+                    ic_gains, ir_shortfalls)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,9 +33,7 @@ class OneDimInstance:
 
     def __post_init__(self):
         for name in ("theta", "mu", "x_grid", "u", "v"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
         if self.theta.ndim != 1 or self.theta.size == 0:
             raise StructuralError("theta must be a nonempty 1-D array")
         if not np.all(np.diff(self.theta) > 0):
@@ -111,8 +109,7 @@ def u_region_decomposition(x: Sequence) -> URegions:
     return URegions(tuple(regions), free)
 
 
-def closed_form_downward_transfers(inst: OneDimInstance, x_idx: Sequence,
-                                   *, _u_rows=None) -> np.ndarray:
+def closed_form_downward_transfers(inst: OneDimInstance, x_idx: Sequence) -> np.ndarray:
     """Componentwise-maximal transfers for the downward-constraint relaxation.
 
     Each type pays its own gross utility less the rents accumulated along the
@@ -120,18 +117,26 @@ def closed_form_downward_transfers(inst: OneDimInstance, x_idx: Sequence,
     one origin-anchored term per U-shaped region it sits in or above.
 
     The result is the downward maximum only when u rises in the type and has
-    increasing differences. Otherwise it can break participation or IC:
-    u = [[2, 0], [2, 2]] with x = (0, 1) gives t = (2, 4), leaving type 1 a
-    payoff of -2. Nothing here checks the table; `solve_full_1d` raises
-    StructuralError when the transfers fail its IC and participation check,
-    and `solve_downward_1d` keeps its sweep's transfers where the two differ.
+    increasing differences, so any other table raises StructuralError.
+    Otherwise the transfers could break participation or IC: u = [[2, 0],
+    [2, 2]] with x = (0, 1) would give t = (2, 4), leaving type 1 a payoff
+    of -2. `solve_full_1d` and `solve_downward_1d` run the unchecked kernel
+    and guard its result themselves.
     """
-    u = _u_rows if _u_rows is not None else inst.u.tolist()
-    x_idx = [int(i) for i in x_idx]
     if len(x_idx) != inst.n:
         raise StructuralError("allocation must assign one entry per type")
+    if (np.diff(inst.u, axis=1) < -FEAS_TOL).any():
+        raise StructuralError("closed-form transfers need u nondecreasing in the type")
+    if (np.diff(np.diff(inst.u, axis=0), axis=1) < -FEAS_TOL).any():
+        raise StructuralError("closed-form transfers need u with increasing differences")
+    return _closed_form(inst.u.tolist(), x_idx)
+
+
+def _closed_form(u: list, x_idx: Sequence) -> np.ndarray:
+    """`closed_form_downward_transfers` on the rows of u, with no checks."""
+    x_idx = [int(i) for i in x_idx]
     decomp = u_region_decomposition(x_idx)
-    n = inst.n
+    n = len(x_idx)
     free = set(decomp.free)
     t = [0.0] * n
     local_acc = 0.0

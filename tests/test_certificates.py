@@ -19,9 +19,9 @@ from screenkit import (FEAS_TOL, BundleInstance, GeneratorKnobs, OneDimInstance,
 from screenkit import solver
 from screenkit.applications import solve_bundling
 from screenkit.solver import SolveResult
-from screenkit.transfers import (closed_form_downward_transfers,
-                                 graph_optimal_transfers, onedim_ic_violations,
-                                 onedim_ir_violations, onedim_value)
+from screenkit.transfers import (_closed_form, graph_optimal_transfers,
+                                 onedim_ic_violations, onedim_ir_violations,
+                                 onedim_value)
 
 from test_applications import random_bundle
 
@@ -42,7 +42,7 @@ def downward_oracle(inst):
     best = -float("inf")
     best_x = best_t = None
     for combo in itertools.product(range(n_alloc), repeat=n):
-        t = closed_form_downward_transfers(inst, combo, _u_rows=u_rows)
+        t = _closed_form(u_rows, combo)
         value = 0.0
         for i in range(n):
             value += mu[i] * (v_rows[combo[i]][i] + t[i])

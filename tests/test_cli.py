@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -483,3 +484,49 @@ def test_mutated_bundling_params_keep_the_exit_contract(data):
 @given(data=mutated_file("competitive_default.json"))
 def test_mutated_competitive_params_keep_the_exit_contract(data):
     keeps_the_exit_contract(data, ["competitive", "--params", None])
+
+
+@functools.lru_cache(maxsize=None)
+def report_inputs() -> tuple:
+    """Texts of a `sweep` output file and of a list of `solve` result rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--random", "3", "--seed", "1",
+                         "--out", str(out)]) == 0
+            sweep = out.read_text()
+            rows = []
+            for path in (EX1, EX2, EX3):
+                assert main(["solve", "--mode", "joint", "--instance", path,
+                             "--out", str(out)]) == 0
+                rows.append(json.loads(out.read_text()))
+    return sweep, json.dumps(rows, indent=2)
+
+
+RETYPE = (str, lambda value: [value], lambda value: {"value": value})
+
+
+@st.composite
+def mutated_report(draw):
+    """A report input with one row field dropped, replaced or retyped, or
+    its JSON text truncated."""
+    text = draw(st.sampled_from(report_inputs()))
+    action = draw(st.sampled_from(("drop", "replace", "retype", "truncate")))
+    if action == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    rows = json.loads(text)
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    key = draw(st.sampled_from(sorted(row)))
+    if action == "drop":
+        del row[key]
+    elif action == "replace":
+        row[key] = draw(JSON_VALUES)
+    else:
+        row[key] = draw(st.sampled_from(RETYPE))(row[key])
+    return rows
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=mutated_report())
+def test_mutated_report_inputs_keep_the_exit_contract(data):
+    assert keeps_the_exit_contract(data, ["report", None]) in ([0], [1])

@@ -3,13 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screenkit import (FEAS_TOL, OUTSIDE, CostlySpec, JointDistribution,
-                       Mechanism, Menu, ProductiveSpec, ScreeningInstance,
-                       StructuralError, agent_payoff, check_ic, check_ir,
-                       example1_instance, example2_instance, example2_menu,
-                       example3_instance, example3_menu, mechanism_value,
-                       menu_best_response, principal_payoff,
-                       random_positive_instance, validate_instance)
+from screenkit import (FEAS_TOL, OUTSIDE, BundleInstance, CostlySpec,
+                       Coupling, DiscreteDistribution, JointDistribution,
+                       Mechanism, Menu, MultiplicativeInstance,
+                       OneDimInstance, PathMixture, ProductiveSpec,
+                       ScreeningInstance, StructuralError, agent_payoff,
+                       check_ic, check_ir, example1_instance,
+                       example2_instance, example2_menu, example3_instance,
+                       example3_menu, level_couplings, load_instance,
+                       mechanism_value, menu_best_response, principal_payoff,
+                       productive_marginal, random_positive_instance,
+                       save_instance, validate_instance)
+from screenkit.model import frozen_array
 
 
 def test_example2_payoff_arithmetic():
@@ -159,3 +164,74 @@ def test_menu_assignment_is_agent_optimal(seed, data):
         assert chosen >= -FEAS_TOL
         for opt in menu.options:
             assert chosen >= agent_payoff(inst, p, opt) - FEAS_TOL
+
+
+# ---------------------------------------------------------------------------
+# caller arrays
+# ---------------------------------------------------------------------------
+
+LAW = DiscreteDistribution(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
+
+# class: (builder from a dict of caller arrays, the arrays as nested lists)
+CALLER_ARRAYS = {
+    "ProductiveSpec": (lambda a: ProductiveSpec(**a), {
+        "theta_a": [0.0, 1.0], "x_grid": [0.0, 1.0],
+        "u_a": [[0.0, 0.0], [0.5, 1.0]], "v_a": [[0.0, 0.0], [-0.2, -0.2]]}),
+    "CostlySpec": (lambda a: CostlySpec(a["theta_b"], a["y_set"], 0,
+                                        a["u_b"], a["v_b"]), {
+        "theta_b": [[-1.0], [0.0]], "y_set": [0.0, 1.0],
+        "u_b": [[0.0, 0.0], [-1.0, -0.5]], "v_b": [[0.0, 0.0], [0.2, 0.1]]}),
+    "JointDistribution": (lambda a: JointDistribution(((0, 0), (1, 1)), a["prob"]),
+                          {"prob": [0.25, 0.75]}),
+    "OneDimInstance": (lambda a: OneDimInstance(**a), {
+        "theta": [1.0, 2.0], "mu": [0.5, 0.5], "x_grid": [0.0, 1.0],
+        "u": [[0.0, 0.0], [1.0, 2.0]], "v": [[0.0, 0.0], [-0.5, -0.5]]}),
+    "DiscreteDistribution": (lambda a: DiscreteDistribution(**a), {
+        "points": [[0.0, 0.0], [1.0, 1.0]], "prob": [0.5, 0.5]}),
+    "Coupling": (lambda a: Coupling(LAW, LAW, a["mass"]),
+                 {"mass": [[0.5, 0.0], [0.0, 0.5]]}),
+    "PathMixture": (lambda a: PathMixture((0, 1), a["a_probs"], ()),
+                    {"a_probs": [0.5, 0.5]}),
+    "MultiplicativeInstance": (lambda a: MultiplicativeInstance(
+        a["theta_a"], a["theta_b"], a["mu"], lambda x: x, a["c"], 0), {
+        "theta_a": [1.0, 2.0], "theta_b": [[-0.5], [-0.25]], "mu": [0.5, 0.5],
+        "c": [[0.0], [1.0]]}),
+    "BundleInstance": (lambda a: BundleInstance(1, **a), {
+        "values": [[0.0, 2.0], [0.0, 3.0]], "prob": [0.5, 0.5],
+        "quality_grid": [0.0, 0.5, 1.0], "cost_samples": [0.0, 0.1, 0.4]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLER_ARRAYS))
+def test_construction_leaves_caller_arrays_writable_and_apart(name):
+    build, fields = CALLER_ARRAYS[name]
+    arrays = {key: np.array(value) for key, value in fields.items()}
+    obj = build(arrays)
+    for key, arr in arrays.items():
+        kept = np.array(getattr(obj, key))
+        assert arr.flags.writeable, key
+        arr += 1.0
+        assert np.array_equal(getattr(obj, key), kept), key
+        assert not getattr(obj, key).flags.writeable, key
+
+
+def test_frozen_array_shares_read_only_arrays_and_freezes_fresh_ones():
+    ro = np.array([1.0, 2.0])
+    ro.setflags(write=False)
+    assert frozen_array(ro) is ro
+    fresh = frozen_array([1, 2])
+    assert fresh.dtype == float and not fresh.flags.writeable
+    # a writable view aliases its caller's base, so it is copied
+    base = np.zeros((2, 2))
+    assert not np.shares_memory(frozen_array(base[0]), base)
+
+
+def test_loaded_instances_share_their_tables_downstream(tmp_path):
+    # the load path hands read-only tables to the containers, and the
+    # productive marginal shares the grid and the level masses
+    save_instance(example2_instance(), tmp_path / "inst.json")
+    inst = load_instance(tmp_path / "inst.json")
+    levels = level_couplings(inst)
+    line = productive_marginal(inst, levels)
+    assert line.x_grid is inst.productive.x_grid
+    assert line.mu is levels.a_probs

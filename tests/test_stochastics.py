@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import screenkit
+import screenkit.stochastics as stochastics
 from screenkit import (MASS_TOL, DiscreteDistribution, GeneratorKnobs,
                        JointDistribution, NotDominated, NotMonotone,
                        ScreeningInstance, check_dominance,
@@ -88,6 +89,79 @@ def test_strassen_raises_when_not_dominated():
     q = dist1([((0.0, 0.0), 1.0)])
     with pytest.raises(NotDominated):
         strassen_coupling(p, q)
+
+
+# ---------------------------------------------------------------------------
+# the in-repo max-flow
+# ---------------------------------------------------------------------------
+
+SCALE = stochastics._FLOW_SCALE
+
+
+def _law(points, probs):
+    return DiscreteDistribution(np.array(points, dtype=float), np.array(probs))
+
+
+# case: (p, q, flow value in integer units)
+FLOW_CASES = {
+    "one_point_ordered": (_law([[0, 0]], [1.0]), _law([[1, 0]], [1.0]), SCALE),
+    "one_point_unordered": (_law([[1, 0]], [1.0]), _law([[0, 1]], [1.0]), 0),
+    "equal": (_law([[0, 1], [1, 0], [1, 1]], [0.2, 0.3, 0.5]),
+              _law([[0, 1], [1, 0], [1, 1]], [0.2, 0.3, 0.5]), SCALE),
+    "no_admissible_pair": (_law([[1, 1], [2, 2]], [0.5, 0.5]),
+                           _law([[0, 0], [0, 1]], [0.5, 0.5]), 0),
+    # the diagonal half at (1, 1) sits below no point of the anti-diagonal
+    "unordered": (_law([[0, 0], [1, 1]], [0.5, 0.5]),
+                  _law([[0, 1], [1, 0]], [0.5, 0.5]), SCALE // 2),
+    # 4e-10 of mass at (2, 2) has nowhere to go: short by 400 units
+    "short_within_slack": (_law([[0, 0], [2, 2]], [1 - 4e-10, 4e-10]),
+                           _law([[1, 1]], [1.0]), SCALE - 400),
+    "short_beyond_slack": (_law([[0, 0], [2, 2]], [1 - 2e-9, 2e-9]),
+                           _law([[1, 1]], [1.0]), SCALE - 2000),
+}
+
+
+def assert_units_feasible(p, q, value, units):
+    adm = stochastics._admissible(p.points, q.points)
+    assert units.shape == adm.shape
+    assert units.min() >= 0
+    assert not units[~adm].any()
+    assert int(units.sum()) == value
+    assert (units.sum(axis=1) <= stochastics._integer_weights(p.prob)).all()
+    assert (units.sum(axis=0) <= stochastics._integer_weights(q.prob)).all()
+
+
+@pytest.mark.parametrize("case", sorted(FLOW_CASES))
+def test_flow_edge_cases(case):
+    p, q, want = FLOW_CASES[case]
+    value, units = stochastics._flow_between(p, q)
+    assert value == want
+    assert_units_feasible(p, q, value, units)
+    ordered = SCALE - want <= stochastics._FLOW_SLACK
+    assert check_dominance(p, q) == ordered
+    if ordered:
+        assert strassen_coupling(p, q).marginal_error() <= MASS_TOL
+    else:
+        with pytest.raises(NotDominated):
+            strassen_coupling(p, q)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_flow_matches_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = instance_rng(seed, stream=105)
+    p = _random_grid_dist(rng, max_pts=7)
+    q = _random_grid_dist(rng, max_pts=7)
+    value, units = stochastics._flow_between(p, q)
+    assert_units_feasible(p, q, value, units)
+    g = nx.DiGraph()
+    for i, w in enumerate(stochastics._integer_weights(p.prob)):
+        g.add_edge("s", ("p", i), capacity=w)
+    for j, w in enumerate(stochastics._integer_weights(q.prob)):
+        g.add_edge(("q", j), "t", capacity=w)
+    for i, j in zip(*np.nonzero(stochastics._admissible(p.points, q.points))):
+        g.add_edge(("p", i), ("q", j), capacity=SCALE)
+    assert value == nx.maximum_flow_value(g, "s", "t")
 
 
 def test_stochastic_monotonicity_verdicts():
@@ -235,6 +309,18 @@ def test_validation_and_joint_share_one_flow_per_level_pair(dim, command,
     assert n_levels > 2
 
 
+@pytest.mark.parametrize("seed", [74, 179])
+def test_path_decomposition_drops_mass_a_short_flow_strands(seed):
+    # two adjacent level laws put equal mass on one point, but their integer
+    # weights round one unit apart, so a flow falls a unit short and one
+    # peeled chain stops early; its stranded unit is dropped
+    knobs = GeneratorKnobs(n_a=3 + seed % 4, n_b=3 + seed % 3, n_x=3, n_y=2,
+                           dim=2, max_paths=1 + seed % 3)
+    inst = random_positive_instance(seed, knobs, stream=900)
+    mixture = path_decomposition(inst)
+    assert 1 - MASS_TOL <= sum(path.weight for path in mixture.paths) < 1
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_path_decomposition_reproduces_joint(seed):
     inst = random_positive_instance(seed)
@@ -285,12 +371,22 @@ def test_dominance_is_reflexive_and_respects_upward_shifts(seed):
     assert not check_dominance(up, p)
 
 
-def test_import_leaves_networkx_unloaded():
-    # networkx is only needed by max-flow, which imports it on first use
+def test_import_leaves_networkx_unloaded(tmp_path):
+    # max-flow is in-repo: importing screenkit, a dim-2 `verify` (one flow
+    # per level pair) and `bundling --certify` leave networkx unloaded
+    inst = random_positive_instance(4, GeneratorKnobs(n_a=4, n_b=3, dim=2))
+    save_instance(inst, tmp_path / "inst.json")
     src = str(Path(screenkit.__file__).resolve().parent.parent)
+    params = Path(src).parent / "instances" / "bundling_default.json"
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import screenkit; "
+             "from screenkit.cli import main; "
+             "print('networkx' in sys.modules); "
+             "assert main(['verify', '--instance', sys.argv[2], '--out', sys.argv[4]]) == 0; "
+             "assert main(['bundling', '--certify', '--params', sys.argv[3], "
+             "'--out', sys.argv[4]]) == 0; "
              "print('networkx' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", probe, src],
+    proc = subprocess.run([sys.executable, "-c", probe, src, str(tmp_path / "inst.json"),
+                           str(params), str(tmp_path / "out.json")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

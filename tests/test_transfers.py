@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screenkit import (FEAS_TOL, NotImplementable, OneDimInstance,
-                       binding_report, closed_form_downward_transfers,
-                       example1_instance, graph_optimal_transfers,
-                       instance_rng, onedim_ic_violations,
-                       onedim_ir_violations, onedim_value, productive_marginal,
-                       random_onedim_instance, u_region_decomposition)
+                       StructuralError, binding_report,
+                       closed_form_downward_transfers, example1_instance,
+                       graph_optimal_transfers, instance_rng,
+                       onedim_ic_violations, onedim_ir_violations,
+                       onedim_value, productive_marginal,
+                       random_onedim_instance, solve_downward_1d,
+                       solve_full_1d, u_region_decomposition)
 
 
 def test_u_regions_monotone_has_none():
@@ -114,3 +116,38 @@ def test_region_decomposition_covers_all_indices(seed, data):
     for lo, hi in regions.regions:
         covered |= set(range(lo, min(hi, n) + 1)) & set(range(n))
     assert covered == set(range(n))
+
+
+# u = [[2, 0], [2, 2]] falls in the type at x = 0; x = (0, 1) would get
+# t = (2, 4) from the closed form, leaving type 1 a payoff of -2
+FALLING = OneDimInstance([1.0, 2.0], [0.5, 0.5], [0.0, 1.0],
+                         [[2.0, 0.0], [2.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]])
+
+
+def test_closed_form_rejects_a_table_falling_in_the_type():
+    with pytest.raises(StructuralError, match="nondecreasing in the type"):
+        closed_form_downward_transfers(FALLING, (0, 1))
+    assert graph_optimal_transfers(FALLING, (0, 1), "downward").tolist() == [2.0, 2.0]
+
+
+def test_closed_form_rejects_decreasing_differences():
+    # rises in the type, but the gain from x = 1 falls from 2 to 1
+    inst = OneDimInstance([1.0, 2.0], [0.5, 0.5], [0.0, 1.0],
+                          [[0.0, 1.0], [2.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(StructuralError, match="increasing differences"):
+        closed_form_downward_transfers(inst, (1, 1))
+
+
+def test_closed_form_rejects_a_short_allocation():
+    with pytest.raises(StructuralError, match="one entry per type"):
+        closed_form_downward_transfers(FALLING, (0,))
+
+
+def test_solvers_guard_the_unchecked_closed_form_themselves():
+    # the one-dimensional solvers price with the unchecked kernel and keep
+    # their own guards on a table that breaks the closed form's precondition
+    down = solve_downward_1d(FALLING)
+    assert (down.value, down.x_idx, down.t) == (2.0, (0, 1), (2.0, 2.0))
+    with pytest.raises(StructuralError, match="deviation gain of 2; instance "
+                                              "likely violates increasing"):
+        solve_full_1d(FALLING)
