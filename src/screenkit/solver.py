@@ -99,7 +99,7 @@ def solve_downward_1d(inst: OneDimInstance,
     # far above rounding, which is O(n * 1e-16) of the table's magnitude. A
     # re-priced value lies within tol plus rounding of its sweep value, so
     # every maximizer's sweep value comes within 3 * tol of the sweep maximum
-    tol = 1e-9 * n * (1.0 + np.abs(inst.u).max() + np.abs(inst.v).max())
+    tol = FEAS_TOL * n * (1.0 + np.abs(inst.u).max() + np.abs(inst.v).max())
     u_by_type = np.ascontiguousarray(inst.u.T)
     v_by_type = np.ascontiguousarray(inst.v.T)
     u_rows = inst.u.tolist()
@@ -356,13 +356,12 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
         below the incumbent (sound: transfers never exceed willingness to
         pay), or
       - its partial g plus the most g the remaining points can add falls
-        below the incumbent, or
-      - its newest point and an earlier one form a negative IC 2-cycle
-        U_q(a_q) - U_q(a_p) + U_p(a_p) - U_p(a_q) < -FEAS_TOL, which every
-        completion keeps and the leaf pricing rejects.
-    Every test allows FEAS_TOL, so no assignment within FEAS_TOL of the
-    optimum is dropped: the optimal set is classified exactly, ties kept,
-    and the mechanism is the lexicographically smallest optimal assignment.
+        below the incumbent.
+    Leaf pricing rejects every assignment no transfers implement (a
+    negative IC cycle). Both tests allow FEAS_TOL, so no assignment within
+    FEAS_TOL of the optimum is dropped: the optimal set is classified
+    exactly, ties kept, and the mechanism is the lexicographically smallest
+    optimal assignment.
     """
     cost, dist = inst.costly, inst.dist
     m = inst.n_support
@@ -380,10 +379,6 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     # rest[d], bound[d]: the most surplus and g points d, ..., m - 1 can add
     rest = np.append(np.cumsum(surplus.max(axis=1)[::-1])[::-1], 0.0)
     bound = np.append(np.cumsum(g.max(axis=1)[::-1])[::-1], 0.0) + lift
-    # negative[q, p, a_p, a_q]: q taking a_q and p taking a_p close a
-    # negative 2-cycle in the IC constraint graph
-    negative = (U[:, None, None, :] - U[:, None, :, None]
-                + U[None, :, :, None] - U[None, :, None, :]) < -FEAS_TOL
 
     level_of = np.searchsorted(levels.a_indices, [a for a, _ in dist.support])
     best = -np.inf
@@ -418,8 +413,6 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
         child_g = partial_g[:, None] + g[d]
         floor = best - FEAS_TOL
         keep = (child >= floor - rest[d + 1]) & (child_g >= floor - bound[d + 1])
-        if d:
-            keep &= ~negative[d][np.arange(d), prefixes].any(axis=1)
         rows, opts = np.nonzero(keep)
         n_nodes += rows.size
         if not rows.size:

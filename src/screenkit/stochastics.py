@@ -5,9 +5,11 @@ max-flow on the componentwise admissibility graph (capacities are
 probabilities scaled to integers at 1e-12 resolution, so there is no flow
 tolerance to tune). Exhaustive upper-set enumeration is kept alongside as an
 independent oracle. One pass couples the conditional costly laws of adjacent
-productive levels (`level_couplings`); it decides monotonicity and feeds the
-path decomposition (every stochastically monotone joint law is a finite
-mixture of nondecreasing paths) and the joint solver's path-rent bound.
+productive levels (`level_couplings`: common quantiles for a scalar costly
+type, one max-flow per pair otherwise). It decides monotonicity and feeds
+the joint solver's path-rent bound and the one path routine, which peels a
+stochastically monotone joint law into a finite mixture of nondecreasing
+paths along those couplings.
 """
 from __future__ import annotations
 
@@ -255,7 +257,9 @@ def strassen_coupling(p: DiscreteDistribution, q: DiscreteDistribution) -> Coupl
     value, units = _flow_between(p, q)
     if _FLOW_SCALE - value > _FLOW_SLACK:
         raise NotDominated("no monotone coupling: distributions are not ordered")
-    return Coupling(p, q, units / _FLOW_SCALE)
+    mass = units / _FLOW_SCALE
+    mass.setflags(write=False)  # shared by the coupling, not copied
+    return Coupling(p, q, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +350,12 @@ def level_couplings(inst: ScreeningInstance) -> LevelCouplings:
         couplings = _quantile_couplings(cdf, np.argsort(theta[:, 0], kind="stable"))
     else:
         on = [np.flatnonzero(row) for row in cond]
-        dists = [DiscreteDistribution(theta[cols], row[cols])
-                 for cols, row in zip(on, cond)]
+        dists = []
+        for cols, row in zip(on, cond):
+            points, prob = theta[cols], row[cols]
+            for fresh in (points, prob):
+                fresh.setflags(write=False)  # shared by the law, not copied
+            dists.append(DiscreteDistribution(points, prob))
         bad, couplings = [], []
         for k in range(len(dists) - 1):
             try:
@@ -382,34 +390,9 @@ def check_stochastic_monotonicity(inst: ScreeningInstance,
 # ---------------------------------------------------------------------------
 
 
-def _quantile_paths(inst: ScreeningInstance, cond):
-    # scalar costly type: common-quantile coupling across levels. The values
-    # are distinct, so the CDF columns are the theta_b indices in `order`
-    theta = inst.costly.theta_b[:, 0]
-    cdf = _row_cdfs(cond, theta)
-    order = np.argsort(theta, kind="stable")
-    on = cond[:, order] > 0
-    # each row reaches exactly 1 at its top support point
-    top = on.shape[1] - 1 - np.argmax(on[:, ::-1], axis=1)
-    cdf[np.arange(on.shape[1]) >= top[:, None]] = 1.0
-    cuts = sorted(set(cdf[on].tolist()))
-    merged = [cuts[0]]
-    for u in cuts[1:]:
-        if u - merged[-1] > PROB_TOL:
-            merged.append(u)
-        else:
-            merged[-1] = u  # collapse near-equal cuts, keep the top one
-    bounds = [0.0] + merged
-    mids = [0.5 * (lo + hi) for lo, hi in zip(bounds, merged)]
-    # at each mid quantile every level takes its first point reaching it
-    picks = order[np.argmax(cdf >= np.array(mids)[:, None, None], axis=2)]
-    return [TypePath(hi - lo, tuple(row))
-            for lo, hi, row in zip(bounds, merged, picks.tolist())]
-
-
 def _peeled_paths(levels: LevelCouplings):
-    # chain the exact integer couplings level to level, then peel bottleneck
-    # paths
+    # chain the couplings in integer flow units level to level, then peel
+    # bottleneck paths
     if not levels.couplings:
         return [TypePath(float(levels.cond[0, ib]), (ib,))
                 for ib in np.flatnonzero(levels.cond[0]).tolist()]
@@ -428,7 +411,8 @@ def _peeled_paths(levels: LevelCouplings):
         for units, i, j in steps:
             units[i, j] -= bottleneck
         # a chain stops short only where a flow fell short, by at most
-        # _FLOW_SLACK units; that stranded mass is dropped, and
+        # _FLOW_SLACK units, or where rounding a quantile coupling to units
+        # left a unit unmatched; that stranded mass is dropped, and
         # _assert_reproduces bounds what the mixture loses
         if len(chain) == len(edge_units) + 1:
             paths.append(TypePath(bottleneck / _FLOW_SCALE, tuple(chain)))
@@ -439,21 +423,18 @@ def path_decomposition(inst: ScreeningInstance) -> PathMixture:
     """Write the joint type law as a weighted mixture of monotone paths.
 
     Requires stochastic monotonicity (NotMonotone naming the first failing
-    pair of levels otherwise). The scalar costly case uses the
-    common-quantile coupling across all levels; higher dimensions chain the
-    exact monotone couplings of `level_couplings`, one max-flow per adjacent
-    pair, and repeatedly peel the bottleneck trajectory. The mixture
-    reproduces the joint law to MASS_TOL and every path is componentwise
-    nondecreasing.
+    pair of levels otherwise). Chains the monotone couplings of
+    `level_couplings` (common-quantile for a scalar costly type, one
+    max-flow per adjacent pair otherwise) in integer flow units and
+    repeatedly peels the bottleneck trajectory, so every path steps along
+    pairs its couplings carry. The mixture reproduces the joint law to
+    MASS_TOL and every path is componentwise nondecreasing.
     """
     levels = level_couplings(inst)
     if levels.first_unordered is not None:
         raise _not_monotone(inst, levels.a_indices, levels.first_unordered)
-    if inst.costly.dim == 1:
-        paths = _quantile_paths(inst, levels.cond)
-    else:
-        paths = _peeled_paths(levels)
-    mixture = PathMixture(levels.a_indices, levels.a_probs, tuple(paths))
+    mixture = PathMixture(levels.a_indices, levels.a_probs,
+                          tuple(_peeled_paths(levels)))
     _assert_reproduces(inst, mixture)
     return mixture
 

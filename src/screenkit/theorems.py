@@ -16,11 +16,12 @@ import numpy as np
 
 from .errors import (InputNotIC, OutOfRange, PreconditionFailed,
                      StructuralError)
-from .model import (FEAS_TOL, VALUE_TOL, CostlySpec, JointDistribution,
-                    Mechanism, Menu, ProductiveSpec, ScreeningInstance,
-                    ValidationReport, best_response, check_ic, check_ir,
-                    frozen_array, ic_gains, ir_shortfalls, mechanism_value,
-                    payoff_tables, validate_instance)
+from .model import (FEAS_TOL, PROB_TOL, VALUE_TOL, CostlySpec,
+                    JointDistribution, Mechanism, Menu, ProductiveSpec,
+                    ScreeningInstance, ValidationReport, best_response,
+                    check_ic, check_ir, frozen_array, ic_gains,
+                    ir_shortfalls, mechanism_value, payoff_tables,
+                    validate_instance)
 from .solver import (DEFAULT_GUARD, joint_space, productive_marginal,
                      solve_full_1d, solve_joint)
 from .stochastics import (TypePath, _row_cdfs, _unordered_rows,
@@ -378,7 +379,7 @@ def _median_split(values: Sequence[float], masses: Sequence[float],
     w = np.asarray(masses, dtype=float)[order]
     cum = np.cumsum(w)
     for k in range(v.size - 1):
-        if abs(cum[k] - 0.5) <= 1e-12 and v[k + 1] > v[k]:
+        if abs(cum[k] - 0.5) <= PROB_TOL and v[k + 1] > v[k]:
             return float(0.5 * (v[k] + v[k + 1]))
     raise PreconditionFailed(f"no exact half-half split exists for {label}")
 
@@ -431,7 +432,7 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     m1 = _median_split(t1, w, f"costly coordinate {coord}")
     _check_nonincreasing_coordinate(inst, coord)
     window = float(w[(t0 > m0) & (t1 <= m1)].sum())
-    if window <= 0.25 + 1e-12:
+    if window <= 0.25 + PROB_TOL:
         raise PreconditionFailed(
             f"binarized types look independent: the discount window has mass "
             f"{window:.6g}, needs more than 1/4")

@@ -153,10 +153,18 @@ def _cases():
 
 CASES = dict(_cases())
 
+#: CASES plus a grid of off-assumption draws; each has an unordered level
+#: pair, where the path-rent bound runs on the product coupling
+DIFFERENTIAL = {**CASES, **{
+    f"off-{seed}-{'shifted' if shifted else 'fixed'}-"
+    f"{'increasing' if incdiff else 'free'}":
+        lambda k=(seed, shifted, incdiff): off_assumption_instance(*k)
+    for seed in range(30) for shifted in (False, True) for incdiff in (False, True)}}
 
-@pytest.mark.parametrize("name", sorted(CASES))
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_branch_and_bound_matches_enumeration(name, monkeypatch):
-    inst = CASES[name]()
+    inst = DIFFERENTIAL[name]()
     want = enumerate_joint(inst)
     # small blocks split ties and leaves across blocks
     for chunk in (solver._JOINT_CHUNK, 5):

@@ -309,6 +309,25 @@ def test_validation_and_joint_share_one_flow_per_level_pair(dim, command,
     assert n_levels > 2
 
 
+def test_level_couplings_share_their_level_laws(monkeypatch):
+    # the dim-2 level laws are built from fresh temporaries, which the
+    # distributions share instead of copying
+    copies = []
+    frozen = stochastics.frozen_array
+
+    def counted(values, *args, **kwargs):
+        out = frozen(values, *args, **kwargs)
+        if isinstance(values, np.ndarray) and not np.shares_memory(out, values):
+            copies.append(values.shape)
+        return out
+
+    monkeypatch.setattr(stochastics, "frozen_array", counted)
+    knobs = GeneratorKnobs(n_a=4, n_b=3, n_x=2, n_y=2, dim=2, max_paths=3)
+    levels = level_couplings(random_positive_instance(2, knobs))
+    assert len(levels.couplings) == 3
+    assert copies == []
+
+
 @pytest.mark.parametrize("seed", [74, 179])
 def test_path_decomposition_drops_mass_a_short_flow_strands(seed):
     # two adjacent level laws put equal mass on one point, but their integer
@@ -332,13 +351,30 @@ def test_path_decomposition_reproduces_joint(seed):
         assert w == pytest.approx(want[key], abs=1e-9)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_paths_are_monotone(seed):
-    inst = random_positive_instance(seed)
+#: knob sets of the path tests by id prefix, scalar and 2-D costly types
+PATH_KNOBS = {
+    "": GeneratorKnobs(),
+    "dim2-": GeneratorKnobs(dim=2),
+    "wide-": GeneratorKnobs(n_a=5, n_b=4, max_paths=3),
+    "wide-dim2-": GeneratorKnobs(n_a=5, n_b=4, dim=2, max_paths=3),
+}
+
+
+@pytest.mark.parametrize("seed, knobs", [
+    pytest.param(seed, knobs, id=f"{prefix}{seed}")
+    for prefix, knobs in PATH_KNOBS.items() for seed in range(10)])
+def test_paths_are_monotone(seed, knobs):
+    # one routine serves every dimension: each path steps only along pairs
+    # its level couplings carry, so it is monotone wherever they are
+    inst = random_positive_instance(seed, knobs)
     rows = inst.costly.theta_b
+    couplings = level_couplings(inst).couplings
     for path in path_decomposition(inst).paths:
+        assert path.weight > 0
         seq = rows[list(path.b_indices)]
         assert (np.diff(seq, axis=0) >= -1e-12).all()
+        for k, (lo, hi) in enumerate(zip(path.b_indices, path.b_indices[1:])):
+            assert couplings[k][lo, hi] > 0
 
 
 def test_negative_generator_geometry():
