@@ -264,6 +264,60 @@ def _distinct_options(U: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.sort(order[first])
 
 
+def _pair_values(U: np.ndarray, P: np.ndarray, mu: np.ndarray,
+                 i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Two-type relaxation value of option i for type 1 and j for type 2.
+
+    i and j broadcast. Each type's transfer is capped by its participation
+    constraint and by IC against the other's option; a negative IC 2-cycle
+    makes the pair infeasible (-inf).
+    """
+    u1_i, u2_i = U[0, i], U[1, i]
+    u1_j, u2_j = U[0, j], U[1, j]
+    w21 = u1_i - u1_j            # deviation edge: 2's bundle to 1
+    w12 = u2_j - u2_i
+    d1 = np.minimum(u1_i, u2_j + w21)
+    d2 = np.minimum(u2_j, u1_i + w12)
+    d1 = np.minimum(d1, d2 + w21)
+    d2 = np.minimum(d2, d1 + w12)
+    vals = mu[0] * (P[i] + d1) + mu[1] * (P[j] + d2)
+    vals[w12 + w21 < -_CYCLE_TOL] = -np.inf
+    return vals
+
+
+def _best_pair(U: np.ndarray, P: np.ndarray, mu: np.ndarray,
+               floor: float | None = None):
+    """(value, (i, j)) of the first best pair in row-major order.
+
+    With a `floor`, prices only the pairs whose cap
+    mu[0] (P_i + U_1i) + mu[1] (P_j + U_2j) reaches it; every other pair is
+    worth less than the floor. Without, prices every pair. Either way at most
+    `_PAIR_BLOCK` pairs are held at once. Returns value -inf when no pair is
+    priced.
+    """
+    rows = cols = np.arange(P.size)
+    if floor is not None:
+        cap1, cap2 = mu[0] * (P + U[0]), mu[1] * (P + U[1])
+        rows = np.flatnonzero(cap1 + cap2.max() >= floor)
+        cols = np.flatnonzero(cap2 + cap1.max() >= floor)
+    best_val, best_pair = -np.inf, (0, 0)
+    step = max(1, _PAIR_BLOCK // max(cols.size, 1))
+    for start in range(0, rows.size, step):
+        i, j = rows[start:start + step, None], cols[None, :]
+        if floor is not None:
+            ii, jj = np.nonzero(cap1[i] + cap2[j] >= floor)
+            if not ii.size:
+                continue
+            i, j = i[ii, 0], j[0, jj]
+        vals = _pair_values(U, P, mu, i, j)
+        flat = int(np.argmax(vals))
+        top = float(vals.flat[flat])
+        if top > best_val:
+            i, j = np.broadcast_arrays(i, j)
+            best_val, best_pair = top, (int(i.flat[flat]), int(j.flat[flat]))
+    return best_val, best_pair
+
+
 def certify_bundling(b: BundleInstance,
                      solution: BundlingSolution | None = None) -> BundlingCertificate:
     """Exhaustive check that the quality menu beats probabilistic bundling.
@@ -277,11 +331,21 @@ def certify_bundling(b: BundleInstance,
     With two types, each pair of options (one per type) is priced by the
     two-type relaxation of the IC and participation constraints. Pairs run
     only over the options `_distinct_options` keeps, which attain the same
-    maximum as all options, in blocks of at most `_PAIR_BLOCK` pairs; the best
-    pair is the first maximizer in row-major order over those options.
-    `options` still counts every enumerated option; above `DEFAULT_GUARD`
-    options it raises SizeGuardExceeded before enumerating any. Pass the
-    `solve_bundling(b)` result as `solution` to reuse it.
+    maximum as all options. A pair's transfers never exceed its
+    participation caps, so pairing option i with j is worth at most
+    cap1[i] + cap2[j], where cap_k = mu[k] (P + U[k]); float rounding is
+    monotone, so the cap bounds the priced value bit for bit. Only pairs
+    whose cap reaches the floor `menu_value - FEAS_TOL` are priced: rows and
+    columns that cannot reach it even against the other side's largest cap
+    are dropped first, and the rest is tested and priced in blocks of at
+    most `_PAIR_BLOCK` pairs, so no options-by-options array is built. If no
+    priced pair reaches the floor (a `solution` above the true optimum), all
+    pairs are priced. The maximum and the best pair, the first maximizer in
+    row-major order over the kept options, are therefore those of pricing
+    every pair, for any `solution`. `options` still counts every enumerated
+    option; above `DEFAULT_GUARD` options it raises SizeGuardExceeded before
+    enumerating any. Pass the `solve_bundling(b)` result as `solution` to
+    reuse it.
     """
     if b.n_types > 2:
         raise SizeGuardExceeded("certificate supports at most two types",
@@ -307,32 +371,11 @@ def certify_bundling(b: BundleInstance,
                                    n_options, (descriptor(best),))
     keep = _distinct_options(U, P)
     U, P = U[:, keep], P[keep]
-    n_k = keep.size
-    mu = b.prob
-    best_val = -np.inf
-    best_pair = (0, 0)
-    rows_per_block = max(1, _PAIR_BLOCK // n_k)
-    for start in range(0, n_k, rows_per_block):
-        rows = slice(start, min(start + rows_per_block, n_k))
-        u1_i = U[0, rows][:, None]
-        u2_i = U[1, rows][:, None]
-        u1_j = U[0][None, :]
-        u2_j = U[1][None, :]
-        w21 = u1_i - u1_j            # deviation edge: 2's bundle to 1
-        w12 = u2_j - u2_i
-        d1 = np.minimum(u1_i, u2_j + w21)
-        d2 = np.minimum(u2_j, u1_i + w12)
-        d1 = np.minimum(d1, d2 + w21)
-        d2 = np.minimum(d2, d1 + w12)
-        vals = (mu[0] * (P[rows][:, None] + d1)
-                + mu[1] * (P[None, :] + d2))
-        vals[w12 + w21 < -_CYCLE_TOL] = -np.inf
-        flat = int(np.argmax(vals))
-        top = float(vals.flat[flat])
-        if top > best_val:
-            best_val = top
-            best_pair = (start + flat // n_k, flat % n_k)
-    return BundlingCertificate(float(best_val), float(menu_value), n_options,
+    floor = menu_value - FEAS_TOL
+    best_val, best_pair = _best_pair(U, P, b.prob, floor)
+    if not best_val >= floor:
+        best_val, best_pair = _best_pair(U, P, b.prob)
+    return BundlingCertificate(best_val, float(menu_value), n_options,
                                (descriptor(keep[best_pair[0]]),
                                 descriptor(keep[best_pair[1]])))
 

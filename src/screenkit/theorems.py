@@ -9,6 +9,7 @@ certifies that by evaluation rather than by the bounds alone.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -26,6 +27,12 @@ from .solver import (DEFAULT_GUARD, joint_space, productive_marginal,
                      solve_full_1d, solve_joint)
 from .stochastics import (TypePath, _row_cdfs, _unordered_rows,
                           level_couplings, scalar_levels)
+
+#: Largest change of a truthful payoff that `shift_mechanism` reads as none.
+_SHIFT_TOL = 1e-12
+#: Least rise of the menu value that moves the converse's eps off the coarse
+#: search's choice during refinement.
+_REFINE_SLACK = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +159,7 @@ def shift_mechanism(inst: ScreeningInstance, path: TypePath,
 
     before, after = (np.diagonal(line.payoffs(m.x, m.y, m.t)[0])
                      for m in (mech, shifted))
-    moved = np.flatnonzero(np.abs(before - after) > 1e-12)
+    moved = np.flatnonzero(np.abs(before - after) > _SHIFT_TOL)
     if moved.size:
         raise StructuralError(f"shift changed a truthful payoff at point {moved[0]}")
     down = check_ic(line, shifted, "downward")
@@ -403,6 +410,34 @@ def _check_nonincreasing_coordinate(inst: ScreeningInstance, coord: int) -> None
             f"the productive type (levels {levels[k]} vs {levels[k + 1]})")
 
 
+def _bound_windows(t0: np.ndarray, t1: np.ndarray, w: np.ndarray,
+                   m0: float, m1: float) -> Callable[[float], tuple]:
+    """The converse's bounds (r, q) as a function of eps.
+
+    r is the menu's guaranteed payoff and q the productive-only bound. Their
+    masks `t0 >= m0 + eps` and `m0 - eps <= t0 <= m0 + eps` change only where
+    m0 + eps or m0 - eps crosses a value of t0, so each masked sum is taken
+    once per window of cut indices into the sorted distinct t0 and reused,
+    with the same expression, for every eps in that window.
+    """
+    levels = sorted(set(t0.tolist()))
+    p_high_instrument = float(w[t1 > m1].sum())
+    sums = {}
+
+    def bounds(eps: float):
+        hi, lo = m0 + eps, m0 - eps
+        cuts = (bisect_left(levels, hi), bisect_left(levels, lo),
+                bisect_right(levels, hi))
+        if cuts not in sums:
+            sums[cuts] = (float(w[(t0 >= hi) & (t1 <= m1)].sum()),
+                          float(w[(t0 >= lo) & (t0 <= hi)].sum()))
+        above, near = sums[cuts]
+        return ((1.0 - eps) * p_high_instrument + (2.0 - eps) * above,
+                2.0 * near + 1.0)
+
+    return bounds
+
+
 def converse_construct(inst: ScreeningInstance, coord: int = 0,
                        dominance_margin: float = 1e-6) -> ConverseArtifacts:
     """Build utilities making costly screening strictly profitable.
@@ -413,7 +448,12 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     those unwilling to use the instrument and discounts it behind the
     instrument for the rest. Dominance over every productive-only mechanism
     is certified by solving that problem, never by the r/q bounds alone.
+    The bounds' masked sums are taken once per window of eps that cuts the
+    productive values alike (`_bound_windows`), not once per eps tried.
     `dominance_margin` must be finite and nonnegative (StructuralError).
+    When some eps passes the r/q bounds but none beats the productive-only
+    value by the margin, PreconditionFailed names the margin and the best
+    gap found.
     """
     if not (np.isfinite(dominance_margin) and dominance_margin >= 0):
         raise StructuralError(f"dominance_margin must be finite and "
@@ -439,13 +479,7 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
 
     x0_idx, xhat_idx = 0, prod.n_alloc - 1
     yhat_idx = 1 if cost.y0_index == 0 else 0
-    p_high_instrument = float(w[t1 > m1].sum())
-
-    def bounds(eps: float):
-        r = ((1.0 - eps) * p_high_instrument
-             + (2.0 - eps) * float(w[(t0 >= m0 + eps) & (t1 <= m1)].sum()))
-        q = 2.0 * float(w[(t0 >= m0 - eps) & (t0 <= m0 + eps)].sum()) + 1.0
-        return r, q
+    bounds = _bound_windows(t0, t1, w, m0, m1)
 
     # built tables: two levels f per productive type, g per costly type;
     # eps enters only g of the types above the costly median
@@ -473,8 +507,11 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     productive_value = solve_full_1d(
         replace(line, u=u_line, v=np.zeros_like(u_line))).value
 
+    closest = None  # (gap, eps) of the best candidate the bounds certify
+
     def search(candidates, best, slack: float):
         """Best certified (eps, menu value, r, q): every candidate priced at once."""
+        nonlocal closest
         eps = np.asarray(candidates, dtype=float)
         u_b, t = built_tables(eps)
         agent, principal = payoff_tables((u_a, v_a, u_b, v_b), inst.dist.support,
@@ -482,8 +519,12 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
         _, values = best_response(agent, principal, inst.dist.prob)
         for e, value in zip(candidates, values.tolist()):
             r, q = bounds(e)
-            if (r > q and value >= r - FEAS_TOL
-                    and value > productive_value + dominance_margin
+            if not (r > q and value >= r - FEAS_TOL):
+                continue
+            gap = value - productive_value
+            if closest is None or gap > closest[0]:
+                closest = (gap, e)
+            if (value > productive_value + dominance_margin
                     and (best is None or value > best[1] + slack)):
                 best = (e, value, r, q)
         return best
@@ -495,7 +536,12 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     best = search(coarse + tail, None, 0.0)
     if best is not None:
         refine = [best[0] + 0.001 * k for k in range(-9, 10)]
-        best = search([e for e in refine if 0 < e < 0.5], best, 1e-15)
+        best = search([e for e in refine if 0 < e < 0.5], best, _REFINE_SLACK)
+    if best is None and closest is not None:
+        raise PreconditionFailed(
+            f"no epsilon clears the dominance margin {dominance_margin:.6g}: "
+            f"the best gap over productive-only screening is "
+            f"{closest[0]:.6g}, at eps {closest[1]:.6g}")
     if best is None:
         raise StructuralError(
             "preconditions held but no epsilon certified strict dominance; "

@@ -1,10 +1,12 @@
 """Batched certificates against the per-item loops they replaced.
 
 `solve_downward_1d` prices blocks of allocations with one forward sweep and
-`certify_bundling` pairs only distinct options; the oracles below are the
-previous implementations, which price every allocation with the closed form
-and every option pair with the two-type relaxation.
+`certify_bundling` pairs only distinct options whose caps reach the menu; the
+oracles below are the previous implementations, which price every allocation
+with the closed form, every option pair with the two-type relaxation, and
+every pair of distinct options.
 """
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -16,8 +18,9 @@ from screenkit import (FEAS_TOL, BundleInstance, GeneratorKnobs, OneDimInstance,
                        load_instance, productive_marginal,
                        random_onedim_instance, random_positive_instance,
                        solve_downward_1d)
-from screenkit import solver
-from screenkit.applications import solve_bundling
+from screenkit import applications, solver
+from screenkit.applications import (_best_pair, _bundle_options,
+                                    _distinct_options, solve_bundling)
 from screenkit.solver import SolveResult
 from screenkit.transfers import (_closed_form, graph_optimal_transfers,
                                  onedim_ic_violations, onedim_ir_violations,
@@ -103,6 +106,32 @@ def bundling_oracle(b):
                                  slice(None)).max())
                for start in range(0, n_o, rows_per_block))
     return best, n_o
+
+
+def distinct_scan_oracle(b):
+    """(brute-force value, best descriptors) pricing every distinct pair.
+
+    The unpruned scan over `_distinct_options`, in row blocks: the first
+    maximizer in row-major order wins.
+    """
+    U, P, alpha, q = _bundle_options(b)
+    if b.n_types == 1:
+        best = int(np.argmax(P + U[0]))
+        return float((P + U[0])[best]), ((tuple(alpha[best]), tuple(q[best])),)
+    keep = _distinct_options(U, P)
+    U, P = U[:, keep], P[keep]
+    n_k = keep.size
+    best_val, best_pair = -np.inf, (0, 0)
+    rows_per_block = max(1, (1 << 16) // n_k)
+    for start in range(0, n_k, rows_per_block):
+        vals = pair_values(b, U, P, np.arange(start, min(start + rows_per_block, n_k)),
+                           np.arange(n_k))
+        flat = int(np.argmax(vals))
+        if float(vals.flat[flat]) > best_val:
+            best_val = float(vals.flat[flat])
+            best_pair = (start + flat // n_k, flat % n_k)
+    return best_val, tuple((tuple(alpha[keep[i]]), tuple(q[keep[i]]))
+                           for i in best_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +231,72 @@ def test_bundling_certificate_matches_all_pairs(make):
     else:
         attained = pair_values(b, U, P, [found[0]], [found[1]])[0, 0]
     assert abs(attained - cert.brute_force_value) <= 1e-12
+
+
+PRUNE_CASES = (
+    list(BUNDLE_CASES)
+    + [pytest.param(lambda s=s: random_bundle(s, 917), id=f"draw{s}")
+       for s in range(50)]
+    + [pytest.param(lambda: random_bundle(5, 917, np.linspace(0, 1, 7)),
+                    id="grid7")])
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0, -1.0],
+                         ids=["menu", "fallback", "low_floor"])
+@pytest.mark.parametrize("make", PRUNE_CASES)
+def test_pruned_bundling_certificate_matches_the_distinct_scan(make, shift):
+    # a menu value 1 above the optimum leaves no pair at the floor and runs
+    # the full scan; 1 below it prices far more pairs
+    b = make()
+    sol = solve_bundling(b)
+    sol = dataclasses.replace(sol, value=sol.value + shift)
+    cert = certify_bundling(b, sol)
+    value, descriptors = distinct_scan_oracle(b)
+    assert cert.brute_force_value == value
+    assert cert.best_descriptor == descriptors
+    assert cert.menu_value == sol.value
+
+
+@pytest.mark.parametrize("block", [7, 1 << 10])
+@pytest.mark.parametrize("make", [p for p in BUNDLE_CASES if p.id != "one_type"])
+def test_pruned_bundling_certificate_across_block_sizes(make, block, monkeypatch):
+    # blocks of 7 pairs hold one row each; ties split across blocks
+    monkeypatch.setattr(applications, "_PAIR_BLOCK", block)
+    b = make()
+    for shift in (0.0, 1.0):
+        sol = solve_bundling(b)
+        cert = certify_bundling(b, dataclasses.replace(sol, value=sol.value + shift))
+        assert (cert.brute_force_value, cert.best_descriptor) == distinct_scan_oracle(b)
+
+
+@pytest.mark.parametrize("make", [bundling_default,
+                                  lambda: random_bundle(2, 917),
+                                  lambda: bundling_default(zero_cost=True)])
+def test_bundling_prune_prices_exactly_the_pairs_whose_cap_reaches_the_floor(
+        make, monkeypatch):
+    b = make()
+    U, P, _, _ = _bundle_options(b)
+    keep = _distinct_options(U, P)
+    U, P, mu = U[:, keep], P[keep], b.prob
+    cap = (mu[0] * (P + U[0]))[:, None] + (mu[1] * (P + U[1]))[None, :]
+    priced, price = [], applications._pair_values
+
+    def spy(U_, P_, mu_, i, j):
+        priced.extend(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(i, j))))
+        return price(U_, P_, mu_, i, j)
+
+    monkeypatch.setattr(applications, "_pair_values", spy)
+    monkeypatch.setattr(applications, "_PAIR_BLOCK", 64)
+    full = pair_values(b, U, P, np.arange(P.size), np.arange(P.size))
+    # floors equal to the largest cap (its row and column tie the filters'
+    # bounds), to a middle cap and to the optimum
+    for floor in (cap.max(), float(np.median(cap)), float(full.max())):
+        priced.clear()
+        value, (i, j) = _best_pair(U, P, mu, floor)
+        assert priced == list(zip(*np.nonzero(cap >= floor)))
+        if value >= floor:
+            assert value == full.max()
+            assert (i, j) == divmod(int(np.argmax(full)), P.size)
 
 
 def _swap_types(b):

@@ -92,6 +92,20 @@ def test_converse_example3(capsys):
     assert payload["value"] > payload["productive_value"] + 1e-6
 
 
+def test_converse_unmet_margin_names_the_best_gap(capsys, tmp_path):
+    # the default margin certifies a gap of about 2.5e-4 on this draw
+    path = tmp_path / "negative.json"
+    screenkit.save_instance(screenkit.random_negative_instance(3, stream=0), path)
+    code = main(["converse", "--instance", str(path), "--margin", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "dominance margin 5:" in captured.err
+    assert "best gap over productive-only screening is 0.00024552" in captured.err
+    assert "inconsistent" not in captured.err
+
+
 def test_competitive_default(capsys):
     code, out = run(capsys, "competitive", "--params",
                     str(INSTANCE_DIR / "competitive_default.json"))

@@ -20,11 +20,28 @@ from helpers import THEOREM_KNOBS
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
 
+def negative_ic_cycle(U, allocs):
+    """Rows whose IC constraints close a negative cycle, by Floyd-Warshall.
+
+    Independent of the solver's Bellman-Ford: the edge q -> p weighs
+    U_p(a_p) - U_p(a_q), the slack of p's IC against q's option, and a row is
+    infeasible when some closed walk weighs less than -1e-12.
+    """
+    idx = np.arange(allocs.shape[1])
+    own = U[idx[None, :], allocs]                                 # U_p(a_p)
+    dist = own[:, :, None] - U[idx[None, :, None], allocs[:, None, :]]
+    for k in idx:
+        dist = np.minimum(dist, dist[:, :, k, None] + dist[:, None, k, :])
+    return (np.diagonal(dist, axis1=1, axis2=2) < -1e-12).any(axis=1)
+
+
 def enumerate_joint(inst, guard=10 ** 7, chunk=1 << 14):
     """Reference: decode every assignment id, prune on the surplus bound only.
 
     The prune bound is seeded with every baseline-only assignment, not only
-    the level-constant monotone ones `solve_joint` starts from.
+    the level-constant monotone ones `solve_joint` starts from. Feasibility
+    is decided by `negative_ic_cycle`; the solver's `_batch_transfers` only
+    supplies the maximal transfers of the feasible rows.
 
     Returns (value, x, y, t, some_optimum_baseline, all_optima_baseline,
     number of optima), the value being the float maximum and the mechanism
@@ -48,9 +65,9 @@ def enumerate_joint(inst, guard=10 ** 7, chunk=1 << 14):
     idx = np.arange(m)
 
     def evaluate(allocs):
-        D, infeasible = _batch_transfers(U, allocs)
+        D, _ = _batch_transfers(U, allocs)
         values = (prob[None, :] * (VG[idx[None, :], allocs] + D)).sum(axis=1)
-        values[infeasible] = -np.inf
+        values[negative_ic_cycle(U, allocs)] = -np.inf
         return D, values
 
     y0_opts = np.array([k for k, (_, iy) in enumerate(options) if iy == cost.y0_index])
@@ -176,6 +193,27 @@ def test_branch_and_bound_matches_enumeration(name, monkeypatch):
     assert cert["enumerated"] == (inst.productive.n_alloc
                                   * inst.costly.n_alloc) ** inst.n_support
     assert 0 < cert["evaluated"] and 0 < cert["nodes"]
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_leaf_pricing_flags_exactly_the_negative_ic_cycles(name):
+    # the differential test above sees an infeasible row only when it would
+    # price above the optimum; here every sampled row is classified
+    inst = DIFFERENTIAL[name]()
+    _, _, U, _ = _option_tables(inst)
+    m, A = U.shape
+    rng = np.random.default_rng(sorted(DIFFERENTIAL).index(name))
+    allocs = rng.integers(0, A, (2048, m))
+    D, infeasible = _batch_transfers(U, allocs)
+    assert (infeasible == negative_ic_cycle(U, allocs)).all()
+    # feasible rows get transfers within every participation and IC cap
+    idx = np.arange(m)
+    own = U[idx[None, :], allocs]
+    slack = own[:, :, None] - U[idx[None, :, None], allocs[:, None, :]]
+    ok = ~infeasible
+    assert (D[ok] <= own[ok] + FEAS_TOL).all()
+    assert (D[ok][:, :, None] <= D[ok][:, None, :] + slack[ok] + FEAS_TOL).all()
+    assert infeasible.any() and ok.any()  # the sample holds both kinds
 
 
 def _permuted(inst, order):

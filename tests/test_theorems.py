@@ -12,7 +12,9 @@ from screenkit import (FEAS_TOL, GeneratorKnobs, InputNotIC, Mechanism,
                        shift_mechanism, shift_multiplicative, solve_full_1d,
                        productive_marginal, verify_theorem1)
 from screenkit.stochastics import instance_rng
-from screenkit.theorems import _line_instance
+from screenkit import theorems
+from screenkit.theorems import (_bound_windows, _coordinate_marginals,
+                                _line_instance, _median_split)
 
 from helpers import ic_mechanism_on_line
 
@@ -216,3 +218,70 @@ def test_converse_rejects_bad_margin_before_any_work(margin):
     with pytest.raises(StructuralError, match="dominance_margin"):
         converse_construct(random_positive_instance(0, GeneratorKnobs(n_a=2)),
                            dominance_margin=margin)
+
+
+def test_converse_unmet_margin_names_the_margin_and_the_best_gap():
+    inst = random_negative_instance(3, stream=0)
+    gap = converse_construct(inst).margin
+    with pytest.raises(PreconditionFailed,
+                       match=f"dominance margin 5: .* is {gap:.6g}, at eps 1e-08"):
+        converse_construct(inst, dominance_margin=5.0)
+
+
+def test_converse_without_a_bound_certified_eps_blames_the_construction(monkeypatch):
+    # every menu value below the bound r: no eps passes the r/q check
+    def below_every_bound(agent, principal, prob):
+        return None, np.zeros(agent.shape[0])
+    monkeypatch.setattr(theorems, "best_response", below_every_bound)
+    with pytest.raises(StructuralError, match="inconsistent"):
+        converse_construct(random_negative_instance(3, stream=0))
+
+
+# ---------------------------------------------------------------------------
+# converse bound windows
+# ---------------------------------------------------------------------------
+
+
+def _direct_bounds(t0, t1, w, m0, m1, eps):
+    """The converse's r and q with both masks built for this eps."""
+    p_high_instrument = float(w[t1 > m1].sum())
+    r = ((1.0 - eps) * p_high_instrument
+         + (2.0 - eps) * float(w[(t0 >= m0 + eps) & (t1 <= m1)].sum()))
+    q = 2.0 * float(w[(t0 >= m0 - eps) & (t0 <= m0 + eps)].sum()) + 1.0
+    return r, q
+
+
+def _window_marginals(case):
+    if case < 10:
+        inst = random_negative_instance(case, stream=case)
+        t0, t1, w = _coordinate_marginals(inst, 0)
+        return (t0, t1, w, _median_split(t0, w, "t0"), _median_split(t1, w, "t1"))
+    # decimal levels near the median and repeated values, so that m0 +- eps
+    # lands exactly on levels whose sums round differently
+    rng = np.random.default_rng([case, 953])
+    t0 = 0.5 + np.round(rng.uniform(-0.3, 0.3, 40), 2)
+    t1 = rng.uniform(0.0, 1.0, 40)
+    w = rng.uniform(0.1, 1.0, 40)
+    return t0, t1, w / w.sum(), 0.5, 0.5
+
+
+def _search_eps():
+    coarse = [0.01 * k for k in range(1, 50)]
+    tail = [1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-7, 1e-8]
+    refine = [c + 0.001 * k for c in coarse + tail for k in range(-9, 10)]
+    return coarse + tail + [e for e in refine if 0 < e < 0.5]
+
+
+@pytest.mark.parametrize("case", range(14))
+def test_bound_windows_match_the_direct_masks_bit_for_bit(case):
+    t0, t1, w, m0, m1 = _window_marginals(case)
+    cuts = sorted({abs(float(v) - m0) for v in t0})
+    edges = [e for c in cuts
+             for e in (float(np.nextafter(c, -np.inf)), c, float(np.nextafter(c, np.inf)))]
+    eps_list = _search_eps() + edges
+    bounds = _bound_windows(t0, t1, w, m0, m1)
+    # twice over, the second pass in reverse, so that windows are reused
+    for eps in eps_list + eps_list[::-1]:
+        got = tuple(v.hex() for v in bounds(eps))
+        want = tuple(v.hex() for v in _direct_bounds(t0, t1, w, m0, m1, eps))
+        assert got == want, eps
