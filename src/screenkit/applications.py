@@ -285,36 +285,30 @@ def _pair_values(U: np.ndarray, P: np.ndarray, mu: np.ndarray,
     return vals
 
 
-def _best_pair(U: np.ndarray, P: np.ndarray, mu: np.ndarray,
-               floor: float | None = None):
-    """(value, (i, j)) of the first best pair in row-major order.
+def _best_pair(U: np.ndarray, P: np.ndarray, mu: np.ndarray, floor: float):
+    """(value, (i, j)) of the first best pair, in row-major order, among the
+    pairs whose cap mu[0] (P_i + U_1i) + mu[1] (P_j + U_2j) reaches `floor`.
 
-    With a `floor`, prices only the pairs whose cap
-    mu[0] (P_i + U_1i) + mu[1] (P_j + U_2j) reaches it; every other pair is
-    worth less than the floor. Without, prices every pair. Either way at most
-    `_PAIR_BLOCK` pairs are held at once. Returns value -inf when no pair is
-    priced.
+    Every other pair is worth less than the floor; a floor of -inf prices
+    every pair. At most `_PAIR_BLOCK` pairs are held at once. Returns value
+    -inf when no pair is priced.
     """
-    rows = cols = np.arange(P.size)
-    if floor is not None:
-        cap1, cap2 = mu[0] * (P + U[0]), mu[1] * (P + U[1])
-        rows = np.flatnonzero(cap1 + cap2.max() >= floor)
-        cols = np.flatnonzero(cap2 + cap1.max() >= floor)
+    cap1, cap2 = mu[0] * (P + U[0]), mu[1] * (P + U[1])
+    rows = np.flatnonzero(cap1 + cap2.max() >= floor)
+    cols = np.flatnonzero(cap2 + cap1.max() >= floor)
     best_val, best_pair = -np.inf, (0, 0)
     step = max(1, _PAIR_BLOCK // max(cols.size, 1))
     for start in range(0, rows.size, step):
         i, j = rows[start:start + step, None], cols[None, :]
-        if floor is not None:
-            ii, jj = np.nonzero(cap1[i] + cap2[j] >= floor)
-            if not ii.size:
-                continue
-            i, j = i[ii, 0], j[0, jj]
+        ii, jj = np.nonzero(cap1[i] + cap2[j] >= floor)
+        if not ii.size:
+            continue
+        i, j = i[ii, 0], j[0, jj]
         vals = _pair_values(U, P, mu, i, j)
         flat = int(np.argmax(vals))
-        top = float(vals.flat[flat])
+        top = float(vals[flat])
         if top > best_val:
-            i, j = np.broadcast_arrays(i, j)
-            best_val, best_pair = top, (int(i.flat[flat]), int(j.flat[flat]))
+            best_val, best_pair = top, (int(i[flat]), int(j[flat]))
     return best_val, best_pair
 
 
@@ -339,13 +333,13 @@ def certify_bundling(b: BundleInstance,
     columns that cannot reach it even against the other side's largest cap
     are dropped first, and the rest is tested and priced in blocks of at
     most `_PAIR_BLOCK` pairs, so no options-by-options array is built. If no
-    priced pair reaches the floor (a `solution` above the true optimum), all
-    pairs are priced. The maximum and the best pair, the first maximizer in
-    row-major order over the kept options, are therefore those of pricing
-    every pair, for any `solution`. `options` still counts every enumerated
-    option; above `DEFAULT_GUARD` options it raises SizeGuardExceeded before
-    enumerating any. Pass the `solve_bundling(b)` result as `solution` to
-    reuse it.
+    priced pair reaches the floor (a `solution` above the true optimum), the
+    scan reruns with floor -inf, which prices every pair. The maximum and the
+    best pair, the first maximizer in row-major order over the kept options,
+    are therefore those of pricing every pair, for any `solution`. `options`
+    still counts every enumerated option; above `DEFAULT_GUARD` options it
+    raises SizeGuardExceeded before enumerating any. Pass the
+    `solve_bundling(b)` result as `solution` to reuse it.
     """
     if b.n_types > 2:
         raise SizeGuardExceeded("certificate supports at most two types",
@@ -374,7 +368,7 @@ def certify_bundling(b: BundleInstance,
     floor = menu_value - FEAS_TOL
     best_val, best_pair = _best_pair(U, P, b.prob, floor)
     if not best_val >= floor:
-        best_val, best_pair = _best_pair(U, P, b.prob)
+        best_val, best_pair = _best_pair(U, P, b.prob, -np.inf)
     return BundlingCertificate(best_val, float(menu_value), n_options,
                                (descriptor(keep[best_pair[0]]),
                                 descriptor(keep[best_pair[1]])))
