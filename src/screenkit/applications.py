@@ -510,6 +510,11 @@ def make_application_instance(kind: str,
 # ---------------------------------------------------------------------------
 
 
+#: Rounding slack on the low type's closed-form utility: in the adverse
+#: selection and separation checks and in the separating offer's cap.
+_COMPETITIVE_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class CompetitiveParams:
     """Two-type competitive labor market with one costly activity.
@@ -547,11 +552,11 @@ class CompetitiveParams:
         low = self.low_type_utility
         imit = (self.theta_h * self.efficient_high
                 - self.psi_l(self.efficient_high))
-        if not low < imit - 1e-12:
+        if not low < imit - _COMPETITIVE_SLACK:
             raise AssumptionFailed("adverse_selection",
                                    f"low type must covet the efficient high "
                                    f"offer: {low:.6g} >= {imit:.6g}")
-        if self.theta_h - self.a_l > low + 1e-12:
+        if self.theta_h - self.a_l > low + _COMPETITIVE_SLACK:
             raise AssumptionFailed("separation_at_one",
                                    "work allocations alone cannot separate "
                                    "within [0, 1]")
@@ -613,7 +618,7 @@ def _constrained_max(p: CompetitiveParams, xs: np.ndarray, ys: np.ndarray):
     activity level and then the smallest allocation; with a free activity for
     the high type this lands on the boundary where the low type's IC binds.
     """
-    cap = p.low_type_utility + 1e-12
+    cap = p.low_type_utility + _COMPETITIVE_SLACK
     imitate = (p.theta_h * xs[None, :] - p.psi_l(xs[None, :])
                - p.c_l(ys[:, None]))
     objective = (p.theta_h * xs[None, :] - p.psi_h(xs[None, :])

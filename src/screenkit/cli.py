@@ -168,7 +168,7 @@ def _solve_payload(inst, mode: str, guard: int, timing: bool,
             "mechanism": {
                 "levels": line.theta.tolist(),
                 "x_idx": list(res.x_idx),
-                "x": [float(line.x_grid[i]) for i in res.x_idx],
+                "x": line.x_grid[list(res.x_idx)].tolist(),
                 "t": list(res.t),
             },
             "certificate": res.certificate,

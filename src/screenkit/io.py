@@ -8,6 +8,9 @@ saved instance reproduces it exactly: values pass through float() untouched.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from typing import Union
 
@@ -84,8 +87,65 @@ def instance_from_dict(data: dict) -> ScreeningInstance:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic rendering: sorted keys, fixed separators, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering: sorted keys, fixed separators, newline end.
+
+    The text is `json.dumps(obj, sort_keys=True, indent=2) + "\\n"` byte for
+    byte, for dict keys that are all str. `indent` would send json.dumps
+    through its pure-Python encoder, so dicts render here and every flat
+    list of scalars goes through json's C encoder in one call.
+    """
+    return _render(obj, 0) + "\n"
+
+
+#: Lists holding only these exact types go to the C encoder in one call;
+#: others, subclasses such as np.float64 included, render item by item.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int):
+    """json's C encoder, its item separator breaking the line at the indent
+    of the items of a list nested `depth` deep."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _render(obj, depth: int) -> str:
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = "\n" + "  " * (depth + 1)
+        items = [encode_basestring_ascii(k) + ": " + _render(obj[k], depth + 1)
+                 for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        if _SCALAR_TYPES.issuperset(map(type, obj)):
+            body = _flat_encoder(depth)(obj)[1:-1]
+        else:
+            body = ("," + inner).join([_render(v, depth + 1) for v in obj])
+        return "[" + inner + body + "\n" + "  " * depth + "]"
+    return _scalar(obj)
+
+
+def _scalar(value) -> str:
+    """One JSON scalar as json.dumps writes it; TypeError for anything else."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def save_instance(inst: ScreeningInstance, path: Pathish) -> None:

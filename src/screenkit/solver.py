@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,7 +103,6 @@ def solve_downward_1d(inst: OneDimInstance,
     tol = FEAS_TOL * n * (1.0 + np.abs(inst.u).max() + np.abs(inst.v).max())
     u_by_type = np.ascontiguousarray(inst.u.T)
     v_by_type = np.ascontiguousarray(inst.v.T)
-    u_rows = inst.u.tolist()
 
     def payoff(x, t):
         # summed type by type from 0.0, like a scalar loop over the types
@@ -129,7 +129,7 @@ def solve_downward_1d(inst: OneDimInstance,
             continue
         x, t = x[:, near], t[:, near]
         for k in range(near.size):
-            closed = _closed_form(u_rows, x[:, k])
+            closed = _closed_form(inst.u, x[:, k])
             if np.abs(closed - t[:, k]).max() <= tol:
                 t[:, k] = closed
         values = payoff(x, t)
@@ -155,6 +155,9 @@ def solve_full_1d(inst: OneDimInstance) -> SolveResult:
     full-IC maximum (Rochet 1987, cycle monotonicity). The check needs
     O(n * n_x) work: a type's best deviation takes the cheapest transfer
     among the types allocated each level.
+
+    The dynamic program runs on Python lists, a running suffix maximum per
+    stage and a first-match backtrack, so ties go to the lowest allocation.
     """
     n, n_alloc = inst.n, inst.n_alloc
     u, v, mu = inst.u, inst.v, inst.mu
@@ -166,22 +169,24 @@ def solve_full_1d(inst: OneDimInstance) -> SolveResult:
     G = [0.0] * n_alloc
     stage_m = [None] * n
     stage_g = [None] * n
+    downward = range(n_alloc - 2, -1, -1)
     for j in range(n - 1, -1, -1):
-        M = [a + b for a, b in zip(rows[j], G)]
+        M = list(map(add, rows[j], G))
         G = M[:]
-        for c in range(n_alloc - 2, -1, -1):
-            if G[c + 1] > G[c]:
-                G[c] = G[c + 1]
+        best = G[-1]  # running suffix maximum; a tie keeps the lower index
+        for c in downward:
+            g = G[c]
+            if best > g:
+                G[c] = best
+            else:
+                best = g
         stage_m[j], stage_g[j] = M, G
     x_idx = []
     floor = 0
     for M, G in zip(stage_m, stage_g):
-        c = floor
-        while M[c] != G[floor]:
-            c += 1
-        x_idx.append(c)
-        floor = c
-    t = _closed_form(u.tolist(), x_idx)
+        floor = M.index(G[floor], floor)
+        x_idx.append(floor)
+    t = _closed_form(u, x_idx)
     cheapest = np.full(n_alloc, np.inf)
     np.minimum.at(cheapest, x_idx, t)
     # best of mimicking each level at its cheapest transfer and opting out

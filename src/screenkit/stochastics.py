@@ -2,7 +2,7 @@
 
 Dominance between finitely supported laws on R^N is decided by an exact
 max-flow on the componentwise admissibility graph (capacities are
-probabilities scaled to integers at 1e-12 resolution, so there is no flow
+probabilities scaled to integer units of 10**-12 mass, so there is no flow
 tolerance to tune). Exhaustive upper-set enumeration is kept alongside as an
 independent oracle. One pass couples the conditional costly laws of adjacent
 productive levels (`level_couplings`: common quantiles for a scalar costly

@@ -120,42 +120,55 @@ def closed_form_downward_transfers(inst: OneDimInstance, x_idx: Sequence) -> np.
     increasing differences, so any other table raises StructuralError.
     Otherwise the transfers could break participation or IC: u = [[2, 0],
     [2, 2]] with x = (0, 1) would give t = (2, 4), leaving type 1 a payoff
-    of -2. `solve_full_1d` and `solve_downward_1d` run the unchecked kernel
-    and guard its result themselves.
+    of -2. An allocation entry that is not an integer index into the grid
+    raises StructuralError as well. `solve_full_1d` and `solve_downward_1d`
+    run the unchecked kernel and guard its result themselves.
     """
-    if len(x_idx) != inst.n:
+    x = np.asarray(x_idx)
+    if x.shape != (inst.n,):
         raise StructuralError("allocation must assign one entry per type")
+    if x.dtype.kind not in "iu" or ((x < 0) | (x >= inst.n_alloc)).any():
+        raise StructuralError(
+            f"allocation entries must be integer indices in [0, {inst.n_alloc})")
     if (np.diff(inst.u, axis=1) < -FEAS_TOL).any():
         raise StructuralError("closed-form transfers need u nondecreasing in the type")
     if (np.diff(np.diff(inst.u, axis=0), axis=1) < -FEAS_TOL).any():
         raise StructuralError("closed-form transfers need u with increasing differences")
-    return _closed_form(inst.u.tolist(), x_idx)
+    return _closed_form(inst.u, x)
 
 
-def _closed_form(u: list, x_idx: Sequence) -> np.ndarray:
-    """`closed_form_downward_transfers` on the rows of u, with no checks."""
-    x_idx = [int(i) for i in x_idx]
-    decomp = u_region_decomposition(x_idx)
-    n = len(x_idx)
-    free = set(decomp.free)
-    t = [0.0] * n
-    local_acc = 0.0
-    for i in range(n):
-        ti = u[x_idx[i]][i] - local_acc
-        for origin, dest in decomp.regions:
-            if origin < i:
-                row = u[x_idx[origin]]
-                ti -= row[min(dest, i)] - row[origin]
-        t[i] = ti
-        if i in free and i < n - 1:
-            row = u[x_idx[i]]
-            local_acc += row[i + 1] - row[i]
-    return np.array(t)
+def _closed_form(u: np.ndarray, x_idx: Sequence) -> np.ndarray:
+    """`closed_form_downward_transfers` on the table u, with no checks.
+
+    Type i pays u[x_i, i] less the running sum of the local steps
+    u[x_j, j + 1] - u[x_j, j] over the free j < i, then less one term per
+    region opened below it, region by region. `np.cumsum` adds in type order
+    from 0.0, so every transfer is the one a scalar loop over the types
+    computes, bit for bit.
+    """
+    x = np.asarray(x_idx, dtype=np.intp)
+    n = x.size
+    decomp = u_region_decomposition(x.tolist())
+    types = np.arange(n)
+    own = u[x, types]
+    free = np.array([j for j in decomp.free if j < n - 1], dtype=np.intp)
+    step = np.zeros(n)
+    step[free + 1] = u[x[free], free + 1] - own[free]
+    t = own - np.cumsum(step)
+    for origin, dest in decomp.regions:
+        row = u[x[origin]]
+        t[origin + 1:] -= row[np.minimum(dest, types[origin + 1:])] - row[origin]
+    return t
 
 
 # ---------------------------------------------------------------------------
 # constraint-graph oracle
 # ---------------------------------------------------------------------------
+
+
+#: A relaxation must lower a distance by more than this to count, so
+#: rounding alone never keeps Bellman-Ford sweeping.
+_RELAX_SLACK = 1e-15
 
 
 def graph_optimal_transfers(inst: OneDimInstance, x_idx: Sequence,
@@ -188,7 +201,7 @@ def graph_optimal_transfers(inst: OneDimInstance, x_idx: Sequence,
         changed = False
         for q, p, w in edges:
             base = 0.0 if q == -1 else dist[q]
-            if base + w < dist[p] - 1e-15:
+            if base + w < dist[p] - _RELAX_SLACK:
                 dist[p] = base + w
                 changed = True
         if not changed:
@@ -287,10 +300,10 @@ def onedim_ir_violations(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> 
 
 def onedim_value(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> float:
     """Expected principal payoff of (x, t) under truthful play."""
-    total = 0.0
-    for p in range(inst.n):
-        total += float(inst.mu[p]) * (float(inst.v[int(x_idx[p]), p]) + float(t[p]))
-    return total
+    terms = inst.mu * (inst.v[np.asarray(x_idx, dtype=np.intp), np.arange(inst.n)]
+                       + np.asarray(t, dtype=float))
+    # added in type order from 0.0: np.sum would add pairwise
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 # ---------------------------------------------------------------------------

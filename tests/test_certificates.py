@@ -22,10 +22,11 @@ from screenkit import applications, solver
 from screenkit.applications import (_best_pair, _bundle_options,
                                     _distinct_options, solve_bundling)
 from screenkit.solver import SolveResult
-from screenkit.transfers import (_closed_form, graph_optimal_transfers,
+from screenkit.transfers import (graph_optimal_transfers,
                                  onedim_ic_violations, onedim_ir_violations,
                                  onedim_value)
 
+from helpers import closed_form_loop
 from test_applications import random_bundle
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -45,7 +46,7 @@ def downward_oracle(inst):
     best = -float("inf")
     best_x = best_t = None
     for combo in itertools.product(range(n_alloc), repeat=n):
-        t = _closed_form(u_rows, combo)
+        t = closed_form_loop(u_rows, combo)
         value = 0.0
         for i in range(n):
             value += mu[i] * (v_rows[combo[i]][i] + t[i])

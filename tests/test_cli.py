@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import screenkit
 from screenkit.cli import build_parser, main
 
+from helpers import canonical_json_oracle
+
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 EX1 = str(INSTANCE_DIR / "example1.json")
 EX2 = str(INSTANCE_DIR / "example2.json")
@@ -544,3 +546,36 @@ def mutated_report(draw):
 @given(data=mutated_report())
 def test_mutated_report_inputs_keep_the_exit_contract(data):
     assert keeps_the_exit_contract(data, ["report", None]) in ([0], [1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", EX1, "--mode", "downward1d"],
+    ["solve", "--instance", EX2, "--mode", "full1d", "--timing"],
+    ["solve", "--instance", EX3, "--mode", "joint"],
+    ["solve", "--instance", EX3, "--mode", "joint", "--format", "pretty-table"],
+    ["verify", "--instance", EX1],
+    ["verify", "--instance", EX2],
+    ["converse", "--instance", EX3],
+    ["competitive"],
+    ["bundling"],
+    ["bundling", "--certify"],
+    ["sweep", "--random", "3", "--seed", "7"],
+    ["sweep", "--random", "3", "--seed", "7", "--mode", "full1d"],
+], ids=lambda argv: "-".join(Path(a).stem.lstrip("-") for a in argv))
+def test_every_json_payload_renders_as_json_dumps(argv, capsys, monkeypatch):
+    from screenkit import cli
+    writer = cli.canonical_json
+    rendered = []
+
+    def checked(obj):
+        text = writer(obj)
+        assert text == canonical_json_oracle(obj)
+        rendered.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "canonical_json", checked)
+    code, out = run(capsys, *argv)
+    assert code in (0, 3)
+    assert rendered
+    if "--format" not in argv:
+        assert out == rendered[-1]

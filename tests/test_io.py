@@ -1,13 +1,18 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from screenkit import (StructuralError, example1_instance, example2_instance,
-                       example3_instance, instance_from_dict,
-                       instance_to_dict, load_instance, load_params,
-                       random_positive_instance, save_instance)
+from screenkit import (StructuralError, canonical_json, example1_instance,
+                       example2_instance, example3_instance,
+                       instance_from_dict, instance_to_dict, load_instance,
+                       load_params, random_positive_instance, save_instance)
+
+from helpers import canonical_json_oracle
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -86,3 +91,56 @@ def test_params_without_kind_rejected(tmp_path):
     path.write_text("{\"theta_l\": 0.5}")
     with pytest.raises(StructuralError):
         load_params(path)
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer against json.dumps
+# ---------------------------------------------------------------------------
+
+
+JSON_SCALARS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
+                     1e22, 2 ** 64, -2 ** 70, True, False, None, "", "\x00\x1f\"\\",
+                     "é \U0001f600"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.text(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.lists(inner, max_size=6).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_is_json_dumps(obj):
+    assert canonical_json(obj) == canonical_json_oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [[], {}, (), [[]], [{}], {"a": []}, [[], {}, ()],
+                                 [1, [2, [3, [4.5, "x"]]], {"k": (None, True)}]])
+def test_canonical_json_empty_and_nested_containers(obj):
+    assert canonical_json(obj) == canonical_json_oracle(obj)
+
+
+def test_canonical_json_rejects_what_json_dumps_rejects():
+    for bad in (np.int64(1), [np.int64(1)], {"a": object()}, [1, {2}]):
+        with pytest.raises(TypeError):
+            canonical_json_oracle(bad)
+        with pytest.raises(TypeError):
+            canonical_json(bad)
+
+
+@pytest.mark.parametrize("path", sorted(INSTANCE_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_bundled_files_are_written_back_byte_for_byte(path, tmp_path):
+    text = path.read_text()
+    data = json.loads(text)
+    assert canonical_json(data) == text
+    if "kind" not in data:
+        out = tmp_path / "copy.json"
+        save_instance(load_instance(path), out)
+        assert out.read_text() == text

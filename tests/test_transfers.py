@@ -143,6 +143,26 @@ def test_closed_form_rejects_a_short_allocation():
         closed_form_downward_transfers(FALLING, (0,))
 
 
+BAD_INDEX = "integer indices in \\[0, 3\\)"
+
+
+def test_closed_form_rejects_a_negative_index():
+    # -1 would otherwise price the last allocation, as (0, 1, 2) does
+    with pytest.raises(StructuralError, match=BAD_INDEX):
+        closed_form_downward_transfers(random_onedim_instance(1, n=3, n_x=3), [0, 1, -1])
+
+
+def test_closed_form_rejects_a_fractional_index():
+    # 0.5 would otherwise be truncated to 0
+    with pytest.raises(StructuralError, match=BAD_INDEX):
+        closed_form_downward_transfers(random_onedim_instance(1, n=3, n_x=3), [0.5, 1, 2])
+
+
+def test_closed_form_rejects_an_index_past_the_grid():
+    with pytest.raises(StructuralError, match=BAD_INDEX):
+        closed_form_downward_transfers(random_onedim_instance(1, n=3, n_x=3), [0, 1, 3])
+
+
 def test_solvers_guard_the_unchecked_closed_form_themselves():
     # the one-dimensional solvers price with the unchecked kernel and keep
     # their own guards on a table that breaks the closed form's precondition
