@@ -356,9 +356,9 @@ def _add_solving(sub):
     sub.add_argument("--timing", action="store_true",
                      help="include runtime_ms (breaks byte-identical output)")
     sub.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                     help="ceiling on A^m, the number of joint assignments "
-                          "(A options, m support points); checked before "
-                          "the search")
+                     help="ceiling on the assignment rows the joint solver "
+                          "prices: the seed menus plus the product of the "
+                          "options its root bound keeps")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
+from math import comb, prod
 from operator import add
 from typing import Callable, Sequence
 
@@ -17,9 +18,10 @@ import numpy as np
 from .errors import SizeGuardExceeded, StructuralError
 from .model import (FEAS_TOL, JointDistribution, Mechanism, ScreeningInstance)
 from .stochastics import LevelCouplings, level_couplings, scalar_levels
-from .transfers import OneDimInstance, _closed_form, onedim_value
+from .transfers import OneDimInstance, _closed_form, _onedim_value
 
-#: Default ceiling on exact enumeration size.
+#: Default ceiling on the allocations or assignment rows an exact solver
+#: enumerates or prices.
 DEFAULT_GUARD = 10 ** 7
 
 #: Allocations `solve_downward_1d` prices per block.
@@ -198,7 +200,7 @@ def solve_full_1d(inst: OneDimInstance) -> SolveResult:
             f"closed-form transfers leave type {worst} a deviation gain of "
             f"{gain[worst]:.3g}; instance likely violates increasing "
             f"differences")
-    value = onedim_value(inst, x_idx, t)
+    value = _onedim_value(inst, x_idx, t)
     dp_value = stage_g[0][0]
     if abs(value - dp_value) > FEAS_TOL:
         raise StructuralError(
@@ -272,6 +274,18 @@ def _option_tables(inst: ScreeningInstance):
     return opt_x, opt_y, U, VG
 
 
+def _chain(inst: ScreeningInstance, levels: LevelCouplings):
+    """Level of each support point, and c[p, q]: the mass the coupling of
+    levels j and j + 1 sends from p at level j to q, zero unless q lies at
+    level j + 1."""
+    ia, ib = np.array(inst.dist.support).reshape(-1, 2).T
+    lv = np.searchsorted(levels.a_indices, ia)
+    n_b = levels.cond.shape[1]
+    mu = np.concatenate((np.reshape(levels.couplings, (-1, n_b, n_b)),
+                         np.zeros((1, n_b, n_b))))  # no level above the top
+    return lv, mu[lv[:, None], ib[:, None], ib[None, :]] * (lv[None, :] == lv[:, None] + 1)
+
+
 def _path_rent_bound(inst: ScreeningInstance, levels: LevelCouplings,
                      U: np.ndarray, VG: np.ndarray):
     """The path-rent bound: (g, lift) with value <= sum_p g[p, a_p] + lift.
@@ -293,84 +307,154 @@ def _path_rent_bound(inst: ScreeningInstance, levels: LevelCouplings,
     one point over another from the same option.
     """
     prob = np.asarray(inst.dist.prob)
-    ia, ib = np.array(inst.dist.support).reshape(-1, 2).T
-    lv = np.searchsorted(levels.a_indices, ia)
+    lv, c = _chain(inst, levels)
     above = np.append(np.cumsum(levels.a_probs[::-1])[::-1][1:], 0.0)
-    n_b = levels.cond.shape[1]
-    mu = np.concatenate((np.reshape(levels.couplings, (-1, n_b, n_b)),
-                         np.zeros((1, n_b, n_b))))  # no level above the top
     # weight[p, q]: multiplier of q's IC against p's option, q one level up
-    weight = (above[lv][:, None] * mu[lv[:, None], ib[:, None], ib[None, :]]
-              * (lv[None, :] == lv[:, None] + 1))
+    weight = above[lv][:, None] * c
     inflow = weight.sum(axis=1)
     g = prob[:, None] * (U + VG) - (weight @ U - inflow[:, None] * U)
     shortfall = np.maximum(weight.sum(axis=0) - inflow - prob, 0.0).sum()
     return g, shortfall * (len(prob) - 1) * float(np.ptp(U, axis=0).max())
 
 
-def joint_space(inst: ScreeningInstance, guard: int = DEFAULT_GUARD) -> int:
-    """Size A^m of the joint assignment space; SizeGuardExceeded above guard."""
-    total = (inst.productive.n_alloc * inst.costly.n_alloc) ** inst.n_support
-    if total > guard:
-        raise SizeGuardExceeded("joint enumeration too large", total, guard)
-    return total
+def _ironing_terms(inst: ScreeningInstance, levels: LevelCouplings,
+                   U: np.ndarray):
+    """The upward-IC terms of the path-rent bound: (lv, down, up).
+
+    With c from `_chain`, down[p] = sum_q c(p, q) (U_q - U_p) and
+    up[q] = sum_p c(p, q) (U_q - U_p), over every option. For the level
+    pair j and any mu_j >= 0, adding -mu_j down to the rows of g at level j
+    (lv == j) and mu_j up to those at level j + 1 keeps the bound of
+    `_path_rent_bound`: it weights q's IC against p's option and p's IC
+    against q's option both by mu_j c(p, q), so the rents cancel and the
+    pair adds mu_j c (U_q(a_q) - U_p(a_q) - U_q(a_p) + U_p(a_p)), at least
+    0 by the two constraints. Every point's net outflow stays as it was, so
+    `lift` needs no change.
+    """
+    lv, c = _chain(inst, levels)
+    return (lv, c @ U - c.sum(axis=1)[:, None] * U,
+            c.sum(axis=0)[:, None] * U - c.T @ U)
+
+
+def _line_min(G: np.ndarray, h: np.ndarray) -> float:
+    """A mu >= 0 minimising sum_r max_a (G[r, a] + mu h[r, a]).
+
+    The sum is convex and piecewise linear in mu, so its minimum lies at 0
+    or where two lines of one row cross; every such point is tried. Of a
+    flat stretch of minima the middle is taken: no row's lines cross inside
+    it, so the move leaves no new tie for the root filter to keep, and the
+    search does not stall at a kink where only a joint move of two
+    multipliers lowers the bound. A stretch open to the right keeps its
+    left end.
+    """
+    rise = h[:, None, :] - h[:, :, None]           # [r, a, b]: h_b - h_a
+    up = rise > 0
+    cross = (G[:, :, None] - G[:, None, :])[up] / rise[up]
+    mus = np.concatenate(([0.0], np.sort(cross[cross > 0])))
+    total = (G[:, :, None] + h[:, :, None] * mus).max(axis=1).sum(axis=0)
+    at_min = np.flatnonzero(total == total.min())
+    lo, hi = mus[at_min[0]], mus[at_min[-1]]
+    return float(lo if at_min[-1] == mus.size - 1 else 0.5 * (lo + hi))
+
+
+def _iron(g: np.ndarray, terms, pairs: list, target: float) -> np.ndarray:
+    """Lower the root bound sum_p max_a g[p, a] toward `target` by upward
+    multipliers on the level `pairs`, `terms` being `_ironing_terms`: one
+    exact line search per pair in turn, until the bound reaches the target
+    or a whole pass lowers it by no more than FEAS_TOL."""
+    lv, down, up = terms
+    g = g.copy()
+    mu = dict.fromkeys(pairs, 0.0)
+    root = g.max(axis=1).sum()
+    while root > target:
+        start = root
+        for j in pairs:
+            rows = np.flatnonzero((lv == j) | (lv == j + 1))
+            h = np.where((lv[rows] == j)[:, None], -down[rows], up[rows])
+            base = g[rows] - mu[j] * h
+            mu[j] = _line_min(base, h)
+            g[rows] = base + mu[j] * h
+            root = g.max(axis=1).sum()
+            if root <= target:
+                return g
+        if root >= start - FEAS_TOL:
+            break
+    return g
+
+
+def _product(kept: list) -> np.ndarray:
+    """Every row of the product of the option lists `kept`, in lexicographic
+    order when each list is sorted."""
+    n = prod(k.size for k in kept)
+    rows = np.empty((n, len(kept)), dtype=np.intp)
+    ids = np.arange(n)
+    for p in range(len(kept) - 1, -1, -1):
+        rows[:, p] = kept[p][ids % kept[p].size]
+        ids //= kept[p].size
+    return rows
 
 
 def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
                 levels: LevelCouplings | None = None,
                 full1d: SolveResult | None = None) -> JointSolveResult:
-    """Exact optimum of the joint problem by branch and bound.
+    """Exact optimum of the joint problem: a root bound decides, and a
+    search classifies what the bound leaves.
 
     Every support point independently receives one (x, y) option; transfers
     are the componentwise-maximal feasible point of the full IC + IR system
-    for that assignment. The size guard bounds the A^m assignments of the
-    space and is checked before any search.
+    for that assignment.
 
-    The search prunes with the paper's proof as a bound. Chaining each
-    point's IC against the level below along a coupling of adjacent
-    conditional costly laws bounds every IC assignment's value by a
-    separable virtual surplus, sum_p g_p(a_p) (`_path_rent_bound`). It holds
-    for any coupling; `levels` (default `level_couplings(inst)`) supplies the
-    monotone one where the paper's assumption holds, which makes it tight,
-    and the product coupling on unordered pairs. Its root value, the sum of
-    max_a g_p(a), caps the optimum; the certificate's `root_certified` says
-    it equals it, so the bound alone proves the optimal value.
+    The bound is the paper's proof. Chaining each point's IC against the
+    level below along a coupling of adjacent conditional costly laws bounds
+    every IC assignment's value by a separable virtual surplus,
+    sum_p g_p(a_p) + lift (`_path_rent_bound`). It holds for any coupling;
+    `levels` (default `level_couplings(inst)`) supplies the monotone one
+    where the paper's assumption holds, which makes it tight, and the
+    product coupling on unordered pairs. Its root value, the sum of
+    max_a g_p(a) plus the lift, caps the optimum; the certificate's
+    `root_certified` says it equals it, so the bound alone proves the
+    optimal value.
 
-    The incumbent starts lazily. First comes one row: the full-IC productive
-    optimum (`full1d`, default `solve_full_1d` of the productive marginal)
-    with every instrument at baseline. Only when that row misses the root
-    bound does the seed enumerate the baseline-only menus that give every
-    support point of a productive level the same allocation, nondecreasing
-    in the level: C(n_x + L - 1, L) assignments for L levels and n_x
-    allocations, not all n_x^m baseline-only ones. Each seed row is a real
-    assignment priced exactly, so the incumbent is a feasible value or -inf
-    and never above the optimum, and the search below is exact whatever it
-    is. Where u_a has strict increasing differences the monotone seed is the
-    best of all n_x^m: implementability makes a baseline-only assignment
-    nondecreasing in the level (Mussa and Rosen 1978; Rochet 1987), and the
-    points of one level differ at y0 only by constants, so IC leaves them
-    indifferent between their options; moving them all to the option worth
-    more to the principal keeps every constraint and does not lower the
-    value. Without increasing differences the incumbent can be lower, and
-    the search prunes less but returns the same result.
+    The first row priced is the full-IC productive optimum (`full1d`,
+    default `solve_full_1d` of the productive marginal) with every
+    instrument at baseline. Where the root misses that row by more than
+    FEAS_TOL, the bound is ironed: each level pair the full1d allocation
+    pools gets an upward multiplier mu_j >= 0 along the same coupling
+    (`_ironing_terms`; Myerson 1981, Rochet 1987), chosen by exact line
+    search over the breakpoints of the convex root bound until it meets the
+    row. Any mu >= 0 keeps the bound sound. Only when the row still misses
+    does the seed enumerate the baseline-only menus that give every support
+    point of a productive level the same allocation, nondecreasing in the
+    level: C(n_x + L - 1, L) assignments for L levels and n_x allocations.
+    Each seed row is a real assignment priced exactly, so the incumbent
+    `best` is a feasible value or -inf and never above the optimum. Where
+    u_a has strict increasing differences the monotone seed is the best of
+    all baseline-only assignments: implementability makes one nondecreasing
+    in the level (Mussa and Rosen 1978; Rochet 1987), and the points of one
+    level differ at y0 only by constants, so moving them all to the option
+    worth more to the principal keeps every constraint and does not lower
+    the value.
 
-    A depth-first search then assigns support points in support order,
-    extending blocks of up to `_JOINT_CHUNK` prefixes by every option in
-    lexicographic order, and drops a prefix when
-      - its surplus plus the most surplus the remaining points can add falls
-        below the incumbent (sound: transfers never exceed willingness to
-        pay), or
-      - its partial g plus the most g the remaining points can add falls
-        below the incumbent.
+    The root then filters the options. Any assignment within FEAS_TOL of
+    the optimum has sum_p g_p(a_p) + lift >= best - FEAS_TOL, so no point
+    gives up more than slack = root - best + FEAS_TOL of its best g, and
+    each point keeps only the options within the slack of its maximum.
+    The size guard bounds the rows the solver may price, the seed menus
+    plus the kept product. When that product is the lifted row alone, it is
+    the answer. When it fits one block of `_JOINT_CHUNK` rows, it is priced
+    whole in lexicographic order. Otherwise a depth-first search assigns
+    support points in support order, extending blocks of up to
+    `_JOINT_CHUNK` prefixes by every kept option in lexicographic order, and
+    drops a prefix when its surplus plus the most surplus the remaining
+    points can add (sound: transfers never exceed willingness to pay), or
+    its partial g plus the most g they can add, falls below the incumbent.
     Leaf pricing rejects every assignment no transfers implement (a
-    negative IC cycle). Both tests allow FEAS_TOL, so no assignment within
+    negative IC cycle). Every test allows FEAS_TOL, so no assignment within
     FEAS_TOL of the optimum is dropped: the optimal set is classified
     exactly, ties kept, and the mechanism is the lexicographically smallest
-    optimal assignment.
+    assignment of the maximal value.
     """
     cost, dist = inst.costly, inst.dist
-    m = inst.n_support
-    total = joint_space(inst, guard)
     levels = level_couplings(inst) if levels is None else levels
     if full1d is None:
         try:
@@ -379,68 +463,102 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
             pass  # off the assumptions; the monotone seed stands in
     prob = np.asarray(dist.prob)
     opt_x, opt_y, U, VG = _option_tables(inst)
-    surplus = prob[:, None] * (U + VG)
     g, lift = _path_rent_bound(inst, levels, U, VG)
-    # rest[d], bound[d]: the most surplus and g points d, ..., m - 1 can add
-    rest = np.append(np.cumsum(surplus.max(axis=1)[::-1])[::-1], 0.0)
-    bound = np.append(np.cumsum(g.max(axis=1)[::-1])[::-1], 0.0) + lift
-
     level_of = np.searchsorted(levels.a_indices, [a for a, _ in dist.support])
+    certificate = {"method": "branch_and_bound",
+                   "enumerated": opt_x.size ** inst.n_support}
+
     best = -np.inf
     n_evaluated = 0
     if full1d is not None:
-        lifted = np.array(full1d.x_idx)[level_of] * cost.n_alloc + cost.y0_index
-        best = float(_price(U, VG, prob, lifted[None, :])[0][0])
-        n_evaluated = 1
-    if best < bound[0] - FEAS_TOL:
-        menus = combinations_with_replacement(range(inst.productive.n_alloc),
-                                              levels.a_indices.size)
+        x = full1d.x_idx
+        lifted = np.array(x)[level_of] * cost.n_alloc + cost.y0_index
+        values, D = _price(U, VG, prob, lifted[None, :])
+        best, n_evaluated = float(values[0]), 1
+        pooled = [j for j in range(len(x) - 1) if x[j] == x[j + 1]]
+        if pooled and g.max(axis=1).sum() + lift > best + FEAS_TOL:
+            g = _iron(g, _ironing_terms(inst, levels, U), pooled,
+                      best + FEAS_TOL - lift)
+    root = float(g.max(axis=1).sum()) + lift
+    n_seed = 0
+    if best < root - FEAS_TOL:
+        n_x, n_levels = inst.productive.n_alloc, levels.a_indices.size
+        n_seed = comb(n_x + n_levels - 1, n_levels)
+        if n_seed > guard:
+            raise SizeGuardExceeded("joint search too large", n_seed, guard)
+        menus = combinations_with_replacement(range(n_x), n_levels)
         while block := list(islice(menus, _JOINT_CHUNK)):
-            x = np.array(block)[:, level_of]
-            values, _ = _price(U, VG, prob, x * cost.n_alloc + cost.y0_index)
+            menu_x = np.array(block)[:, level_of]
+            seed_values, _ = _price(U, VG, prob,
+                                    menu_x * cost.n_alloc + cost.y0_index)
             n_evaluated += len(block)
-            best = max(best, float(values.max()))
+            best = max(best, float(seed_values.max()))
 
-    # depth-first over blocks of prefixes: at most _JOINT_CHUNK * A prefixes
-    # live per depth whatever the prune rate, and leaves come out in
-    # lexicographic order, so the first strict improvement is the smallest
-    # optimal assignment
+    keep = g >= g.max(axis=1, keepdims=True) - (root - best + FEAS_TOL)
+    n_kept = prod(keep.sum(axis=1).tolist())
+    if n_seed + n_kept > guard:
+        raise SizeGuardExceeded("joint search too large", n_seed + n_kept, guard)
+    certificate["kept"] = n_kept
+    if n_kept == 1 and full1d is not None and keep[np.arange(g.shape[0]), lifted].all():
+        mech = Mechanism(tuple(opt_x[lifted]), tuple(opt_y[lifted]),
+                         tuple(float(t) for t in D[0]))
+        return JointSolveResult(best, mech, True, True, {
+            **certificate, "evaluated": n_evaluated, "nodes": 0, "optima": 1,
+            "root_certified": bool(root <= best + FEAS_TOL)})
+
+    kept = [np.flatnonzero(row) for row in keep]
     n_nodes = 0
+
+    def depth_first():
+        # blocks of prefixes: at most _JOINT_CHUNK * A prefixes live per
+        # depth whatever the prune rate, and leaves come out in
+        # lexicographic order
+        nonlocal n_nodes
+        m = len(kept)
+        surplus = [prob[p] * (U[p, k] + VG[p, k]) for p, k in enumerate(kept)]
+        gain = [g[p, k] for p, k in enumerate(kept)]
+        # rest[d], bound[d]: the most surplus and g points d, ..., m - 1 can add
+        rest = np.append(np.cumsum([s.max() for s in surplus][::-1])[::-1], 0.0)
+        bound = np.append(np.cumsum([s.max() for s in gain][::-1])[::-1], 0.0) + lift
+        stack = [(np.zeros((1, 0), dtype=np.intp), np.zeros(1), np.zeros(1))]
+        while stack:
+            prefixes, partial, partial_g = stack.pop()
+            d = prefixes.shape[1]
+            child = partial[:, None] + surplus[d]                 # (k, kept)
+            child_g = partial_g[:, None] + gain[d]
+            floor = best - FEAS_TOL
+            alive = (child >= floor - rest[d + 1]) & (child_g >= floor - bound[d + 1])
+            rows, opts = np.nonzero(alive)
+            n_nodes += rows.size
+            if not rows.size:
+                continue
+            prefixes = np.column_stack((prefixes[rows], kept[d][opts]))
+            partial, partial_g = child[rows, opts], child_g[rows, opts]
+            if d + 1 < m:
+                for start in reversed(range(0, rows.size, _JOINT_CHUNK)):
+                    block = slice(start, start + _JOINT_CHUNK)
+                    stack.append((prefixes[block], partial[block], partial_g[block]))
+                continue
+            for start in range(0, rows.size, _JOINT_CHUNK):
+                yield prefixes[start:start + _JOINT_CHUNK]
+
     cand_vals = []
     cand_base = []
     best_val = -np.inf
     best_alloc = best_t = None
-    stack = [(np.zeros((1, 0), dtype=np.intp), np.zeros(1), np.zeros(1))]
-    while stack:
-        prefixes, partial, partial_g = stack.pop()
-        d = prefixes.shape[1]
-        child = partial[:, None] + surplus[d]                 # (k, A)
-        child_g = partial_g[:, None] + g[d]
-        floor = best - FEAS_TOL
-        keep = (child >= floor - rest[d + 1]) & (child_g >= floor - bound[d + 1])
-        rows, opts = np.nonzero(keep)
-        n_nodes += rows.size
-        if not rows.size:
-            continue
-        prefixes = np.column_stack((prefixes[rows], opts))
-        partial, partial_g = child[rows, opts], child_g[rows, opts]
-        if d + 1 < m:
-            for start in reversed(range(0, rows.size, _JOINT_CHUNK)):
-                block = slice(start, start + _JOINT_CHUNK)
-                stack.append((prefixes[block], partial[block], partial_g[block]))
-            continue
-        for start in range(0, rows.size, _JOINT_CHUNK):
-            leaves = prefixes[start:start + _JOINT_CHUNK]
-            values, D = _price(U, VG, prob, leaves)
-            n_evaluated += leaves.shape[0]
-            i = int(np.argmax(values))
-            top = float(values[i])
-            if top > best_val:
-                best_val, best_alloc, best_t = top, leaves[i].copy(), D[i].copy()
-            best = max(best, top)
-            near = values >= best - FEAS_TOL
-            cand_vals.append(values[near])
-            cand_base.append((opt_y[leaves[near]] == cost.y0_index).all(axis=1))
+    # the first strict improvement in lexicographic order is the smallest
+    # assignment of the maximal value
+    for leaves in [_product(kept)] if n_kept <= _JOINT_CHUNK else depth_first():
+        values, D = _price(U, VG, prob, leaves)
+        n_evaluated += leaves.shape[0]
+        i = int(np.argmax(values))
+        top = float(values[i])
+        if top > best_val:
+            best_val, best_alloc, best_t = top, leaves[i].copy(), D[i].copy()
+        best = max(best, top)
+        near = values >= best - FEAS_TOL
+        cand_vals.append(values[near])
+        cand_base.append((opt_y[leaves[near]] == cost.y0_index).all(axis=1))
 
     if best_alloc is None:
         raise StructuralError("joint search found no feasible assignment")
@@ -450,10 +568,9 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
                      tuple(float(t) for t in best_t))
     return JointSolveResult(
         best_val, mech, bool(baseline_mask.any()), bool(baseline_mask.all()),
-        {"method": "branch_and_bound", "enumerated": total,
-         "evaluated": n_evaluated, "nodes": n_nodes,
+        {**certificate, "evaluated": n_evaluated, "nodes": n_nodes,
          "optima": int(baseline_mask.size),
-         "root_certified": bool(bound[0] <= best_val + FEAS_TOL)})
+         "root_certified": bool(root <= best_val + FEAS_TOL)})
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .model import (FEAS_TOL, PROB_TOL, VALUE_TOL, CostlySpec,
                     check_ic, check_ir, frozen_array, ic_gains,
                     ir_shortfalls, mechanism_value, payoff_tables,
                     validate_instance)
-from .solver import (DEFAULT_GUARD, joint_space, productive_marginal,
-                     solve_full_1d, solve_joint)
+from .solver import (DEFAULT_GUARD, productive_marginal, solve_full_1d,
+                     solve_joint)
 from .stochastics import (TypePath, _row_cdfs, _unordered_rows,
                           level_couplings, scalar_levels)
 
@@ -77,11 +77,11 @@ def verify_theorem1(inst: ScreeningInstance,
     is diagnostic: the gap is whatever it is and `passed` stays False without
     implying an error. One `level_couplings` pass serves the monotonicity
     check, the productive marginal and the joint bound, and the scalar optimum
-    seeds the joint search; the size guard is checked before either solve.
+    seeds the joint search. The size guard bounds the rows the joint solver
+    prices (`solve_joint`), so it is checked after the scalar solve.
     """
     levels = level_couplings(inst)
     status = validate_instance(inst, levels)
-    joint_space(inst, guard)
     productive = solve_full_1d(productive_marginal(inst, levels))
     joint = solve_joint(inst, guard=guard, levels=levels, full1d=productive)
     gap = joint.value - productive.value

@@ -99,6 +99,8 @@ def u_region_decomposition(x: Sequence) -> URegions:
             i = dest
         else:
             i += 1
+    if not regions:
+        return URegions((), tuple(range(n)))
     covered = set()
     for origin, dest in regions:
         covered.update(range(origin, min(dest, n - 1) + 1))
@@ -107,6 +109,18 @@ def u_region_decomposition(x: Sequence) -> URegions:
     free = tuple(j for j in range(n)
                  if j not in covered or (j in dests and j not in origins))
     return URegions(tuple(regions), free)
+
+
+def _allocation(inst: OneDimInstance, x_idx: Sequence) -> np.ndarray:
+    """x_idx as an index array; StructuralError unless it holds one integer
+    index into the allocation grid per type."""
+    x = np.asarray(x_idx)
+    if x.shape != (inst.n,):
+        raise StructuralError("allocation must assign one entry per type")
+    if x.dtype.kind not in "iu" or ((x < 0) | (x >= inst.n_alloc)).any():
+        raise StructuralError(
+            f"allocation entries must be integer indices in [0, {inst.n_alloc})")
+    return x
 
 
 def closed_form_downward_transfers(inst: OneDimInstance, x_idx: Sequence) -> np.ndarray:
@@ -124,12 +138,7 @@ def closed_form_downward_transfers(inst: OneDimInstance, x_idx: Sequence) -> np.
     raises StructuralError as well. `solve_full_1d` and `solve_downward_1d`
     run the unchecked kernel and guard its result themselves.
     """
-    x = np.asarray(x_idx)
-    if x.shape != (inst.n,):
-        raise StructuralError("allocation must assign one entry per type")
-    if x.dtype.kind not in "iu" or ((x < 0) | (x >= inst.n_alloc)).any():
-        raise StructuralError(
-            f"allocation entries must be integer indices in [0, {inst.n_alloc})")
+    x = _allocation(inst, x_idx)
     if (np.diff(inst.u, axis=1) < -FEAS_TOL).any():
         raise StructuralError("closed-form transfers need u nondecreasing in the type")
     if (np.diff(np.diff(inst.u, axis=0), axis=1) < -FEAS_TOL).any():
@@ -283,7 +292,7 @@ def binding_report(inst: OneDimInstance, x_idx: Sequence, t: Sequence,
 
 def _onedim_payoffs(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> np.ndarray:
     """Agent table (deviator, target): u[x_q, p] - t_q."""
-    return inst.u[np.asarray(x_idx, dtype=int)].T - np.asarray(t, dtype=float)
+    return inst.u[_allocation(inst, x_idx)].T - np.asarray(t, dtype=float)
 
 
 def onedim_ic_violations(inst: OneDimInstance, x_idx: Sequence, t: Sequence,
@@ -299,7 +308,14 @@ def onedim_ir_violations(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> 
 
 
 def onedim_value(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> float:
-    """Expected principal payoff of (x, t) under truthful play."""
+    """Expected principal payoff of (x, t) under truthful play; an
+    allocation entry that is not an integer index into the grid raises
+    StructuralError."""
+    return _onedim_value(inst, _allocation(inst, x_idx), t)
+
+
+def _onedim_value(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> float:
+    """`onedim_value` with no checks, for the solvers' own allocations."""
     terms = inst.mu * (inst.v[np.asarray(x_idx, dtype=np.intp), np.arange(inst.n)]
                        + np.asarray(t, dtype=float))
     # added in type order from 0.0: np.sum would add pairwise

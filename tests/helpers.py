@@ -3,8 +3,14 @@ import json
 
 import numpy as np
 
-from screenkit import GeneratorKnobs, Mechanism, u_region_decomposition
-from screenkit.solver import _batch_transfers
+from itertools import combinations_with_replacement
+
+from screenkit import (FEAS_TOL, GeneratorKnobs, Mechanism, StructuralError,
+                       level_couplings, productive_marginal, solve_full_1d,
+                       u_region_decomposition)
+from screenkit.solver import (_batch_transfers, _option_tables,
+                              _path_rent_bound, _price)
+from screenkit.transfers import URegions
 
 #: The knob sets of the theorem's acceptance criterion: positive instances
 #: in dims 1 and 2, with strictly and weakly costly instruments.
@@ -50,6 +56,37 @@ def ic_mechanism_on_line(line, rng, want_instrument=True):
 def canonical_json_oracle(obj) -> str:
     """The contract `io.canonical_json` meets byte for byte."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def u_regions_by_sets(x) -> URegions:
+    """`u_region_decomposition` filtering every index through the covered,
+    origin and destination sets, with or without a region."""
+    x = list(x)
+    n = len(x)
+    regions = []
+    i = 0
+    while i < n - 1:
+        if x[i + 1] < x[i]:
+            origin = i
+            dest = n
+            for j in range(origin + 1, n):
+                if x[j] > x[origin]:
+                    dest = j
+                    break
+            regions.append((origin, dest))
+            if dest >= n:
+                break
+            i = dest
+        else:
+            i += 1
+    covered = set()
+    for origin, dest in regions:
+        covered.update(range(origin, min(dest, n - 1) + 1))
+    origins = {origin for origin, _ in regions}
+    dests = {dest for _, dest in regions if dest < n}
+    free = tuple(j for j in range(n)
+                 if j not in covered or (j in dests and j not in origins))
+    return URegions(tuple(regions), free)
 
 
 def closed_form_loop(u_rows: list, x_idx) -> np.ndarray:
@@ -109,3 +146,78 @@ def full1d_allocation_loop(inst) -> tuple:
         x_idx.append(c)
         floor = c
     return tuple(x_idx)
+
+
+# ---------------------------------------------------------------------------
+# the joint search before the root filter
+# ---------------------------------------------------------------------------
+
+
+def unfiltered_joint(inst, chunk=1 << 14):
+    """Depth-first joint search over every option, without ironing or root
+    filter: the full1d row lifted to baseline and the monotone seed set the
+    incumbent, and prefixes fall only to the surplus and path-rent bounds.
+
+    Returns (value, x, y, t, some_optimum_baseline, all_optima_baseline,
+    number of optima), the mechanism being the first assignment in
+    lexicographic order that attains the maximal value.
+    """
+    cost, dist = inst.costly, inst.dist
+    m = inst.n_support
+    levels = level_couplings(inst)
+    try:
+        full1d = solve_full_1d(productive_marginal(inst, levels))
+    except StructuralError:
+        full1d = None
+    prob = np.asarray(dist.prob)
+    opt_x, opt_y, U, VG = _option_tables(inst)
+    surplus = prob[:, None] * (U + VG)
+    g, lift = _path_rent_bound(inst, levels, U, VG)
+    rest = np.append(np.cumsum(surplus.max(axis=1)[::-1])[::-1], 0.0)
+    bound = np.append(np.cumsum(g.max(axis=1)[::-1])[::-1], 0.0) + lift
+    level_of = np.searchsorted(levels.a_indices, [a for a, _ in dist.support])
+    best = -np.inf
+    if full1d is not None:
+        lifted = np.array(full1d.x_idx)[level_of] * cost.n_alloc + cost.y0_index
+        best = float(_price(U, VG, prob, lifted[None, :])[0][0])
+    if best < bound[0] - FEAS_TOL:
+        menus = np.array(list(combinations_with_replacement(
+            range(inst.productive.n_alloc), levels.a_indices.size)))
+        x = menus[:, level_of] * cost.n_alloc + cost.y0_index
+        best = max(best, float(_price(U, VG, prob, x)[0].max()))
+
+    cand_vals, cand_base = [], []
+    best_val, best_alloc, best_t = -np.inf, None, None
+    stack = [(np.zeros((1, 0), dtype=np.intp), np.zeros(1), np.zeros(1))]
+    while stack:
+        prefixes, partial, partial_g = stack.pop()
+        d = prefixes.shape[1]
+        child = partial[:, None] + surplus[d]
+        child_g = partial_g[:, None] + g[d]
+        floor = best - FEAS_TOL
+        keep = (child >= floor - rest[d + 1]) & (child_g >= floor - bound[d + 1])
+        rows, opts = np.nonzero(keep)
+        if not rows.size:
+            continue
+        prefixes = np.column_stack((prefixes[rows], opts))
+        partial, partial_g = child[rows, opts], child_g[rows, opts]
+        if d + 1 < m:
+            for start in reversed(range(0, rows.size, chunk)):
+                block = slice(start, start + chunk)
+                stack.append((prefixes[block], partial[block], partial_g[block]))
+            continue
+        for start in range(0, rows.size, chunk):
+            leaves = prefixes[start:start + chunk]
+            values, D = _price(U, VG, prob, leaves)
+            i = int(np.argmax(values))
+            if values[i] > best_val:
+                best_val, best_alloc, best_t = float(values[i]), leaves[i], D[i]
+            best = max(best, float(values[i]))
+            near = values >= best - FEAS_TOL
+            cand_vals.append(values[near])
+            cand_base.append((opt_y[leaves[near]] == cost.y0_index).all(axis=1))
+    optimal = np.concatenate(cand_vals) >= best_val - FEAS_TOL
+    baseline = np.concatenate(cand_base)[optimal]
+    return (best_val, tuple(opt_x[best_alloc]), tuple(opt_y[best_alloc]),
+            tuple(float(t) for t in best_t), bool(baseline.any()),
+            bool(baseline.all()), int(baseline.size))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import screenkit
 from screenkit.cli import build_parser, main
+from screenkit.solver import DEFAULT_GUARD
 
 from helpers import canonical_json_oracle
 
@@ -166,10 +167,35 @@ def test_one_level_table_per_command(argv, capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
-def test_guard_exceeded_is_exit_2(capsys):
-    code, _ = run(capsys, "solve", "--instance", EX2, "--mode", "joint",
-                  "--guard", "8")
-    assert code == 2
+def test_guard_exceeded_is_exit_2(capsys, tmp_path):
+    # the guard bounds the rows the joint solver prices: on this negative
+    # instance the root bound misses, so the monotone seed prices 6 menus
+    # and the root filter keeps 144 of the 1,296 assignments
+    path = tmp_path / "negative-11.json"
+    screenkit.save_instance(screenkit.random_negative_instance(11, stream=7), path)
+    for command in (["solve", "--mode", "joint"], ["verify"]):
+        for guard, want in (("100", 2), ("149", 2), ("150", 0)):
+            code, _ = run(capsys, *command, "--instance", str(path),
+                          "--guard", guard)
+            assert code == want, (command, guard)
+
+
+def test_space_beyond_the_guard_verifies_when_the_bound_keeps_little(capsys, tmp_path):
+    # 13 support points and 9 options: 9^13 assignments, far above the
+    # default guard, of which the root filter keeps a handful
+    inst = screenkit.random_positive_instance(2, screenkit.GeneratorKnobs(
+        n_a=8, n_b=4, n_x=3, n_y=3, max_paths=2))
+    assert 9 ** inst.n_support > DEFAULT_GUARD
+    path = tmp_path / "large.json"
+    screenkit.save_instance(inst, path)
+    code, out = run(capsys, "verify", "--instance", str(path))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    code, out = run(capsys, "solve", "--mode", "joint", "--instance", str(path))
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["enumerated"] == 9 ** inst.n_support
+    assert cert["root_certified"] and cert["kept"] <= 64
 
 
 def test_missing_file_is_exit_1(capsys):

@@ -12,6 +12,8 @@ from screenkit import (FEAS_TOL, NotImplementable, OneDimInstance,
                        random_onedim_instance, solve_downward_1d,
                        solve_full_1d, u_region_decomposition)
 
+from helpers import u_regions_by_sets
+
 
 def test_u_regions_monotone_has_none():
     regions = u_region_decomposition([0, 0, 1, 2])
@@ -161,6 +163,36 @@ def test_closed_form_rejects_a_fractional_index():
 def test_closed_form_rejects_an_index_past_the_grid():
     with pytest.raises(StructuralError, match=BAD_INDEX):
         closed_form_downward_transfers(random_onedim_instance(1, n=3, n_x=3), [0, 1, 3])
+
+
+@pytest.mark.parametrize("x", [[0, 1, -1], [0.5, 1, 2], [0, 1, 2.9]],
+                         ids=["wrapping", "fractional", "truncated"])
+def test_evaluation_and_checks_reject_a_bad_index(x):
+    # -1 would wrap to the last allocation and 0.5 and 2.9 truncate, each
+    # pricing as (0, 1, 2) does
+    inst = random_onedim_instance(1, n=3, n_x=3)
+    for check in (onedim_value, onedim_ic_violations, onedim_ir_violations):
+        with pytest.raises(StructuralError, match=BAD_INDEX):
+            check(inst, x, [0.0, 0.0, 0.0])
+
+
+def test_u_regions_match_the_set_filter_on_random_allocations():
+    # the scan returns at once when it finds no region; with regions, and
+    # with a sentinel destination, it filters as before
+    rng = np.random.default_rng(38)
+    shapes = {"none": 0, "region": 0, "sentinel": 0}
+    for n in (1, 2, 3, 5, 8, 13):
+        for _ in range(60):
+            x = rng.integers(0, 4, n)
+            if rng.random() < 0.3:
+                x = np.sort(x)
+            got = u_region_decomposition(x.tolist())
+            assert got == u_regions_by_sets(x.tolist())
+            if not got.regions:
+                shapes["none"] += 1
+            else:
+                shapes["sentinel" if got.regions[-1][1] == n else "region"] += 1
+    assert min(shapes.values()) > 0
 
 
 def test_solvers_guard_the_unchecked_closed_form_themselves():
