@@ -18,7 +18,7 @@ import numpy as np
 from .errors import SizeGuardExceeded, StructuralError
 from .model import (FEAS_TOL, JointDistribution, Mechanism, ScreeningInstance)
 from .stochastics import LevelCouplings, level_couplings, scalar_levels
-from .transfers import OneDimInstance, _closed_form, _onedim_value
+from .transfers import OneDimInstance, _closed_form, onedim_value
 
 #: Default ceiling on the allocations or assignment rows an exact solver
 #: enumerates or prices.
@@ -27,7 +27,9 @@ DEFAULT_GUARD = 10 ** 7
 #: Allocations `solve_downward_1d` prices per block.
 _DOWNWARD_CHUNK = 1 << 14
 
-#: Prefixes, seed menus or leaves `solve_joint` extends or prices per block.
+#: Cells in the tables of one block of prefixes, seed menus or leaves that
+#: `solve_joint` extends or prices (at least one row per block), and of one
+#: block of its line search.
 _JOINT_CHUNK = 1 << 14
 
 #: Bellman-Ford slack: distances that still fall by more than this after m
@@ -200,7 +202,7 @@ def solve_full_1d(inst: OneDimInstance) -> SolveResult:
             f"closed-form transfers leave type {worst} a deviation gain of "
             f"{gain[worst]:.3g}; instance likely violates increasing "
             f"differences")
-    value = _onedim_value(inst, x_idx, t)
+    value = onedim_value(inst, x_idx, t)
     dp_value = stage_g[0][0]
     if abs(value - dp_value) > FEAS_TOL:
         raise StructuralError(
@@ -340,18 +342,29 @@ def _line_min(G: np.ndarray, h: np.ndarray) -> float:
     """A mu >= 0 minimising sum_r max_a (G[r, a] + mu h[r, a]).
 
     The sum is convex and piecewise linear in mu, so its minimum lies at 0
-    or where two lines of one row cross; every such point is tried. Of a
-    flat stretch of minima the middle is taken: no row's lines cross inside
-    it, so the move leaves no new tie for the root filter to keep, and the
-    search does not stall at a kink where only a joint move of two
-    multipliers lowers the bound. A stretch open to the right keeps its
-    left end.
+    or at a kink of some row's upper envelope. A line leaves its row's
+    envelope, if ever, where the first steeper line crosses it, so those
+    points, at most one per line, hold every kink; the sum is tried there
+    and just beyond the last. Of a flat stretch of minima the middle is
+    taken: no row's lines cross inside it, so the move leaves no new tie
+    for the root filter to keep, and the search does not stall at a kink
+    where only a joint move of two multipliers lowers the bound. A stretch
+    open to the right keeps its left end. Tables are built in blocks of
+    about `_JOINT_CHUNK` cells.
     """
-    rise = h[:, None, :] - h[:, :, None]           # [r, a, b]: h_b - h_a
-    up = rise > 0
-    cross = (G[:, :, None] - G[:, None, :])[up] / rise[up]
-    mus = np.concatenate(([0.0], np.sort(cross[cross > 0])))
-    total = (G[:, :, None] + h[:, :, None] * mus).max(axis=1).sum(axis=0)
+    step = max(1, _JOINT_CHUNK // G.size)
+    leave = []
+    for k in range(0, G.shape[1], step):
+        rise = h[:, None, :] - h[:, k:k + step, None]    # [r, a, b]: h_b - h_a
+        cross = np.divide(G[:, k:k + step, None] - G[:, None, :], rise,
+                          out=np.full(rise.shape, np.inf), where=rise > 0)
+        leave.append(cross.min(axis=2).ravel())
+    mus = np.concatenate(leave)
+    mus = np.sort(mus[(mus > 0) & (mus < np.inf)])
+    mus = np.concatenate(([0.0], mus, [2 * mus[-1] + 1 if mus.size else 1.0]))
+    total = np.concatenate([
+        (G[:, :, None] + h[:, :, None] * mus[k:k + step]).max(axis=1).sum(axis=0)
+        for k in range(0, mus.size, step)])
     at_min = np.flatnonzero(total == total.min())
     lo, hi = mus[at_min[0]], mus[at_min[-1]]
     return float(lo if at_min[-1] == mus.size - 1 else 0.5 * (lo + hi))
@@ -380,18 +393,6 @@ def _iron(g: np.ndarray, terms, pairs: list, target: float) -> np.ndarray:
         if root >= start - FEAS_TOL:
             break
     return g
-
-
-def _product(kept: list) -> np.ndarray:
-    """Every row of the product of the option lists `kept`, in lexicographic
-    order when each list is sorted."""
-    n = prod(k.size for k in kept)
-    rows = np.empty((n, len(kept)), dtype=np.intp)
-    ids = np.arange(n)
-    for p in range(len(kept) - 1, -1, -1):
-        rows[:, p] = kept[p][ids % kept[p].size]
-        ids //= kept[p].size
-    return rows
 
 
 def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
@@ -441,18 +442,19 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     each point keeps only the options within the slack of its maximum.
     The size guard bounds the rows the solver may price, the seed menus
     plus the kept product. When that product is the lifted row alone, it is
-    the answer. When it fits one block of `_JOINT_CHUNK` rows, it is priced
-    whole in lexicographic order. Otherwise a depth-first search assigns
-    support points in support order, extending blocks of up to
-    `_JOINT_CHUNK` prefixes by every kept option in lexicographic order, and
-    drops a prefix when its surplus plus the most surplus the remaining
-    points can add (sound: transfers never exceed willingness to pay), or
-    its partial g plus the most g they can add, falls below the incumbent.
-    Leaf pricing rejects every assignment no transfers implement (a
-    negative IC cycle). Every test allows FEAS_TOL, so no assignment within
-    FEAS_TOL of the optimum is dropped: the optimal set is classified
-    exactly, ties kept, and the mechanism is the lexicographically smallest
-    assignment of the maximal value.
+    the answer. Otherwise a depth-first search assigns support points in
+    support order, extending blocks of prefixes by every kept option in
+    lexicographic order, and drops a prefix when its surplus plus the most
+    surplus the remaining points can add (sound: transfers never exceed
+    willingness to pay), or its partial g plus the most g they can add,
+    falls below the incumbent. Prefix, menu and leaf blocks are sized so
+    that their tables, m * m cells per priced row, hold about
+    `_JOINT_CHUNK` cells, however large the support. Leaf pricing rejects
+    every assignment no transfers implement (a negative IC cycle). Every
+    test allows FEAS_TOL, so no assignment within FEAS_TOL of the optimum
+    is dropped: the optimal set is classified exactly, ties kept, and the
+    mechanism is the lexicographically smallest assignment of the maximal
+    value.
     """
     cost, dist = inst.costly, inst.dist
     levels = level_couplings(inst) if levels is None else levels
@@ -461,12 +463,12 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
             full1d = solve_full_1d(productive_marginal(inst, levels))
         except StructuralError:
             pass  # off the assumptions; the monotone seed stands in
-    prob = np.asarray(dist.prob)
+    prob, m = np.asarray(dist.prob), inst.n_support
     opt_x, opt_y, U, VG = _option_tables(inst)
     g, lift = _path_rent_bound(inst, levels, U, VG)
     level_of = np.searchsorted(levels.a_indices, [a for a, _ in dist.support])
     certificate = {"method": "branch_and_bound",
-                   "enumerated": opt_x.size ** inst.n_support}
+                   "enumerated": opt_x.size ** m}
 
     best = -np.inf
     n_evaluated = 0
@@ -487,34 +489,34 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
         if n_seed > guard:
             raise SizeGuardExceeded("joint search too large", n_seed, guard)
         menus = combinations_with_replacement(range(n_x), n_levels)
-        while block := list(islice(menus, _JOINT_CHUNK)):
+        # (menus, m, m) pricing tables of about _JOINT_CHUNK cells
+        while block := list(islice(menus, max(1, _JOINT_CHUNK // m ** 2))):
             menu_x = np.array(block)[:, level_of]
             seed_values, _ = _price(U, VG, prob,
                                     menu_x * cost.n_alloc + cost.y0_index)
             n_evaluated += len(block)
             best = max(best, float(seed_values.max()))
 
-    keep = g >= g.max(axis=1, keepdims=True) - (root - best + FEAS_TOL)
-    n_kept = prod(keep.sum(axis=1).tolist())
+    kept = [np.flatnonzero(row) for row in
+            g >= g.max(axis=1, keepdims=True) - (root - best + FEAS_TOL)]
+    n_kept = prod(k.size for k in kept)
     if n_seed + n_kept > guard:
         raise SizeGuardExceeded("joint search too large", n_seed + n_kept, guard)
     certificate["kept"] = n_kept
-    if n_kept == 1 and full1d is not None and keep[np.arange(g.shape[0]), lifted].all():
+    if n_kept == 1 and full1d is not None and [k[0] for k in kept] == lifted.tolist():
         mech = Mechanism(tuple(opt_x[lifted]), tuple(opt_y[lifted]),
                          tuple(float(t) for t in D[0]))
         return JointSolveResult(best, mech, True, True, {
             **certificate, "evaluated": n_evaluated, "nodes": 0, "optima": 1,
             "root_certified": bool(root <= best + FEAS_TOL)})
-
-    kept = [np.flatnonzero(row) for row in keep]
     n_nodes = 0
 
     def depth_first():
-        # blocks of prefixes: at most _JOINT_CHUNK * A prefixes live per
-        # depth whatever the prune rate, and leaves come out in
+        # prefixes in support order, extended and priced in blocks whose
+        # tables hold about _JOINT_CHUNK cells; leaves come out in
         # lexicographic order
         nonlocal n_nodes
-        m = len(kept)
+        block = max(1, _JOINT_CHUNK // (m * max(m, max(k.size for k in kept))))
         surplus = [prob[p] * (U[p, k] + VG[p, k]) for p, k in enumerate(kept)]
         gain = [g[p, k] for p, k in enumerate(kept)]
         # rest[d], bound[d]: the most surplus and g points d, ..., m - 1 can add
@@ -524,23 +526,20 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
         while stack:
             prefixes, partial, partial_g = stack.pop()
             d = prefixes.shape[1]
+            if d == m:
+                yield prefixes
+                continue
             child = partial[:, None] + surplus[d]                 # (k, kept)
             child_g = partial_g[:, None] + gain[d]
             floor = best - FEAS_TOL
             alive = (child >= floor - rest[d + 1]) & (child_g >= floor - bound[d + 1])
             rows, opts = np.nonzero(alive)
             n_nodes += rows.size
-            if not rows.size:
-                continue
             prefixes = np.column_stack((prefixes[rows], kept[d][opts]))
             partial, partial_g = child[rows, opts], child_g[rows, opts]
-            if d + 1 < m:
-                for start in reversed(range(0, rows.size, _JOINT_CHUNK)):
-                    block = slice(start, start + _JOINT_CHUNK)
-                    stack.append((prefixes[block], partial[block], partial_g[block]))
-                continue
-            for start in range(0, rows.size, _JOINT_CHUNK):
-                yield prefixes[start:start + _JOINT_CHUNK]
+            for start in reversed(range(0, rows.size, block)):
+                span = slice(start, start + block)
+                stack.append((prefixes[span], partial[span], partial_g[span]))
 
     cand_vals = []
     cand_base = []
@@ -548,7 +547,7 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     best_alloc = best_t = None
     # the first strict improvement in lexicographic order is the smallest
     # assignment of the maximal value
-    for leaves in [_product(kept)] if n_kept <= _JOINT_CHUNK else depth_first():
+    for leaves in depth_first():
         values, D = _price(U, VG, prob, leaves)
         n_evaluated += leaves.shape[0]
         i = int(np.argmax(values))

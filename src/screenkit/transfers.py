@@ -12,6 +12,7 @@ with the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -99,16 +100,17 @@ def u_region_decomposition(x: Sequence) -> URegions:
             i = dest
         else:
             i += 1
-    if not regions:
-        return URegions((), tuple(range(n)))
-    covered = set()
+    # free: outside every region, or a destination that opens no region
+    free = [True] * n
     for origin, dest in regions:
-        covered.update(range(origin, min(dest, n - 1) + 1))
-    origins = {origin for origin, _ in regions}
-    dests = {dest for _, dest in regions if dest < n}
-    free = tuple(j for j in range(n)
-                 if j not in covered or (j in dests and j not in origins))
-    return URegions(tuple(regions), free)
+        stop = min(dest, n - 1) + 1
+        free[origin:stop] = [False] * (stop - origin)
+    for _, dest in regions:
+        if dest < n:
+            free[dest] = True
+    for origin, _ in regions:
+        free[origin] = False
+    return URegions(tuple(regions), tuple(compress(range(n), free)))
 
 
 def _allocation(inst: OneDimInstance, x_idx: Sequence) -> np.ndarray:
@@ -311,12 +313,7 @@ def onedim_value(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> float:
     """Expected principal payoff of (x, t) under truthful play; an
     allocation entry that is not an integer index into the grid raises
     StructuralError."""
-    return _onedim_value(inst, _allocation(inst, x_idx), t)
-
-
-def _onedim_value(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> float:
-    """`onedim_value` with no checks, for the solvers' own allocations."""
-    terms = inst.mu * (inst.v[np.asarray(x_idx, dtype=np.intp), np.arange(inst.n)]
+    terms = inst.mu * (inst.v[_allocation(inst, x_idx), np.arange(inst.n)]
                        + np.asarray(t, dtype=float))
     # added in type order from 0.0: np.sum would add pairwise
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])

@@ -6,14 +6,17 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import screenkit
+from screenkit import solver
 from screenkit.cli import build_parser, main
 from screenkit.solver import DEFAULT_GUARD
 
@@ -196,6 +199,39 @@ def test_space_beyond_the_guard_verifies_when_the_bound_keeps_little(capsys, tmp
     cert = json.loads(out)["certificate"]
     assert cert["enumerated"] == 9 ** inst.n_support
     assert cert["root_certified"] and cert["kept"] <= 64
+
+
+def test_a_large_pooled_input_solves_in_little_memory(capsys, tmp_path, monkeypatch):
+    # 40 support points on two productive levels and 100 options; the
+    # full1d optimum pools the levels, so the root bound is ironed over 40
+    # rows of 100 lines. A table of the sum at every crossing of two lines
+    # would hold about 6e8 cells
+    x, y, theta_b = np.arange(10.0), np.arange(10.0), np.arange(20.0)
+    theta_a = np.array([0.0, 0.01])
+    inst = screenkit.ScreeningInstance(
+        screenkit.ProductiveSpec(theta_a, x, np.outer(x, 1 + theta_a),
+                                 -np.outer(x ** 2, [0.05, 0.5])),
+        screenkit.CostlySpec(theta_b, y, 0, -np.outer(y, 1 + theta_b / 20),
+                             np.outer(0.5 * y, np.ones(20))),
+        screenkit.JointDistribution(
+            tuple((a, b) for a in range(2) for b in range(20)), np.full(40, 1 / 40)))
+    path = tmp_path / "pooled.json"
+    screenkit.save_instance(inst, path)
+    searched = []
+    line_min = solver._line_min
+    monkeypatch.setattr(solver, "_line_min",
+                        lambda G, h: searched.append(G.shape) or line_min(G, h))
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, "solve", "--mode", "joint", "--instance", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert (40, 100) in searched
+    assert cert["root_certified"] and cert["kept"] == 1
+    assert peak < 32 * 2 ** 20
 
 
 def test_missing_file_is_exit_1(capsys):

@@ -13,7 +13,7 @@ from screenkit import (FEAS_TOL, CostlySpec, GeneratorKnobs,
                        random_negative_instance, random_positive_instance,
                        solve_full_1d, solve_joint, verify_theorem1)
 from screenkit import solver
-from screenkit.solver import (_batch_transfers, _decode, _iron,
+from screenkit.solver import (_batch_transfers, _decode, _iron, _line_min,
                               _ironing_terms, _option_tables,
                               _path_rent_bound, _price)
 
@@ -194,12 +194,25 @@ def test_branch_and_bound_matches_enumeration(name, monkeypatch):
     assert cert["method"] == "branch_and_bound"
     assert cert["enumerated"] == (inst.productive.n_alloc
                                   * inst.costly.n_alloc) ** inst.n_support
-    # the depth-first search runs only when the kept product outgrows one
-    # block; a kept product of one is the lifted full1d row, priced alone
+    # a kept product of one can be the lifted full1d row, priced alone; any
+    # larger one goes to the depth-first search
     assert 1 <= cert["kept"] <= cert["enumerated"]
-    assert (cert["nodes"] > 0) == (cert["kept"] > solver._JOINT_CHUNK)
-    if not cert["nodes"]:
-        assert cert["evaluated"] >= cert["kept"]
+    assert cert["nodes"] > 0 or cert["kept"] == 1
+
+
+@pytest.mark.parametrize("chunk", [solver._JOINT_CHUNK, 200])
+def test_priced_blocks_hold_about_a_chunk_of_cells(chunk, monkeypatch):
+    # a priced block's (rows, m, m) tables hold at most max(chunk, m * m)
+    # cells, whatever the support size m
+    monkeypatch.setattr(solver, "_JOINT_CHUNK", chunk)
+    blocks = []
+    price = solver._price
+    monkeypatch.setattr(solver, "_price", lambda U, VG, prob, allocs: (
+        blocks.append(allocs.shape) or price(U, VG, prob, allocs)))
+    for name in sorted(DIFFERENTIAL):
+        solve_joint(DIFFERENTIAL[name]())
+    assert max(rows for rows, _ in blocks) > 1
+    assert all(rows * m * m <= max(chunk, m * m) for rows, m in blocks)
 
 
 def _filter_cases():
@@ -224,8 +237,8 @@ FILTERED = dict(_filter_cases())
 
 @pytest.mark.parametrize("name", sorted(FILTERED))
 def test_root_filter_matches_the_unfiltered_search(name, monkeypatch):
-    # the ironed bound, the root filter and the one-block pricing classify
-    # the optimal set exactly as the search over every option did
+    # the ironed bound and the root filter classify the optimal set
+    # exactly as the search over every option did
     inst = FILTERED[name]()
     want = unfiltered_joint(inst)
     for chunk in (solver._JOINT_CHUNK, 5):
@@ -471,6 +484,34 @@ def test_ironing_certifies_the_pooled_optima():
                  for seed, res, *_ in _pooled_draws()}
     assert certified == {1: True, 4: False, 10: True, 11: True, 20: False,
                          23: True, 28: True}
+
+
+@pytest.mark.parametrize("chunk", [solver._JOINT_CHUNK, 5])
+def test_line_search_finds_the_least_sum_over_every_crossing(chunk, monkeypatch):
+    # a row's kinks are where a line leaves its envelope, so the sum at the
+    # chosen mu is the least over 0 and every crossing of two lines of a
+    # row; integer tables give ties and flat stretches
+    monkeypatch.setattr(solver, "_JOINT_CHUNK", chunk)
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        r, A = rng.integers(1, 6), rng.integers(1, 9)
+        G = rng.integers(-3, 4, (r, A)) / rng.integers(1, 4)
+        h = rng.integers(-3, 4, (r, A)) / rng.integers(1, 4)
+        h[:, 0] = np.abs(h[:, 0])  # a line per row that never falls: bounded
+        rise = h[:, None, :] - h[:, :, None]
+        cross = (G[:, :, None] - G[:, None, :])[rise > 0] / rise[rise > 0]
+        mus = np.append(cross[cross > 0], 0.0)
+        least = (G[:, :, None] + h[:, :, None] * mus).max(axis=1).sum(axis=0).min()
+        mu = _line_min(G, h)
+        assert mu >= 0
+        assert (G + mu * h).max(axis=1).sum() == pytest.approx(least, abs=1e-12)
+
+
+def test_line_search_takes_the_middle_of_a_closed_flat_stretch():
+    # max(-mu, -1, mu - 3) is least on [1, 2], whose right end is the last
+    # kink; a stretch open to the right keeps its left end
+    assert _line_min(np.array([[0.0, -1.0, -3.0]]), np.array([[-1.0, 0.0, 1.0]])) == 1.5
+    assert _line_min(np.array([[0.0, -1.0]]), np.array([[-1.0, 0.0]])) == 1.0
 
 
 def test_ironing_reaches_the_optimum_of_its_family():
