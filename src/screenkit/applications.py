@@ -212,20 +212,25 @@ def _bundle_options(b: BundleInstance):
     bundles in lexicographic order of grid index within each. Returns agent
     values per type (n_types, n_options), principal utility before transfers
     and the alpha and q rows (n_options, n_bundles) that describe each option.
+
+    The table is built in one pass: a composition using k bundles owns G^k
+    consecutive rows, and the quality slots of a row are the mixed-radix
+    digits of its rank among them, the first used bundle's most significant.
     """
     grid = b.quality_grid
-    steps = grid.size - 1
-    n_bundles = 2 ** b.n_goods
-    alphas, slots = [], []
-    for cuts in itertools.combinations(range(steps + n_bundles - 1), n_bundles - 1):
-        parts = np.diff((-1,) + cuts + (steps + n_bundles - 1,)) - 1
-        used = np.flatnonzero(parts)
-        slot = np.zeros((grid.size ** used.size, n_bundles), dtype=np.intp)
-        slot[:, used] = np.indices((grid.size,) * used.size).reshape(used.size, -1).T
-        slots.append(slot)
-        alphas.append(np.broadcast_to(parts / steps, slot.shape))
-    alpha = np.concatenate(alphas)
-    slot = np.concatenate(slots)
+    g, steps, n_bundles = grid.size, grid.size - 1, 2 ** b.n_goods
+    cuts = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(steps + n_bundles - 1), n_bundles - 1)), dtype=np.intp)
+    parts = np.diff(cuts.reshape(-1, n_bundles - 1), axis=1,
+                    prepend=-1, append=steps + n_bundles - 1) - 1
+    used = parts > 0
+    # place value of each used bundle's slot: G per used bundle after it
+    place = g ** (used[:, ::-1].cumsum(axis=1)[:, ::-1] - used)
+    rows = g ** used.sum(axis=1)
+    comp = np.repeat(np.arange(rows.size), rows)
+    rank = np.arange(comp.size) - np.repeat(rows.cumsum() - rows, rows)
+    slot = np.where(used[comp], rank[:, None] // place[comp] % g, 0)
+    alpha = (parts / steps)[comp]
     q = np.where(alpha > 0, grid[slot], 0.0)
     weights = alpha * q
     U = sum(b.values[:, k, None] * weights[:, k] for k in range(n_bundles))

@@ -24,7 +24,8 @@ from .transfers import OneDimInstance, _closed_form, onedim_value
 #: enumerates or prices.
 DEFAULT_GUARD = 10 ** 7
 
-#: Allocations `solve_downward_1d` prices per block.
+#: Prefixes of one depth (allocations at the last) that `solve_downward_1d`
+#: prices per block of its prefix tree.
 _DOWNWARD_CHUNK = 1 << 14
 
 #: Cells in the tables of one block of prefixes, seed menus or leaves that
@@ -81,21 +82,31 @@ def solve_downward_1d(inst: OneDimInstance,
                       guard: int = DEFAULT_GUARD) -> SolveResult:
     """Maximize expected payoff subject to downward IC and participation only.
 
-    Enumerates every allocation (size-guarded) in lexicographic order, in
-    blocks of `_DOWNWARD_CHUNK`, and keeps the lexicographically smallest
-    maximizer. Optimal allocations here may be non-monotone.
+    Enumerates every allocation (size-guarded) in lexicographic order and
+    keeps the lexicographically smallest maximizer. Optimal allocations here
+    may be non-monotone.
 
     The downward constraints t_p <= t_q + u[x_p, p] - u[x_q, p] (q < p) and
     participation t_p <= u[x_p, p] form an acyclic difference system, so one
-    forward sweep over the types gives a whole block its maximal transfers
-    (Rochet 1987). The sweep rounds differently from the closed form, so
-    allocations whose sweep value comes within a magnitude-scaled tolerance
-    of the running maximum are re-priced with the closed form before the
-    strict comparison in enumeration order; the result is that of closed-form
-    pricing of every allocation, bit for bit. Where the closed form leaves
-    the sweep by more than the tolerance, the table breaks the model's
-    assumptions (u falls in the type or differences decrease), the closed
-    form is infeasible and the sweep's transfers stay.
+    forward sweep over the types gives every allocation its maximal
+    transfers (Rochet 1987). Type p's transfer depends only on x_0 .. x_p, so
+    the sweep runs on the prefix tree of the allocations: each prefix prices
+    its last type once, from its parent's running rents
+    M[q'] = max over placed q of u[x_q, q'] - t_q for the types q' still to
+    place, and extends the payoff, summed type by type from 0.0. Max is
+    exact, so every allocation gets the flat sweep's values bit for bit. The
+    tree is walked depth first in blocks of at most `_DOWNWARD_CHUNK`
+    prefixes of one depth, the last digit fastest, so the leaves come in
+    lexicographic order and memory stays bounded.
+
+    The sweep rounds differently from the closed form, so the leaves whose
+    sweep value comes within a magnitude-scaled tolerance of the running
+    maximum are decoded, swept again for their transfers and re-priced with
+    the closed form before the strict comparison in enumeration order; the
+    result is that of closed-form pricing of every allocation, bit for bit.
+    Where the closed form leaves the sweep by more than the tolerance, the
+    table breaks the model's assumptions (u falls in the type or differences
+    decrease), the closed form is infeasible and the sweep's transfers stay.
     """
     n, n_alloc = inst.n, inst.n_alloc
     total = n_alloc ** n
@@ -105,7 +116,8 @@ def solve_downward_1d(inst: OneDimInstance,
     # re-priced value lies within tol plus rounding of its sweep value, so
     # every maximizer's sweep value comes within 3 * tol of the sweep maximum
     tol = FEAS_TOL * n * (1.0 + np.abs(inst.u).max() + np.abs(inst.v).max())
-    u_by_type = np.ascontiguousarray(inst.u.T)
+    u, mu = inst.u, inst.mu
+    u_by_type = np.ascontiguousarray(u.T)
     v_by_type = np.ascontiguousarray(inst.v.T)
 
     def payoff(x, t):
@@ -113,27 +125,43 @@ def solve_downward_1d(inst: OneDimInstance,
         surplus = np.take_along_axis(v_by_type, x, axis=1) + t
         values = np.zeros(x.shape[1])
         for p in range(n):
-            values += inst.mu[p] * surplus[p]
+            values += mu[p] * surplus[p]
         return values
 
     sweep_best = best = -np.inf
     best_x = best_t = None
-    for start in range(0, total, _DOWNWARD_CHUNK):
-        ids = np.arange(start, min(start + _DOWNWARD_CHUNK, total), dtype=np.int64)
-        x = np.ascontiguousarray(_decode(ids, n, n_alloc).T)   # (n, block)
-        t = np.take_along_axis(u_by_type, x, axis=1)           # u[x_p, p]
-        for p in range(1, n):
-            # the most type p gains by imitating a lower type, or 0
-            rent = (u_by_type[p].take(x[:p]) - t[:p]).max(axis=0)
-            t[p] -= np.maximum(rent, 0.0)
-        values = payoff(x, t)
-        sweep_best = max(sweep_best, values.max())
-        near = np.flatnonzero(values >= sweep_best - 3 * tol)
+    # pending blocks: (depth, first parent id, the parents' rents M for the
+    # types from the depth on and partial payoffs S, child id range); ids
+    # number the prefixes of one depth lexicographically
+    stack = [(0, 0, np.full((1, n), -np.inf), np.zeros(1), 0, n_alloc)]
+    while stack:
+        depth, first, M, S, lo, hi = stack.pop()
+        # priced as (parent, digit) tables over the parents of children
+        # lo .. hi - 1, then cut to those children (at most 2 * n_alloc more)
+        a, b = lo // n_alloc - first, -(-hi // n_alloc) - first
+        cut = slice(lo % n_alloc, lo % n_alloc + hi - lo)
+        M, S = M[a:b], S[a:b]
+        # the most type `depth` gains by imitating a lower type, or 0
+        t = u_by_type[depth] - np.maximum(M[:, :1], 0.0)
+        S = (S[:, None] + mu[depth] * (v_by_type[depth] + t)).ravel()[cut]
+        if depth + 1 < n:
+            M = np.maximum(M[:, None, 1:], u[:, depth + 1:] - t[:, :, None])
+            M = M.reshape(-1, n - depth - 1)[cut]
+            starts = range(lo * n_alloc, hi * n_alloc, _DOWNWARD_CHUNK)
+            stack.extend((depth + 1, lo, M, S, start,
+                          min(start + _DOWNWARD_CHUNK, hi * n_alloc))
+                         for start in reversed(starts))
+            continue
+        sweep_best = max(sweep_best, S.max())
+        near = lo + np.flatnonzero(S >= sweep_best - 3 * tol)
         if near.size == 0:
             continue
-        x, t = x[:, near], t[:, near]
+        x = np.ascontiguousarray(_decode(near, n, n_alloc).T)  # (n, near)
+        t = np.take_along_axis(u_by_type, x, axis=1)           # u[x_p, p]
+        for p in range(1, n):
+            t[p] -= np.maximum((u_by_type[p].take(x[:p]) - t[:p]).max(axis=0), 0.0)
         for k in range(near.size):
-            closed = _closed_form(inst.u, x[:, k])
+            closed = _closed_form(u, x[:, k])
             if np.abs(closed - t[:, k]).max() <= tol:
                 t[:, k] = closed
         values = payoff(x, t)

@@ -535,7 +535,8 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     tail = [1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-7, 1e-8]
     best = search(coarse + tail, None, 0.0)
     if best is not None:
-        refine = [best[0] + 0.001 * k for k in range(-9, 10)]
+        # the coarse best itself is priced already
+        refine = [best[0] + 0.001 * k for k in range(-9, 10) if k]
         best = search([e for e in refine if 0 < e < 0.5], best, _REFINE_SLACK)
     if best is None and closest is not None:
         raise PreconditionFailed(

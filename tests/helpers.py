@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from screenkit import (FEAS_TOL, GeneratorKnobs, Mechanism, StructuralError,
                        level_couplings, productive_marginal, solve_full_1d,
@@ -108,6 +108,28 @@ def closed_form_loop(u_rows: list, x_idx) -> np.ndarray:
             row = u_rows[x_idx[i]]
             local_acc += row[i + 1] - row[i]
     return np.array(t)
+
+
+def bundle_options_loop(b):
+    """`_bundle_options` built one composition at a time: (U, P, alpha, q)."""
+    grid = b.quality_grid
+    steps = grid.size - 1
+    n_bundles = 2 ** b.n_goods
+    alphas, slots = [], []
+    for cuts in combinations(range(steps + n_bundles - 1), n_bundles - 1):
+        parts = np.diff((-1,) + cuts + (steps + n_bundles - 1,)) - 1
+        used = np.flatnonzero(parts)
+        slot = np.zeros((grid.size ** used.size, n_bundles), dtype=np.intp)
+        slot[:, used] = np.indices((grid.size,) * used.size).reshape(used.size, -1).T
+        slots.append(slot)
+        alphas.append(np.broadcast_to(parts / steps, slot.shape))
+    alpha = np.concatenate(alphas)
+    slot = np.concatenate(slots)
+    q = np.where(alpha > 0, grid[slot], 0.0)
+    weights = alpha * q
+    U = sum(b.values[:, k, None] * weights[:, k] for k in range(n_bundles))
+    P = -sum(alpha[:, k] * b.cost_samples[slot[:, k]] for k in range(n_bundles))
+    return U, P, alpha, q
 
 
 def onedim_value_loop(inst, x_idx, t) -> float:

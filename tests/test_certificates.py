@@ -1,13 +1,16 @@
 """Batched certificates against the per-item loops they replaced.
 
-`solve_downward_1d` prices blocks of allocations with one forward sweep and
+`solve_downward_1d` runs one forward sweep on the prefix tree of the
+allocations, `_bundle_options` builds its option table in one pass and
 `certify_bundling` pairs only distinct options whose caps reach the menu; the
 oracles below are the previous implementations, which price every allocation
 with the closed form, every option pair with the two-type relaxation, and
-every pair of distinct options.
+every pair of distinct options. `helpers.bundle_options_loop` builds the
+option table one bundle composition at a time.
 """
 import dataclasses
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ from screenkit.transfers import (graph_optimal_transfers,
                                  onedim_ic_violations, onedim_ir_violations,
                                  onedim_value)
 
-from helpers import closed_form_loop
+from helpers import bundle_options_loop, closed_form_loop
 from test_applications import random_bundle
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -187,19 +190,58 @@ DOWNWARD_CASES = (
         id=f"knobs{s}") for s in range(3)])
 
 
-@pytest.mark.parametrize("chunk", [None, 7], ids=["default_chunk", "chunk7"])
+@pytest.mark.parametrize("chunk", [None, 1, 2, 7, 8],
+                         ids=["default_chunk", "chunk1", "chunk2", "chunk7", "chunk8"])
 @pytest.mark.parametrize("make", DOWNWARD_CASES)
 def test_downward_sweep_matches_closed_form_loop(make, chunk, monkeypatch):
-    # blocks of 7 split ties across blocks
+    # small blocks cut the prefix tree's levels inside a parent's children
+    # and split ties across blocks
     if chunk is not None:
         monkeypatch.setattr(solver, "_DOWNWARD_CHUNK", chunk)
     inst = make()
     assert solve_downward_1d(inst) == downward_oracle(inst)
 
 
+def test_downward_sweep_memory_stays_bounded_by_the_block():
+    # 2^20 allocations: built a whole tree level at a time, the sweep's
+    # traced peak is about 32 MiB; in blocks of _DOWNWARD_CHUNK prefixes it
+    # is about 4 MiB
+    inst = random_onedim_instance(0, n=20, n_x=2)
+    tracemalloc.start()
+    try:
+        res = solve_downward_1d(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.certificate["enumerated"] == 1 << 20
+    assert peak < 8 << 20
+
+
 # ---------------------------------------------------------------------------
 # bundling certificate
 # ---------------------------------------------------------------------------
+
+
+def _additive_bundle(n_goods, points, n_types):
+    # bundle values add up the goods' values, so supersets are worth more
+    rng = np.random.default_rng([n_goods, points, n_types, 923])
+    goods = rng.uniform(0.0, 2.0, (n_types, n_goods))
+    members = (np.arange(2 ** n_goods)[:, None] >> np.arange(n_goods)) & 1
+    cost = np.concatenate([[0.0], np.cumsum(np.sort(rng.uniform(0.05, 0.8, points - 1)))])
+    return BundleInstance(n_goods, goods @ members.T, np.full(n_types, 1.0 / n_types),
+                          np.linspace(0, 1, points), cost)
+
+
+# three goods stop at five grid points: six points already give 0.87 million
+# options
+@pytest.mark.parametrize("n_types", [1, 2])
+@pytest.mark.parametrize("n_goods,points", [(g, k) for g in (1, 2) for k in range(2, 8)]
+                         + [(3, k) for k in range(2, 6)])
+def test_bundle_option_table_matches_the_composition_loop(n_goods, points, n_types):
+    b = _additive_bundle(n_goods, points, n_types)
+    for got, want in zip(_bundle_options(b), bundle_options_loop(b), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 BUNDLE_CASES = (
