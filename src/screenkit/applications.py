@@ -113,8 +113,15 @@ def _group_types(b: BundleInstance, rows: np.ndarray):
     row) index pairs the types occupy; and their masses, summed in type order.
     """
     levels, level = np.unique(b.grand_values, return_inverse=True)
-    points, point = np.unique(rows, axis=0, return_inverse=True)
-    cells, cell = np.unique(level * len(points) + point.reshape(-1),
+    # the rows sorted lexicographically, first column first, and numbered
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    points = rows[start]
+    point = np.empty(len(rows), dtype=np.intp)
+    point[order] = start.cumsum() - 1
+    cells, cell = np.unique(level * len(points) + point,
                             return_inverse=True)
     support = tuple(zip(*np.divmod(cells, len(points))))
     mass = np.bincount(cell, weights=b.prob)
@@ -202,41 +209,101 @@ def solve_bundling(b: BundleInstance) -> BundlingSolution:
                             onedim, reduced)
 
 
-def _bundle_options(b: BundleInstance):
-    """Every probabilistic-bundling option on the shared grid.
+def _option_cells(b: BundleInstance) -> np.ndarray:
+    """Every probabilistic-bundling option on the shared grid, as cells.
 
     An option fixes a bundle distribution alpha (grid-valued, summing to
-    exactly one) and a quality for each bundle it uses. Options come per
-    composition of the grid steps across bundles, compositions in
-    lexicographic order of their cut points and the qualities of the used
-    bundles in lexicographic order of grid index within each. Returns agent
-    values per type (n_types, n_options), principal utility before transfers
-    and the alpha and q rows (n_options, n_bundles) that describe each option.
-
-    The table is built in one pass: a composition using k bundles owns G^k
-    consecutive rows, and the quality slots of a row are the mixed-radix
-    digits of its rank among them, the first used bundle's most significant.
+    exactly one) and a quality for each bundle it uses. Its row holds one
+    cell per bundle, s * G + j, where alpha = s / (G - 1) and j is the
+    quality's grid digit (0 where s = 0). Options come per composition of
+    the grid steps across bundles, compositions in lexicographic order of
+    their cut points and the qualities of the used bundles in lexicographic
+    order of grid index within each. A composition using k bundles owns G^k
+    consecutive rows, whose digits are those of their rank in base G: row
+    r < G^k of one digit table, the first used bundle reading its k-th
+    column from the right, unused bundles a zero column.
     """
-    grid = b.quality_grid
-    g, steps, n_bundles = grid.size, grid.size - 1, 2 ** b.n_goods
+    g, n_bundles = b.quality_grid.size, 2 ** b.n_goods
+    steps = g - 1
     cuts = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
         range(steps + n_bundles - 1), n_bundles - 1)), dtype=np.intp)
-    parts = np.diff(cuts.reshape(-1, n_bundles - 1), axis=1,
-                    prepend=-1, append=steps + n_bundles - 1) - 1
+    cuts = cuts.reshape(-1, n_bundles - 1)
+    bounds = np.empty((len(cuts), n_bundles + 1), dtype=np.intp)
+    bounds[:, 0], bounds[:, 1:-1], bounds[:, -1] = -1, cuts, steps + n_bundles - 1
+    parts = bounds[:, 1:] - bounds[:, :-1] - 1
     used = parts > 0
-    # place value of each used bundle's slot: G per used bundle after it
-    place = g ** (used[:, ::-1].cumsum(axis=1)[:, ::-1] - used)
-    rows = g ** used.sum(axis=1)
-    comp = np.repeat(np.arange(rows.size), rows)
-    rank = np.arange(comp.size) - np.repeat(rows.cumsum() - rows, rows)
-    slot = np.where(used[comp], rank[:, None] // place[comp] % g, 0)
-    alpha = (parts / steps)[comp]
-    q = np.where(alpha > 0, grid[slot], 0.0)
-    weights = alpha * q
-    U = sum(b.values[:, k, None] * weights[:, k] for k in range(n_bundles))
-    # an unused bundle has alpha 0 and slot 0, where the cost is 0
-    P = -sum(alpha[:, k] * b.cost_samples[slot[:, k]] for k in range(n_bundles))
-    return U, P, alpha, q
+    k = used.sum(axis=1)
+    top = int(k.max())
+    digits = np.zeros((g ** top, top + 1), dtype=np.intp)
+    digits[:, :top] = np.indices((g,) * top).reshape(top, -1).T
+    column = np.where(used, used.cumsum(axis=1) - 1 + (top - k)[:, None], top)
+    rows = g ** k
+    rank = np.arange(rows.sum()) - np.repeat(rows.cumsum() - rows, rows)
+    # at most two (options, bundles) tables are alive at once
+    cells = np.repeat(column, rows, axis=0)
+    cells += (rank * (top + 1))[:, None]
+    cells = digits.ravel()[cells]
+    cells += np.repeat(parts * g, rows, axis=0)
+    return cells
+
+
+def _cell_tables(b: BundleInstance):
+    """Per cell s * G + j: alpha s / (G - 1), quality (0 where s = 0), the
+    weight alpha * quality and the cost alpha * C(grid[j])."""
+    grid = b.quality_grid
+    alpha = np.arange(grid.size)[:, None] / (grid.size - 1)
+    q = np.where(alpha > 0, grid, 0.0)
+    return (np.broadcast_to(alpha, q.shape).ravel(), q.ravel(),
+            (alpha * q).ravel(), (alpha * b.cost_samples).ravel())
+
+
+def _agent_values(b: BundleInstance, weight: np.ndarray, cells: np.ndarray):
+    """Agent values per type (n_types, len(cells)), summed over the bundles
+    in order from 0."""
+    return sum(b.values[:, k, None] * weight[cells[:, k]]
+               for k in range(cells.shape[1]))
+
+
+def _principal_values(cost: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Principal utility before transfers, less the costs summed over the
+    bundles in order from 0."""
+    return -sum(cost[cells[:, k]] for k in range(cells.shape[1]))
+
+
+def _bundle_options(b: BundleInstance):
+    """Every probabilistic-bundling option on the shared grid, priced.
+
+    Returns agent values per type (n_types, n_options), principal utility
+    before transfers and the alpha and q rows (n_options, n_bundles) that
+    describe each option, in `_option_cells` order.
+    """
+    cells = _option_cells(b)
+    alpha, q, weight, cost = _cell_tables(b)
+    return (_agent_values(b, weight, cells), _principal_values(cost, cells),
+            alpha[cells], q[cells])
+
+
+def _weight_classes(weight: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Each option's weight class as one int64 key.
+
+    An option's agent values are its bundle weights times the bundle values,
+    summed from bundle 0, whose value is zero: its term and every zero
+    weight, of either sign, add +0.0. Options whose weights on bundles 1 ..
+    B - 1 are equal thus have bitwise equal agent values. The key numbers
+    those weights by their `np.unique` codes in mixed radix, densified by
+    `np.unique` whenever one more digit could overflow int64.
+    """
+    codes, code = np.unique(weight, return_inverse=True)
+    radix = codes.size
+    code = code.astype(np.int64)
+    key, span = code[cells[:, 1]], radix
+    for k in range(2, cells.shape[1]):
+        if span > np.iinfo(np.int64).max // radix:
+            uniq, key = np.unique(key, return_inverse=True)
+            span = uniq.size
+        key = key * radix + code[cells[:, k]]
+        span *= radix
+    return key
 
 
 @dataclass(frozen=True)
@@ -258,15 +325,40 @@ _PAIR_BLOCK = 1 << 16
 def _distinct_options(U: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Ascending indices of the options that no identical option beats.
 
-    Options whose agent-value columns are bitwise identical differ only in
-    principal utility, and a pair's value rises with either option's P, so
-    each such group keeps its largest P, ties going to the smallest index.
+    Options whose columns of U (agent values, or any rows of 64-bit keys)
+    are bitwise identical differ only in principal utility, and a pair's
+    value rises with either option's P, so each such group keeps its largest
+    P, ties going to the smallest index. One lexsort of the bit keys forms
+    the groups; a reduction over each finds its largest P and then the
+    smallest index attaining it, so P itself is never sorted.
     """
     keys = U.view(np.int64)
-    order = np.lexsort((np.arange(P.size), -P, *keys[::-1]))
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (keys[:, order[1:]] != keys[:, order[:-1]]).any(axis=0)
-    return np.sort(order[first])
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(start)
+    P = P[order]
+    best = np.maximum.reduceat(P, starts)[start.cumsum() - 1]
+    first = np.minimum.reduceat(np.where(P == best, order, P.size), starts)
+    return np.sort(first)
+
+
+def _kept_options(b: BundleInstance, cells: np.ndarray, weight: np.ndarray,
+                  P: np.ndarray):
+    """`_distinct_options` of every option, and the kept options' agent
+    values, pricing agent values for one option per weight class only.
+
+    Equal weight classes give bitwise equal agent values, so each class's
+    best option (largest P, then smallest index) is the only one that can be
+    kept; `_distinct_options` over those representatives then merges the
+    classes whose agent values are still equal, such as two bundles of
+    equal value, and keeps exactly the options it keeps over all of them.
+    """
+    reps = _distinct_options(_weight_classes(weight, cells)[None], P)
+    U = _agent_values(b, weight, cells[reps])
+    kept = _distinct_options(U, P[reps])
+    return reps[kept], U[:, kept]
 
 
 def _pair_values(U: np.ndarray, P: np.ndarray, mu: np.ndarray,
@@ -327,11 +419,17 @@ def certify_bundling(b: BundleInstance,
     the continuum optimum at a grid point and the comparison is exact up to
     float tolerance. Supports one or two consumer types.
 
+    Options are held as integer cells (`_option_cells`) and priced through
+    per-cell tables. With one type, every option is priced and the first
+    maximizer wins: a rounding tie in P + U could make any option the first.
     With two types, each pair of options (one per type) is priced by the
     two-type relaxation of the IC and participation constraints. Pairs run
     only over the options `_distinct_options` keeps, which attain the same
-    maximum as all options. A pair's transfers never exceed its
-    participation caps, so pairing option i with j is worth at most
+    maximum as all options; `_kept_options` finds them through integer
+    weight classes, pricing agent values for one option per class only, so
+    the kept options, and the inputs of the pair scan, are the ones every
+    option's agent values give, bit for bit. A pair's transfers never
+    exceed its participation caps, so pairing option i with j is worth at most
     cap1[i] + cap2[j], where cap_k = mu[k] (P + U[k]); float rounding is
     monotone, so the cap bounds the priced value bit for bit. Only pairs
     whose cap reaches the floor `menu_value - FEAS_TOL` are priced: rows and
@@ -358,18 +456,20 @@ def certify_bundling(b: BundleInstance,
         raise SizeGuardExceeded("bundling option enumeration too large",
                                 n_options, DEFAULT_GUARD)
     menu_value = (solve_bundling(b) if solution is None else solution).value
-    U, P, alpha, q = _bundle_options(b)
+    cells = _option_cells(b)
+    alpha, q, weight, cost = _cell_tables(b)
+    P = _principal_values(cost, cells)
 
     def descriptor(i):
-        return (tuple(alpha[i]), tuple(q[i]))
+        return (tuple(alpha[cells[i]]), tuple(q[cells[i]]))
 
     if b.n_types == 1:
-        vals = P + U[0]
+        vals = P + _agent_values(b, weight, cells)[0]
         best = int(np.argmax(vals))
         return BundlingCertificate(float(vals[best]), float(menu_value),
                                    n_options, (descriptor(best),))
-    keep = _distinct_options(U, P)
-    U, P = U[:, keep], P[keep]
+    keep, U = _kept_options(b, cells, weight, P)
+    P = P[keep]
     floor = menu_value - FEAS_TOL
     best_val, best_pair = _best_pair(U, P, b.prob, floor)
     if not best_val >= floor:

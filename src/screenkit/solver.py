@@ -102,8 +102,9 @@ def solve_downward_1d(inst: OneDimInstance,
     The sweep rounds differently from the closed form, so the leaves whose
     sweep value comes within a magnitude-scaled tolerance of the running
     maximum are decoded, swept again for their transfers and re-priced with
-    the closed form before the strict comparison in enumeration order; the
-    result is that of closed-form pricing of every allocation, bit for bit.
+    the closed form, one call per block, before the strict comparison in
+    enumeration order; the result is that of closed-form pricing of every
+    allocation, bit for bit.
     Where the closed form leaves the sweep by more than the tolerance, the
     table breaks the model's assumptions (u falls in the type or differences
     decrease), the closed form is infeasible and the sweep's transfers stay.
@@ -160,10 +161,9 @@ def solve_downward_1d(inst: OneDimInstance,
         t = np.take_along_axis(u_by_type, x, axis=1)           # u[x_p, p]
         for p in range(1, n):
             t[p] -= np.maximum((u_by_type[p].take(x[:p]) - t[:p]).max(axis=0), 0.0)
-        for k in range(near.size):
-            closed = _closed_form(u, x[:, k])
-            if np.abs(closed - t[:, k]).max() <= tol:
-                t[:, k] = closed
+        closed = _closed_form(u, x)
+        agree = np.abs(closed - t).max(axis=0) <= tol
+        t[:, agree] = closed[:, agree]
         values = payoff(x, t)
         k = int(np.argmax(values))
         if values[k] > best:

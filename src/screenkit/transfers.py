@@ -148,28 +148,75 @@ def closed_form_downward_transfers(inst: OneDimInstance, x_idx: Sequence) -> np.
     return _closed_form(inst.u, x)
 
 
+def _regions(block: np.ndarray):
+    """The U-shaped regions of every column of an allocation block (n, k).
+
+    A pass opens each column's next region at its first descent from where
+    the column's scan stands and closes it where the allocation first
+    exceeds the origin's, as `u_region_decomposition` does. Returns the
+    passes, each (mask of the columns holding a region, origins,
+    destinations, n where a region never closes), and the (n - 1, k) mask
+    of the types j < n - 1 from an origin up to before its destination, the
+    ones that are not free (None when no column descends). A single column
+    takes its regions from `u_region_decomposition` instead, one (None,
+    origin, destination) per region.
+    """
+    n, k = block.shape
+    descent = block[1:] < block[:-1]
+    if not descent.any():
+        return [], None
+    if k == 1:  # one column: a scalar scan costs less than a pass per region
+        decomp = u_region_decomposition(block[:, 0].tolist())
+        bound = np.ones((n - 1, 1), dtype=bool)
+        bound[[j for j in decomp.free if j < n - 1]] = False
+        return [(None, origin, dest) for origin, dest in decomp.regions], bound
+    every, types = np.arange(k), np.arange(n)[:, None]
+    passes = []
+    bound = np.zeros_like(descent)
+    scan = np.zeros(k, dtype=np.intp)  # where each column's scan stands
+    while True:
+        opens = descent & (types[:-1] >= scan)
+        found = opens.any(axis=0)
+        if not found.any():
+            return passes, bound
+        origin = opens.argmax(axis=0)
+        above = (block > block[origin, every]) & (types > origin)
+        dest = np.where(above.any(axis=0), above.argmax(axis=0), n)
+        passes.append((found, origin, dest))
+        bound |= found & (types[:-1] >= origin) & (types[:-1] < dest)
+        scan = np.where(found, dest, n)
+
+
 def _closed_form(u: np.ndarray, x_idx: Sequence) -> np.ndarray:
     """`closed_form_downward_transfers` on the table u, with no checks.
 
     Type i pays u[x_i, i] less the running sum of the local steps
     u[x_j, j + 1] - u[x_j, j] over the free j < i, then less one term per
-    region opened below it, region by region. `np.cumsum` adds in type order
-    from 0.0, so every transfer is the one a scalar loop over the types
-    computes, bit for bit.
+    region opened below it, region by region. `x_idx` is one allocation or
+    a block of them as columns (n, k), each column priced as if alone, and
+    `_regions` finds the regions of the whole block at once. `np.cumsum`
+    adds down the type axis from 0.0, so every transfer is the one a scalar
+    loop over the types computes, bit for bit.
     """
     x = np.asarray(x_idx, dtype=np.intp)
-    n = x.size
-    decomp = u_region_decomposition(x.tolist())
-    types = np.arange(n)
-    own = u[x, types]
-    free = np.array([j for j in decomp.free if j < n - 1], dtype=np.intp)
-    step = np.zeros(n)
-    step[free + 1] = u[x[free], free + 1] - own[free]
-    t = own - np.cumsum(step)
-    for origin, dest in decomp.regions:
-        row = u[x[origin]]
-        t[origin + 1:] -= row[np.minimum(dest, types[origin + 1:])] - row[origin]
-    return t
+    block = x.reshape(x.shape[0], -1)
+    types = np.arange(len(block))[:, None]
+    own = u[block, types]
+    step = np.zeros(block.shape)
+    step[1:] = u[block[:-1], types[1:]] - own[:-1]
+    passes, bound = _regions(block)
+    if passes:
+        step[1:][bound] = 0.0
+    t = own - step.cumsum(axis=0)
+    for found, origin, dest in passes:
+        if found is None:  # one column's region: the types above its origin
+            row = u[block[origin, 0]]
+            t[origin + 1:, 0] -= row[np.minimum(dest, types[origin + 1:, 0])] - row[origin]
+        else:
+            row = block[origin, np.arange(block.shape[1])]
+            term = u[row, np.minimum(dest, types)] - u[row, origin]
+            t -= np.where(found & (types > origin), term, 0.0)
+    return t.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

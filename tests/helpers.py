@@ -243,3 +243,85 @@ def unfiltered_joint(inst, chunk=1 << 14):
     return (best_val, tuple(opt_x[best_alloc]), tuple(opt_y[best_alloc]),
             tuple(float(t) for t in best_t), bool(baseline.any()),
             bool(baseline.all()), int(baseline.size))
+
+
+def distinct_options_lexsort(U, P):
+    """`_distinct_options` as one lexsort on (-P, index) within each group of
+    bitwise identical agent-value columns."""
+    keys = U.view(np.int64)
+    order = np.lexsort((np.arange(P.size), -P, *keys[::-1]))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (keys[:, order[1:]] != keys[:, order[:-1]]).any(axis=0)
+    return np.sort(order[first])
+
+
+# ---------------------------------------------------------------------------
+# the six table checks of `validate_instance`, one scalar at a time
+# ---------------------------------------------------------------------------
+
+
+def productive_monotone_loop(spec):
+    for i in range(spec.n_alloc):
+        row = spec.u_a[i]
+        for j in range(spec.n_types - 1):
+            if row[j + 1] < row[j] - FEAS_TOL:
+                return False, (float(spec.x_grid[i]), float(spec.theta_a[j]),
+                               float(spec.theta_a[j + 1])), ""
+    return True, None, ""
+
+
+def increasing_differences_loop(spec):
+    u = spec.u_a
+    for i in range(spec.n_alloc - 1):
+        for j in range(spec.n_types - 1):
+            delta = (u[i + 1, j + 1] - u[i, j + 1]) - (u[i + 1, j] - u[i, j])
+            if not delta > FEAS_TOL:
+                return False, (float(spec.x_grid[i]), float(spec.x_grid[i + 1]),
+                               float(spec.theta_a[j]), float(spec.theta_a[j + 1])), ""
+    return True, None, ""
+
+
+def single_crossing_loop(spec):
+    s = spec.u_a + spec.v_a
+    for i in range(spec.n_alloc - 1):
+        for k in range(i + 1, spec.n_alloc):
+            d = s[k] - s[i]
+            for j in range(spec.n_types - 1):
+                witness = (float(spec.x_grid[i]), float(spec.x_grid[k]),
+                           float(spec.theta_a[j]), float(spec.theta_a[j + 1]))
+                if d[j] > FEAS_TOL and not d[j + 1] > FEAS_TOL:
+                    return False, witness, "strict gain reversed"
+                if d[j] >= -FEAS_TOL and d[j + 1] < -FEAS_TOL:
+                    return False, witness, "weak gain reversed"
+    return True, None, ""
+
+
+def costly_monotone_loop(spec):
+    n = spec.n_types
+    for b in range(n):
+        for c in range(n):
+            if b == c or not np.all(spec.theta_b[b] <= spec.theta_b[c]):
+                continue
+            for y in range(spec.n_alloc):
+                if spec.u_b[y, b] > spec.u_b[y, c] + FEAS_TOL:
+                    return False, (int(y), tuple(spec.theta_b[b]),
+                                   tuple(spec.theta_b[c])), ""
+    return True, None, ""
+
+
+def costly_sign_loop(spec):
+    s = spec.surplus
+    for y in range(spec.n_alloc):
+        for b in range(spec.n_types):
+            if s[y, b] > FEAS_TOL:
+                return False, (int(y), int(b), float(s[y, b])), ""
+    return True, None, ""
+
+
+def baseline_loop(spec):
+    y0 = spec.y0_index
+    for name, tab in (("u_b", spec.u_b), ("v_b", spec.v_b)):
+        for b in range(spec.n_types):
+            if tab[y0, b] != 0.0:
+                return False, (name, int(b), float(tab[y0, b])), ""
+    return True, None, ""

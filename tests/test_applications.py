@@ -7,7 +7,7 @@ from screenkit import (AssumptionFailed, BundleInstance, CompetitiveParams,
                        certify_bundling, competitive_separating, instance_rng,
                        make_application_instance, solve_bundling, solve_joint,
                        validate_instance, verify_theorem1)
-from screenkit.applications import _bundle_options
+from screenkit.applications import _bundle_options, _group_types
 from screenkit.solver import DEFAULT_GUARD
 
 
@@ -43,6 +43,36 @@ def test_reduce_requires_ratio_monotonicity():
                        np.linspace(0, 1, 5), np.zeros(5))
     with pytest.raises(RatioMonotonicityFailed):
         bundling_reduce(b)
+
+
+def _group_types_unique(b, rows):
+    """`_group_types` through `np.unique(rows, axis=0)`."""
+    levels, level = np.unique(b.grand_values, return_inverse=True)
+    points, point = np.unique(rows, axis=0, return_inverse=True)
+    cells, cell = np.unique(level * len(points) + point.reshape(-1),
+                            return_inverse=True)
+    support = tuple(zip(*np.divmod(cells, len(points))))
+    mass = np.bincount(cell, weights=b.prob)
+    return levels, points, support, mass
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_group_types_sorts_rows_like_unique(seed):
+    # few distinct entries, signed zeros among them: rows tie often, on some
+    # columns only
+    rng = instance_rng(seed, stream=503)
+    n, width = 1 + seed % 12, 1 + seed % 3
+    grand = rng.choice([1.0, 2.0, 2.5], n)
+    b = BundleInstance(1, np.column_stack((np.zeros(n), grand)),
+                       np.full(n, 1.0 / n), np.linspace(0, 1, 3), np.zeros(3))
+    rows = rng.choice([-1.0, -0.0, 0.0, 0.5], (n, width))
+    got, want = _group_types(b, rows), _group_types_unique(b, rows)
+    for a, w in zip(got[:2] + got[3:], want[:2] + want[3:], strict=True):
+        assert a.dtype == w.dtype and a.shape == w.shape
+        assert a.tobytes() == w.tobytes()
+    assert got[2] == want[2]
+    assert [type(v) for pair in got[2] for v in pair] == \
+        [type(v) for pair in want[2] for v in pair]
 
 
 def test_ratio_check_groups_types_by_exact_grand_value():

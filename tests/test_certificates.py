@@ -2,11 +2,12 @@
 
 `solve_downward_1d` runs one forward sweep on the prefix tree of the
 allocations, `_bundle_options` builds its option table in one pass and
-`certify_bundling` pairs only distinct options whose caps reach the menu; the
-oracles below are the previous implementations, which price every allocation
-with the closed form, every option pair with the two-type relaxation, and
-every pair of distinct options. `helpers.bundle_options_loop` builds the
-option table one bundle composition at a time.
+`certify_bundling` pairs only distinct options whose caps reach the menu,
+found through weight classes; the oracles below are the previous
+implementations, which price every allocation with the closed form, every
+option pair with the two-type relaxation, and every pair of the options a
+lexsort over every option's agent values keeps. `helpers.bundle_options_loop`
+builds the option table one bundle composition at a time.
 """
 import dataclasses
 import itertools
@@ -22,14 +23,18 @@ from screenkit import (FEAS_TOL, BundleInstance, GeneratorKnobs, OneDimInstance,
                        random_onedim_instance, random_positive_instance,
                        solve_downward_1d)
 from screenkit import applications, solver
-from screenkit.applications import (_best_pair, _bundle_options,
-                                    _distinct_options, solve_bundling)
+from screenkit.applications import (BundlingSolution, _best_pair,
+                                    _bundle_options, _cell_tables,
+                                    _distinct_options, _kept_options,
+                                    _option_cells, _principal_values,
+                                    _weight_classes, solve_bundling)
 from screenkit.solver import SolveResult
 from screenkit.transfers import (graph_optimal_transfers,
                                  onedim_ic_violations, onedim_ir_violations,
                                  onedim_value)
 
-from helpers import bundle_options_loop, closed_form_loop
+from helpers import (bundle_options_loop, closed_form_loop,
+                     distinct_options_lexsort)
 from test_applications import random_bundle
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -115,14 +120,14 @@ def bundling_oracle(b):
 def distinct_scan_oracle(b):
     """(brute-force value, best descriptors) pricing every distinct pair.
 
-    The unpruned scan over `_distinct_options`, in row blocks: the first
-    maximizer in row-major order wins.
+    The unpruned scan over the options `distinct_options_lexsort` keeps of
+    every option, in row blocks: the first maximizer in row-major order wins.
     """
     U, P, alpha, q = _bundle_options(b)
     if b.n_types == 1:
         best = int(np.argmax(P + U[0]))
         return float((P + U[0])[best]), ((tuple(alpha[best]), tuple(q[best])),)
-    keep = _distinct_options(U, P)
+    keep = distinct_options_lexsort(U, P)
     U, P = U[:, keep], P[keep]
     n_k = keep.size
     best_val, best_pair = -np.inf, (0, 0)
@@ -175,8 +180,16 @@ def _decimal_ties(seed):
                           np.arange(n_x, dtype=float), u, v)
 
 
+def _zero_table(n, n_x=3):
+    # u = v = 0: every allocation ties, so every leaf is re-priced
+    return OneDimInstance(np.arange(n, dtype=float), np.full(n, 1.0 / n),
+                          np.arange(n_x, dtype=float), np.zeros((n_x, n)),
+                          np.zeros((n_x, n)))
+
+
 DOWNWARD_CASES = (
-    [pytest.param(lambda k=k: productive_marginal(
+    [pytest.param(lambda: _zero_table(5), id="zeros5")]
+    + [pytest.param(lambda k=k: productive_marginal(
         load_instance(INSTANCE_DIR / f"example{k}.json")), id=f"example{k}")
      for k in (1, 2, 3)]
     + [pytest.param(lambda s=s: random_onedim_instance(
@@ -200,6 +213,26 @@ def test_downward_sweep_matches_closed_form_loop(make, chunk, monkeypatch):
         monkeypatch.setattr(solver, "_DOWNWARD_CHUNK", chunk)
     inst = make()
     assert solve_downward_1d(inst) == downward_oracle(inst)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 27, 81])
+def test_downward_reprices_each_block_of_leaves_in_one_call(chunk, monkeypatch):
+    # 3^7 leaves, all tied: blocks of 3^k prefixes cut the leaves into
+    # 3^7 / 3^k blocks, and each block's leaves are re-priced by one call
+    if chunk is not None:
+        monkeypatch.setattr(solver, "_DOWNWARD_CHUNK", chunk)
+    calls = []
+    closed_form = solver._closed_form
+
+    def spy(u, x):
+        calls.append(np.shape(x))
+        return closed_form(u, x)
+
+    monkeypatch.setattr(solver, "_closed_form", spy)
+    res = solve_downward_1d(_zero_table(7))
+    assert len(calls) == 3 ** 7 // min(chunk or 3 ** 7, 3 ** 7)
+    assert all(shape == (7, 3 ** 7 // len(calls)) for shape in calls)
+    assert res.x_idx == (0,) * 7 and res.value == 0.0
 
 
 def test_downward_sweep_memory_stays_bounded_by_the_block():
@@ -359,6 +392,96 @@ def test_bundling_certificate_invariant_under_relabelling(make, relabel):
     b = make()
     base = certify_bundling(b).brute_force_value
     assert abs(certify_bundling(relabel(b)).brute_force_value - base) <= 1e-12
+
+
+def _bundle_variant(n_goods, points, n_types, variant):
+    """`_additive_bundle` reshaped so that weight classes and agent values
+    part ways, or P ties, or zeros carry a sign."""
+    b = _additive_bundle(n_goods, points, n_types)
+    values, grid, cost = b.values.copy(), b.quality_grid.copy(), b.cost_samples.copy()
+    if variant == "equal_bundles":
+        # goods of equal value: distinct weights on the single-good bundles
+        # give equal agent values
+        members = (np.arange(2 ** n_goods)[:, None] >> np.arange(n_goods)) & 1
+        values = np.outer(np.arange(1.0, n_types + 1), members.sum(axis=1))
+    elif variant == "flat_cost":
+        # free up to the middle of the grid: P ties across alpha splits
+        cost = 1.3 * np.maximum(grid - grid[points // 2], 0.0)
+    elif variant == "nonuniform_grid":
+        grid = np.linspace(0.0, 1.0, points) ** 1.7
+        cost = 0.9 * grid ** 2
+    elif variant == "negative_zero":
+        grid[0], cost[0], values[:, 0] = -0.0, -0.0, -0.0
+    return BundleInstance(n_goods, values, b.prob, grid, cost)
+
+
+BUNDLE_VARIANTS = ["additive", "equal_bundles", "flat_cost", "nonuniform_grid",
+                   "negative_zero"]
+
+
+@pytest.mark.parametrize("variant", BUNDLE_VARIANTS)
+@pytest.mark.parametrize("n_goods,points", [(g, k) for g in (1, 2) for k in (2, 3, 4, 5, 6, 7, 9)]
+                         + [(3, k) for k in range(2, 6)] + [(4, 3), (5, 3)])
+def test_weight_classes_keep_what_every_options_agent_values_keep(n_goods, points, variant):
+    # five goods on the non-uniform 3-point grid: 31 weight codes of radix 5
+    # pass int64, so the key is densified on the way
+    b = _bundle_variant(n_goods, points, 2, variant)
+    U, P, _, _ = _bundle_options(b)
+    want = distinct_options_lexsort(U, P)
+    assert _distinct_options(U, P).tobytes() == want.tobytes()
+    cells = _option_cells(b)
+    _, _, weight, cost = _cell_tables(b)
+    P_cells = _principal_values(cost, cells)
+    assert P_cells.tobytes() == P.tobytes()
+    keep, U_keep = _kept_options(b, cells, weight, P_cells)
+    assert keep.tobytes() == want.tobytes()
+    assert U_keep.tobytes() == U[:, want].tobytes()
+    if n_goods == 5 and variant == "nonuniform_grid":
+        assert np.unique(weight).size ** 31 > np.iinfo(np.int64).max
+    if variant == "equal_bundles" and n_goods > 1:
+        # the second stage merges weight classes here
+        reps = _distinct_options(_weight_classes(weight, cells)[None], P)
+        assert reps.size > keep.size
+
+
+@pytest.mark.parametrize("n_types", [1, 2])
+@pytest.mark.parametrize("variant", BUNDLE_VARIANTS)
+@pytest.mark.parametrize("n_goods,points", [(1, 2), (1, 5), (1, 9), (2, 2), (2, 3),
+                                            (2, 5), (2, 7), (3, 2), (3, 3), (3, 4)])
+def test_weight_class_certificate_matches_the_distinct_scan(n_goods, points, variant,
+                                                            n_types):
+    # a menu value at the optimum prunes to the pairs reaching it; one above
+    # it reaches no pair and rescans them all
+    b = _bundle_variant(n_goods, points, n_types, variant)
+    value, descriptors = distinct_scan_oracle(b)
+    for menu in (value, value + 1.0):
+        cert = certify_bundling(b, BundlingSolution(menu, (), None, None))
+        assert cert.brute_force_value == value
+        assert cert.best_descriptor == descriptors
+        assert [type(v) for d in cert.best_descriptor for row in d for v in row] == \
+            [type(v) for d in descriptors for row in d for v in row]
+
+
+def test_weight_class_certificate_memory_stays_within_two_option_tables():
+    # three goods on a 5-point grid: 66,890 options of 8 cells, 4.3 MB a
+    # table. The certificate's traced peak was 19.5 MiB while it built every
+    # option's alpha, q and agent values; it is about 9 MiB now, two cell
+    # tables. A table indexed by the weight-class key space (10^7 keys here)
+    # would break the bound alone, even one byte a key
+    members = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    base = members @ np.array([1.0, 1.5, 0.75])
+    grid = np.linspace(0.0, 1.0, 5)
+    b = BundleInstance(3, np.array([base, 1.7 * base]), np.array([0.6, 0.4]),
+                       grid, 0.8 * grid ** 2)
+    assert np.unique(_cell_tables(b)[2]).size ** 7 == 10 ** 7
+    tracemalloc.start()
+    try:
+        cert = certify_bundling(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.options == 66_890 and cert.menu_is_optimal
+    assert peak < 12 << 20
 
 
 @pytest.mark.parametrize("seed", range(20))

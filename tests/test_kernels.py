@@ -12,7 +12,7 @@ import pytest
 from screenkit import (OneDimInstance, instance_rng, onedim_value,
                        random_onedim_instance, solve_full_1d,
                        u_region_decomposition)
-from screenkit.transfers import _closed_form
+from screenkit.transfers import _closed_form, _regions
 
 from helpers import closed_form_loop, full1d_allocation_loop, onedim_value_loop
 
@@ -53,6 +53,46 @@ def test_closed_form_cases_reach_regions_and_the_sentinel():
         assert u_region_decomposition(allocations(n, N_X, 0)["dip"]).regions[-1][1] == n
     regions = u_region_decomposition(allocations(320, N_X, 0)["valleys"]).regions
     assert len(regions) == N_X - 1 and regions[0] == (0, 2)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_closed_form_block_prices_each_column_as_the_loop(n):
+    # the four kinds side by side, and random columns: regions of different
+    # counts and ends in one block
+    for seed in range(4):
+        inst = random_onedim_instance(seed, n=n, n_x=N_X, stream=n)
+        rng = instance_rng(seed, stream=557)
+        block = np.column_stack(list(allocations(n, N_X, seed).values())
+                                + [rng.integers(0, N_X, n) for _ in range(12)])
+        t = _closed_form(inst.u, block)
+        assert t.shape == block.shape
+        for k in range(block.shape[1]):
+            assert np.array_equal(bits(t[:, k]),
+                                  bits(closed_form_loop(inst.u.tolist(), block[:, k])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 17])
+def test_block_regions_are_each_columns_decomposition(n):
+    rng = instance_rng(n, stream=563)
+    block = rng.integers(0, 4, (n, 200))
+    passes, bound = _regions(block)
+    for k in range(block.shape[1]):
+        want = u_region_decomposition(block[:, k].tolist())
+        got = [(int(o[k]), int(d[k])) for found, o, d in passes if found[k]]
+        assert tuple(got) == want.regions
+        free = [j for j in range(n - 1) if bound is None or not bound[j, k]]
+        assert free == [j for j in want.free if j < n - 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closed_form_block_of_every_allocation_is_the_loop(n):
+    # every allocation of a 3-point grid, on a random table and on u = 0
+    inst = random_onedim_instance(n, n=n, n_x=3, stream=559)
+    block = np.indices((3,) * n).reshape(n, -1)
+    for u in (inst.u, np.zeros_like(inst.u)):
+        t = _closed_form(u, block)
+        for k in range(block.shape[1]):
+            assert np.array_equal(bits(t[:, k]), bits(closed_form_loop(u.tolist(), block[:, k])))
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -14,7 +14,12 @@ from screenkit import (FEAS_TOL, OUTSIDE, BundleInstance, CostlySpec,
                        mechanism_value, menu_best_response, principal_payoff,
                        productive_marginal, random_positive_instance,
                        save_instance, validate_instance)
+from screenkit import model
 from screenkit.model import frozen_array
+
+from helpers import (baseline_loop, costly_monotone_loop, costly_sign_loop,
+                     increasing_differences_loop, productive_monotone_loop,
+                     single_crossing_loop)
 
 
 def test_example2_payoff_arithmetic():
@@ -235,3 +240,90 @@ def test_loaded_instances_share_their_tables_downstream(tmp_path):
     line = productive_marginal(inst, levels)
     assert line.x_grid is inst.productive.x_grid
     assert line.mu is levels.a_probs
+
+
+# ---------------------------------------------------------------------------
+# the six table checks against their scalar loops
+# ---------------------------------------------------------------------------
+
+
+def _tables(rng, shape, valid):
+    """A table rising in both axes with increasing differences, or, unless
+    `valid`, small multiples of FEAS_TOL around it or alone: ties and exact
+    tolerance edges everywhere."""
+    rows, cols = shape
+    table = np.outer(np.arange(rows), np.arange(cols)) + np.arange(cols) * 0.5
+    if not valid:
+        table = table * rng.integers(0, 2) + rng.integers(-3, 4, shape) * FEAS_TOL
+    return table
+
+
+def _plant(rng, table, scale):
+    """One entry of `table` moved by `scale`, or the table unchanged."""
+    table = table.copy()
+    if rng.random() < 0.8:
+        table[tuple(rng.integers(0, n) for n in table.shape)] += scale
+    return table
+
+
+def _productive(rng, valid):
+    n_x, n_a = rng.integers(1, 6), rng.integers(1, 6)
+    u = _plant(rng, _tables(rng, (n_x, n_a), valid), rng.choice([-2.0, 2.0, -2e-9]))
+    v = _plant(rng, -_tables(rng, (n_x, n_a), valid) * rng.random(),
+               rng.choice([-3.0, 3.0]))
+    return ProductiveSpec(np.arange(n_a, dtype=float), np.arange(n_x, dtype=float), u, v)
+
+
+def _costly(rng, valid):
+    n_b, n_y, dim = rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 4)
+    # distinct points on a small lattice: many ordered pairs and ties per axis
+    lattice = np.indices((3,) * dim).reshape(dim, -1).T
+    theta = lattice[rng.choice(len(lattice), min(n_b, len(lattice)), replace=False)]
+    n_b = len(theta)
+    u = -0.25 * np.maximum(np.arange(n_y)[:, None] - theta.sum(axis=1), 0.0)
+    u = _plant(rng, u + (0 if valid else rng.integers(-2, 3, u.shape) * FEAS_TOL),
+               rng.choice([-1.0, 1.0, 2e-9]))
+    v = _plant(rng, -np.abs(u) - 0.5, rng.choice([1.0, 5.0]))
+    u[0], v[0] = 0.0, 0.0
+    if rng.random() < 0.3:
+        (u if rng.random() < 0.5 else v)[0, rng.integers(0, n_b)] = rng.choice([-0.0, 1e-300, 1.0])
+    return CostlySpec(theta.astype(float), np.arange(n_y, dtype=float), 0, u, v)
+
+
+PRODUCTIVE_CHECKS = [(model._check_productive_monotone, productive_monotone_loop),
+                     (model._check_increasing_differences, increasing_differences_loop),
+                     (model._check_single_crossing, single_crossing_loop)]
+COSTLY_CHECKS = [(model._check_costly_monotone, costly_monotone_loop),
+                 (model._check_costly_sign, costly_sign_loop),
+                 (model._check_baseline, baseline_loop)]
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("seed", range(150))
+def test_table_checks_match_the_scalar_loops(seed, block, monkeypatch):
+    # blocks of one cell build the pairwise tables one row at a time
+    if block is not None:
+        monkeypatch.setattr(model, "_CHECK_BLOCK", block)
+    rng = np.random.default_rng([seed, 547])
+    valid = seed % 3 == 0
+    for checks, spec in ((PRODUCTIVE_CHECKS, _productive(rng, valid)),
+                         (COSTLY_CHECKS, _costly(rng, valid))):
+        for check, loop in checks:
+            got, want = check(spec), loop(spec)
+            assert tuple(got) == want and repr(tuple(got)) == repr(want), check.__name__
+
+
+def test_table_checks_cover_passes_and_each_witness():
+    outcomes = {}
+    for seed in range(150):
+        rng = np.random.default_rng([seed, 547])
+        valid = seed % 3 == 0
+        for checks, spec in ((PRODUCTIVE_CHECKS, _productive(rng, valid)),
+                             (COSTLY_CHECKS, _costly(rng, valid))):
+            for _, loop in checks:
+                passed, _, note = loop(spec)
+                outcomes.setdefault(loop.__name__, set()).add((passed, note))
+    for name, seen in outcomes.items():
+        assert {p for p, _ in seen} == {True, False}, name
+    assert {n for _, n in outcomes["single_crossing_loop"]} >= {
+        "strict gain reversed", "weak gain reversed"}
