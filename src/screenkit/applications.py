@@ -270,19 +270,6 @@ def _principal_values(cost: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return -sum(cost[cells[:, k]] for k in range(cells.shape[1]))
 
 
-def _bundle_options(b: BundleInstance):
-    """Every probabilistic-bundling option on the shared grid, priced.
-
-    Returns agent values per type (n_types, n_options), principal utility
-    before transfers and the alpha and q rows (n_options, n_bundles) that
-    describe each option, in `_option_cells` order.
-    """
-    cells = _option_cells(b)
-    alpha, q, weight, cost = _cell_tables(b)
-    return (_agent_values(b, weight, cells), _principal_values(cost, cells),
-            alpha[cells], q[cells])
-
-
 def _weight_classes(weight: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Each option's weight class as one int64 key.
 

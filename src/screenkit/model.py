@@ -464,98 +464,110 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-#: Most cells a block of the costly-monotonicity pair table holds.
-_CHECK_BLOCK = 1 << 16
-
-#: `np.searchsorted(..., side="right")` codes a gain d as 0 if d < -FEAS_TOL,
-#: 1 if -FEAS_TOL <= d <= FEAS_TOL and 2 if d > FEAS_TOL.
-_GAIN_EDGES = np.array([-FEAS_TOL, np.nextafter(FEAS_TOL, np.inf)])
-
-
-def _first_hit(mask: np.ndarray):
-    """Index tuple of the first True of `mask` in row-major order, or None."""
-    if not np.count_nonzero(mask):
-        return None
-    return tuple(int(i) for i in np.unravel_index(int(mask.argmax()), mask.shape))
+# Each table check decides pass or fail with one array expression and walks
+# its scalar loop only on a failing table, so the witness is the loop's first.
 
 
 def _check_productive_monotone(spec: ProductiveSpec) -> CheckResult:
     # u_a nondecreasing in theta_a at every allocation
     u = spec.u_a
-    hit = _first_hit(u[:, 1:] < u[:, :-1] - FEAS_TOL)
-    if hit is None:
+    if not np.count_nonzero(u[:, 1:] < u[:, :-1] - FEAS_TOL):
         return CheckResult(True)
-    i, j = hit
-    return CheckResult(False, (float(spec.x_grid[i]), float(spec.theta_a[j]),
-                               float(spec.theta_a[j + 1])))
+    for i in range(spec.n_alloc):
+        row = spec.u_a[i]
+        for j in range(spec.n_types - 1):
+            if row[j + 1] < row[j] - FEAS_TOL:
+                return CheckResult(False, (float(spec.x_grid[i]),
+                                           float(spec.theta_a[j]),
+                                           float(spec.theta_a[j + 1])))
+    return CheckResult(True)
 
 
 def _check_increasing_differences(spec: ProductiveSpec) -> CheckResult:
     # strict increasing differences of u_a; adjacent steps suffice since
     # differences telescope over both the allocation and the type grid
-    step = spec.u_a[1:] - spec.u_a[:-1]
+    u = spec.u_a
+    step = u[1:] - u[:-1]
     rises = step[:, 1:] - step[:, :-1] > FEAS_TOL
     if np.count_nonzero(rises) == rises.size:
         return CheckResult(True)
-    i, j = _first_hit(~rises)
-    return CheckResult(False, (float(spec.x_grid[i]), float(spec.x_grid[i + 1]),
-                               float(spec.theta_a[j]), float(spec.theta_a[j + 1])))
+    for i in range(spec.n_alloc - 1):
+        for j in range(spec.n_types - 1):
+            delta = (u[i + 1, j + 1] - u[i, j + 1]) - (u[i + 1, j] - u[i, j])
+            if not delta > FEAS_TOL:
+                return CheckResult(False, (float(spec.x_grid[i]),
+                                           float(spec.x_grid[i + 1]),
+                                           float(spec.theta_a[j]),
+                                           float(spec.theta_a[j + 1])))
+    return CheckResult(True)
 
 
 def _check_single_crossing(spec: ProductiveSpec) -> CheckResult:
     # weak single crossing of the productive surplus: once an upgrade gains
     # (weakly/strictly), it keeps gaining for higher types; implication
-    # checked on adjacent type pairs, every allocation pair i < k. Coding the
-    # gain s[k] - s[i] 2 if strict, 1 if weak and 0 if a loss, an
-    # implication fails exactly where the code falls from one type to the
-    # next. The pairs are taken one offset k - i at a time; the first
-    # failure in loop order is the least (i, k, j) among each offset's first
+    # checked on adjacent type pairs, every allocation pair i < k. Coding a
+    # gain 2 if strict, 1 if weak and 0 if a loss, an implication fails
+    # exactly where the code falls from one type to the next
     s = spec.u_a + spec.v_a
-    hits = []
-    for offset in range(1, len(s)):
-        code = np.searchsorted(_GAIN_EDGES, s[offset:] - s[:-offset], side="right")
-        hit = _first_hit(code[:, :-1] > code[:, 1:])
-        if hit is not None:
-            hits.append((hit[0], hit[0] + offset, hit[1]))
-    if not hits:
+    gain = s[None] - s[:, None]  # gain[i, k] = s[k] - s[i]
+    code = (gain > FEAS_TOL).view(np.int8) + (gain >= -FEAS_TOL).view(np.int8)
+    order = np.arange(len(s))
+    if not np.count_nonzero((code[..., :-1] > code[..., 1:])
+                            & (order[:, None] < order)[..., None]):
         return CheckResult(True)
-    i, k, j = min(hits)
-    note = ("strict gain reversed" if s[k, j] - s[i, j] > FEAS_TOL
-            else "weak gain reversed")
-    return CheckResult(False, (float(spec.x_grid[i]), float(spec.x_grid[k]),
-                               float(spec.theta_a[j]), float(spec.theta_a[j + 1])),
-                       note)
+    for i in range(spec.n_alloc - 1):
+        for k in range(i + 1, spec.n_alloc):
+            d = s[k] - s[i]
+            for j in range(spec.n_types - 1):
+                if d[j] > FEAS_TOL and not d[j + 1] > FEAS_TOL:
+                    return CheckResult(False, (float(spec.x_grid[i]), float(spec.x_grid[k]),
+                                               float(spec.theta_a[j]), float(spec.theta_a[j + 1])),
+                                       "strict gain reversed")
+                if d[j] >= -FEAS_TOL and d[j + 1] < -FEAS_TOL:
+                    return CheckResult(False, (float(spec.x_grid[i]), float(spec.x_grid[k]),
+                                               float(spec.theta_a[j]), float(spec.theta_a[j + 1])),
+                                       "weak gain reversed")
+    return CheckResult(True)
 
 
 def _check_costly_monotone(spec: CostlySpec) -> CheckResult:
-    # u_b nondecreasing along the componentwise order of theta_b, for blocks
-    # of lower points b at a time; the pair b, b never falls
-    theta, u = spec.theta_b, spec.u_b.T
-    step = max(1, _CHECK_BLOCK // u.size)
-    for lo in range(0, len(u), step):
-        below = np.logical_and.reduce(theta[lo:lo + step, None] <= theta, axis=-1)
-        hit = _first_hit((u[lo:lo + step, None] > u + FEAS_TOL) & below[:, :, None])
-        if hit is not None:
-            b, c, y = hit
-            return CheckResult(False, (y, tuple(theta[lo + b]), tuple(theta[c])))
+    # u_b nondecreasing along the componentwise order of theta_b; the pair
+    # b, b never falls, as u > u + FEAS_TOL holds for no float
+    theta, u = spec.theta_b, spec.u_b
+    below = (theta[:, None] <= theta).all(axis=-1)  # below[b, c]
+    if not np.count_nonzero((u[:, :, None] > u[:, None, :] + FEAS_TOL) & below):
+        return CheckResult(True)
+    n = spec.n_types
+    for b in range(n):
+        for c in range(n):
+            if b == c or not np.all(spec.theta_b[b] <= spec.theta_b[c]):
+                continue
+            for y in range(spec.n_alloc):
+                if spec.u_b[y, b] > spec.u_b[y, c] + FEAS_TOL:
+                    return CheckResult(False, (int(y), tuple(spec.theta_b[b]),
+                                               tuple(spec.theta_b[c])))
     return CheckResult(True)
 
 
 def _check_costly_sign(spec: CostlySpec) -> CheckResult:
     s = spec.surplus
-    hit = _first_hit(s > FEAS_TOL)
-    if hit is None:
+    if not np.count_nonzero(s > FEAS_TOL):
         return CheckResult(True)
-    y, b = hit
-    return CheckResult(False, (y, b, float(s[y, b])))
+    for y in range(spec.n_alloc):
+        for b in range(spec.n_types):
+            if s[y, b] > FEAS_TOL:
+                return CheckResult(False, (int(y), int(b), float(s[y, b])))
+    return CheckResult(True)
 
 
 def _check_baseline(spec: CostlySpec) -> CheckResult:
-    rows = (("u_b", spec.u_b[spec.y0_index]), ("v_b", spec.v_b[spec.y0_index]))
-    for name, row in rows:
-        if np.count_nonzero(row):  # counts the entries != 0.0
-            b = int(np.flatnonzero(row)[0])
-            return CheckResult(False, (name, b, float(row[b])))
+    y0 = spec.y0_index
+    if not (np.count_nonzero(spec.u_b[y0]) or np.count_nonzero(spec.v_b[y0])):
+        return CheckResult(True)  # no entry != 0.0
+    for name, tab in (("u_b", spec.u_b), ("v_b", spec.v_b)):
+        for b in range(spec.n_types):
+            if tab[y0, b] != 0.0:
+                return CheckResult(False, (name, int(b), float(tab[y0, b])))
     return CheckResult(True)
 
 
@@ -565,12 +577,11 @@ def validate_instance(inst: ScreeningInstance, levels=None) -> ValidationReport:
     Structural defects raise StructuralError at construction; everything here
     is reported, never raised, so diagnostic runs on violating instances
     (including the strictness of the instrument-surplus sign) stay possible.
-    Each table check is decided by array expressions over the tables: single
-    crossing one allocation offset k - i at a time, costly monotonicity in
-    blocks of at most `_CHECK_BLOCK` pair cells. A failure's witness and note
-    are those of the first violation in the order of the scalar loops the
-    tests keep as oracles. Pass `levels` to reuse a computed
-    `stochastics.level_couplings(inst)`.
+    Each table check is decided by one array expression over its table (for
+    single crossing and costly monotonicity, over every pair of allocations
+    or costly types); only a failing table walks the scalar loop that finds
+    its witness, the first violation in loop order. Pass `levels` to reuse a
+    computed `stochastics.level_couplings(inst)`.
     """
     from .stochastics import check_stochastic_monotonicity  # local to avoid a cycle
 

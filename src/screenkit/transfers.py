@@ -157,19 +157,12 @@ def _regions(block: np.ndarray):
     passes, each (mask of the columns holding a region, origins,
     destinations, n where a region never closes), and the (n - 1, k) mask
     of the types j < n - 1 from an origin up to before its destination, the
-    ones that are not free (None when no column descends). A single column
-    takes its regions from `u_region_decomposition` instead, one (None,
-    origin, destination) per region.
+    ones that are not free (None when no column descends).
     """
     n, k = block.shape
     descent = block[1:] < block[:-1]
     if not descent.any():
         return [], None
-    if k == 1:  # one column: a scalar scan costs less than a pass per region
-        decomp = u_region_decomposition(block[:, 0].tolist())
-        bound = np.ones((n - 1, 1), dtype=bool)
-        bound[[j for j in decomp.free if j < n - 1]] = False
-        return [(None, origin, dest) for origin, dest in decomp.regions], bound
     every, types = np.arange(k), np.arange(n)[:, None]
     passes = []
     bound = np.zeros_like(descent)
@@ -209,13 +202,9 @@ def _closed_form(u: np.ndarray, x_idx: Sequence) -> np.ndarray:
         step[1:][bound] = 0.0
     t = own - step.cumsum(axis=0)
     for found, origin, dest in passes:
-        if found is None:  # one column's region: the types above its origin
-            row = u[block[origin, 0]]
-            t[origin + 1:, 0] -= row[np.minimum(dest, types[origin + 1:, 0])] - row[origin]
-        else:
-            row = block[origin, np.arange(block.shape[1])]
-            term = u[row, np.minimum(dest, types)] - u[row, origin]
-            t -= np.where(found & (types > origin), term, 0.0)
+        row = block[origin, np.arange(block.shape[1])]
+        term = u[row, np.minimum(dest, types)] - u[row, origin]
+        t -= np.where(found & (types > origin), term, 0.0)
     return t.reshape(x.shape)
 
 

@@ -8,6 +8,8 @@ from itertools import combinations, combinations_with_replacement
 from screenkit import (FEAS_TOL, GeneratorKnobs, Mechanism, StructuralError,
                        level_couplings, productive_marginal, solve_full_1d,
                        u_region_decomposition)
+from screenkit.applications import (_agent_values, _cell_tables,
+                                    _option_cells, _principal_values)
 from screenkit.solver import (_batch_transfers, _option_tables,
                               _path_rent_bound, _price)
 from screenkit.transfers import URegions
@@ -110,8 +112,22 @@ def closed_form_loop(u_rows: list, x_idx) -> np.ndarray:
     return np.array(t)
 
 
+def bundle_options(b):
+    """Every probabilistic-bundling option on the shared grid, priced, from
+    the cells `certify_bundling` uses.
+
+    Returns agent values per type (n_types, n_options), principal utility
+    before transfers and the alpha and q rows (n_options, n_bundles) that
+    describe each option, in `_option_cells` order.
+    """
+    cells = _option_cells(b)
+    alpha, q, weight, cost = _cell_tables(b)
+    return (_agent_values(b, weight, cells), _principal_values(cost, cells),
+            alpha[cells], q[cells])
+
+
 def bundle_options_loop(b):
-    """`_bundle_options` built one composition at a time: (U, P, alpha, q)."""
+    """`bundle_options` built one composition at a time: (U, P, alpha, q)."""
     grid = b.quality_grid
     steps = grid.size - 1
     n_bundles = 2 ** b.n_goods

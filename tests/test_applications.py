@@ -7,7 +7,7 @@ from screenkit import (AssumptionFailed, BundleInstance, CompetitiveParams,
                        certify_bundling, competitive_separating, instance_rng,
                        make_application_instance, solve_bundling, solve_joint,
                        validate_instance, verify_theorem1)
-from screenkit.applications import _bundle_options, _group_types
+from screenkit.applications import _group_types, _option_cells
 from screenkit.solver import DEFAULT_GUARD
 
 
@@ -174,7 +174,7 @@ def test_option_count_closed_form_matches_enumeration(n_goods, points):
     values[0, 1:] = 1.0
     b = BundleInstance(n_goods, values, np.array([1.0]),
                        np.linspace(0, 1, points), np.zeros(points))
-    assert certify_bundling(b).options == _bundle_options(b)[0].shape[1]
+    assert certify_bundling(b).options == len(_option_cells(b))
 
 
 def test_certificate_guards_the_option_count_before_enumerating():

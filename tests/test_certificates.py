@@ -1,7 +1,7 @@
 """Batched certificates against the per-item loops they replaced.
 
 `solve_downward_1d` runs one forward sweep on the prefix tree of the
-allocations, `_bundle_options` builds its option table in one pass and
+allocations, `_option_cells` builds the option table in one pass and
 `certify_bundling` pairs only distinct options whose caps reach the menu,
 found through weight classes; the oracles below are the previous
 implementations, which price every allocation with the closed form, every
@@ -24,7 +24,7 @@ from screenkit import (FEAS_TOL, BundleInstance, GeneratorKnobs, OneDimInstance,
                        solve_downward_1d)
 from screenkit import applications, solver
 from screenkit.applications import (BundlingSolution, _best_pair,
-                                    _bundle_options, _cell_tables,
+                                    _cell_tables,
                                     _distinct_options, _kept_options,
                                     _option_cells, _principal_values,
                                     _weight_classes, solve_bundling)
@@ -33,7 +33,7 @@ from screenkit.transfers import (graph_optimal_transfers,
                                  onedim_ic_violations, onedim_ir_violations,
                                  onedim_value)
 
-from helpers import (bundle_options_loop, closed_form_loop,
+from helpers import (bundle_options, bundle_options_loop, closed_form_loop,
                      distinct_options_lexsort)
 from test_applications import random_bundle
 
@@ -123,7 +123,7 @@ def distinct_scan_oracle(b):
     The unpruned scan over the options `distinct_options_lexsort` keeps of
     every option, in row blocks: the first maximizer in row-major order wins.
     """
-    U, P, alpha, q = _bundle_options(b)
+    U, P, alpha, q = bundle_options(b)
     if b.n_types == 1:
         best = int(np.argmax(P + U[0]))
         return float((P + U[0])[best]), ((tuple(alpha[best]), tuple(q[best])),)
@@ -272,7 +272,7 @@ def _additive_bundle(n_goods, points, n_types):
                          + [(3, k) for k in range(2, 6)])
 def test_bundle_option_table_matches_the_composition_loop(n_goods, points, n_types):
     b = _additive_bundle(n_goods, points, n_types)
-    for got, want in zip(_bundle_options(b), bundle_options_loop(b), strict=True):
+    for got, want in zip(bundle_options(b), bundle_options_loop(b), strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -351,7 +351,7 @@ def test_pruned_bundling_certificate_across_block_sizes(make, block, monkeypatch
 def test_bundling_prune_prices_exactly_the_pairs_whose_cap_reaches_the_floor(
         make, monkeypatch):
     b = make()
-    U, P, _, _ = _bundle_options(b)
+    U, P, _, _ = bundle_options(b)
     keep = _distinct_options(U, P)
     U, P, mu = U[:, keep], P[keep], b.prob
     cap = (mu[0] * (P + U[0]))[:, None] + (mu[1] * (P + U[1]))[None, :]
@@ -426,7 +426,7 @@ def test_weight_classes_keep_what_every_options_agent_values_keep(n_goods, point
     # five goods on the non-uniform 3-point grid: 31 weight codes of radix 5
     # pass int64, so the key is densified on the way
     b = _bundle_variant(n_goods, points, 2, variant)
-    U, P, _, _ = _bundle_options(b)
+    U, P, _, _ = bundle_options(b)
     want = distinct_options_lexsort(U, P)
     assert _distinct_options(U, P).tobytes() == want.tobytes()
     cells = _option_cells(b)

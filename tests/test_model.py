@@ -298,12 +298,8 @@ COSTLY_CHECKS = [(model._check_costly_monotone, costly_monotone_loop),
                  (model._check_baseline, baseline_loop)]
 
 
-@pytest.mark.parametrize("block", [None, 1])
 @pytest.mark.parametrize("seed", range(150))
-def test_table_checks_match_the_scalar_loops(seed, block, monkeypatch):
-    # blocks of one cell build the pairwise tables one row at a time
-    if block is not None:
-        monkeypatch.setattr(model, "_CHECK_BLOCK", block)
+def test_table_checks_match_the_scalar_loops(seed):
     rng = np.random.default_rng([seed, 547])
     valid = seed % 3 == 0
     for checks, spec in ((PRODUCTIVE_CHECKS, _productive(rng, valid)),
