@@ -17,9 +17,9 @@ from .errors import (AssumptionFailed, OutOfRange, RatioMonotonicityFailed,
                      SizeGuardExceeded, StructuralError)
 from .model import (FEAS_TOL, PROB_TOL, CostlySpec, JointDistribution,
                     ProductiveSpec, ScreeningInstance, frozen_array)
-from .solver import (_CYCLE_TOL, DEFAULT_GUARD, SolveResult,
-                     productive_marginal, solve_full_1d)
-from .stochastics import check_stochastic_monotonicity
+from .solver import _CYCLE_TOL, DEFAULT_GUARD, SolveResult, solve_full_1d
+from .stochastics import _adjacent_couplings, _level_table
+from .transfers import OneDimInstance
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ class BundleInstance:
         fields = (("values", values), ("prob", prob),
                   ("quality_grid", grid), ("cost_samples", cost))
         for name, arr in fields:
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise StructuralError(f"{name} contains non-finite entries")
         n_goods = int(self.n_goods)
         # 2 ** n_goods > n_goods: the column count bounds n_goods before the power
@@ -66,19 +66,22 @@ class BundleInstance:
             raise StructuralError("prob must be positive per type")
         if abs(prob.sum() - 1.0) > PROB_TOL:
             raise StructuralError("prob must sum to one")
-        if np.abs(values[:, 0]).max() > 0:
+        if values[:, 0].any():
             raise StructuralError("the empty bundle must be worth zero")
-        for b in range(n_bundles):
-            for c in range(n_bundles):
-                if b & c == b and b != c:  # b is a subset of c
-                    if (values[:, b] > values[:, c] + FEAS_TOL).any():
-                        raise StructuralError(
-                            f"bundle {b} worth more than superset {c}")
+        # the pairs (b, c) where b is a proper subset of c, row-major
+        b, c = np.arange(n_bundles)[:, None], np.arange(n_bundles)
+        sub, sup = np.nonzero((b & c == b) & (b != c))
+        over = (values[:, sub] > values[:, sup] + FEAS_TOL).any(axis=0)
+        if over.any():
+            k = int(np.argmax(over))
+            raise StructuralError(
+                f"bundle {sub[k]} worth more than superset {sup[k]}")
         if grid.ndim != 1 or grid.size < 2:
             raise StructuralError("quality grid needs at least two points")
         if abs(grid[0]) > 0 or abs(grid[-1] - 1.0) > PROB_TOL:
             raise StructuralError("quality grid must run from 0 to 1")
-        if (np.diff(grid) <= 0).any():
+        dg = np.diff(grid)
+        if (dg <= 0).any():
             raise StructuralError("quality grid must be strictly increasing")
         if cost.shape != grid.shape:
             raise StructuralError("cost samples must align with the grid")
@@ -87,7 +90,7 @@ class BundleInstance:
         if (cost[1:] < cost[:-1] - FEAS_TOL).any():
             raise StructuralError("cost must be nondecreasing")
         # slopes rise, cross-multiplied by grid steps (<= 1) not to overflow
-        dc, dg = np.diff(cost), np.diff(grid)
+        dc = np.diff(cost)
         if (dc[1:] * dg[:-1] - dc[:-1] * dg[1:] < -FEAS_TOL * dg[:-1] * dg[1:]).any():
             raise StructuralError("cost must be convex on the grid")
         for name, arr in fields:
@@ -107,12 +110,14 @@ class BundleInstance:
         return self.values[:, self.grand]
 
 
-def _group_types(b: BundleInstance, rows: np.ndarray):
+def _group_types(b: BundleInstance, rows: np.ndarray, grand: tuple):
     """Types grouped by exact grand-bundle value and by row (`rows[k]` is
-    type k's): the distinct values and rows, ascending; the ascending (value,
-    row) index pairs the types occupy; and their masses, summed in type order.
+    type k's): the distinct values and rows, ascending; the value and row
+    indices of the cells the types occupy, cells ascending; and their
+    masses, summed in type order. `grand` is
+    `np.unique(b.grand_values, return_inverse=True)`.
     """
-    levels, level = np.unique(b.grand_values, return_inverse=True)
+    levels, level = grand
     # the rows sorted lexicographically, first column first, and numbered
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
@@ -123,32 +128,58 @@ def _group_types(b: BundleInstance, rows: np.ndarray):
     point[order] = start.cumsum() - 1
     cells, cell = np.unique(level * len(points) + point,
                             return_inverse=True)
-    support = tuple(zip(*np.divmod(cells, len(points))))
+    cell_level, cell_point = np.divmod(cells, len(points))
     mass = np.bincount(cell, weights=b.prob)
-    return levels, points, support, mass
+    return levels, points, cell_level, cell_point, mass
 
 
-def _check_ratio_monotonicity(b: BundleInstance) -> None:
+def _check_ratio_monotonicity(b: BundleInstance, grand: tuple) -> None:
     """Substitute-bundle value ratios must rise stochastically with the
     grand-bundle value.
 
-    The ratio rows form the costly type of an instance with zero utility
-    tables, so the package's one monotonicity check decides.
+    The ratio rows, grouped by grand value, are the conditional laws of a
+    costly type, so the package's one adjacent-level coupling decides.
     """
-    levels, ratios, support, mass = _group_types(
-        b, b.values[:, :b.grand] / b.grand_values[:, None])
-    zeros_a, zeros_b = np.zeros((1, levels.size)), np.zeros((1, len(ratios)))
-    ok, witness = check_stochastic_monotonicity(ScreeningInstance(
-        ProductiveSpec(levels, np.zeros(1), zeros_a, zeros_a),
-        CostlySpec(ratios, np.zeros(1), 0, zeros_b, zeros_b),
-        JointDistribution(support, mass)))
-    if not ok:
+    levels, ratios, cell_level, cell_point, mass = _group_types(
+        b, b.values[:, :b.grand] / b.grand_values[:, None], grand)
+    _, cond = _level_table(cell_level, cell_point, mass, len(ratios))
+    _, k = _adjacent_couplings(cond, ratios)
+    if k is not None:
         raise RatioMonotonicityFailed(
             f"bundle value ratios fall between grand-bundle values "
-            f"{witness[0]!r} and {witness[1]!r}")
+            f"{float(levels[k])!r} and {float(levels[k + 1])!r}")
 
 
-def bundling_reduce(b: BundleInstance, guard: int = 10 ** 6) -> ScreeningInstance:
+#: Most candidate instrument vectors (grid points to the power of the proper
+#: bundles) the bundling reduction may enumerate.
+_INSTRUMENT_GUARD = 10 ** 6
+
+
+def _reduced_types(b: BundleInstance, guard: int):
+    """`_group_types` of each type's value differences to the grand bundle,
+    after the reduction's checks in order: positive grand values, ratio
+    monotonicity, then the instrument guard."""
+    vstar = b.grand_values
+    if (vstar <= 0).any():
+        raise StructuralError("grand-bundle values must be positive")
+    grand = np.unique(vstar, return_inverse=True)
+    _check_ratio_monotonicity(b, grand)
+    n_sub, g = b.grand, b.quality_grid.size  # proper bundles, empty included
+    if g ** n_sub > guard:
+        raise SizeGuardExceeded("instrument enumeration too large",
+                                g ** n_sub, guard)
+    return _group_types(b, b.values[:, :b.grand] - vstar[:, None], grand)
+
+
+def _quality_tables(b: BundleInstance, levels: np.ndarray) -> tuple:
+    """Agent utility grid x level and principal utility -cost, per level."""
+    grid = b.quality_grid
+    return (np.outer(grid, levels),
+            np.tile(-b.cost_samples[:, None], (1, levels.size)))
+
+
+def bundling_reduce(b: BundleInstance,
+                    guard: int = _INSTRUMENT_GUARD) -> ScreeningInstance:
     """Recast bundling as screening with the grand bundle as the product.
 
     The scalar type is the grand-bundle value; assigning a proper bundle
@@ -156,39 +187,39 @@ def bundling_reduce(b: BundleInstance, guard: int = 10 ** 6) -> ScreeningInstanc
     the (nonpositive) value difference. Ratios must rise stochastically with
     the grand value or the recast problem loses its ordering.
     """
-    vstar = b.grand_values
-    if (vstar <= 0).any():
-        raise StructuralError("grand-bundle values must be positive")
-    _check_ratio_monotonicity(b)
-    levels, theta_b, support, mass = _group_types(
-        b, b.values[:, :b.grand] - vstar[:, None])
-
-    n_sub, grid = b.grand, b.quality_grid  # proper bundles, empty included
-    if grid.size ** n_sub > guard:
-        raise SizeGuardExceeded("instrument enumeration too large",
-                                grid.size ** n_sub, guard)
+    levels, theta_b, cell_level, cell_point, mass = _reduced_types(b, guard)
+    n_sub, grid = b.grand, b.quality_grid
     # vectors over the grid summing to at most one, in lexicographic order
     # of grid index; the first is the baseline, zero as grid[0] is
     y_vectors = grid[np.indices((grid.size,) * n_sub).reshape(n_sub, -1).T]
     y_vectors = y_vectors[y_vectors.sum(axis=1) <= 1.0 + PROB_TOL]
-    u_a = np.outer(grid, levels)
-    v_a = np.tile(-b.cost_samples[:, None], (1, levels.size))
     u_b = y_vectors @ theta_b.T
     return ScreeningInstance(
-        ProductiveSpec(levels, grid, u_a, v_a),
+        ProductiveSpec(levels, grid, *_quality_tables(b, levels)),
         CostlySpec(theta_b, np.arange(y_vectors.shape[0], dtype=float),
                    0, u_b, np.zeros_like(u_b)),
-        JointDistribution(support, mass))
+        JointDistribution(tuple(zip(cell_level, cell_point)), mass))
 
 
 @dataclass(frozen=True)
 class BundlingSolution:
-    """Quality menu for the grand bundle plus solver artifacts."""
+    """Quality menu for the grand bundle plus the scalar solve behind it."""
 
     value: float
     menu: tuple                  # ((quality, price), ...) qualities ascending
     onedim: SolveResult
-    reduced: ScreeningInstance
+
+
+def _quality_line(b: BundleInstance) -> OneDimInstance:
+    """`productive_marginal(bundling_reduce(b))`, built directly.
+
+    The reduction's checks run in the same order, but no instrument vector
+    and no screening instance is built. The level masses are summed over
+    the reduction's support cells in their order, as the marginal sums them.
+    """
+    levels, _, cell_level, _, mass = _reduced_types(b, _INSTRUMENT_GUARD)
+    return OneDimInstance(levels, np.bincount(cell_level, weights=mass),
+                          b.quality_grid, *_quality_tables(b, levels))
 
 
 def solve_bundling(b: BundleInstance) -> BundlingSolution:
@@ -196,17 +227,16 @@ def solve_bundling(b: BundleInstance) -> BundlingSolution:
 
     Under ratio monotonicity no substitute bundle is ever assigned, so the
     problem collapses to scalar quality screening against the grand-bundle
-    value. Zero-quality rows are exclusions and stay out of the menu.
+    value (`_quality_line`). Zero-quality rows are exclusions and stay out
+    of the menu.
     """
-    reduced = bundling_reduce(b)
-    onedim = solve_full_1d(productive_marginal(reduced))
+    onedim = solve_full_1d(_quality_line(b))
     menu = {}  # (quality, price to 12 places) -> first such row
     for xi, t in zip(onedim.x_idx, onedim.t):
         q = float(b.quality_grid[xi])
         if q > 0.0:
             menu.setdefault((q, round(t, 12)), (q, float(t)))
-    return BundlingSolution(onedim.value, tuple(sorted(menu.values())),
-                            onedim, reduced)
+    return BundlingSolution(onedim.value, tuple(sorted(menu.values())), onedim)
 
 
 def _option_cells(b: BundleInstance) -> np.ndarray:

@@ -21,8 +21,8 @@ from .applications import (BundleInstance, CompetitiveParams,
                            certify_bundling, competitive_separating,
                            solve_bundling)
 from .errors import ScreenkitError, SizeGuardExceeded, StructuralError
-from .io import (canonical_json, float_table, load_instance, load_params,
-                 read_field)
+from .io import (canonical_json, float_table, json_int, load_instance,
+                 load_params, read_field)
 from .model import validate_instance
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_downward_1d,
                      solve_full_1d, solve_joint)
@@ -75,7 +75,7 @@ def _competitive_fields(params: dict) -> dict:
 
 def _bundling_fields(params: dict) -> dict:
     tables = ("values", "prob", "quality_grid", "cost_samples")
-    return {"n_goods": read_field(params, "n_goods", int),
+    return {"n_goods": read_field(params, "n_goods", json_int),
             **{k: read_field(params, k, float_table) for k in tables}}
 
 

@@ -59,6 +59,24 @@ def read_field(data: dict, key: str, convert):
         raise StructuralError(f"malformed field {key!r}: {exc}") from exc
 
 
+def json_int(value) -> int:
+    """A JSON integer: an int that is not a bool. A float, bool or string
+    raises TypeError, so `read_field` names the field."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _support_points(points) -> tuple:
+    """Support pairs: each exactly two JSON integers."""
+    pairs = []
+    for point in points:
+        if not isinstance(point, list) or len(point) != 2:
+            raise ValueError(f"support point {point!r} is not a pair")
+        pairs.append((json_int(point[0]), json_int(point[1])))
+    return tuple(pairs)
+
+
 def float_table(value) -> np.ndarray:
     """JSON numbers, nested to any rectangular shape, as a float array.
 
@@ -76,12 +94,11 @@ def instance_from_dict(data: dict) -> ScreeningInstance:
     cost = CostlySpec(
         read_field(data, "theta_b", float_table),
         read_field(data, "y_set", float_table),
-        read_field(data, "y0_index", int),
+        read_field(data, "y0_index", json_int),
         read_field(data, "u_b", float_table),
         read_field(data, "v_b", float_table))
     dist = JointDistribution(
-        read_field(data, "support",
-                   lambda pts: tuple((int(p[0]), int(p[1])) for p in pts)),
+        read_field(data, "support", _support_points),
         read_field(data, "prob", lambda ws: tuple(float(w) for w in ws)))
     return ScreeningInstance(prod, cost, dist)
 

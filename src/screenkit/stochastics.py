@@ -3,13 +3,14 @@
 Dominance between finitely supported laws on R^N is decided by an exact
 max-flow on the componentwise admissibility graph (capacities are
 probabilities scaled to integer units of 10**-12 mass, so there is no flow
-tolerance to tune). Exhaustive upper-set enumeration is kept alongside as an
-independent oracle. One pass couples the conditional costly laws of adjacent
-productive levels (`level_couplings`: common quantiles for a scalar costly
-type, one max-flow per pair otherwise). It decides monotonicity and feeds
-the joint solver's path-rent bound and the one path routine, which peels a
-stochastically monotone joint law into a finite mixture of nondecreasing
-paths along those couplings.
+tolerance to tune); against a point mass the max flow is unique and is read
+off the admissibility table directly. Exhaustive upper-set enumeration is
+kept alongside as an independent oracle. One pass couples the conditional
+costly laws of adjacent productive levels (`level_couplings`: common
+quantiles for a scalar costly type, one max-flow per pair otherwise). It
+decides monotonicity and feeds the joint solver's path-rent bound and the
+one path routine, which peels a stochastically monotone joint law into a
+finite mixture of nondecreasing paths along those couplings.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ class DiscreteDistribution:
             raise StructuralError("probabilities must be strictly positive")
         if abs(float(self.prob.sum()) - 1.0) > MASS_TOL:
             raise StructuralError("probabilities must sum to 1")
-        seen = {tuple(row) for row in self.points}
+        seen = {tuple(row) for row in self.points.tolist()}
         if len(seen) != self.points.shape[0]:
             raise StructuralError("points must be distinct")
 
@@ -132,9 +133,25 @@ def _admissible(p_pts: np.ndarray, q_pts: np.ndarray) -> np.ndarray:
 def _flow_between(p: DiscreteDistribution, q: DiscreteDistribution):
     """Max flow through the admissibility graph, integer units.
 
-    Edmonds-Karp on a dense residual table over source, p points, q points and
-    sink. Returns the value and the units p point i sends to q point j.
+    Returns the value and the int64 table of the units p point i sends to q
+    point j. When either law is a point mass the max flow is unique: the
+    point's side holds the whole flow scale, so every admissible pair
+    carries the integer weight of its point on the other side, and no
+    augmenting path is searched. Otherwise `_augmenting_flow` decides.
     """
+    if len(p) > 1 and len(q) > 1:
+        return _augmenting_flow(p, q)
+    adm = _admissible(p.points, q.points)
+    if len(p) == 1:
+        units = adm * np.array(_integer_weights(q.prob), dtype=np.int64)
+    else:
+        units = adm * np.array(_integer_weights(p.prob), dtype=np.int64)[:, None]
+    return int(units.sum()), units
+
+
+def _augmenting_flow(p: DiscreteDistribution, q: DiscreteDistribution):
+    """`_flow_between` by Edmonds-Karp on a dense residual table over source,
+    p points, q points and sink."""
     k, n = len(p), len(p) + len(q) + 2
     cap = np.zeros((n, n), dtype=np.int64)
     cap[0, 1:k + 1] = _integer_weights(p.prob)
@@ -278,12 +295,23 @@ def scalar_levels(inst: ScreeningInstance):
     """
     pairs = np.array(inst.dist.support).reshape(-1, 2)
     a_indices, level = np.unique(pairs[:, 0], return_inverse=True)
-    n_b = inst.costly.n_types
-    a_probs = np.bincount(level, weights=inst.dist.prob)
-    a_probs.setflags(write=False)  # shared by the marginal and the mixture
-    cells = np.bincount(level * n_b + pairs[:, 1], weights=inst.dist.prob,
-                        minlength=a_indices.size * n_b)
-    return a_indices, a_probs, cells.reshape(-1, n_b) / a_probs[:, None]
+    return (a_indices, *_level_table(level, pairs[:, 1], inst.dist.prob,
+                                     inst.costly.n_types))
+
+
+def _level_table(level: np.ndarray, point: np.ndarray, prob: np.ndarray,
+                 n_points: int) -> tuple:
+    """(marginal, cond) of a law on (level, point) cells, every level in use.
+
+    The marginal sums `prob` per level in cell order; row l of the
+    (levels, n_points) table `cond` is the law of the point at level l,
+    zero off the cells.
+    """
+    marginal = np.bincount(level, weights=prob)
+    marginal.setflags(write=False)  # shared by the marginal and the mixture
+    cells = np.bincount(level * n_points + point, weights=prob,
+                        minlength=marginal.size * n_points)
+    return marginal, cells.reshape(-1, n_points) / marginal[:, None]
 
 
 def _level_values(inst: ScreeningInstance, a_indices, k: int) -> tuple:
@@ -331,20 +359,20 @@ def _quantile_couplings(cdf: np.ndarray, order: np.ndarray) -> tuple:
     return tuple(mass)
 
 
-def level_couplings(inst: ScreeningInstance) -> LevelCouplings:
-    """Couple the conditional costly laws of every adjacent pair of levels.
+def _adjacent_couplings(cond: np.ndarray, theta: np.ndarray) -> tuple:
+    """Couple every adjacent pair of rows of a conditional law table.
 
-    One pass serves the monotonicity check, the path decomposition and the
-    joint solver's path-rent bound. A scalar costly type takes the
-    common-quantile coupling of the conditional CDFs and runs no flow.
-    Higher dimensions run one max-flow per pair (`strassen_coupling`); a
-    pair with no monotone coupling gets the product coupling instead, as the
-    rent bound holds for any coupling. Adjacent pairs decide monotonicity
-    since the order is transitive.
+    Row l of `cond` is a law on the points `theta` (one row per point).
+    Returns (couplings, first_unordered): `couplings[k][i, j]` is the mass a
+    coupling of rows k and k + 1 sends from point i to point j, and
+    `first_unordered` is the first k whose rows are not stochastically
+    ordered, or None. Scalar points take the common-quantile coupling of the
+    row CDFs and run no flow. Higher dimensions run one max-flow per pair
+    (`strassen_coupling`); a pair with no monotone coupling gets the product
+    coupling instead, as the rent bound holds for any coupling. Adjacent
+    pairs decide monotonicity since the order is transitive.
     """
-    a_indices, a_probs, cond = scalar_levels(inst)
-    theta = inst.costly.theta_b
-    if inst.costly.dim == 1:
+    if theta.shape[1] == 1:
         cdf = _row_cdfs(cond, theta[:, 0])
         bad = _unordered_rows(cdf).tolist()
         couplings = _quantile_couplings(cdf, np.argsort(theta[:, 0], kind="stable"))
@@ -366,8 +394,19 @@ def level_couplings(inst: ScreeningInstance) -> LevelCouplings:
             mass = np.zeros((theta.shape[0],) * 2)
             mass[np.ix_(on[k], on[k + 1])] = block
             couplings.append(mass)
-    return LevelCouplings(a_indices, a_probs, cond, tuple(couplings),
-                          bad[0] if bad else None)
+    return tuple(couplings), bad[0] if bad else None
+
+
+def level_couplings(inst: ScreeningInstance) -> LevelCouplings:
+    """Couple the conditional costly laws of every adjacent pair of levels.
+
+    One pass serves the monotonicity check, the path decomposition and the
+    joint solver's path-rent bound: `scalar_levels` groups the support and
+    `_adjacent_couplings` couples its conditional table.
+    """
+    a_indices, a_probs, cond = scalar_levels(inst)
+    return LevelCouplings(a_indices, a_probs, cond,
+                          *_adjacent_couplings(cond, inst.costly.theta_b))
 
 
 def check_stochastic_monotonicity(inst: ScreeningInstance,

@@ -10,7 +10,7 @@ certifies that by evaluation rather than by the bounds alone.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .solver import (DEFAULT_GUARD, productive_marginal, solve_full_1d,
                      solve_joint)
 from .stochastics import (TypePath, _row_cdfs, _unordered_rows,
                           level_couplings, scalar_levels)
+from .transfers import OneDimInstance
 
 #: Largest change of a truthful payoff that `shift_mechanism` reads as none.
 _SHIFT_TOL = 1e-12
@@ -398,8 +399,9 @@ def _coordinate_marginals(inst: ScreeningInstance, coord: int):
             np.asarray(inst.dist.prob))
 
 
-def _check_nonincreasing_coordinate(inst: ScreeningInstance, coord: int) -> None:
-    levels, _, cond = scalar_levels(inst)
+def _check_nonincreasing_coordinate(inst: ScreeningInstance, coord: int,
+                                    levels: np.ndarray, cond: np.ndarray) -> None:
+    """`levels` and `cond` are those of `scalar_levels(inst)`."""
     cdf = _row_cdfs(cond, inst.costly.theta_b[:, coord])
     # rising in reversed level order; its last failure is the lowest pair
     bad = _unordered_rows(cdf[::-1])
@@ -470,7 +472,8 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     t0, t1, w = _coordinate_marginals(inst, coord)
     m0 = _median_split(t0, w, "the productive type")
     m1 = _median_split(t1, w, f"costly coordinate {coord}")
-    _check_nonincreasing_coordinate(inst, coord)
+    a_indices, a_probs, cond = scalar_levels(inst)
+    _check_nonincreasing_coordinate(inst, coord, a_indices, cond)
     window = float(w[(t0 > m0) & (t1 <= m1)].sum())
     if window <= 0.25 + PROB_TOL:
         raise PreconditionFailed(
@@ -501,11 +504,12 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
         t = np.stack((2.0 - eps, 1.0 - eps, np.zeros_like(eps)), axis=-1)
         return indicator[:, None] * g[:, None, :], t
 
-    # productive-only optimum does not depend on eps (only g does)
-    line = productive_marginal(inst)
-    u_line = np.outer(rise, np.where(line.theta <= m0, 1.0, 2.0))
-    productive_value = solve_full_1d(
-        replace(line, u=u_line, v=np.zeros_like(u_line))).value
+    # productive-only optimum does not depend on eps (only g does); its
+    # line is the productive marginal carrying the built tables
+    theta = prod.theta_a[a_indices]
+    u_line = np.outer(rise, np.where(theta <= m0, 1.0, 2.0))
+    productive_value = solve_full_1d(OneDimInstance(
+        theta, a_probs, x, u_line, np.zeros_like(u_line))).value
 
     closest = None  # (gap, eps) of the best candidate the bounds certify
 

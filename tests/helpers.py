@@ -5,10 +5,13 @@ import numpy as np
 
 from itertools import combinations, combinations_with_replacement
 
-from screenkit import (FEAS_TOL, GeneratorKnobs, Mechanism, StructuralError,
-                       level_couplings, productive_marginal, solve_full_1d,
+from screenkit import (FEAS_TOL, CostlySpec, GeneratorKnobs,
+                       JointDistribution, Mechanism, ProductiveSpec,
+                       ScreeningInstance, StructuralError,
+                       check_stochastic_monotonicity, level_couplings,
+                       productive_marginal, solve_full_1d,
                        u_region_decomposition)
-from screenkit.applications import (_agent_values, _cell_tables,
+from screenkit.applications import (_agent_values, _cell_tables, _group_types,
                                     _option_cells, _principal_values)
 from screenkit.solver import (_batch_transfers, _option_tables,
                               _path_rent_bound, _price)
@@ -146,6 +149,32 @@ def bundle_options_loop(b):
     U = sum(b.values[:, k, None] * weights[:, k] for k in range(n_bundles))
     P = -sum(alpha[:, k] * b.cost_samples[slot[:, k]] for k in range(n_bundles))
     return U, P, alpha, q
+
+
+def ratio_check_by_instance(b):
+    """The bundle ratio check through a whole screening instance: the ratio
+    rows as the costly type of zero utility tables, grouped by grand value,
+    decided by `check_stochastic_monotonicity`. Returns (ok, witness)."""
+    grand = np.unique(b.grand_values, return_inverse=True)
+    levels, ratios, cell_level, cell_point, mass = _group_types(
+        b, b.values[:, :b.grand] / b.grand_values[:, None], grand)
+    zeros_a, zeros_b = np.zeros((1, levels.size)), np.zeros((1, len(ratios)))
+    return check_stochastic_monotonicity(ScreeningInstance(
+        ProductiveSpec(levels, np.zeros(1), zeros_a, zeros_a),
+        CostlySpec(ratios, np.zeros(1), 0, zeros_b, zeros_b),
+        JointDistribution(tuple(zip(cell_level, cell_point)), mass)))
+
+
+def superset_violation_loop(values):
+    """First (b, c), row-major, with b a proper subset of c and some type
+    valuing b above c by more than FEAS_TOL; None if there is none."""
+    n_bundles = values.shape[1]
+    for b in range(n_bundles):
+        for c in range(n_bundles):
+            if b & c == b and b != c:
+                if (values[:, b] > values[:, c] + FEAS_TOL).any():
+                    return b, c
+    return None
 
 
 def onedim_value_loop(inst, x_idx, t) -> float:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,14 @@ from screenkit import (AssumptionFailed, BundleInstance, CompetitiveParams,
                        OutOfRange, RatioMonotonicityFailed, SizeGuardExceeded,
                        StructuralError, bundling_default, bundling_reduce,
                        certify_bundling, competitive_separating, instance_rng,
-                       make_application_instance, solve_bundling, solve_joint,
+                       make_application_instance, productive_marginal,
+                       solve_bundling, solve_full_1d, solve_joint,
                        validate_instance, verify_theorem1)
-from screenkit.applications import _group_types, _option_cells
+from screenkit.applications import (_check_ratio_monotonicity, _group_types,
+                                    _option_cells, _quality_line)
 from screenkit.solver import DEFAULT_GUARD
+
+from helpers import ratio_check_by_instance, superset_violation_loop
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +57,8 @@ def _group_types_unique(b, rows):
     points, point = np.unique(rows, axis=0, return_inverse=True)
     cells, cell = np.unique(level * len(points) + point.reshape(-1),
                             return_inverse=True)
-    support = tuple(zip(*np.divmod(cells, len(points))))
     mass = np.bincount(cell, weights=b.prob)
-    return levels, points, support, mass
+    return (levels, points, *np.divmod(cells, len(points)), mass)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -66,13 +71,11 @@ def test_group_types_sorts_rows_like_unique(seed):
     b = BundleInstance(1, np.column_stack((np.zeros(n), grand)),
                        np.full(n, 1.0 / n), np.linspace(0, 1, 3), np.zeros(3))
     rows = rng.choice([-1.0, -0.0, 0.0, 0.5], (n, width))
-    got, want = _group_types(b, rows), _group_types_unique(b, rows)
-    for a, w in zip(got[:2] + got[3:], want[:2] + want[3:], strict=True):
+    grand = np.unique(b.grand_values, return_inverse=True)
+    got, want = _group_types(b, rows, grand), _group_types_unique(b, rows)
+    for a, w in zip(got, want, strict=True):
         assert a.dtype == w.dtype and a.shape == w.shape
         assert a.tobytes() == w.tobytes()
-    assert got[2] == want[2]
-    assert [type(v) for pair in got[2] for v in pair] == \
-        [type(v) for pair in want[2] for v in pair]
 
 
 def test_ratio_check_groups_types_by_exact_grand_value():
@@ -91,6 +94,118 @@ def test_ratio_check_groups_types_by_exact_grand_value():
                                           np.linspace(0, 1, 3), np.zeros(3)))
     assert inst.productive.theta_a.tolist() == [lo]
     assert inst.dist.support == ((0, 0), (0, 1))
+
+
+def random_ratio_bundle(seed):
+    """1-3 goods and 1-4 types on a 3-point grid. Grand values come from
+    three and good shares from four, so levels tie and hold several ratio
+    rows; a bundle is worth its grand value times its capped share sum."""
+    rng = instance_rng(seed, stream=504)
+    n_goods, n = 1 + seed % 3, 1 + (seed // 3) % 4
+    grand = rng.choice([2.0, 3.0, 4.0], n)
+    share = rng.choice([0.0, 0.25, 0.5, 0.75], (n, n_goods))
+    members = (np.arange(2 ** n_goods)[:, None] >> np.arange(n_goods)) & 1
+    worth = np.minimum(1.0, share @ members.T)
+    worth[:, -1] = 1.0
+    prob = rng.uniform(0.2, 1.0, n)
+    return BundleInstance(n_goods, grand[:, None] * worth, prob / prob.sum(),
+                          np.linspace(0, 1, 3), np.array([0.0, 0.1, 0.3]))
+
+
+RATIO_BUNDLES = {seed: random_ratio_bundle(seed) for seed in range(150)}
+
+
+def test_ratio_bundles_cover_both_verdicts_and_pooled_levels():
+    verdicts = set()
+    for b in RATIO_BUNDLES.values():
+        ok, _ = ratio_check_by_instance(b)
+        ratios = b.values[:, :b.grand] / b.grand_values[:, None]
+        pooled = any(len(np.unique(ratios[b.grand_values == v], axis=0)) > 1
+                     for v in b.grand_values)
+        verdicts.add((b.n_goods, ok, pooled))
+    for n_goods in (2, 3):
+        for ok in (True, False):
+            assert (n_goods, ok, True) in verdicts
+
+
+@pytest.mark.parametrize("seed", sorted(RATIO_BUNDLES))
+def test_ratio_check_matches_the_instance_route(seed):
+    b = RATIO_BUNDLES[seed]
+    ok, witness = ratio_check_by_instance(b)
+    grand = np.unique(b.grand_values, return_inverse=True)
+    if ok:
+        _check_ratio_monotonicity(b, grand)
+        return
+    with pytest.raises(RatioMonotonicityFailed) as exc:
+        _check_ratio_monotonicity(b, grand)
+    assert str(exc.value) == (f"bundle value ratios fall between grand-bundle "
+                              f"values {witness[0]!r} and {witness[1]!r}")
+
+
+def _bits_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", sorted(RATIO_BUNDLES))
+def test_quality_line_is_the_reduced_marginal(seed):
+    b = RATIO_BUNDLES[seed]
+    try:
+        want = productive_marginal(bundling_reduce(b))
+    except RatioMonotonicityFailed as exc:
+        with pytest.raises(RatioMonotonicityFailed, match=re.escape(str(exc))):
+            solve_bundling(b)
+        return
+    got = _quality_line(b)
+    for name in ("theta", "mu", "x_grid", "u", "v"):
+        assert _bits_equal(getattr(got, name), getattr(want, name)), name
+    assert solve_bundling(b).onedim == solve_full_1d(want)
+
+
+def _grand_zero(n_goods):
+    values = np.zeros((2, 2 ** n_goods))
+    values[1, 1:] = 1.0
+    return BundleInstance(n_goods, values, np.array([0.5, 0.5]),
+                          np.linspace(0, 1, 3), np.zeros(3))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: _grand_zero(2), StructuralError),
+    # the ratios fail before the guard would: 3 goods on 8 points is 8 ** 7
+    (lambda: BundleInstance(3, np.array([[0, 2, 2, 3, 2, 3, 3, 4],
+                                         [0, 1, 1, 2, 1, 2, 2, 8.0]]),
+                            np.array([0.5, 0.5]), np.linspace(0, 1, 8),
+                            np.zeros(8)), RatioMonotonicityFailed),
+    (lambda: BundleInstance(3, np.array([[0, 1, 1, 2, 1, 2, 2, 3.0]]),
+                            np.array([1.0]), np.linspace(0, 1, 8), np.zeros(8)),
+     SizeGuardExceeded),
+])
+def test_quality_line_keeps_the_reductions_checks_in_order(make, error):
+    b = make()
+    with pytest.raises(error) as want:
+        bundling_reduce(b)
+    with pytest.raises(error, match=re.escape(str(want.value))):
+        solve_bundling(b)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_superset_check_names_the_loops_first_pair(seed):
+    rng = instance_rng(seed, stream=505)
+    n_goods, n = 1 + seed % 3, 1 + (seed // 3) % 3
+    values = rng.choice([0.0, 1.0, 2.0], (n, 2 ** n_goods))
+    values += rng.choice([0.0, 5e-10], values.shape)  # within FEAS_TOL
+    values[:, 0] = 0.0
+    if seed % 4 == 0:  # running maxima by bundle size: the check passes
+        order = np.argsort([bin(k).count("1") for k in range(2 ** n_goods)],
+                           kind="stable")
+        values[:, order] = np.maximum.accumulate(values[:, order], axis=1)
+    args = (np.full(n, 1.0 / n), np.linspace(0, 1, 3), np.zeros(3))
+    want = superset_violation_loop(values)
+    if want is None:
+        BundleInstance(n_goods, values, *args)
+        return
+    with pytest.raises(StructuralError) as exc:
+        BundleInstance(n_goods, values, *args)
+    assert str(exc.value) == f"bundle {want[0]} worth more than superset {want[1]}"
 
 
 def test_bundle_validation_bounds_n_goods_before_any_power():

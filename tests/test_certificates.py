@@ -455,7 +455,7 @@ def test_weight_class_certificate_matches_the_distinct_scan(n_goods, points, var
     b = _bundle_variant(n_goods, points, n_types, variant)
     value, descriptors = distinct_scan_oracle(b)
     for menu in (value, value + 1.0):
-        cert = certify_bundling(b, BundlingSolution(menu, (), None, None))
+        cert = certify_bundling(b, BundlingSolution(menu, (), None))
         assert cert.brute_force_value == value
         assert cert.best_descriptor == descriptors
         assert [type(v) for d in cert.best_descriptor for row in d for v in row] == \

@@ -350,6 +350,26 @@ MALFORMED = {
     "infinite_support_index": lambda tmp: [
         "verify", "--instance",
         _write(tmp, _edited("example2.json", support=[[0, 0], [1, float("inf")]]))],
+    # integer fields take JSON integers only, two per support point
+    "fractional_support_index": lambda tmp: [
+        "verify", "--instance",
+        _write(tmp, _edited("example2.json", support=[[0, 0.7], [1, 1]]))],
+    "boolean_support_index": lambda tmp: [
+        "verify", "--instance",
+        _write(tmp, _edited("example2.json", support=[[0, 0], [1, True]]))],
+    "string_support_index": lambda tmp: [
+        "verify", "--instance",
+        _write(tmp, _edited("example2.json", support=[["0", 0], [1, 1]]))],
+    "support_point_of_three": lambda tmp: [
+        "verify", "--instance",
+        _write(tmp, _edited("example2.json", support=[[0, 0, 5], [1, 1]]))],
+    "fractional_y0_index": lambda tmp: [
+        "verify", "--instance", _write(tmp, _edited("example2.json", y0_index=0.7))],
+    "boolean_y0_index": lambda tmp: [
+        "verify", "--instance", _write(tmp, _edited("example2.json", y0_index=False))],
+    "fractional_n_goods": lambda tmp: [
+        "bundling", "--params",
+        _write(tmp, _edited("bundling_default.json", n_goods=2.5))],
 }
 
 
@@ -360,6 +380,17 @@ def test_malformed_input_is_one_line_exit_1(case, capsys, tmp_path):
     assert code == 1
     assert "Traceback" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case, field", [
+    ("fractional_support_index", "support"), ("boolean_support_index", "support"),
+    ("string_support_index", "support"), ("support_point_of_three", "support"),
+    ("fractional_y0_index", "y0_index"), ("boolean_y0_index", "y0_index"),
+    ("fractional_n_goods", "n_goods"),
+])
+def test_non_integer_json_fields_are_named(case, field, capsys, tmp_path):
+    assert main(MALFORMED[case](tmp_path)) == 1
+    assert f"malformed field {field!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, row, col, bad", [
@@ -539,7 +570,7 @@ BUNDLING = (["bundling", "--params", None],
 
 @pytest.mark.parametrize("name, changes, code", [
     # n_goods bounds no power before the column count does
-    ("bundling_default.json", {"n_goods": 1e12}, 3),
+    ("bundling_default.json", {"n_goods": 10 ** 12}, 3),
     # convexity is checked without overflowing slopes
     ("bundling_default.json", {"cost_samples": [0.0, 0.1, 0.3, 0.6, 1e308]}, 0),
     ("competitive_default.json", {"b_h": float("inf")}, 3),

@@ -72,6 +72,31 @@ def test_missing_fields_are_reported():
         instance_from_dict(data)
 
 
+def test_numpy_integers_stay_valid_in_the_constructors():
+    # only the JSON boundary insists on JSON integers
+    from screenkit import CostlySpec, JointDistribution
+    inst = example2_instance()
+    cost = inst.costly
+    spec = CostlySpec(cost.theta_b, cost.y_set, np.int64(cost.y0_index),
+                      cost.u_b, cost.v_b)
+    dist = JointDistribution(tuple((np.int64(a), np.intp(b))
+                                   for a, b in inst.dist.support), inst.dist.prob)
+    assert spec.y0_index == cost.y0_index
+    assert dist.support == inst.dist.support
+
+
+@pytest.mark.parametrize("field, value", [
+    ("y0_index", 0.0), ("y0_index", True), ("y0_index", "0"),
+    ("support", [[0, 0], [1, 1.0]]), ("support", [[0, 0], [1]]),
+    ("support", [[0, 0], (1, 1)]), ("support", [[0, 0], [1, 1, 0]]),
+])
+def test_json_integer_fields_take_json_integers_only(field, value):
+    data = instance_to_dict(example2_instance())
+    data[field] = value
+    with pytest.raises(StructuralError, match=f"malformed field {field!r}"):
+        instance_from_dict(data)
+
+
 def test_bad_json_is_a_structural_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

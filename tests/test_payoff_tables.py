@@ -21,6 +21,7 @@ from screenkit import (FEAS_TOL, OUTSIDE, CostlySpec, GeneratorKnobs,
                        random_negative_instance, random_positive_instance,
                        solve_full_1d)
 from screenkit.model import best_response, ic_gains, payoff_tables
+from screenkit.stochastics import scalar_levels
 from screenkit.theorems import (_check_nonincreasing_coordinate,
                                 _coordinate_marginals, _median_split)
 from screenkit.transfers import onedim_ic_violations, onedim_ir_violations
@@ -142,7 +143,8 @@ def loop_converse(inst, coord=0, dominance_margin=1e-6):
     t0, t1, w = _coordinate_marginals(inst, coord)
     m0 = _median_split(t0, w, "the productive type")
     m1 = _median_split(t1, w, f"costly coordinate {coord}")
-    _check_nonincreasing_coordinate(inst, coord)
+    a_indices, _, cond = scalar_levels(inst)
+    _check_nonincreasing_coordinate(inst, coord, a_indices, cond)
     x0_idx, xhat_idx = 0, prod.n_alloc - 1
     yhat_idx = 1 if cost.y0_index == 0 else 0
     p_high_instrument = float(w[t1 > m1].sum())

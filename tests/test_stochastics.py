@@ -146,14 +146,9 @@ def test_flow_edge_cases(case):
             strassen_coupling(p, q)
 
 
-@pytest.mark.parametrize("seed", range(200))
-def test_flow_matches_networkx(seed):
+def networkx_flow_value(p, q):
+    """The max-flow value of the admissibility graph, by networkx."""
     nx = pytest.importorskip("networkx")
-    rng = instance_rng(seed, stream=105)
-    p = _random_grid_dist(rng, max_pts=7)
-    q = _random_grid_dist(rng, max_pts=7)
-    value, units = stochastics._flow_between(p, q)
-    assert_units_feasible(p, q, value, units)
     g = nx.DiGraph()
     for i, w in enumerate(stochastics._integer_weights(p.prob)):
         g.add_edge("s", ("p", i), capacity=w)
@@ -161,7 +156,54 @@ def test_flow_matches_networkx(seed):
         g.add_edge(("q", j), "t", capacity=w)
     for i, j in zip(*np.nonzero(stochastics._admissible(p.points, q.points))):
         g.add_edge(("p", i), ("q", j), capacity=SCALE)
-    assert value == nx.maximum_flow_value(g, "s", "t")
+    return nx.maximum_flow_value(g, "s", "t")
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_flow_matches_networkx(seed):
+    rng = instance_rng(seed, stream=105)
+    p = _random_grid_dist(rng, max_pts=7)
+    q = _random_grid_dist(rng, max_pts=7)
+    value, units = stochastics._flow_between(p, q)
+    assert_units_feasible(p, q, value, units)
+    assert value == networkx_flow_value(p, q)
+
+
+def point_mass_pairs():
+    """(p, q) with a point mass on one side or both, over 1-D and 2-D grids,
+    some of the other side's points admissible and some not."""
+    for seed in range(120):
+        rng = instance_rng(seed, stream=106)
+        dim = 1 + seed % 2
+        one = _random_grid_dist(rng, max_pts=1, dim=dim)
+        other = _random_grid_dist(rng, max_pts=1 if seed % 5 == 0 else 5,
+                                  dim=dim)
+        yield (one, other) if seed % 3 else (other, one)
+
+
+POINT_MASS_PAIRS = list(point_mass_pairs())
+
+
+def test_point_mass_pairs_cover_every_admissibility():
+    kinds = set()
+    for p, q in POINT_MASS_PAIRS:
+        adm = stochastics._admissible(p.points, q.points)
+        kinds.add((len(p) == 1, len(q) == 1, int(adm.any()) + int(adm.all())))
+    for sides in ((True, False), (False, True)):
+        for seen in range(3):  # no pair admissible, some, every one
+            assert sides + (seen,) in kinds
+    assert (True, True, 0) in kinds and (True, True, 2) in kinds
+
+
+@pytest.mark.parametrize("index", range(len(POINT_MASS_PAIRS)))
+def test_point_mass_flow_matches_augmenting_paths(index):
+    p, q = POINT_MASS_PAIRS[index]
+    value, units = stochastics._flow_between(p, q)
+    want_value, want_units = stochastics._augmenting_flow(p, q)
+    assert type(value) is int and value == want_value
+    assert units.dtype == want_units.dtype and units.shape == want_units.shape
+    assert units.tobytes() == want_units.tobytes()
+    assert value == networkx_flow_value(p, q)
 
 
 def test_stochastic_monotonicity_verdicts():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,27 @@ def test_converse_productive_value_matches_solver():
     line = productive_marginal(art.instance)
     assert solve_full_1d(line).value == pytest.approx(
         art.productive_value, abs=1e-9)
+
+
+def productive_value_by_replace(inst, coord=0):
+    """The converse's productive-only value through `productive_marginal`
+    and `dataclasses.replace`: two validated lines for one solve."""
+    t0, _, w = _coordinate_marginals(inst, coord)
+    m0 = _median_split(t0, w, "the productive type")
+    x = inst.productive.x_grid
+    rise = (x - x[0]) / (x[-1] - x[0])
+    line = productive_marginal(inst)
+    u_line = np.outer(rise, np.where(line.theta <= m0, 1.0, 2.0))
+    return solve_full_1d(dataclasses.replace(
+        line, u=u_line, v=np.zeros_like(u_line))).value
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_converse_productive_value_matches_the_replace_route(seed):
+    for stream in range(40):
+        inst = random_negative_instance(seed, stream=stream)
+        want = productive_value_by_replace(inst)
+        assert converse_construct(inst).productive_value.hex() == want.hex()
 
 
 @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1e-9])
