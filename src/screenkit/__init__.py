@@ -14,21 +14,15 @@ from .model import (FEAS_TOL, OUTSIDE, PROB_TOL, VALUE_TOL, CheckResult,
 from .stochastics import (MASS_TOL, Coupling, DiscreteDistribution,
                           GeneratorKnobs, LevelCouplings, PathMixture,
                           TypePath, check_dominance,
-                          check_stochastic_monotonicity,
-                          dominance_by_upper_sets, instance_rng,
+                          check_stochastic_monotonicity, instance_rng,
                           level_couplings, path_decomposition,
                           random_negative_instance, random_positive_instance,
                           strassen_coupling)
-from .transfers import (BindingEntry, BindingReport, OneDimInstance, URegions,
-                        binding_report, closed_form_downward_transfers,
+from .transfers import (OneDimInstance, closed_form_downward_transfers,
                         graph_optimal_transfers, onedim_ic_violations,
-                        onedim_ir_violations, onedim_value,
-                        random_onedim_instance, u_region_decomposition)
-from .solver import (ConvergenceFamily, ConvergenceStudy, JointSolveResult,
-                     SolveResult, default_convergence_family,
-                     discretize_family, grid_convergence_study,
-                     productive_marginal, solve_downward_1d, solve_full_1d,
-                     solve_joint)
+                        onedim_ir_violations, onedim_value)
+from .solver import (JointSolveResult, SolveResult, productive_marginal,
+                     solve_downward_1d, solve_full_1d, solve_joint)
 from .theorems import (ConverseArtifacts, MultiplicativeInstance,
                        MultiplicativeMechanism, ShiftResult, TheoremReport,
                        converse_construct, shift_mechanism,

@@ -21,8 +21,8 @@ from .applications import (BundleInstance, CompetitiveParams,
                            certify_bundling, competitive_separating,
                            solve_bundling)
 from .errors import ScreenkitError, SizeGuardExceeded, StructuralError
-from .io import (canonical_json, float_table, json_int, load_instance,
-                 load_params, read_field)
+from .io import (canonical_json, float_table, json_float, json_int,
+                 load_instance, load_params, read_field)
 from .model import validate_instance
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_downward_1d,
                      solve_full_1d, solve_joint)
@@ -70,7 +70,7 @@ def _competitive_fields(params: dict) -> dict:
     unknown = sorted(set(params) - {f.name for f in fields(CompetitiveParams)})
     if unknown:
         raise StructuralError(f"unknown competitive parameters: {unknown}")
-    return {k: read_field(params, k, float) for k in params}
+    return {k: read_field(params, k, json_float) for k in params}
 
 
 def _bundling_fields(params: dict) -> dict:
@@ -159,8 +159,10 @@ def _solve_payload(inst, mode: str, guard: int, timing: bool,
         }
     elif mode in ("downward1d", "full1d"):
         line = productive_marginal(inst, levels)
-        solver = solve_downward_1d if mode == "downward1d" else solve_full_1d
-        res = solver(line)
+        if mode == "downward1d":
+            res = solve_downward_1d(line, guard)
+        else:
+            res = solve_full_1d(line)
         payload = {
             "instance_id": instance_id,
             "mode": mode,
@@ -356,9 +358,11 @@ def _add_solving(sub):
     sub.add_argument("--timing", action="store_true",
                      help="include runtime_ms (breaks byte-identical output)")
     sub.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                     help="ceiling on the assignment rows the joint solver "
-                          "prices: the seed menus plus the product of the "
-                          "options its root bound keeps")
+                     help="ceiling on an exact solver's work, exit 2 above "
+                          "it: the rows the joint solver prices (joint, verify: "
+                          "the seed menus plus the product of the options its "
+                          "root bound keeps) or the n_x ** n allocations "
+                          "downward1d enumerates; full1d takes no guard")
 
 
 class _Parser(argparse.ArgumentParser):

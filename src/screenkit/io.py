@@ -8,9 +8,10 @@ saved instance reproduces it exactly: values pass through float() untouched.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import lru_cache, reduce
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from operator import getitem
 from pathlib import Path
 from typing import Union
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .model import (CostlySpec, JointDistribution, ProductiveSpec,
-                    ScreeningInstance, frozen_array)
+                    ScreeningInstance)
 
 Pathish = Union[str, Path]
 
@@ -77,12 +78,37 @@ def _support_points(points) -> tuple:
     return tuple(pairs)
 
 
+def json_float(value) -> float:
+    """A JSON number as a float: an int or float that is not a bool. A bool,
+    string or null raises TypeError, so `read_field` names the field."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def float_table(value) -> np.ndarray:
     """JSON numbers, nested to any rectangular shape, as a float array.
 
-    It is read-only, so the containers share it rather than copy it.
+    Anything else raises TypeError, so `read_field` names the field. Numpy's
+    own type discovery flags strings, nulls and booleans alone; a boolean
+    among numbers reads as 0 or 1, so only the entries that read so are
+    looked up in `value`. The array is read-only, so the containers share it
+    rather than copy it.
     """
-    return frozen_array(value)
+    arr = np.asarray(value)
+    kind = arr.dtype.kind
+    if kind == "O":  # integers beyond 64 bits, or not numbers
+        arr = np.array([json_float(v) for v in arr.flat]).reshape(arr.shape)
+    elif kind not in "iuf":
+        raise TypeError("expected numbers only")
+    arr = arr.astype(float, copy=False)
+    if arr.ndim:  # a lone boolean has a dtype of its own
+        # only 0 and 1 equal their own truth values
+        hits = (arr == arr.astype(bool)).nonzero()
+        for index in zip(*[axis.tolist() for axis in hits]):
+            json_float(reduce(getitem, index, value))
+    arr.setflags(write=False)
+    return arr
 
 
 def instance_from_dict(data: dict) -> ScreeningInstance:
@@ -99,7 +125,7 @@ def instance_from_dict(data: dict) -> ScreeningInstance:
         read_field(data, "v_b", float_table))
     dist = JointDistribution(
         read_field(data, "support", _support_points),
-        read_field(data, "prob", lambda ws: tuple(float(w) for w in ws)))
+        read_field(data, "prob", float_table))
     return ScreeningInstance(prod, cost, dist)
 
 
@@ -183,8 +209,8 @@ def load_params(path: Pathish) -> tuple:
     """Parameter file: an object with a 'kind' discriminator.
 
     Returns (kind, params) where params is the object minus the
-    discriminator. Known kinds are handled by the callers: application
-    generators, competitive markets, and bundling problems.
+    discriminator. Known kinds are handled by the callers: competitive
+    markets and bundling problems.
     """
     try:
         data = json.loads(Path(path).read_text())

@@ -464,23 +464,28 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-# Each table check decides pass or fail with one array expression and walks
-# its scalar loop only on a failing table, so the witness is the loop's first.
+# Each table check builds one mask of its table's violations, its axes in
+# the check's scan order: the mask decides pass or fail, and its first hit
+# in row-major order is the witness.
+
+
+def _first_hit(mask: np.ndarray):
+    """Index tuple of the first nonzero (True) entry of `mask` in row-major
+    order, or None when there is none."""
+    if not np.count_nonzero(mask):
+        return None
+    return np.unravel_index(np.flatnonzero(mask)[0], mask.shape)
 
 
 def _check_productive_monotone(spec: ProductiveSpec) -> CheckResult:
     # u_a nondecreasing in theta_a at every allocation
     u = spec.u_a
-    if not np.count_nonzero(u[:, 1:] < u[:, :-1] - FEAS_TOL):
+    hit = _first_hit(u[:, 1:] < u[:, :-1] - FEAS_TOL)
+    if hit is None:
         return CheckResult(True)
-    for i in range(spec.n_alloc):
-        row = spec.u_a[i]
-        for j in range(spec.n_types - 1):
-            if row[j + 1] < row[j] - FEAS_TOL:
-                return CheckResult(False, (float(spec.x_grid[i]),
-                                           float(spec.theta_a[j]),
-                                           float(spec.theta_a[j + 1])))
-    return CheckResult(True)
+    i, j = hit
+    return CheckResult(False, (float(spec.x_grid[i]), float(spec.theta_a[j]),
+                               float(spec.theta_a[j + 1])))
 
 
 def _check_increasing_differences(spec: ProductiveSpec) -> CheckResult:
@@ -488,18 +493,12 @@ def _check_increasing_differences(spec: ProductiveSpec) -> CheckResult:
     # differences telescope over both the allocation and the type grid
     u = spec.u_a
     step = u[1:] - u[:-1]
-    rises = step[:, 1:] - step[:, :-1] > FEAS_TOL
-    if np.count_nonzero(rises) == rises.size:
+    hit = _first_hit(~(step[:, 1:] - step[:, :-1] > FEAS_TOL))
+    if hit is None:
         return CheckResult(True)
-    for i in range(spec.n_alloc - 1):
-        for j in range(spec.n_types - 1):
-            delta = (u[i + 1, j + 1] - u[i, j + 1]) - (u[i + 1, j] - u[i, j])
-            if not delta > FEAS_TOL:
-                return CheckResult(False, (float(spec.x_grid[i]),
-                                           float(spec.x_grid[i + 1]),
-                                           float(spec.theta_a[j]),
-                                           float(spec.theta_a[j + 1])))
-    return CheckResult(True)
+    i, j = hit
+    return CheckResult(False, (float(spec.x_grid[i]), float(spec.x_grid[i + 1]),
+                               float(spec.theta_a[j]), float(spec.theta_a[j + 1])))
 
 
 def _check_single_crossing(spec: ProductiveSpec) -> CheckResult:
@@ -507,67 +506,53 @@ def _check_single_crossing(spec: ProductiveSpec) -> CheckResult:
     # (weakly/strictly), it keeps gaining for higher types; implication
     # checked on adjacent type pairs, every allocation pair i < k. Coding a
     # gain 2 if strict, 1 if weak and 0 if a loss, an implication fails
-    # exactly where the code falls from one type to the next
+    # exactly where the code falls from one type to the next, and the strict
+    # one where it falls from 2
     s = spec.u_a + spec.v_a
     gain = s[None] - s[:, None]  # gain[i, k] = s[k] - s[i]
     code = (gain > FEAS_TOL).view(np.int8) + (gain >= -FEAS_TOL).view(np.int8)
     order = np.arange(len(s))
-    if not np.count_nonzero((code[..., :-1] > code[..., 1:])
-                            & (order[:, None] < order)[..., None]):
+    hit = _first_hit((code[..., :-1] > code[..., 1:])
+                     & (order[:, None] < order)[..., None])
+    if hit is None:
         return CheckResult(True)
-    for i in range(spec.n_alloc - 1):
-        for k in range(i + 1, spec.n_alloc):
-            d = s[k] - s[i]
-            for j in range(spec.n_types - 1):
-                if d[j] > FEAS_TOL and not d[j + 1] > FEAS_TOL:
-                    return CheckResult(False, (float(spec.x_grid[i]), float(spec.x_grid[k]),
-                                               float(spec.theta_a[j]), float(spec.theta_a[j + 1])),
-                                       "strict gain reversed")
-                if d[j] >= -FEAS_TOL and d[j + 1] < -FEAS_TOL:
-                    return CheckResult(False, (float(spec.x_grid[i]), float(spec.x_grid[k]),
-                                               float(spec.theta_a[j]), float(spec.theta_a[j + 1])),
-                                       "weak gain reversed")
-    return CheckResult(True)
+    i, k, j = hit
+    return CheckResult(False, (float(spec.x_grid[i]), float(spec.x_grid[k]),
+                               float(spec.theta_a[j]), float(spec.theta_a[j + 1])),
+                       "strict gain reversed" if code[i, k, j] == 2
+                       else "weak gain reversed")
 
 
 def _check_costly_monotone(spec: CostlySpec) -> CheckResult:
     # u_b nondecreasing along the componentwise order of theta_b; the pair
-    # b, b never falls, as u > u + FEAS_TOL holds for no float
+    # b, b never falls, as u > u + FEAS_TOL holds for no float. The witness
+    # is the first fall in (b, c, y) order
     theta, u = spec.theta_b, spec.u_b
     below = (theta[:, None] <= theta).all(axis=-1)  # below[b, c]
-    if not np.count_nonzero((u[:, :, None] > u[:, None, :] + FEAS_TOL) & below):
+    falls = (u[:, :, None] > u[:, None, :] + FEAS_TOL) & below  # falls[y, b, c]
+    hit = _first_hit(falls.transpose(1, 2, 0))
+    if hit is None:
         return CheckResult(True)
-    n = spec.n_types
-    for b in range(n):
-        for c in range(n):
-            if b == c or not np.all(spec.theta_b[b] <= spec.theta_b[c]):
-                continue
-            for y in range(spec.n_alloc):
-                if spec.u_b[y, b] > spec.u_b[y, c] + FEAS_TOL:
-                    return CheckResult(False, (int(y), tuple(spec.theta_b[b]),
-                                               tuple(spec.theta_b[c])))
-    return CheckResult(True)
+    b, c, y = hit
+    return CheckResult(False, (int(y), tuple(theta[b]), tuple(theta[c])))
 
 
 def _check_costly_sign(spec: CostlySpec) -> CheckResult:
     s = spec.surplus
-    if not np.count_nonzero(s > FEAS_TOL):
+    hit = _first_hit(s > FEAS_TOL)
+    if hit is None:
         return CheckResult(True)
-    for y in range(spec.n_alloc):
-        for b in range(spec.n_types):
-            if s[y, b] > FEAS_TOL:
-                return CheckResult(False, (int(y), int(b), float(s[y, b])))
-    return CheckResult(True)
+    y, b = hit
+    return CheckResult(False, (int(y), int(b), float(s[y, b])))
 
 
 def _check_baseline(spec: CostlySpec) -> CheckResult:
-    y0 = spec.y0_index
-    if not (np.count_nonzero(spec.u_b[y0]) or np.count_nonzero(spec.v_b[y0])):
-        return CheckResult(True)  # no entry != 0.0
-    for name, tab in (("u_b", spec.u_b), ("v_b", spec.v_b)):
-        for b in range(spec.n_types):
-            if tab[y0, b] != 0.0:
-                return CheckResult(False, (name, int(b), float(tab[y0, b])))
+    # the u_b row is scanned before the v_b row; -0.0 counts as zero
+    for name, table in (("u_b", spec.u_b), ("v_b", spec.v_b)):
+        row = table[spec.y0_index]
+        hit = _first_hit(row)
+        if hit is not None:
+            return CheckResult(False, (name, int(hit[0]), float(row[hit])))
     return CheckResult(True)
 
 
@@ -577,11 +562,11 @@ def validate_instance(inst: ScreeningInstance, levels=None) -> ValidationReport:
     Structural defects raise StructuralError at construction; everything here
     is reported, never raised, so diagnostic runs on violating instances
     (including the strictness of the instrument-surplus sign) stay possible.
-    Each table check is decided by one array expression over its table (for
-    single crossing and costly monotonicity, over every pair of allocations
-    or costly types); only a failing table walks the scalar loop that finds
-    its witness, the first violation in loop order. Pass `levels` to reuse a
-    computed `stochastics.level_couplings(inst)`.
+    Each table check builds one mask of its violations (for single crossing
+    and costly monotonicity, over every pair of allocations or costly types);
+    the mask decides the check, and its first hit in the check's scan order
+    is the witness. Pass `levels` to reuse a computed
+    `stochastics.level_couplings(inst)`.
     """
     from .stochastics import check_stochastic_monotonicity  # local to avoid a cycle
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
 from math import comb, prod
 from operator import add
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -599,58 +598,3 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
          "optima": int(baseline_mask.size),
          "root_certified": bool(root <= best_val + FEAS_TOL)})
 
-
-# ---------------------------------------------------------------------------
-# grid convergence
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConvergenceFamily:
-    """Continuous-type family sampled onto left-endpoint grids."""
-
-    u: Callable      # u(x, theta)
-    v: Callable      # v(x, theta)
-    x_grid: np.ndarray
-    cdf: Callable = staticmethod(lambda q: q)  # type distribution on [0, 1]
-    name: str = "family"
-
-
-def default_convergence_family() -> ConvergenceFamily:
-    return ConvergenceFamily(
-        u=lambda x, th: th * x,
-        v=lambda x, th: -0.5 * x,
-        x_grid=np.linspace(0.0, 1.0, 6),
-        name="linear-costly-supply")
-
-
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    levels: tuple
-    values: tuple
-
-    @property
-    def gaps(self) -> tuple:
-        return tuple(abs(self.values[i + 1] - self.values[i])
-                     for i in range(len(self.values) - 1))
-
-
-def discretize_family(family: ConvergenceFamily, n: int) -> OneDimInstance:
-    """Left-endpoint discretization with interval masses."""
-    theta = np.arange(n) / n
-    edges = np.arange(n + 1) / n
-    mu = np.array([family.cdf(edges[i + 1]) - family.cdf(edges[i]) for i in range(n)])
-    x_grid = np.asarray(family.x_grid, dtype=float)
-    u = np.array([[family.u(x, th) for th in theta] for x in x_grid])
-    v = np.array([[family.v(x, th) for th in theta] for x in x_grid])
-    return OneDimInstance(theta, mu, x_grid, u, v)
-
-
-def grid_convergence_study(family: ConvergenceFamily,
-                           levels: Sequence = (8, 16, 32, 64)) -> ConvergenceStudy:
-    """Solve the full-IC problem on successively finer type grids."""
-    values = []
-    for n in levels:
-        inst = discretize_family(family, int(n))
-        values.append(solve_full_1d(inst).value)
-    return ConvergenceStudy(tuple(int(n) for n in levels), tuple(values))

@@ -4,8 +4,7 @@ Dominance between finitely supported laws on R^N is decided by an exact
 max-flow on the componentwise admissibility graph (capacities are
 probabilities scaled to integer units of 10**-12 mass, so there is no flow
 tolerance to tune); against a point mass the max flow is unique and is read
-off the admissibility table directly. Exhaustive upper-set enumeration is
-kept alongside as an independent oracle. One pass couples the conditional
+off the admissibility table directly. One pass couples the conditional
 costly laws of adjacent productive levels (`level_couplings`: common
 quantiles for a scalar costly type, one max-flow per pair otherwise). It
 decides monotonicity and feeds the joint solver's path-rent bound and the
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDominated, NotMonotone, SizeGuardExceeded, StructuralError
+from .errors import NotDominated, NotMonotone, StructuralError
 from .model import (FEAS_TOL, PROB_TOL, CostlySpec, JointDistribution,
                     ProductiveSpec, ScreeningInstance, frozen_array)
 
@@ -209,58 +208,6 @@ def check_dominance(p: DiscreteDistribution, q: DiscreteDistribution,
         return not _unordered_rows(_row_cdfs(laws, values), tol).size
     value, _ = _flow_between(p, q)
     return _FLOW_SCALE - value <= _FLOW_SLACK
-
-
-def dominance_by_upper_sets(p: DiscreteDistribution, q: DiscreteDistribution,
-                            tol: float = FEAS_TOL, guard: int = 2 ** 20) -> bool:
-    """Oracle route: compare masses of every upper set of the joint support.
-
-    Exponential in support size; guarded. Kept deliberately independent of the
-    flow construction so the two can certify each other in tests.
-    """
-    if p.dim != q.dim:
-        raise StructuralError("distributions must share a dimension")
-    pts = {tuple(row) for row in p.points} | {tuple(row) for row in q.points}
-    order = sorted(pts)
-    k = len(order)
-    if 2 ** k > guard:
-        raise SizeGuardExceeded("upper-set enumeration too large", 2 ** k, guard)
-    arr = np.array(order, dtype=float)
-    up_mask = []
-    for i in range(k):
-        m = 0
-        for j in range(k):
-            if np.all(arr[i] <= arr[j]):
-                m |= 1 << j
-        up_mask.append(m)
-    mass_p = np.zeros(k)
-    mass_q = np.zeros(k)
-    index = {pt: i for i, pt in enumerate(order)}
-    for row, pr in zip(p.points, p.prob):
-        mass_p[index[tuple(row)]] += pr
-    for row, pr in zip(q.points, q.prob):
-        mass_q[index[tuple(row)]] += pr
-    for subset in range(1, 2 ** k):
-        closed = True
-        s = subset
-        while s:
-            i = (s & -s).bit_length() - 1
-            if up_mask[i] & ~subset:
-                closed = False
-                break
-            s &= s - 1
-        if not closed:
-            continue
-        total_p = total_q = 0.0
-        s = subset
-        while s:
-            i = (s & -s).bit_length() - 1
-            total_p += mass_p[i]
-            total_q += mass_q[i]
-            s &= s - 1
-        if total_p > total_q + tol:
-            return False
-    return True
 
 
 def strassen_coupling(p: DiscreteDistribution, q: DiscreteDistribution) -> Coupling:

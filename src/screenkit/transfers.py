@@ -3,7 +3,9 @@
 Given a (possibly non-monotone) allocation over a sorted scalar type grid,
 the closed form pins every type's transfer through the binding pattern of the
 relaxed problem: local downward constraints bind along monotonic runs, and
-inside each U-shaped region every type is held to its region origin. The same
+inside each U-shaped region, which opens at a strict descent of the
+allocation and closes at the first later type allocated strictly above its
+origin, every type is held to its region origin. The same
 transfers fall out of single-source shortest paths on the difference
 constraint graph, which this module also implements. That route is O(n^3)
 and serves only as an independent oracle: the one-dimensional solvers price
@@ -12,8 +14,7 @@ with the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,58 +62,6 @@ class OneDimInstance:
         return self.x_grid.size
 
 
-@dataclass(frozen=True)
-class URegions:
-    """Decomposition of an allocation sequence into U-shaped regions.
-
-    ``regions`` holds (origin, dest) index pairs, 0-based; ``dest == n`` is
-    the sentinel for a region whose allocation never strictly recovers above
-    its origin. ``free`` lists the indices outside every region plus each
-    region destination that does not itself open the next region.
-    """
-
-    regions: tuple
-    free: tuple
-
-
-def u_region_decomposition(x: Sequence) -> URegions:
-    """Scan an allocation sequence for U-shaped regions.
-
-    A region opens at the first strict descent of a monotonic run and closes
-    at the first later index whose allocation strictly exceeds the origin's;
-    equal allocations extend the current run on both sides of the rule.
-    """
-    x = list(x)
-    n = len(x)
-    regions = []
-    i = 0
-    while i < n - 1:
-        if x[i + 1] < x[i]:
-            origin = i
-            dest = n
-            for j in range(origin + 1, n):
-                if x[j] > x[origin]:
-                    dest = j
-                    break
-            regions.append((origin, dest))
-            if dest >= n:
-                break
-            i = dest
-        else:
-            i += 1
-    # free: outside every region, or a destination that opens no region
-    free = [True] * n
-    for origin, dest in regions:
-        stop = min(dest, n - 1) + 1
-        free[origin:stop] = [False] * (stop - origin)
-    for _, dest in regions:
-        if dest < n:
-            free[dest] = True
-    for origin, _ in regions:
-        free[origin] = False
-    return URegions(tuple(regions), tuple(compress(range(n), free)))
-
-
 def _allocation(inst: OneDimInstance, x_idx: Sequence) -> np.ndarray:
     """x_idx as an index array; StructuralError unless it holds one integer
     index into the allocation grid per type."""
@@ -151,9 +100,10 @@ def closed_form_downward_transfers(inst: OneDimInstance, x_idx: Sequence) -> np.
 def _regions(block: np.ndarray):
     """The U-shaped regions of every column of an allocation block (n, k).
 
-    A pass opens each column's next region at its first descent from where
-    the column's scan stands and closes it where the allocation first
-    exceeds the origin's, as `u_region_decomposition` does. Returns the
+    A pass opens each column's next region at its first strict descent from
+    where the column's scan stands and closes it where the allocation first
+    strictly exceeds the origin's; the column's scan then stands at that
+    destination, and equal allocations never open or close a region. Returns the
     passes, each (mask of the columns holding a region, origins,
     destinations, n where a region never closes), and the (n - 1, k) mask
     of the types j < n - 1 from an origin up to before its destination, the
@@ -259,71 +209,6 @@ def graph_optimal_transfers(inst: OneDimInstance, x_idx: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# binding pattern
-# ---------------------------------------------------------------------------
-
-
-class BindingEntry(NamedTuple):
-    kind: str       # "ir", "local", or "region"
-    deviator: int   # type whose constraint this is
-    target: int     # imitated type (== deviator for "ir")
-    residual: float
-    binds: bool
-
-
-@dataclass(frozen=True)
-class BindingReport:
-    """Which designated constraints hold with equality for (x, t)."""
-
-    entries: tuple
-
-    @property
-    def passes(self) -> bool:
-        return all(e.binds for e in self.entries)
-
-    def __str__(self) -> str:
-        rows = []
-        for e in self.entries:
-            mark = "=" if e.binds else f"slack {e.residual:.3g}"
-            rows.append(f"{e.kind}[{e.deviator}->{e.target}]: {mark}")
-        return "\n".join(rows)
-
-
-def binding_report(inst: OneDimInstance, x_idx: Sequence, t: Sequence,
-                   tol: float = FEAS_TOL) -> BindingReport:
-    """Check the designated binding set for the downward relaxation.
-
-    Designated constraints: participation of the lowest type, each local
-    downward constraint stepping onto a free index, and inside every U-shaped
-    region each type's constraint against the region origin. Indices past the
-    top type (sentinel destinations) are ignored.
-    """
-    u = inst.u
-    x_idx = [int(i) for i in x_idx]
-    t = [float(v) for v in t]
-    n = inst.n
-    decomp = u_region_decomposition(x_idx)
-    entries = []
-
-    residual = u[x_idx[0], 0] - t[0]
-    entries.append(BindingEntry("ir", 0, 0, float(residual), abs(residual) <= tol))
-    for i in decomp.free:
-        if i >= n - 1:
-            continue
-        lhs = u[x_idx[i + 1], i + 1] - t[i + 1]
-        rhs = u[x_idx[i], i + 1] - t[i]
-        entries.append(BindingEntry("local", i + 1, i, float(lhs - rhs),
-                                    abs(lhs - rhs) <= tol))
-    for origin, dest in decomp.regions:
-        for i in range(origin + 1, min(dest, n - 1) + 1):
-            lhs = u[x_idx[i], i] - t[i]
-            rhs = u[x_idx[origin], i] - t[origin]
-            entries.append(BindingEntry("region", i, origin, float(lhs - rhs),
-                                        abs(lhs - rhs) <= tol))
-    return BindingReport(tuple(entries))
-
-
-# ---------------------------------------------------------------------------
 # feasibility checks and evaluation
 # ---------------------------------------------------------------------------
 
@@ -354,41 +239,3 @@ def onedim_value(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> float:
     # added in type order from 0.0: np.sum would add pairwise
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
-
-# ---------------------------------------------------------------------------
-# seeded generator for scalar-type problems
-# ---------------------------------------------------------------------------
-
-
-def random_onedim_instance(seed: int, n: int = 4, n_x: int = 3,
-                           surplus_single_crossing: bool = False,
-                           stream: int = 0) -> OneDimInstance:
-    """Draw a scalar-type instance with strict increasing differences.
-
-    With ``surplus_single_crossing`` the principal table depends on the
-    allocation only (plus an optional nonnegative complementarity term), so
-    the total surplus inherits single crossing from the agent side.
-    """
-    from .stochastics import instance_rng
-
-    rng = instance_rng(seed, stream)
-    theta = np.round(rng.uniform(0.1, 0.5) + np.concatenate(
-        [[0.0], np.cumsum(rng.uniform(0.2, 0.8, n - 1))]), 6)
-    mu = rng.uniform(0.25, 1.0, n)
-    mu /= mu.sum()
-    x_grid = np.round(rng.uniform(0.0, 0.3) + np.concatenate(
-        [[0.0], np.cumsum(rng.uniform(0.2, 0.7, n_x - 1))]), 6)
-    a_vals = rng.uniform(0.2, 0.5) + np.concatenate(
-        [[0.0], np.cumsum(rng.uniform(0.15, 0.5, n - 1))])
-    b_vals = rng.uniform(0.0, 0.3) + np.concatenate(
-        [[0.0], np.cumsum(rng.uniform(0.2, 0.6, n_x - 1))])
-    d_vals = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 0.3, n - 1))])
-    u = np.outer(b_vals, a_vals) + np.tile(d_vals, (n_x, 1))
-    if surplus_single_crossing:
-        v = np.tile(rng.uniform(-0.8, 0.8, n_x)[:, None], (1, n))
-        if rng.random() < 0.5:
-            v = v + rng.uniform(0.0, 0.5) * np.outer(
-                np.sort(rng.uniform(0.0, 0.5, n_x)), np.sort(rng.uniform(0.0, 0.5, n)))
-    else:
-        v = rng.uniform(-1.0, 1.0, (n_x, n))
-    return OneDimInstance(theta, mu, x_grid, u, v)

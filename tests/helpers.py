@@ -1,21 +1,21 @@
 """Helpers shared by several test files."""
 import json
+from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement, compress
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from itertools import combinations, combinations_with_replacement
-
-from screenkit import (FEAS_TOL, CostlySpec, GeneratorKnobs,
-                       JointDistribution, Mechanism, ProductiveSpec,
-                       ScreeningInstance, StructuralError,
-                       check_stochastic_monotonicity, level_couplings,
-                       productive_marginal, solve_full_1d,
-                       u_region_decomposition)
+from screenkit import (FEAS_TOL, CostlySpec, DiscreteDistribution,
+                       GeneratorKnobs, JointDistribution, Mechanism,
+                       OneDimInstance, ProductiveSpec, ScreeningInstance,
+                       SizeGuardExceeded, StructuralError,
+                       check_stochastic_monotonicity, instance_rng,
+                       level_couplings, productive_marginal, solve_full_1d)
 from screenkit.applications import (_agent_values, _cell_tables, _group_types,
                                     _option_cells, _principal_values)
 from screenkit.solver import (_batch_transfers, _option_tables,
                               _path_rent_bound, _price)
-from screenkit.transfers import URegions
 
 #: The knob sets of the theorem's acceptance criterion: positive instances
 #: in dims 1 and 2, with strictly and weakly costly instruments.
@@ -51,6 +51,269 @@ def ic_mechanism_on_line(line, rng, want_instrument=True):
         return Mechanism(tuple(int(i) for i in x), tuple(int(i) for i in y),
                          tuple(float(v) for v in D[0]))
     return None
+
+
+# ---------------------------------------------------------------------------
+# scalar-type generator, region scan and binding pattern
+# ---------------------------------------------------------------------------
+
+
+def random_onedim_instance(seed: int, n: int = 4, n_x: int = 3,
+                           surplus_single_crossing: bool = False,
+                           stream: int = 0) -> OneDimInstance:
+    """Draw a scalar-type instance with strict increasing differences.
+
+    With ``surplus_single_crossing`` the principal table depends on the
+    allocation only (plus an optional nonnegative complementarity term), so
+    the total surplus inherits single crossing from the agent side.
+    """
+    rng = instance_rng(seed, stream)
+    theta = np.round(rng.uniform(0.1, 0.5) + np.concatenate(
+        [[0.0], np.cumsum(rng.uniform(0.2, 0.8, n - 1))]), 6)
+    mu = rng.uniform(0.25, 1.0, n)
+    mu /= mu.sum()
+    x_grid = np.round(rng.uniform(0.0, 0.3) + np.concatenate(
+        [[0.0], np.cumsum(rng.uniform(0.2, 0.7, n_x - 1))]), 6)
+    a_vals = rng.uniform(0.2, 0.5) + np.concatenate(
+        [[0.0], np.cumsum(rng.uniform(0.15, 0.5, n - 1))])
+    b_vals = rng.uniform(0.0, 0.3) + np.concatenate(
+        [[0.0], np.cumsum(rng.uniform(0.2, 0.6, n_x - 1))])
+    d_vals = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 0.3, n - 1))])
+    u = np.outer(b_vals, a_vals) + np.tile(d_vals, (n_x, 1))
+    if surplus_single_crossing:
+        v = np.tile(rng.uniform(-0.8, 0.8, n_x)[:, None], (1, n))
+        if rng.random() < 0.5:
+            v = v + rng.uniform(0.0, 0.5) * np.outer(
+                np.sort(rng.uniform(0.0, 0.5, n_x)), np.sort(rng.uniform(0.0, 0.5, n)))
+    else:
+        v = rng.uniform(-1.0, 1.0, (n_x, n))
+    return OneDimInstance(theta, mu, x_grid, u, v)
+
+
+@dataclass(frozen=True)
+class URegions:
+    """Decomposition of an allocation sequence into U-shaped regions.
+
+    ``regions`` holds (origin, dest) index pairs, 0-based; ``dest == n`` is
+    the sentinel for a region whose allocation never strictly recovers above
+    its origin. ``free`` lists the indices outside every region plus each
+    region destination that does not itself open the next region.
+    """
+
+    regions: tuple
+    free: tuple
+
+
+def u_region_decomposition(x: Sequence) -> URegions:
+    """Scan an allocation sequence for U-shaped regions, one index at a time.
+
+    A region opens at the first strict descent of a monotonic run and closes
+    at the first later index whose allocation strictly exceeds the origin's;
+    equal allocations extend the current run on both sides of the rule.
+    `transfers._regions` finds the same regions for a block of allocations.
+    """
+    x = list(x)
+    n = len(x)
+    regions = []
+    i = 0
+    while i < n - 1:
+        if x[i + 1] < x[i]:
+            origin = i
+            dest = n
+            for j in range(origin + 1, n):
+                if x[j] > x[origin]:
+                    dest = j
+                    break
+            regions.append((origin, dest))
+            if dest >= n:
+                break
+            i = dest
+        else:
+            i += 1
+    # free: outside every region, or a destination that opens no region
+    free = [True] * n
+    for origin, dest in regions:
+        stop = min(dest, n - 1) + 1
+        free[origin:stop] = [False] * (stop - origin)
+    for _, dest in regions:
+        if dest < n:
+            free[dest] = True
+    for origin, _ in regions:
+        free[origin] = False
+    return URegions(tuple(regions), tuple(compress(range(n), free)))
+
+
+class BindingEntry(NamedTuple):
+    kind: str       # "ir", "local", or "region"
+    deviator: int   # type whose constraint this is
+    target: int     # imitated type (== deviator for "ir")
+    residual: float
+    binds: bool
+
+
+@dataclass(frozen=True)
+class BindingReport:
+    """Which designated constraints hold with equality for (x, t)."""
+
+    entries: tuple
+
+    @property
+    def passes(self) -> bool:
+        return all(e.binds for e in self.entries)
+
+    def __str__(self) -> str:
+        rows = []
+        for e in self.entries:
+            mark = "=" if e.binds else f"slack {e.residual:.3g}"
+            rows.append(f"{e.kind}[{e.deviator}->{e.target}]: {mark}")
+        return "\n".join(rows)
+
+
+def binding_report(inst: OneDimInstance, x_idx: Sequence, t: Sequence,
+                   tol: float = FEAS_TOL) -> BindingReport:
+    """Check the designated binding set for the downward relaxation.
+
+    Designated constraints: participation of the lowest type, each local
+    downward constraint stepping onto a free index, and inside every U-shaped
+    region each type's constraint against the region origin. Indices past the
+    top type (sentinel destinations) are ignored.
+    """
+    u = inst.u
+    x_idx = [int(i) for i in x_idx]
+    t = [float(v) for v in t]
+    n = inst.n
+    decomp = u_region_decomposition(x_idx)
+    entries = []
+
+    residual = u[x_idx[0], 0] - t[0]
+    entries.append(BindingEntry("ir", 0, 0, float(residual), abs(residual) <= tol))
+    for i in decomp.free:
+        if i >= n - 1:
+            continue
+        lhs = u[x_idx[i + 1], i + 1] - t[i + 1]
+        rhs = u[x_idx[i], i + 1] - t[i]
+        entries.append(BindingEntry("local", i + 1, i, float(lhs - rhs),
+                                    abs(lhs - rhs) <= tol))
+    for origin, dest in decomp.regions:
+        for i in range(origin + 1, min(dest, n - 1) + 1):
+            lhs = u[x_idx[i], i] - t[i]
+            rhs = u[x_idx[origin], i] - t[origin]
+            entries.append(BindingEntry("region", i, origin, float(lhs - rhs),
+                                        abs(lhs - rhs) <= tol))
+    return BindingReport(tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# dominance by upper sets: the flow's independent oracle
+# ---------------------------------------------------------------------------
+
+
+def dominance_by_upper_sets(p: DiscreteDistribution, q: DiscreteDistribution,
+                            tol: float = FEAS_TOL, guard: int = 2 ** 20) -> bool:
+    """Oracle route: compare masses of every upper set of the joint support.
+
+    Exponential in support size; guarded. Kept deliberately independent of the
+    flow construction so the two can certify each other in tests.
+    """
+    if p.dim != q.dim:
+        raise StructuralError("distributions must share a dimension")
+    pts = {tuple(row) for row in p.points} | {tuple(row) for row in q.points}
+    order = sorted(pts)
+    k = len(order)
+    if 2 ** k > guard:
+        raise SizeGuardExceeded("upper-set enumeration too large", 2 ** k, guard)
+    arr = np.array(order, dtype=float)
+    up_mask = []
+    for i in range(k):
+        m = 0
+        for j in range(k):
+            if np.all(arr[i] <= arr[j]):
+                m |= 1 << j
+        up_mask.append(m)
+    mass_p = np.zeros(k)
+    mass_q = np.zeros(k)
+    index = {pt: i for i, pt in enumerate(order)}
+    for row, pr in zip(p.points, p.prob):
+        mass_p[index[tuple(row)]] += pr
+    for row, pr in zip(q.points, q.prob):
+        mass_q[index[tuple(row)]] += pr
+    for subset in range(1, 2 ** k):
+        closed = True
+        s = subset
+        while s:
+            i = (s & -s).bit_length() - 1
+            if up_mask[i] & ~subset:
+                closed = False
+                break
+            s &= s - 1
+        if not closed:
+            continue
+        total_p = total_q = 0.0
+        s = subset
+        while s:
+            i = (s & -s).bit_length() - 1
+            total_p += mass_p[i]
+            total_q += mass_q[i]
+            s &= s - 1
+        if total_p > total_q + tol:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# grid convergence of the full-IC value
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConvergenceFamily:
+    """Continuous-type family sampled onto left-endpoint grids."""
+
+    u: Callable      # u(x, theta)
+    v: Callable      # v(x, theta)
+    x_grid: np.ndarray
+    cdf: Callable = staticmethod(lambda q: q)  # type distribution on [0, 1]
+    name: str = "family"
+
+
+def default_convergence_family() -> ConvergenceFamily:
+    return ConvergenceFamily(
+        u=lambda x, th: th * x,
+        v=lambda x, th: -0.5 * x,
+        x_grid=np.linspace(0.0, 1.0, 6),
+        name="linear-costly-supply")
+
+
+@dataclass(frozen=True)
+class ConvergenceStudy:
+    levels: tuple
+    values: tuple
+
+    @property
+    def gaps(self) -> tuple:
+        return tuple(abs(self.values[i + 1] - self.values[i])
+                     for i in range(len(self.values) - 1))
+
+
+def discretize_family(family: ConvergenceFamily, n: int) -> OneDimInstance:
+    """Left-endpoint discretization with interval masses."""
+    theta = np.arange(n) / n
+    edges = np.arange(n + 1) / n
+    mu = np.array([family.cdf(edges[i + 1]) - family.cdf(edges[i]) for i in range(n)])
+    x_grid = np.asarray(family.x_grid, dtype=float)
+    u = np.array([[family.u(x, th) for th in theta] for x in x_grid])
+    v = np.array([[family.v(x, th) for th in theta] for x in x_grid])
+    return OneDimInstance(theta, mu, x_grid, u, v)
+
+
+def grid_convergence_study(family: ConvergenceFamily,
+                           levels: Sequence = (8, 16, 32, 64)) -> ConvergenceStudy:
+    """Solve the full-IC problem on successively finer type grids."""
+    values = []
+    for n in levels:
+        inst = discretize_family(family, int(n))
+        values.append(solve_full_1d(inst).value)
+    return ConvergenceStudy(tuple(int(n) for n in levels), tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -12,24 +12,26 @@ import pytest
 
 from screenkit import (CompetitiveParams, DiscreteDistribution, FEAS_TOL,
                        GeneratorKnobs, AssumptionFailed,
-                       agent_payoff, binding_report, bundling_default,
-                       certify_bundling, check_dominance, check_ic, check_ir,
+                       agent_payoff, bundling_default, certify_bundling,
+                       check_dominance, check_ic, check_ir,
                        closed_form_downward_transfers, competitive_separating,
-                       converse_construct, default_convergence_family,
-                       dominance_by_upper_sets, example1_instance,
+                       converse_construct, example1_instance,
                        example2_instance, example3_instance, example3_menu,
-                       graph_optimal_transfers, grid_convergence_study,
-                       instance_rng, menu_best_response, onedim_ic_violations,
+                       graph_optimal_transfers, instance_rng,
+                       menu_best_response, onedim_ic_violations,
                        path_decomposition, productive_marginal,
-                       random_negative_instance, random_onedim_instance,
-                       random_positive_instance, shift_mechanism,
+                       random_negative_instance, random_positive_instance,
+                       shift_mechanism,
                        solve_bundling, solve_downward_1d, solve_full_1d,
                        solve_joint, strassen_coupling, validate_instance,
                        verify_theorem1)
 from screenkit.applications import BundleInstance
 from screenkit.theorems import _line_instance
 
-from helpers import THEOREM_KNOBS, ic_mechanism_on_line
+from helpers import (THEOREM_KNOBS, binding_report,
+                     default_convergence_family, dominance_by_upper_sets,
+                     grid_convergence_study, ic_mechanism_on_line,
+                     random_onedim_instance)
 
 
 @contextmanager

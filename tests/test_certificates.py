@@ -20,8 +20,7 @@ import pytest
 from screenkit import (FEAS_TOL, BundleInstance, GeneratorKnobs, OneDimInstance,
                        bundling_default, certify_bundling,
                        load_instance, productive_marginal,
-                       random_onedim_instance, random_positive_instance,
-                       solve_downward_1d)
+                       random_positive_instance, solve_downward_1d)
 from screenkit import applications, solver
 from screenkit.applications import (BundlingSolution, _best_pair,
                                     _cell_tables,
@@ -34,7 +33,7 @@ from screenkit.transfers import (graph_optimal_transfers,
                                  onedim_value)
 
 from helpers import (bundle_options, bundle_options_loop, closed_form_loop,
-                     distinct_options_lexsort)
+                     distinct_options_lexsort, random_onedim_instance)
 from test_applications import random_bundle
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"

@@ -183,6 +183,22 @@ def test_guard_exceeded_is_exit_2(capsys, tmp_path):
             assert code == want, (command, guard)
 
 
+def test_guard_bounds_the_downward_enumeration(capsys):
+    # downward1d enumerates n_x ** n allocations of the type line; full1d
+    # takes no guard
+    for command in (["solve", "--instance", EX1],
+                    ["sweep", "--random", "1", "--seed", "0"]):
+        code, out = run(capsys, *command, "--mode", "downward1d")
+        assert code == 0
+        rows = json.loads(out)
+        total = (rows[0] if isinstance(rows, list) else rows)["certificate"]["enumerated"]
+        for guard, want in ((total - 1, 2), (total, 0)):
+            code, _ = run(capsys, *command, "--mode", "downward1d", "--guard", str(guard))
+            assert code == want, (command, guard)
+        code, _ = run(capsys, *command, "--mode", "full1d", "--guard", "1")
+        assert code == 0, command
+
+
 def test_space_beyond_the_guard_verifies_when_the_bound_keeps_little(capsys, tmp_path):
     # 13 support points and 9 options: 9^13 assignments, far above the
     # default guard, of which the root filter keeps a handful
@@ -370,6 +386,27 @@ MALFORMED = {
     "fractional_n_goods": lambda tmp: [
         "bundling", "--params",
         _write(tmp, _edited("bundling_default.json", n_goods=2.5))],
+    # float fields take JSON numbers only: numpy would read true as 1.0 and
+    # "0.5" as 0.5
+    "boolean_y_set": lambda tmp: [
+        "verify", "--instance", _write(tmp, _edited("example2.json", y_set=[False, True]))],
+    "string_y_set": lambda tmp: [
+        "verify", "--instance", _write(tmp, _edited("example2.json", y_set=["0", "1"]))],
+    "boolean_among_numbers_u_b": lambda tmp: [
+        "verify", "--instance",
+        _write(tmp, _edited("example2.json", u_b=[[False, 0.0], [-1.0, 0.0]]))],
+    "string_prob": lambda tmp: [
+        "verify", "--instance", _write(tmp, _edited("example2.json", prob=["0.5", "0.5"]))],
+    "string_theta_l": lambda tmp: [
+        "competitive", "--params",
+        _write(tmp, _edited("competitive_default.json", theta_l="0.5"))],
+    "boolean_b_h": lambda tmp: [
+        "competitive", "--params",
+        _write(tmp, _edited("competitive_default.json", b_h=True))],
+    "boolean_quality_grid": lambda tmp: [
+        "bundling", "--params",
+        _write(tmp, _edited("bundling_default.json",
+                            quality_grid=[False, 0.25, 0.5, 0.75, True]))],
 }
 
 
@@ -389,6 +426,17 @@ def test_malformed_input_is_one_line_exit_1(case, capsys, tmp_path):
     ("fractional_n_goods", "n_goods"),
 ])
 def test_non_integer_json_fields_are_named(case, field, capsys, tmp_path):
+    assert main(MALFORMED[case](tmp_path)) == 1
+    assert f"malformed field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, field", [
+    ("boolean_y_set", "y_set"), ("string_y_set", "y_set"),
+    ("boolean_among_numbers_u_b", "u_b"), ("string_prob", "prob"),
+    ("string_theta_l", "theta_l"), ("boolean_b_h", "b_h"),
+    ("boolean_quality_grid", "quality_grid"),
+])
+def test_non_number_float_fields_are_named(case, field, capsys, tmp_path):
     assert main(MALFORMED[case](tmp_path)) == 1
     assert f"malformed field {field!r}" in capsys.readouterr().err
 

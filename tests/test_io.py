@@ -97,6 +97,30 @@ def test_json_integer_fields_take_json_integers_only(field, value):
         instance_from_dict(data)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("y_set", [False, True]), ("y_set", [0.0, True]), ("y_set", ["0", "1"]),
+    ("y_set", [0.0, None]), ("y_set", [0.0, 10 ** 30, True]),
+    ("u_b", [[0.0, 0.0], [-1.0, False]]), ("prob", ["0.5", "0.5"]),
+    ("prob", [0.5, {"p": 0.5}]),
+])
+def test_json_float_fields_take_json_numbers_only(field, value):
+    data = instance_to_dict(example2_instance())
+    data[field] = value
+    with pytest.raises(StructuralError, match=f"malformed field {field!r}"):
+        instance_from_dict(data)
+
+
+def test_json_float_fields_read_every_json_number():
+    # integers, negative zero and integers beyond 64 bits read as floats
+    data = instance_to_dict(example2_instance())
+    data["y_set"] = [-0.0, 10 ** 30]
+    data["u_b"] = [[0, 0], [-1, 0.0]]
+    inst = instance_from_dict(data)
+    assert inst.costly.y_set.tolist() == [-0.0, 1e30]
+    assert inst.costly.u_b.dtype == float and not inst.costly.u_b.flags.writeable
+    assert inst.costly.u_b.tolist() == [[0.0, 0.0], [-1.0, 0.0]]
+
+
 def test_bad_json_is_a_structural_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

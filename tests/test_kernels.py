@@ -9,12 +9,12 @@ a different summation order or sign of zero fails.
 import numpy as np
 import pytest
 
-from screenkit import (OneDimInstance, instance_rng, onedim_value,
-                       random_onedim_instance, solve_full_1d,
-                       u_region_decomposition)
+from screenkit import OneDimInstance, instance_rng, onedim_value, solve_full_1d
 from screenkit.transfers import _closed_form, _regions
 
-from helpers import closed_form_loop, full1d_allocation_loop, onedim_value_loop
+from helpers import (closed_form_loop, full1d_allocation_loop,
+                     onedim_value_loop, random_onedim_instance,
+                     u_region_decomposition)
 
 SIZES = [1, 2, 3, 5, 8, 9, 17, 64, 128, 256, 320]
 N_X = 6

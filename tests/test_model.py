@@ -323,3 +323,76 @@ def test_table_checks_cover_passes_and_each_witness():
         assert {p for p, _ in seen} == {True, False}, name
     assert {n for _, n in outcomes["single_crossing_loop"]} >= {
         "strict gain reversed", "weak gain reversed"}
+
+
+# Tables whose first violation in each check's scan order differs from the
+# first in another order: a check that scans its mask in the wrong order, or
+# reads the wrong note, fails here even where the random tables miss it.
+X2, THETA3 = np.array([10.0, 20.0]), np.array([1.0, 2.0, 3.0])
+
+
+def _productive_pinned(u, x_grid=X2):
+    u = np.array(u, dtype=float)
+    return ProductiveSpec(THETA3, x_grid, u, np.zeros_like(u))
+
+
+def _costly_pinned(u_b, v_b, points=((0.0,), (1.0,), (2.0,))):
+    u_b = np.array(u_b, dtype=float)
+    return CostlySpec(np.array(points), np.arange(len(u_b), dtype=float), 0,
+                      u_b, np.array(v_b, dtype=float))
+
+
+PINNED_TABLES = {
+    # falls at (x 10, types 2 -> 3) and (x 20, types 1 -> 2): allocation first
+    "productive_monotone": (
+        model._check_productive_monotone, productive_monotone_loop,
+        _productive_pinned([[0, 1, 0], [1, 0, 1]]),
+        (False, (10.0, 2.0, 3.0), "")),
+    # differences fail at (steps 10 -> 20, types 2 -> 3) and (20 -> 30, 1 -> 2)
+    "increasing_differences": (
+        model._check_increasing_differences, increasing_differences_loop,
+        _productive_pinned([[0, 0, 0], [1, 2, 2], [2, 3, 5]], np.array([10.0, 20.0, 30.0])),
+        (False, (10.0, 20.0, 2.0, 3.0), "")),
+    # pair (10, 20) reverses at types 2 -> 3, pair (10, 30) already at 1 -> 2;
+    # the gain of 20 over 10 falls from strict to a loss, so both rules fail
+    "single_crossing_pair_order": (
+        model._check_single_crossing, single_crossing_loop,
+        _productive_pinned([[0, 0, 0], [0, 1, -1], [1, -1, -1]],
+                           np.array([10.0, 20.0, 30.0])),
+        (False, (10.0, 20.0, 2.0, 3.0), "strict gain reversed")),
+    "single_crossing_weak_only": (
+        model._check_single_crossing, single_crossing_loop,
+        _productive_pinned([[0, 0, 0], [0, 0, -1]]),
+        (False, (10.0, 20.0, 2.0, 3.0), "weak gain reversed")),
+    # falls at (b 0, c 1, y 1) and (b 1, c 2, y 0): first in (b, c, y) order
+    # is at y 1, first in (y, b, c) order at y 0
+    "costly_monotone_line": (
+        model._check_costly_monotone, costly_monotone_loop,
+        _costly_pinned([[0, 1, 0], [1, 0, 2]], np.zeros((2, 3))),
+        (False, (1, (0.0,), (1.0,)), "")),
+    # (0, 1) and (1, 0) are unordered; the first fall in (b, c, y) order is
+    # (0, 0) over (1, 1) at y 1, the first at y 0 is (0, 1) over (1, 1)
+    "costly_monotone_plane": (
+        model._check_costly_monotone, costly_monotone_loop,
+        _costly_pinned([[0, 1, 5, 0], [1, 1, 1, 0]], np.zeros((2, 4)),
+                       points=((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))),
+        (False, (1, (0.0, 0.0), (1.0, 1.0)), "")),
+    # surplus positive at (y 0, b 1) and (y 1, b 0): instrument first
+    "costly_sign": (
+        model._check_costly_sign, costly_sign_loop,
+        _costly_pinned([[0, 0], [0, 0]], [[0, 1], [1, 0]], points=((0.0,), (1.0,))),
+        (False, (0, 1, 1.0), "")),
+    # the baseline row is nonzero in v_b at b 0 and in u_b at b 1: u_b first
+    "baseline_both_tables": (
+        model._check_baseline, baseline_loop,
+        _costly_pinned([[0, 2], [0, 0]], [[3, 0], [0, 0]], points=((0.0,), (1.0,))),
+        (False, ("u_b", 1, 2.0), "")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TABLES))
+def test_table_check_witness_is_the_first_in_scan_order(case):
+    check, loop, spec, want = PINNED_TABLES[case]
+    got = tuple(check(spec))
+    assert got == want
+    assert got == loop(spec) and repr(got) == repr(loop(spec))

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from screenkit import (GeneratorKnobs, OneDimInstance, SizeGuardExceeded,
-                       StructuralError, agent_payoff,
-                       default_convergence_family, discretize_family,
-                       example1_instance, example2_instance,
-                       example3_instance, graph_optimal_transfers,
-                       grid_convergence_study, instance_rng, principal_payoff,
-                       productive_marginal, random_onedim_instance,
+                       StructuralError, agent_payoff, example1_instance,
+                       example2_instance, example3_instance,
+                       graph_optimal_transfers, instance_rng,
+                       principal_payoff, productive_marginal,
                        random_positive_instance, solve_downward_1d,
                        solve_full_1d, solve_joint)
+
+from helpers import (default_convergence_family, discretize_family,
+                     grid_convergence_study, random_onedim_instance)
 
 
 def oracle_joint_value(inst):

@@ -12,11 +12,13 @@ import screenkit.stochastics as stochastics
 from screenkit import (MASS_TOL, DiscreteDistribution, GeneratorKnobs,
                        JointDistribution, NotDominated, NotMonotone,
                        ScreeningInstance, check_dominance,
-                       check_stochastic_monotonicity, dominance_by_upper_sets,
-                       example2_instance, example3_instance, instance_rng,
-                       level_couplings, path_decomposition,
-                       random_negative_instance, random_positive_instance,
-                       save_instance, strassen_coupling)
+                       check_stochastic_monotonicity, example2_instance,
+                       example3_instance, instance_rng, level_couplings,
+                       path_decomposition, random_negative_instance,
+                       random_positive_instance, save_instance,
+                       strassen_coupling)
+
+from helpers import dominance_by_upper_sets
 
 
 def dist1(pairs):

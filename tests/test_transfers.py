@@ -4,15 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screenkit import (FEAS_TOL, NotImplementable, OneDimInstance,
-                       StructuralError, binding_report,
-                       closed_form_downward_transfers, example1_instance,
-                       graph_optimal_transfers, instance_rng,
-                       onedim_ic_violations, onedim_ir_violations,
-                       onedim_value, productive_marginal,
-                       random_onedim_instance, solve_downward_1d,
-                       solve_full_1d, u_region_decomposition)
+                       StructuralError, closed_form_downward_transfers,
+                       example1_instance, graph_optimal_transfers,
+                       instance_rng, onedim_ic_violations,
+                       onedim_ir_violations, onedim_value,
+                       productive_marginal, solve_downward_1d, solve_full_1d)
 
-from helpers import u_regions_by_sets
+from helpers import (binding_report, random_onedim_instance,
+                     u_region_decomposition, u_regions_by_sets)
 
 
 def test_u_regions_monotone_has_none():
