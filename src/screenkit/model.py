@@ -48,6 +48,16 @@ def frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _as_index(value, name: str) -> int:
+    """`value` as an int index: a Python or numpy integer. A bool, float,
+    str or anything else raises StructuralError rather than truncate."""
+    if type(value) is int:  # the common case, checked first
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise StructuralError(f"{name} must be an integer index, got {value!r}")
+    return int(value)
+
+
 def _strictly_increasing(a: np.ndarray) -> bool:
     return bool(np.all(np.diff(a) > 0))
 
@@ -113,7 +123,7 @@ class CostlySpec:
         object.__setattr__(self, "y_set", frozen_array(self.y_set))
         object.__setattr__(self, "u_b", frozen_array(self.u_b))
         object.__setattr__(self, "v_b", frozen_array(self.v_b))
-        object.__setattr__(self, "y0_index", int(self.y0_index))
+        object.__setattr__(self, "y0_index", _as_index(self.y0_index, "y0_index"))
         if self.theta_b.ndim != 2 or self.theta_b.size == 0:
             raise StructuralError("theta_b must be a nonempty (n_b, N) array")
         if self.y_set.ndim != 1 or self.y_set.size == 0:
@@ -166,7 +176,8 @@ class JointDistribution:
     prob: np.ndarray
 
     def __post_init__(self):
-        support = tuple((int(a), int(b)) for a, b in self.support)
+        support = tuple((_as_index(a, "support"), _as_index(b, "support"))
+                        for a, b in self.support)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "prob", frozen_array(self.prob))
         if len(support) == 0:
@@ -217,8 +228,8 @@ class Mechanism:
     t: tuple  # transfers paid by the agent
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(int(i) for i in self.x))
-        object.__setattr__(self, "y", tuple(int(i) for i in self.y))
+        object.__setattr__(self, "x", tuple(_as_index(i, "x") for i in self.x))
+        object.__setattr__(self, "y", tuple(_as_index(i, "y") for i in self.y))
         object.__setattr__(self, "t", tuple(float(v) for v in self.t))
         if not (len(self.x) == len(self.y) == len(self.t)):
             raise StructuralError("mechanism columns must have equal length")
@@ -237,7 +248,8 @@ class Menu:
     options: tuple  # ((ix, iy, t), ...)
 
     def __post_init__(self):
-        opts = tuple((int(ix), int(iy), float(t)) for ix, iy, t in self.options)
+        opts = tuple((_as_index(ix, "option x"), _as_index(iy, "option y"),
+                      float(t)) for ix, iy, t in self.options)
         object.__setattr__(self, "options", opts)
         if len(set(opts)) != len(opts):
             raise StructuralError("menu options must be distinct")

@@ -9,7 +9,6 @@ certifies that by evaluation rather than by the bounds alone.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -31,9 +30,9 @@ from .transfers import OneDimInstance
 
 #: Largest change of a truthful payoff that `shift_mechanism` reads as none.
 _SHIFT_TOL = 1e-12
-#: Least rise of the menu value that moves the converse's eps off the coarse
-#: search's choice during refinement.
-_REFINE_SLACK = 1e-15
+#: The converse's discount eps. Its menu value falls in eps, so the least
+#: eps is best; 1e-8 sits well above float resolution of the 1 and 2 levels.
+_CONVERSE_EPS = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +365,7 @@ class ConverseArtifacts:
     m0: float                     # productive median split point
     m1: float                     # costly-coordinate median split point
     f_values: tuple               # per productive level
-    g_values: tuple               # per costly level (depends on eps_star)
+    g_values: tuple               # per costly level: -1 or -eps_star
     eps_star: float
     r_val: float                  # guaranteed menu payoff (lower bound)
     q_val: float                  # productive-only payoff bound (upper bound)
@@ -412,50 +411,36 @@ def _check_nonincreasing_coordinate(inst: ScreeningInstance, coord: int,
             f"the productive type (levels {levels[k]} vs {levels[k + 1]})")
 
 
-def _bound_windows(t0: np.ndarray, t1: np.ndarray, w: np.ndarray,
-                   m0: float, m1: float) -> Callable[[float], tuple]:
-    """The converse's bounds (r, q) as a function of eps.
-
-    r is the menu's guaranteed payoff and q the productive-only bound. Their
-    masks `t0 >= m0 + eps` and `m0 - eps <= t0 <= m0 + eps` change only where
-    m0 + eps or m0 - eps crosses a value of t0, so each masked sum is taken
-    once per window of cut indices into the sorted distinct t0 and reused,
-    with the same expression, for every eps in that window.
-    """
-    levels = sorted(set(t0.tolist()))
-    p_high_instrument = float(w[t1 > m1].sum())
-    sums = {}
-
-    def bounds(eps: float):
-        hi, lo = m0 + eps, m0 - eps
-        cuts = (bisect_left(levels, hi), bisect_left(levels, lo),
-                bisect_right(levels, hi))
-        if cuts not in sums:
-            sums[cuts] = (float(w[(t0 >= hi) & (t1 <= m1)].sum()),
-                          float(w[(t0 >= lo) & (t0 <= hi)].sum()))
-        above, near = sums[cuts]
-        return ((1.0 - eps) * p_high_instrument + (2.0 - eps) * above,
-                2.0 * near + 1.0)
-
-    return bounds
-
-
 def converse_construct(inst: ScreeningInstance, coord: int = 0,
                        dominance_margin: float = 1e-6) -> ConverseArtifacts:
     """Build utilities making costly screening strictly profitable.
 
-    Takes only the type geometry of the input (values, joint distribution,
-    allocation sets) and replaces the utilities with two-level tables around
-    the median splits. The returned menu prices the top allocation high for
-    those unwilling to use the instrument and discounts it behind the
-    instrument for the rest. Dominance over every productive-only mechanism
-    is certified by solving that problem, never by the r/q bounds alone.
-    The bounds' masked sums are taken once per window of eps that cuts the
-    productive values alike (`_bound_windows`), not once per eps tried.
+    Keeps the input's type geometry (values, joint distribution, allocation
+    sets) and replaces the utilities with two levels around the median
+    splits: f = 1 or 2 for productive types at or below m0 or above it, and,
+    off the baseline instrument, g = -1 or -eps for costly types at or below
+    m1 or above it. The menu is A = (top x, baseline, 2 - eps), B = (top x,
+    instrument, 1 - eps) and C = (bottom x, baseline, 0). For every eps in
+    (0, 1), ties broken toward the principal:
+
+        type               chooses            principal gets
+        f = 1, g = -1      C                  0
+        f = 1, g = -eps    B (tied with C)    1 - eps
+        f = 2, g = -1      A (tied with B)    2 - eps
+        f = 2, g = -eps    B                  1 - eps
+
+    So the menu value (1 - eps) P(t1 > m1) + (2 - eps) P(t0 > m0, t1 <= m1)
+    is affine and falling in eps, the guaranteed payoff r(eps) does not rise
+    and the productive-only bound q(eps) does not fall: of all eps passing
+    the checks the least is best, and the one small `_CONVERSE_EPS` is
+    priced. Dominance is certified by solving the productive-only problem,
+    never by the r/q bounds alone.
+
     `dominance_margin` must be finite and nonnegative (StructuralError).
-    When some eps passes the r/q bounds but none beats the productive-only
-    value by the margin, PreconditionFailed names the margin and the best
-    gap found.
+    StructuralError also reports the construction inconsistent when r <= q
+    or the menu prices below r; PreconditionFailed names the margin and the
+    gap at `_CONVERSE_EPS` when the menu does not beat productive-only
+    screening by the margin.
     """
     if not (np.isfinite(dominance_margin) and dominance_margin >= 0):
         raise StructuralError(f"dominance_margin must be finite and "
@@ -480,88 +465,47 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
             f"binarized types look independent: the discount window has mass "
             f"{window:.6g}, needs more than 1/4")
 
-    x0_idx, xhat_idx = 0, prod.n_alloc - 1
-    yhat_idx = 1 if cost.y0_index == 0 else 0
-    bounds = _bound_windows(t0, t1, w, m0, m1)
+    eps = _CONVERSE_EPS
+    # r: the menu's guaranteed payoff; q: the productive-only bound
+    r_val = ((1.0 - eps) * float(w[t1 > m1].sum())
+             + (2.0 - eps) * float(w[(t0 >= m0 + eps) & (t1 <= m1)].sum()))
+    q_val = 2.0 * float(w[(t0 >= m0 - eps) & (t0 <= m0 + eps)].sum()) + 1.0
 
-    # built tables: two levels f per productive type, g per costly type;
-    # eps enters only g of the types above the costly median
     x = prod.x_grid
-    rise = (x - x[0]) / (x[-1] - x[0])
     f = np.where(prod.theta_a <= m0, 1.0, 2.0)
-    u_a = np.outer(rise, f)
+    u_a = np.outer((x - x[0]) / (x[-1] - x[0]), f)
     v_a = np.zeros_like(u_a)
-    low = cost.theta_b[:, coord] <= m1
-    indicator = np.ones(cost.n_alloc)
-    indicator[cost.y0_index] = 0.0
-    v_b = np.zeros((cost.n_alloc, cost.n_types))
-    menu_x = (xhat_idx, xhat_idx, x0_idx)
-    menu_y = (cost.y0_index, yhat_idx, cost.y0_index)
+    top, y0 = prod.n_alloc - 1, cost.y0_index
+    g = np.where(cost.theta_b[:, coord] <= m1, -1.0, -eps)
+    u_b = np.outer(np.arange(cost.n_alloc) != y0, g)
+    v_b = np.zeros_like(u_b)
+    menu = Menu(((top, y0, 2.0 - eps), (top, 1 if y0 == 0 else 0, 1.0 - eps),
+                 (0, y0, 0.0)))
+    menu_x, menu_y, t = zip(*menu.options)
+    agent, principal = payoff_tables((u_a, v_a, u_b, v_b), inst.dist.support,
+                                     menu_x, menu_y, [t])  # a batch of one
+    menu_value = float(best_response(agent, principal, inst.dist.prob)[1][0])
 
-    def built_tables(eps: np.ndarray):
-        """Instrument utilities (eps, y, b) and menu transfers (eps, option)."""
-        g = np.where(low, -1.0, -eps[:, None])
-        t = np.stack((2.0 - eps, 1.0 - eps, np.zeros_like(eps)), axis=-1)
-        return indicator[:, None] * g[:, None, :], t
-
-    # productive-only optimum does not depend on eps (only g does); its
-    # line is the productive marginal carrying the built tables
-    theta = prod.theta_a[a_indices]
-    u_line = np.outer(rise, np.where(theta <= m0, 1.0, 2.0))
+    # the productive-only optimum reads only f, on the productive marginal
     productive_value = solve_full_1d(OneDimInstance(
-        theta, a_probs, x, u_line, np.zeros_like(u_line))).value
+        prod.theta_a[a_indices], a_probs, x, u_a[:, a_indices],
+        v_a[:, a_indices])).value
 
-    closest = None  # (gap, eps) of the best candidate the bounds certify
-
-    def search(candidates, best, slack: float):
-        """Best certified (eps, menu value, r, q): every candidate priced at once."""
-        nonlocal closest
-        eps = np.asarray(candidates, dtype=float)
-        u_b, t = built_tables(eps)
-        agent, principal = payoff_tables((u_a, v_a, u_b, v_b), inst.dist.support,
-                                         menu_x, menu_y, t)
-        _, values = best_response(agent, principal, inst.dist.prob)
-        for e, value in zip(candidates, values.tolist()):
-            r, q = bounds(e)
-            if not (r > q and value >= r - FEAS_TOL):
-                continue
-            gap = value - productive_value
-            if closest is None or gap > closest[0]:
-                closest = (gap, e)
-            if (value > productive_value + dominance_margin
-                    and (best is None or value > best[1] + slack)):
-                best = (e, value, r, q)
-        return best
-
-    # coarse grid plus a geometric tail: when the discount window barely
-    # clears 1/4 only a very small eps certifies
-    coarse = [0.01 * k for k in range(1, 50)]
-    tail = [1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-7, 1e-8]
-    best = search(coarse + tail, None, 0.0)
-    if best is not None:
-        # the coarse best itself is priced already
-        refine = [best[0] + 0.001 * k for k in range(-9, 10) if k]
-        best = search([e for e in refine if 0 < e < 0.5], best, _REFINE_SLACK)
-    if best is None and closest is not None:
-        raise PreconditionFailed(
-            f"no epsilon clears the dominance margin {dominance_margin:.6g}: "
-            f"the best gap over productive-only screening is "
-            f"{closest[0]:.6g}, at eps {closest[1]:.6g}")
-    if best is None:
+    if not (r_val > q_val and menu_value >= r_val - FEAS_TOL):
         raise StructuralError(
             "preconditions held but no epsilon certified strict dominance; "
             "construction or solver is inconsistent")
-    eps_star, menu_value, r_val, q_val = best
-    u_b, t = built_tables(np.array([eps_star]))
+    if not menu_value > productive_value + dominance_margin:
+        raise PreconditionFailed(
+            f"no epsilon clears the dominance margin {dominance_margin:.6g}: "
+            f"the best gap over productive-only screening is "
+            f"{menu_value - productive_value:.6g}, at eps {eps:.6g}")
     built = ScreeningInstance(
         ProductiveSpec(prod.theta_a, x, u_a, v_a),
-        CostlySpec(cost.theta_b, cost.y_set, cost.y0_index, u_b[0], v_b),
+        CostlySpec(cost.theta_b, cost.y_set, y0, u_b, v_b),
         inst.dist)
-    menu = Menu(tuple(zip(menu_x, menu_y, t[0])))
-    g = np.where(low, -1.0, -eps_star)
     return ConverseArtifacts(
         instance=built, menu=menu, coordinate=coord, m0=m0, m1=m1,
         f_values=tuple(f.tolist()), g_values=tuple(g.tolist()),
-        eps_star=float(eps_star),
-        r_val=float(r_val), q_val=float(q_val),
-        menu_value=float(menu_value), productive_value=float(productive_value))
+        eps_star=eps, r_val=r_val, q_val=q_val,
+        menu_value=menu_value, productive_value=float(productive_value))

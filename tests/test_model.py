@@ -396,3 +396,44 @@ def test_table_check_witness_is_the_first_in_scan_order(case):
     got = tuple(check(spec))
     assert got == want
     assert got == loop(spec) and repr(got) == repr(loop(spec))
+
+
+# ---------------------------------------------------------------------------
+# index fields: integers only
+# ---------------------------------------------------------------------------
+
+#: Each constructor with one index field set to `i` and every other field
+#: valid (index 1 is in range everywhere), and where it holds that index.
+INDEX_FIELDS = {
+    "CostlySpec.y0_index": (lambda i: CostlySpec(
+        np.array([[0.0]]), np.array([0.0, 1.0]), i,
+        np.zeros((2, 1)), np.zeros((2, 1))), lambda c: c.y0_index),
+    "JointDistribution.support": (lambda i: JointDistribution(
+        ((0, 0), (i, 0)), (0.5, 0.5)), lambda d: d.support[1][0]),
+    "Mechanism.x": (lambda i: Mechanism((0, i), (0, 0), (0.0, 0.0)),
+                    lambda m: m.x[1]),
+    "Mechanism.y": (lambda i: Mechanism((0, 0), (0, i), (0.0, 0.0)),
+                    lambda m: m.y[1]),
+    "Menu.option_x": (lambda i: Menu(((i, 0, 0.0),)),
+                      lambda m: m.options[0][0]),
+    "Menu.option_y": (lambda i: Menu(((0, i, 0.0),)),
+                      lambda m: m.options[0][1]),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 1.9, np.float64(1.0), "1"],
+                         ids=["bool", "float", "fraction", "numpy_float", "str"])
+@pytest.mark.parametrize("field", sorted(INDEX_FIELDS))
+def test_index_fields_refuse_what_int_would_truncate(field, bad):
+    build, _ = INDEX_FIELDS[field]
+    with pytest.raises(StructuralError, match="must be an integer index"):
+        build(bad)
+
+
+@pytest.mark.parametrize("good", [1, np.int64(1), np.uint8(1)],
+                         ids=["int", "int64", "uint8"])
+@pytest.mark.parametrize("field", sorted(INDEX_FIELDS))
+def test_index_fields_take_python_and_numpy_integers(field, good):
+    build, held = INDEX_FIELDS[field]
+    index = held(build(good))
+    assert index == 1 and type(index) is int

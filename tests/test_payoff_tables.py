@@ -2,9 +2,10 @@
 
 `menu_best_response`, `check_ic`, `check_ir`, the `onedim_*` checks and
 `converse_construct` all read one (point, option) payoff table. The oracles
-below are the previous implementations: one Python loop per (deviator,
-target) pair, and one built and validated instance per converse epsilon.
-Results must match them bitwise, ties included.
+are the previous implementations: one Python loop per (deviator, target)
+pair, and one built and validated instance per converse epsilon of the old
+grid search (`helpers.loop_converse`). Results must match them bitwise,
+ties included.
 """
 import struct
 
@@ -17,45 +18,17 @@ from screenkit import (FEAS_TOL, OUTSIDE, CostlySpec, GeneratorKnobs,
                        ScreeningInstance, StructuralError, agent_payoff,
                        check_ic, check_ir, converse_construct,
                        example3_instance, instance_rng, menu_best_response,
-                       principal_payoff, productive_marginal,
-                       random_negative_instance, random_positive_instance,
-                       solve_full_1d)
+                       productive_marginal, random_negative_instance,
+                       random_positive_instance)
 from screenkit.model import best_response, ic_gains, payoff_tables
-from screenkit.stochastics import scalar_levels
-from screenkit.theorems import (_check_nonincreasing_coordinate,
-                                _coordinate_marginals, _median_split)
 from screenkit.transfers import onedim_ic_violations, onedim_ir_violations
+
+from helpers import loop_converse, loop_menu_best_response
 
 
 # ---------------------------------------------------------------------------
 # oracles: the loop implementations
 # ---------------------------------------------------------------------------
-
-
-def loop_menu_best_response(inst, menu):
-    options = menu.options if isinstance(menu, Menu) else tuple(menu)
-    assignment = []
-    value = 0.0
-    for p in range(inst.n_support):
-        agent_vals = [agent_payoff(inst, p, o) for o in options]
-        best_agent = max(agent_vals, default=0.0)
-        best_agent = max(best_agent, 0.0)  # outside option
-        cand = [k for k, a in enumerate(agent_vals) if a >= best_agent - FEAS_TOL]
-        outside_ok = 0.0 >= best_agent - FEAS_TOL
-        if cand:
-            pvals = [principal_payoff(inst, p, options[k]) for k in cand]
-            best_p = max(pvals)
-            if outside_ok:
-                best_p = max(best_p, 0.0)
-            chosen = next((k for k, pv in zip(cand, pvals) if pv >= best_p - FEAS_TOL), None)
-            if chosen is None:  # only the outside option attains best_p
-                chosen = OUTSIDE
-        else:
-            chosen = OUTSIDE
-        assignment.append(chosen)
-        picked = None if chosen == OUTSIDE else options[chosen]
-        value += float(inst.dist.prob[p]) * principal_payoff(inst, p, picked)
-    return assignment, value
 
 
 def _type_vector(inst, p):
@@ -119,74 +92,6 @@ def loop_onedim_ir(inst, x_idx, t):
         if payoff < -FEAS_TOL:
             out.append((p, float(payoff)))
     return out
-
-
-def _converse_instance(inst, coord, m0, m1, eps):
-    prod, cost = inst.productive, inst.costly
-    x = prod.x_grid
-    span = x[-1] - x[0]
-    f = np.where(prod.theta_a <= m0, 1.0, 2.0)
-    g = np.where(cost.theta_b[:, coord] <= m1, -1.0, -eps)
-    u_a = np.outer((x - x[0]) / span, f)
-    indicator = np.ones(cost.n_alloc)
-    indicator[cost.y0_index] = 0.0
-    u_b = np.outer(indicator, g)
-    return ScreeningInstance(
-        ProductiveSpec(prod.theta_a, x, u_a, np.zeros_like(u_a)),
-        CostlySpec(cost.theta_b, cost.y_set, cost.y0_index, u_b, np.zeros_like(u_b)),
-        inst.dist)
-
-
-def loop_converse(inst, coord=0, dominance_margin=1e-6):
-    """One built instance and one looped best response per epsilon tried."""
-    prod, cost = inst.productive, inst.costly
-    t0, t1, w = _coordinate_marginals(inst, coord)
-    m0 = _median_split(t0, w, "the productive type")
-    m1 = _median_split(t1, w, f"costly coordinate {coord}")
-    a_indices, _, cond = scalar_levels(inst)
-    _check_nonincreasing_coordinate(inst, coord, a_indices, cond)
-    x0_idx, xhat_idx = 0, prod.n_alloc - 1
-    yhat_idx = 1 if cost.y0_index == 0 else 0
-    p_high_instrument = float(w[t1 > m1].sum())
-
-    def certified(eps):
-        r = ((1.0 - eps) * p_high_instrument
-             + (2.0 - eps) * float(w[(t0 >= m0 + eps) & (t1 <= m1)].sum()))
-        q = 2.0 * float(w[(t0 >= m0 - eps) & (t0 <= m0 + eps)].sum()) + 1.0
-        built = _converse_instance(inst, coord, m0, m1, eps)
-        menu = Menu(((xhat_idx, cost.y0_index, 2.0 - eps),
-                     (xhat_idx, yhat_idx, 1.0 - eps),
-                     (x0_idx, cost.y0_index, 0.0)))
-        menu_value = float(loop_menu_best_response(built, menu)[1])
-        ok = (r > q and menu_value >= r - FEAS_TOL
-              and menu_value > productive_value + dominance_margin)
-        return ok, (built, menu, menu_value, r, q)
-
-    probe = _converse_instance(inst, coord, m0, m1, 0.01)
-    productive_value = solve_full_1d(productive_marginal(probe)).value
-    coarse = [0.01 * k for k in range(1, 50)]
-    tail = [1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-7, 1e-8]
-    best = None
-    for eps in coarse + tail:
-        ok, payload = certified(eps)
-        if ok and (best is None or payload[2] > best[1][2]):
-            best = (eps, payload)
-    center = best[0]
-    for k in range(-9, 10):
-        eps = center + 0.001 * k
-        if eps <= 0 or eps >= 0.5:
-            continue
-        ok, payload = certified(eps)
-        if ok and payload[2] > best[1][2] + 1e-15:
-            best = (eps, payload)
-    eps_star, (built, menu, menu_value, r_val, q_val) = best
-    return dict(
-        instance=built, menu=menu, m0=m0, m1=m1, eps_star=float(eps_star),
-        f_values=tuple(float(v) for v in np.where(prod.theta_a <= m0, 1.0, 2.0)),
-        g_values=tuple(float(v) for v in
-                       np.where(cost.theta_b[:, coord] <= m1, -1.0, -eps_star)),
-        r_val=float(r_val), q_val=float(q_val), menu_value=float(menu_value),
-        productive_value=float(productive_value))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +242,8 @@ def test_best_response_prices_a_batch_like_its_rows():
     # a leading batch axis on u_b and t, as the converse uses for its epsilons
     inst = INSTANCES[0]
     menu = _tie_menu(inst, instance_rng(0, stream=961), 3)
-    x, y, t = np.array(menu.options).T
-    batch = t + np.array([0.0, 4e-10, -0.5, 0.5, 1.0])[:, None]
+    x, y, t = zip(*menu.options)
+    batch = np.array(t) + np.array([0.0, 4e-10, -0.5, 0.5, 1.0])[:, None]
     p, c = inst.productive, inst.costly
     u_b = np.broadcast_to(c.u_b, (len(batch),) + c.u_b.shape)
     agent, principal = payoff_tables((p.u_a, p.v_a, u_b, c.v_b),

@@ -15,7 +15,8 @@ from screenkit import (FEAS_TOL, GeneratorKnobs, InputNotIC, Mechanism,
                        productive_marginal, verify_theorem1)
 from screenkit.stochastics import instance_rng
 from screenkit import theorems
-from screenkit.theorems import (_bound_windows, _coordinate_marginals,
+from screenkit.model import best_response, payoff_tables
+from screenkit.theorems import (_CONVERSE_EPS, _coordinate_marginals,
                                 _line_instance, _median_split)
 
 from helpers import ic_mechanism_on_line
@@ -261,50 +262,49 @@ def test_converse_without_a_bound_certified_eps_blames_the_construction(monkeypa
 
 
 # ---------------------------------------------------------------------------
-# converse bound windows
+# converse: the least eps is best
 # ---------------------------------------------------------------------------
 
-
-def _direct_bounds(t0, t1, w, m0, m1, eps):
-    """The converse's r and q with both masks built for this eps."""
-    p_high_instrument = float(w[t1 > m1].sum())
-    r = ((1.0 - eps) * p_high_instrument
-         + (2.0 - eps) * float(w[(t0 >= m0 + eps) & (t1 <= m1)].sum()))
-    q = 2.0 * float(w[(t0 >= m0 - eps) & (t0 <= m0 + eps)].sum()) + 1.0
-    return r, q
+#: The eps the old grid search priced: 49 coarse, an 8-point geometric tail
+#: and the refinement around its best, which was `_CONVERSE_EPS` on every draw.
+_OLD_GRID = ([0.01 * k for k in range(1, 50)]
+             + [1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-7, 1e-8]
+             + [_CONVERSE_EPS + 0.001 * k for k in range(10)])
 
 
-def _window_marginals(case):
-    if case < 10:
-        inst = random_negative_instance(case, stream=case)
-        t0, t1, w = _coordinate_marginals(inst, 0)
-        return (t0, t1, w, _median_split(t0, w, "t0"), _median_split(t1, w, "t1"))
-    # decimal levels near the median and repeated values, so that m0 +- eps
-    # lands exactly on levels whose sums round differently
-    rng = np.random.default_rng([case, 953])
-    t0 = 0.5 + np.round(rng.uniform(-0.3, 0.3, 40), 2)
-    t1 = rng.uniform(0.0, 1.0, 40)
-    w = rng.uniform(0.1, 1.0, 40)
-    return t0, t1, w / w.sum(), 0.5, 0.5
+def _closed_form_value(inst, art, eps):
+    """(1 - eps) P(t1 > m1) + (2 - eps) P(t0 > m0, t1 <= m1)."""
+    t0, t1, w = _coordinate_marginals(inst, art.coordinate)
+    return ((1.0 - eps) * w[t1 > art.m1].sum()
+            + (2.0 - eps) * w[(t0 > art.m0) & (t1 <= art.m1)].sum())
 
 
-def _search_eps():
-    coarse = [0.01 * k for k in range(1, 50)]
-    tail = [1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-7, 1e-8]
-    refine = [c + 0.001 * k for c in coarse + tail for k in range(-9, 10)]
-    return coarse + tail + [e for e in refine if 0 < e < 0.5]
+def _menu_values_over_eps(inst, art, eps):
+    """The converse's menu priced with each eps in place of `eps_star`."""
+    cost = art.instance.costly
+    g = np.where(cost.theta_b[:, art.coordinate] <= art.m1, -1.0, -eps[:, None])
+    off_baseline = np.arange(cost.n_alloc) != cost.y0_index
+    u_b = off_baseline[None, :, None] * g[:, None, :]
+    t = np.stack((2.0 - eps, 1.0 - eps, np.zeros_like(eps)), axis=-1)
+    x, y, _ = zip(*art.menu.options)
+    tables = (art.instance.productive.u_a, art.instance.productive.v_a, u_b,
+              cost.v_b)
+    agent, principal = payoff_tables(tables, inst.dist.support, x, y, t)
+    return best_response(agent, principal, inst.dist.prob)[1]
 
 
-@pytest.mark.parametrize("case", range(14))
-def test_bound_windows_match_the_direct_masks_bit_for_bit(case):
-    t0, t1, w, m0, m1 = _window_marginals(case)
-    cuts = sorted({abs(float(v) - m0) for v in t0})
-    edges = [e for c in cuts
-             for e in (float(np.nextafter(c, -np.inf)), c, float(np.nextafter(c, np.inf)))]
-    eps_list = _search_eps() + edges
-    bounds = _bound_windows(t0, t1, w, m0, m1)
-    # twice over, the second pass in reverse, so that windows are reused
-    for eps in eps_list + eps_list[::-1]:
-        got = tuple(v.hex() for v in bounds(eps))
-        want = tuple(v.hex() for v in _direct_bounds(t0, t1, w, m0, m1, eps))
-        assert got == want, eps
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_no_eps_of_the_old_grid_prices_the_menu_above_converse_eps(seed):
+    eps = np.array([_CONVERSE_EPS] + _OLD_GRID)
+    assert eps.size == 68
+    for stream in range(300):
+        inst = random_negative_instance(seed, stream)
+        art = converse_construct(inst)
+        assert art.eps_star == _CONVERSE_EPS
+        values = _menu_values_over_eps(inst, art, eps)
+        assert values[0] == art.menu_value
+        assert values[1:].max() <= values[0], stream
+        # menu_value and every grid eps's value are the closed form: the
+        # agents choose alike for every eps
+        np.testing.assert_allclose(values, _closed_form_value(inst, art, eps),
+                                   rtol=0, atol=1e-12)

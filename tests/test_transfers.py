@@ -11,7 +11,7 @@ from screenkit import (FEAS_TOL, NotImplementable, OneDimInstance,
                        productive_marginal, solve_downward_1d, solve_full_1d)
 
 from helpers import (binding_report, random_onedim_instance,
-                     u_region_decomposition, u_regions_by_sets)
+                     u_region_decomposition)
 
 
 def test_u_regions_monotone_has_none():
@@ -173,25 +173,6 @@ def test_evaluation_and_checks_reject_a_bad_index(x):
     for check in (onedim_value, onedim_ic_violations, onedim_ir_violations):
         with pytest.raises(StructuralError, match=BAD_INDEX):
             check(inst, x, [0.0, 0.0, 0.0])
-
-
-def test_u_regions_match_the_set_filter_on_random_allocations():
-    # the scan returns at once when it finds no region; with regions, and
-    # with a sentinel destination, it filters as before
-    rng = np.random.default_rng(38)
-    shapes = {"none": 0, "region": 0, "sentinel": 0}
-    for n in (1, 2, 3, 5, 8, 13):
-        for _ in range(60):
-            x = rng.integers(0, 4, n)
-            if rng.random() < 0.3:
-                x = np.sort(x)
-            got = u_region_decomposition(x.tolist())
-            assert got == u_regions_by_sets(x.tolist())
-            if not got.regions:
-                shapes["none"] += 1
-            else:
-                shapes["sentinel" if got.regions[-1][1] == n else "region"] += 1
-    assert min(shapes.values()) > 0
 
 
 def test_solvers_guard_the_unchecked_closed_form_themselves():
