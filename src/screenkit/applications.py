@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import (AssumptionFailed, OutOfRange, RatioMonotonicityFailed,
                      SizeGuardExceeded, StructuralError)
-from .model import (FEAS_TOL, PROB_TOL, CostlySpec, JointDistribution,
-                    ProductiveSpec, ScreeningInstance, frozen_array)
-from .solver import _CYCLE_TOL, DEFAULT_GUARD, SolveResult, solve_full_1d
+from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, CostlySpec,
+                    JointDistribution, ProductiveSpec, ScreeningInstance,
+                    _as_index, _grid, _table, _weights, frozen_array)
+from .solver import DEFAULT_GUARD, SolveResult, solve_full_1d
 from .stochastics import _adjacent_couplings, _level_table
 from .transfers import OneDimInstance
 
@@ -47,25 +48,16 @@ class BundleInstance:
 
     def __post_init__(self):
         values = np.atleast_2d(frozen_array(self.values))
-        prob = frozen_array(self.prob)
-        grid = frozen_array(self.quality_grid)
-        cost = frozen_array(self.cost_samples)
-        fields = (("values", values), ("prob", prob),
-                  ("quality_grid", grid), ("cost_samples", cost))
-        for name, arr in fields:
-            if not np.isfinite(arr).all():
-                raise StructuralError(f"{name} contains non-finite entries")
-        n_goods = int(self.n_goods)
+        if not np.isfinite(values).all():
+            raise StructuralError("values contains non-finite entries")
+        n_goods = _as_index(self.n_goods, "n_goods")
         # 2 ** n_goods > n_goods: the column count bounds n_goods before the power
         if (values.ndim != 2 or not 1 <= n_goods <= values.shape[1]
                 or values.shape[1] != 2 ** n_goods):
             raise StructuralError(f"values need 2 ** n_goods bundle columns, "
                                   f"n_goods >= 1; got {values.shape}, {n_goods}")
         n_bundles = values.shape[1]
-        if prob.shape != (values.shape[0],) or (prob <= 0).any():
-            raise StructuralError("prob must be positive per type")
-        if abs(prob.sum() - 1.0) > PROB_TOL:
-            raise StructuralError("prob must sum to one")
+        prob = _weights(self.prob, values.shape[0], "prob")
         if values[:, 0].any():
             raise StructuralError("the empty bundle must be worth zero")
         # the pairs (b, c) where b is a proper subset of c, row-major
@@ -73,29 +65,26 @@ class BundleInstance:
         sub, sup = np.nonzero((b & c == b) & (b != c))
         over = (values[:, sub] > values[:, sup] + FEAS_TOL).any(axis=0)
         if over.any():
-            k = int(np.argmax(over))
+            k = over.argmax()
             raise StructuralError(
                 f"bundle {sub[k]} worth more than superset {sup[k]}")
-        if grid.ndim != 1 or grid.size < 2:
+        grid = _grid(self.quality_grid, "quality_grid")
+        if grid.size < 2:
             raise StructuralError("quality grid needs at least two points")
         if abs(grid[0]) > 0 or abs(grid[-1] - 1.0) > PROB_TOL:
             raise StructuralError("quality grid must run from 0 to 1")
-        dg = np.diff(grid)
-        if (dg <= 0).any():
-            raise StructuralError("quality grid must be strictly increasing")
-        if cost.shape != grid.shape:
-            raise StructuralError("cost samples must align with the grid")
+        cost = _table(self.cost_samples, grid.shape, "cost_samples")
         if abs(cost[0]) > 0:
             raise StructuralError("cost at zero quality must be zero")
         if (cost[1:] < cost[:-1] - FEAS_TOL).any():
             raise StructuralError("cost must be nondecreasing")
         # slopes rise, cross-multiplied by grid steps (<= 1) not to overflow
-        dc = np.diff(cost)
+        dc, dg = np.diff(cost), np.diff(grid)
         if (dc[1:] * dg[:-1] - dc[:-1] * dg[1:] < -FEAS_TOL * dg[:-1] * dg[1:]).any():
             raise StructuralError("cost must be convex on the grid")
-        for name, arr in fields:
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n_goods", n_goods)
+        for name, value in (("n_goods", n_goods), ("values", values), ("prob", prob),
+                            ("quality_grid", grid), ("cost_samples", cost)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_types(self) -> int:
@@ -395,7 +384,7 @@ def _pair_values(U: np.ndarray, P: np.ndarray, mu: np.ndarray,
     d1 = np.minimum(d1, d2 + w21)
     d2 = np.minimum(d2, d1 + w12)
     vals = mu[0] * (P[i] + d1) + mu[1] * (P[j] + d2)
-    vals[w12 + w21 < -_CYCLE_TOL] = -np.inf
+    vals[w12 + w21 < -_ROUND_TOL] = -np.inf
     return vals
 
 
@@ -632,9 +621,10 @@ def make_application_instance(kind: str,
 # ---------------------------------------------------------------------------
 
 
-#: Rounding slack on the low type's closed-form utility: in the adverse
-#: selection and separation checks and in the separating offer's cap.
-_COMPETITIVE_SLACK = 1e-12
+#: Steps of the separating program's coarse grid on [0, 1] and of its one
+#: refinement around the coarse maximizer.
+_COARSE_STEP = 1e-3
+_FINE_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -674,11 +664,11 @@ class CompetitiveParams:
         low = self.low_type_utility
         imit = (self.theta_h * self.efficient_high
                 - self.psi_l(self.efficient_high))
-        if not low < imit - _COMPETITIVE_SLACK:
+        if not low < imit - _ROUND_TOL:
             raise AssumptionFailed("adverse_selection",
                                    f"low type must covet the efficient high "
                                    f"offer: {low:.6g} >= {imit:.6g}")
-        if self.theta_h - self.a_l > low + _COMPETITIVE_SLACK:
+        if self.theta_h - self.a_l > low + _ROUND_TOL:
             raise AssumptionFailed("separation_at_one",
                                    "work allocations alone cannot separate "
                                    "within [0, 1]")
@@ -740,7 +730,7 @@ def _constrained_max(p: CompetitiveParams, xs: np.ndarray, ys: np.ndarray):
     activity level and then the smallest allocation; with a free activity for
     the high type this lands on the boundary where the low type's IC binds.
     """
-    cap = p.low_type_utility + _COMPETITIVE_SLACK
+    cap = p.low_type_utility + _ROUND_TOL
     imitate = (p.theta_h * xs[None, :] - p.psi_l(xs[None, :])
                - p.c_l(ys[:, None]))
     objective = (p.theta_h * xs[None, :] - p.psi_h(xs[None, :])
@@ -754,35 +744,34 @@ def _constrained_max(p: CompetitiveParams, xs: np.ndarray, ys: np.ndarray):
     return float(xs[ix]), float(ys[iy]), float(masked.flat[flat])
 
 
-def _window(center: float, radius: float, step: float) -> np.ndarray:
-    lo = max(0.0, center - radius)
-    hi = min(1.0, center + radius)
-    n = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(n)
+def _window(center: float) -> np.ndarray:
+    """Fine steps within one coarse step of `center`, clipped to [0, 1]."""
+    lo = max(0.0, center - _COARSE_STEP)
+    hi = min(1.0, center + _COARSE_STEP)
+    n = int(round((hi - lo) / _FINE_STEP)) + 1
+    return lo + _FINE_STEP * np.arange(n)
 
 
-def competitive_separating(p: CompetitiveParams,
-                           coarse_step: float = 1e-3,
-                           fine_step: float = 1e-5) -> SeparatingSet:
+def competitive_separating(p: CompetitiveParams) -> SeparatingSet:
     """Pareto-optimal separating offers via the constrained grid program.
 
     The low type gets its efficient allocation at the competitive wage. The
     high type's offer maximizes its surplus subject to the low type weakly
-    preferring its own offer, searched on a coarse grid and refined once
-    around the maximizer. Unlike the monopoly solutions, the activity level
+    preferring its own offer, searched on a grid of step `_COARSE_STEP` over
+    [0, 1]^2 and refined once, in steps of `_FINE_STEP`, within one coarse
+    step of the maximizer. Unlike the monopoly solutions, the activity level
     comes out strictly positive: competition hands all surplus to the worker,
     so the binding constraint points upward and a cheap-for-the-high-type
     activity relaxes it.
     """
-    n_coarse = int(round(1.0 / coarse_step)) + 1
-    grid = coarse_step * np.arange(n_coarse)
+    n_coarse = int(round(1.0 / _COARSE_STEP)) + 1
+    grid = _COARSE_STEP * np.arange(n_coarse)
     x1, y1, _ = _constrained_max(p, grid, grid)
-    xs = _window(x1, coarse_step, fine_step)
-    ys = _window(y1, coarse_step, fine_step)
+    xs, ys = _window(x1), _window(y1)
     x_star, y_star, v_star = _constrained_max(p, xs, ys)
 
     x0_1, _, _ = _constrained_max(p, grid, np.zeros(1))
-    xs0 = _window(x0_1, coarse_step, fine_step)
+    xs0 = _window(x0_1)
     _, _, v_no = _constrained_max(p, xs0, np.zeros(1))
 
     offer_l = (p.efficient_low, 0.0, p.theta_l * p.efficient_low)

@@ -21,9 +21,9 @@ from .applications import (BundleInstance, CompetitiveParams,
                            certify_bundling, competitive_separating,
                            solve_bundling)
 from .errors import ScreenkitError, SizeGuardExceeded, StructuralError
-from .io import (canonical_json, float_table, json_float, json_int,
-                 load_instance, load_params, read_field)
-from .model import validate_instance
+from .io import (canonical_json, float_table, json_float, load_instance,
+                 load_params, read_field)
+from .model import _as_index, validate_instance
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_downward_1d,
                      solve_full_1d, solve_joint)
 from .stochastics import level_couplings, random_positive_instance
@@ -75,7 +75,8 @@ def _competitive_fields(params: dict) -> dict:
 
 def _bundling_fields(params: dict) -> dict:
     tables = ("values", "prob", "quality_grid", "cost_samples")
-    return {"n_goods": read_field(params, "n_goods", json_int),
+    return {"n_goods": read_field(params, "n_goods",
+                                  lambda v: _as_index(v, "n_goods")),
             **{k: read_field(params, k, float_table) for k in tables}}
 
 

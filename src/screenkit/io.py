@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .model import (CostlySpec, JointDistribution, ProductiveSpec,
-                    ScreeningInstance)
+                    ScreeningInstance, _as_index)
 
 Pathish = Union[str, Path]
 
@@ -46,35 +46,30 @@ _REQUIRED = ("theta_a", "x_grid", "u_a", "v_a", "theta_b", "y_set",
 
 
 def read_field(data: dict, key: str, convert):
-    """`convert(data[key])`; a value it rejects raises StructuralError.
+    """`convert(data[key])`; a value it rejects raises StructuralError
+    that names the field: "malformed field '<key>': <reason>".
 
-    Rejection is any TypeError, ValueError, IndexError or KeyError (a
-    mis-shaped value) or OverflowError (an infinite one where an integer
-    belongs).
+    Rejection is a StructuralError (such as `model._as_index` refusing a
+    float, bool or string index), any TypeError, ValueError, IndexError or
+    KeyError (a mis-shaped value) or OverflowError (an infinite number
+    where an integer belongs).
     """
     if key not in data:
         raise StructuralError(f"missing field {key!r}")
     try:
         return convert(data[key])
-    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+    except (StructuralError, TypeError, ValueError, IndexError, KeyError,
+            OverflowError) as exc:
         raise StructuralError(f"malformed field {key!r}: {exc}") from exc
 
 
-def json_int(value) -> int:
-    """A JSON integer: an int that is not a bool. A float, bool or string
-    raises TypeError, so `read_field` names the field."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _support_points(points) -> tuple:
-    """Support pairs: each exactly two JSON integers."""
+    """Support pairs: each a list of exactly two integer indices."""
     pairs = []
     for point in points:
         if not isinstance(point, list) or len(point) != 2:
             raise ValueError(f"support point {point!r} is not a pair")
-        pairs.append((json_int(point[0]), json_int(point[1])))
+        pairs.append((_as_index(point[0], "support"), _as_index(point[1], "support")))
     return tuple(pairs)
 
 
@@ -120,7 +115,7 @@ def instance_from_dict(data: dict) -> ScreeningInstance:
     cost = CostlySpec(
         read_field(data, "theta_b", float_table),
         read_field(data, "y_set", float_table),
-        read_field(data, "y0_index", json_int),
+        read_field(data, "y0_index", lambda v: _as_index(v, "y0_index")),
         read_field(data, "u_b", float_table),
         read_field(data, "v_b", float_table))
     dist = JointDistribution(

@@ -30,6 +30,9 @@ FEAS_TOL = 1e-9
 VALUE_TOL = 1e-6
 # Probability bookkeeping.
 PROB_TOL = 1e-12
+# Rounding slack: the margin a comparison of computed floats leaves for
+# rounding alone, where an exact comparison would read rounding as a fact.
+_ROUND_TOL = 1e-12
 
 #: Sentinel used in menu assignments for the outside option.
 OUTSIDE = -1
@@ -58,8 +61,54 @@ def _as_index(value, name: str) -> int:
     return int(value)
 
 
-def _strictly_increasing(a: np.ndarray) -> bool:
-    return bool(np.all(np.diff(a) > 0))
+# The input rules every container shares. Each returns its field as a
+# read-only array or raises StructuralError naming it; a NaN fails them all.
+
+
+def _grid(values, name: str) -> np.ndarray:
+    """`values` as a nonempty, strictly increasing 1-D array."""
+    arr = frozen_array(values)
+    if arr.ndim != 1 or arr.size == 0:
+        raise StructuralError(f"{name} must be a nonempty 1-D array")
+    if not (arr[1:] > arr[:-1]).all():
+        raise StructuralError(f"{name} must be strictly increasing")
+    return arr
+
+
+def _table(values, shape: tuple, name: str) -> np.ndarray:
+    """`values` as an array of the given shape with finite entries."""
+    arr = frozen_array(values)
+    if arr.shape != shape:
+        raise StructuralError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise StructuralError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _weights(values, n: int, name: str, tol: float = PROB_TOL) -> np.ndarray:
+    """`values` as n positive weights summing to one within `tol`."""
+    arr = frozen_array(values)
+    if arr.shape != (n,):
+        raise StructuralError(f"{name} must hold {n} weights, got shape {arr.shape}")
+    if not (arr > 0).all():
+        raise StructuralError(f"{name} must be strictly positive")
+    if abs(float(arr.sum()) - 1.0) > tol:
+        raise StructuralError(f"{name} must sum to one")
+    return arr
+
+
+def _distinct_rows(points, name: str) -> np.ndarray:
+    """`points` as a nonempty (k, N) array of distinct finite rows; 1-D is N = 1."""
+    arr = frozen_array(points)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    if arr.ndim != 2 or arr.size == 0:
+        raise StructuralError(f"{name} must be a nonempty (k, N) array")
+    if not np.isfinite(arr).all():
+        raise StructuralError(f"{name} contains non-finite entries")
+    if len({tuple(row) for row in arr.tolist()}) != arr.shape[0]:
+        raise StructuralError(f"{name} must have distinct rows")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -77,24 +126,11 @@ class ProductiveSpec:
     v_a: np.ndarray      # (n_x, n_a) principal utility
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_a", frozen_array(self.theta_a))
-        object.__setattr__(self, "x_grid", frozen_array(self.x_grid))
-        object.__setattr__(self, "u_a", frozen_array(self.u_a))
-        object.__setattr__(self, "v_a", frozen_array(self.v_a))
-        if self.theta_a.ndim != 1 or self.theta_a.size == 0:
-            raise StructuralError("theta_a must be a nonempty 1-D array")
-        if self.x_grid.ndim != 1 or self.x_grid.size == 0:
-            raise StructuralError("x_grid must be a nonempty 1-D array")
-        if not _strictly_increasing(self.theta_a):
-            raise StructuralError("theta_a must be strictly increasing")
-        if not _strictly_increasing(self.x_grid):
-            raise StructuralError("x_grid must be strictly increasing")
-        shape = (self.x_grid.size, self.theta_a.size)
-        for name, tab in (("u_a", self.u_a), ("v_a", self.v_a)):
-            if tab.shape != shape:
-                raise StructuralError(f"{name} must have shape {shape}, got {tab.shape}")
-            if not np.all(np.isfinite(tab)):
-                raise StructuralError(f"{name} contains non-finite entries")
+        object.__setattr__(self, "theta_a", _grid(self.theta_a, "theta_a"))
+        object.__setattr__(self, "x_grid", _grid(self.x_grid, "x_grid"))
+        shape = (self.n_alloc, self.n_types)
+        object.__setattr__(self, "u_a", _table(self.u_a, shape, "u_a"))
+        object.__setattr__(self, "v_a", _table(self.v_a, shape, "v_a"))
 
     @property
     def n_types(self) -> int:
@@ -116,29 +152,16 @@ class CostlySpec:
     v_b: np.ndarray       # (n_y, n_b) principal utility
 
     def __post_init__(self):
-        theta_b = frozen_array(self.theta_b)
-        if theta_b.ndim == 1:
-            theta_b = theta_b.reshape(-1, 1)
-        object.__setattr__(self, "theta_b", theta_b)
+        object.__setattr__(self, "theta_b", _distinct_rows(self.theta_b, "theta_b"))
         object.__setattr__(self, "y_set", frozen_array(self.y_set))
-        object.__setattr__(self, "u_b", frozen_array(self.u_b))
-        object.__setattr__(self, "v_b", frozen_array(self.v_b))
         object.__setattr__(self, "y0_index", _as_index(self.y0_index, "y0_index"))
-        if self.theta_b.ndim != 2 or self.theta_b.size == 0:
-            raise StructuralError("theta_b must be a nonempty (n_b, N) array")
         if self.y_set.ndim != 1 or self.y_set.size == 0:
             raise StructuralError("y_set must be a nonempty 1-D array")
         if not 0 <= self.y0_index < self.y_set.size:
             raise StructuralError("y0_index out of range")
-        pts = {tuple(row) for row in self.theta_b}
-        if len(pts) != self.theta_b.shape[0]:
-            raise StructuralError("theta_b points must be distinct")
-        shape = (self.y_set.size, self.theta_b.shape[0])
-        for name, tab in (("u_b", self.u_b), ("v_b", self.v_b)):
-            if tab.shape != shape:
-                raise StructuralError(f"{name} must have shape {shape}, got {tab.shape}")
-            if not np.all(np.isfinite(tab)):
-                raise StructuralError(f"{name} contains non-finite entries")
+        shape = (self.n_alloc, self.n_types)
+        object.__setattr__(self, "u_b", _table(self.u_b, shape, "u_b"))
+        object.__setattr__(self, "v_b", _table(self.v_b, shape, "v_b"))
 
     @property
     def n_types(self) -> int:
@@ -178,18 +201,12 @@ class JointDistribution:
     def __post_init__(self):
         support = tuple((_as_index(a, "support"), _as_index(b, "support"))
                         for a, b in self.support)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "prob", frozen_array(self.prob))
         if len(support) == 0:
             raise StructuralError("support must be nonempty")
         if len(set(support)) != len(support):
             raise StructuralError("support pairs must be distinct")
-        if self.prob.shape != (len(support),):
-            raise StructuralError("prob must align with support")
-        if not np.all(self.prob > 0):
-            raise StructuralError("support weights must be strictly positive")
-        if abs(float(self.prob.sum()) - 1.0) > PROB_TOL:
-            raise StructuralError("support weights must sum to 1")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "prob", _weights(self.prob, len(support), "prob"))
 
     def __len__(self) -> int:
         return len(self.support)

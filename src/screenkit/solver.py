@@ -15,7 +15,8 @@ from operator import add
 import numpy as np
 
 from .errors import SizeGuardExceeded, StructuralError
-from .model import (FEAS_TOL, JointDistribution, Mechanism, ScreeningInstance)
+from .model import (_ROUND_TOL, FEAS_TOL, JointDistribution, Mechanism,
+                    ScreeningInstance)
 from .stochastics import LevelCouplings, level_couplings, scalar_levels
 from .transfers import OneDimInstance, _closed_form, onedim_value
 
@@ -31,10 +32,6 @@ _DOWNWARD_CHUNK = 1 << 14
 #: `solve_joint` extends or prices (at least one row per block), and of one
 #: block of its line search.
 _JOINT_CHUNK = 1 << 14
-
-#: Bellman-Ford slack: distances that still fall by more than this after m
-#: sweeps reveal a negative cycle, an assignment no transfers implement.
-_CYCLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -273,8 +270,10 @@ def _batch_transfers(U: np.ndarray, allocs: np.ndarray):
         if np.array_equal(newD, D):
             break
         D = newD
+    # distances that still fall, beyond rounding, after m sweeps reveal a
+    # negative cycle: an assignment no transfers implement
     cand = (D[:, None, :] + W).min(axis=2)
-    infeasible = (cand < D - _CYCLE_TOL).any(axis=1)
+    infeasible = (cand < D - _ROUND_TOL).any(axis=1)
     return D, infeasible
 
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotDominated, NotMonotone, StructuralError
-from .model import (FEAS_TOL, PROB_TOL, CostlySpec, JointDistribution,
-                    ProductiveSpec, ScreeningInstance, frozen_array)
+from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, CostlySpec,
+                    JointDistribution, ProductiveSpec, ScreeningInstance,
+                    _as_index, _distinct_rows, _weights, frozen_array)
 
 # Probabilities are scaled by this before max-flow; one unit is 1e-12 mass.
 _FLOW_SCALE = 10 ** 12
@@ -27,8 +28,6 @@ _FLOW_SCALE = 10 ** 12
 _FLOW_SLACK = 10 ** 3
 #: Mass a law, a coupling or a path mixture may be off by: the flow slack.
 MASS_TOL = _FLOW_SLACK / _FLOW_SCALE
-# Slack when comparing costly-type coordinates copied from one table.
-_ORDER_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,22 +38,10 @@ class DiscreteDistribution:
     prob: np.ndarray    # (k,) strictly positive, sums to 1
 
     def __post_init__(self):
-        pts = frozen_array(self.points)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "prob", frozen_array(self.prob))
-        if self.points.ndim != 2 or self.points.size == 0:
-            raise StructuralError("points must be a nonempty (k, N) array")
-        if self.prob.shape != (self.points.shape[0],):
-            raise StructuralError("prob must align with points")
-        if not np.all(self.prob > 0):
-            raise StructuralError("probabilities must be strictly positive")
-        if abs(float(self.prob.sum()) - 1.0) > MASS_TOL:
-            raise StructuralError("probabilities must sum to 1")
-        seen = {tuple(row) for row in self.points.tolist()}
-        if len(seen) != self.points.shape[0]:
-            raise StructuralError("points must be distinct")
+        object.__setattr__(self, "points", _distinct_rows(self.points, "points"))
+        # a law the flow reads as its own within its slack is accepted
+        object.__setattr__(self, "prob", _weights(self.prob, len(self), "prob",
+                                                  tol=MASS_TOL))
 
     @property
     def dim(self) -> int:
@@ -88,6 +75,10 @@ class TypePath:
     weight: float
     b_indices: tuple  # theta_b index per scalar-type level
 
+    def __post_init__(self):
+        object.__setattr__(self, "b_indices", tuple(
+            _as_index(i, "b_indices") for i in self.b_indices))
+
 
 @dataclass(frozen=True, eq=False)
 class PathMixture:
@@ -99,7 +90,8 @@ class PathMixture:
 
     def __post_init__(self):
         object.__setattr__(self, "a_probs", frozen_array(self.a_probs))
-        object.__setattr__(self, "a_indices", tuple(int(i) for i in self.a_indices))
+        object.__setattr__(self, "a_indices", tuple(
+            _as_index(i, "a_indices") for i in self.a_indices))
         object.__setattr__(self, "paths", tuple(self.paths))
 
     def joint(self) -> dict:
@@ -187,25 +179,25 @@ def _row_cdfs(laws: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.cumsum(laws[:, order], axis=1)[:, tops]
 
 
-def _unordered_rows(cdf: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
+def _unordered_rows(cdf: np.ndarray) -> np.ndarray:
     """Indices k where row k of a CDF table is not below row k + 1.
 
     A scalar law is stochastically below another iff its CDF is nowhere
-    smaller by more than tol.
+    smaller by more than FEAS_TOL.
     """
-    return np.flatnonzero((cdf[:-1] < cdf[1:] - tol).any(axis=1))
+    return np.flatnonzero((cdf[:-1] < cdf[1:] - FEAS_TOL).any(axis=1))
 
 
-def check_dominance(p: DiscreteDistribution, q: DiscreteDistribution,
-                    tol: float = FEAS_TOL) -> bool:
-    """Decide whether p is stochastically below q (usual stochastic order)."""
+def check_dominance(p: DiscreteDistribution, q: DiscreteDistribution) -> bool:
+    """Decide whether p is stochastically below q (usual stochastic order):
+    scalar laws by CDFs within FEAS_TOL, others by a max flow within MASS_TOL."""
     if p.dim != q.dim:
         raise StructuralError("distributions must share a dimension")
     if p.dim == 1:
         laws = np.zeros((2, len(p) + len(q)))
         laws[0, :len(p)], laws[1, len(p):] = p.prob, q.prob
         values = np.concatenate([p.points[:, 0], q.points[:, 0]])
-        return not _unordered_rows(_row_cdfs(laws, values), tol).size
+        return not _unordered_rows(_row_cdfs(laws, values)).size
     value, _ = _flow_between(p, q)
     return _FLOW_SCALE - value <= _FLOW_SLACK
 
@@ -436,7 +428,7 @@ def _assert_reproduces(inst: ScreeningInstance, mixture: PathMixture):
     for path in mixture.paths:
         for k in range(len(path.b_indices) - 1):
             lo, hi = path.b_indices[k], path.b_indices[k + 1]
-            if not np.all(theta[lo] <= theta[hi] + _ORDER_TOL):
+            if not np.all(theta[lo] <= theta[hi] + _ROUND_TOL):
                 raise NotMonotone("peeled path is not monotone")
 
 

@@ -16,20 +16,18 @@ import numpy as np
 
 from .errors import (InputNotIC, OutOfRange, PreconditionFailed,
                      StructuralError)
-from .model import (FEAS_TOL, PROB_TOL, VALUE_TOL, CostlySpec,
+from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, VALUE_TOL, CostlySpec,
                     JointDistribution, Mechanism, Menu, ProductiveSpec,
-                    ScreeningInstance, ValidationReport, best_response,
-                    check_ic, check_ir, frozen_array, ic_gains,
-                    ir_shortfalls, mechanism_value, payoff_tables,
-                    validate_instance)
+                    ScreeningInstance, ValidationReport, _as_index, _grid,
+                    _table, _weights, best_response, check_ic, check_ir,
+                    frozen_array, ic_gains, ir_shortfalls, mechanism_value,
+                    payoff_tables, validate_instance)
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_full_1d,
                      solve_joint)
 from .stochastics import (TypePath, _row_cdfs, _unordered_rows,
                           level_couplings, scalar_levels)
 from .transfers import OneDimInstance
 
-#: Largest change of a truthful payoff that `shift_mechanism` reads as none.
-_SHIFT_TOL = 1e-12
 #: The converse's discount eps. Its menu value falls in eps, so the least
 #: eps is best; 1e-8 sits well above float resolution of the 1 and 2 levels.
 _CONVERSE_EPS = 1e-8
@@ -159,7 +157,8 @@ def shift_mechanism(inst: ScreeningInstance, path: TypePath,
 
     before, after = (np.diagonal(line.payoffs(m.x, m.y, m.t)[0])
                      for m in (mech, shifted))
-    moved = np.flatnonzero(np.abs(before - after) > _SHIFT_TOL)
+    # a truthful payoff moved by rounding alone has not moved
+    moved = np.flatnonzero(np.abs(before - after) > _ROUND_TOL)
     if moved.size:
         raise StructuralError(f"shift changed a truthful payoff at point {moved[0]}")
     down = check_ic(line, shifted, "downward")
@@ -210,32 +209,26 @@ class MultiplicativeInstance:
     u_inverse: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        ta = frozen_array(self.theta_a)
+        ta = _grid(self.theta_a, "theta_a")
         tb = np.atleast_2d(frozen_array(self.theta_b))
-        mu = frozen_array(self.mu)
+        tb = _table(tb, (ta.size, tb.shape[1]), "theta_b")  # a row per type
         c = np.atleast_2d(frozen_array(self.c))
-        if ta.ndim != 1 or ta.size == 0:
-            raise StructuralError("theta_a must be a nonempty vector")
-        if (ta <= 0).any():
+        c = _table(c, (c.shape[0], tb.shape[1]), "c")  # a row per instrument
+        y0 = _as_index(self.y0_index, "y0_index")
+        if ta[0] <= 0:
             raise StructuralError("multiplicative types must be positive")
-        if (np.diff(ta) <= 0).any():
-            raise StructuralError("theta_a must be strictly increasing")
-        if tb.shape[0] != ta.size:
-            raise StructuralError("theta_b must give one row per type")
         if (tb > FEAS_TOL).any():
             raise StructuralError("theta_b must be nonpositive")
-        if mu.shape != ta.shape or (mu <= 0).any():
-            raise StructuralError("mu must be positive per type")
-        if abs(mu.sum() - 1.0) > FEAS_TOL:
-            raise StructuralError("mu must sum to one")
+        mu = _weights(self.mu, ta.size, "mu")
         if (c < -FEAS_TOL).any():
             raise StructuralError("instrument weights must be nonnegative")
-        if np.abs(c[self.y0_index]).max() > 0:
+        if not 0 <= y0 < c.shape[0]:
+            raise StructuralError("y0_index out of range")
+        if np.abs(c[y0]).max() > 0:
             raise StructuralError("baseline instrument must have zero weight")
-        if c.shape[1] != tb.shape[1]:
-            raise StructuralError("c and theta_b dimensions disagree")
-        for name, arr in (("theta_a", ta), ("theta_b", tb), ("mu", mu), ("c", c)):
-            object.__setattr__(self, name, arr)
+        for name, value in (("theta_a", ta), ("theta_b", tb), ("mu", mu), ("c", c),
+                            ("y0_index", y0)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -266,6 +259,9 @@ class MultiplicativeMechanism:
     x: tuple                     # real allocations in [0, 1]
     y: tuple                     # instrument indices
     t: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "y", tuple(_as_index(i, "y") for i in self.y))
 
 
 def _mult_payoffs(minst: MultiplicativeInstance,
@@ -436,7 +432,8 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     priced. Dominance is certified by solving the productive-only problem,
     never by the r/q bounds alone.
 
-    `dominance_margin` must be finite and nonnegative (StructuralError).
+    `coord` must be an integer index and `dominance_margin` finite and
+    nonnegative (StructuralError).
     StructuralError also reports the construction inconsistent when r <= q
     or the menu prices below r; PreconditionFailed names the margin and the
     gap at `_CONVERSE_EPS` when the menu does not beat productive-only
@@ -445,13 +442,12 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     if not (np.isfinite(dominance_margin) and dominance_margin >= 0):
         raise StructuralError(f"dominance_margin must be finite and "
                               f"nonnegative, got {dominance_margin}")
+    coord = _as_index(coord, "coord")
     prod, cost = inst.productive, inst.costly
     if prod.n_alloc < 2:
         raise PreconditionFailed("need at least two productive allocations")
     if cost.n_alloc < 2:
         raise PreconditionFailed("need at least two instrument values")
-    if prod.x_grid[-1] <= prod.x_grid[0]:
-        raise PreconditionFailed("productive allocations must span a range")
     if not 0 <= coord < cost.dim:
         raise PreconditionFailed("coordinate out of range")
     t0, t1, w = _coordinate_marginals(inst, coord)

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotImplementable, StructuralError
-from .model import (FEAS_TOL, PROB_TOL, deviation_mask, frozen_array,
-                    ic_gains, ir_shortfalls)
+from .model import (_ROUND_TOL, FEAS_TOL, _grid, _table, _weights,
+                    deviation_mask, ic_gains, ir_shortfalls)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,24 +34,12 @@ class OneDimInstance:
     v: np.ndarray       # (n_x, n) principal utility
 
     def __post_init__(self):
-        for name in ("theta", "mu", "x_grid", "u", "v"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name)))
-        if self.theta.ndim != 1 or self.theta.size == 0:
-            raise StructuralError("theta must be a nonempty 1-D array")
-        if not np.all(np.diff(self.theta) > 0):
-            raise StructuralError("theta must be strictly increasing")
-        if not np.all(np.diff(self.x_grid) > 0):
-            raise StructuralError("x_grid must be strictly increasing")
-        if self.mu.shape != self.theta.shape or not np.all(self.mu > 0):
-            raise StructuralError("mu must be strictly positive and align with theta")
-        if abs(float(self.mu.sum()) - 1.0) > PROB_TOL:
-            raise StructuralError("mu must sum to 1")
-        shape = (self.x_grid.size, self.theta.size)
-        for name in ("u", "v"):
-            if getattr(self, name).shape != shape:
-                raise StructuralError(f"{name} must have shape {shape}")
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise StructuralError(f"{name} contains non-finite entries")
+        object.__setattr__(self, "theta", _grid(self.theta, "theta"))
+        object.__setattr__(self, "mu", _weights(self.mu, self.n, "mu"))
+        object.__setattr__(self, "x_grid", _grid(self.x_grid, "x_grid"))
+        shape = (self.n_alloc, self.n)
+        object.__setattr__(self, "u", _table(self.u, shape, "u"))
+        object.__setattr__(self, "v", _table(self.v, shape, "v"))
 
     @property
     def n(self) -> int:
@@ -163,11 +151,6 @@ def _closed_form(u: np.ndarray, x_idx: Sequence) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-#: A relaxation must lower a distance by more than this to count, so
-#: rounding alone never keeps Bellman-Ford sweeping.
-_RELAX_SLACK = 1e-15
-
-
 def graph_optimal_transfers(inst: OneDimInstance, x_idx: Sequence,
                             constraint_set: str = "downward") -> np.ndarray:
     """Maximal feasible transfers via shortest paths from a virtual source.
@@ -177,12 +160,13 @@ def graph_optimal_transfers(inst: OneDimInstance, x_idx: Sequence,
     set is a difference-constraint polyhedron: its componentwise maximum is
     the vector of shortest-path distances, which also maximizes the expected
     transfer because the weights are positive. A negative cycle means the
-    allocation is not implementable under the requested constraint set.
+    allocation is not implementable under the requested constraint set; a
+    bad allocation raises StructuralError, as in `onedim_value`.
     """
     if constraint_set not in ("downward", "all"):
         raise ValueError(f"unknown constraint set {constraint_set!r}")
     u = inst.u
-    x_idx = [int(i) for i in x_idx]
+    x_idx = _allocation(inst, x_idx).tolist()
     n = inst.n
     edges = []  # (q, p, weight) meaning t_p <= t_q + weight; q == -1 is the source
     for p in range(n):
@@ -198,7 +182,8 @@ def graph_optimal_transfers(inst: OneDimInstance, x_idx: Sequence,
         changed = False
         for q, p, w in edges:
             base = 0.0 if q == -1 else dist[q]
-            if base + w < dist[p] - _RELAX_SLACK:
+            # rounding alone never keeps Bellman-Ford sweeping
+            if base + w < dist[p] - _ROUND_TOL:
                 dist[p] = base + w
                 changed = True
         if not changed:

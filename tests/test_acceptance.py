@@ -276,7 +276,7 @@ def test_criterion_11_competitive_separating_sets():
                   "high type strictly gains"):
         for seed in range(50):
             params = _draw_competitive(instance_rng(seed, stream=507))
-            sep = competitive_separating(params, fine_step=1e-5)
+            sep = competitive_separating(params)
             assert sep.offer_h[1] > 0, seed
             assert sep.gain > 1e-6, (seed, sep.gain)
 

@@ -386,6 +386,9 @@ MALFORMED = {
     "fractional_n_goods": lambda tmp: [
         "bundling", "--params",
         _write(tmp, _edited("bundling_default.json", n_goods=2.5))],
+    "boolean_n_goods": lambda tmp: [
+        "bundling", "--params",
+        _write(tmp, _edited("bundling_default.json", n_goods=True))],
     # float fields take JSON numbers only: numpy would read true as 1.0 and
     # "0.5" as 0.5
     "boolean_y_set": lambda tmp: [
@@ -423,7 +426,7 @@ def test_malformed_input_is_one_line_exit_1(case, capsys, tmp_path):
     ("fractional_support_index", "support"), ("boolean_support_index", "support"),
     ("string_support_index", "support"), ("support_point_of_three", "support"),
     ("fractional_y0_index", "y0_index"), ("boolean_y0_index", "y0_index"),
-    ("fractional_n_goods", "n_goods"),
+    ("fractional_n_goods", "n_goods"), ("boolean_n_goods", "n_goods"),
 ])
 def test_non_integer_json_fields_are_named(case, field, capsys, tmp_path):
     assert main(MALFORMED[case](tmp_path)) == 1

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from screenkit import (FEAS_TOL, OUTSIDE, BundleInstance, CostlySpec,
                        Coupling, DiscreteDistribution, JointDistribution,
                        Mechanism, Menu, MultiplicativeInstance,
-                       OneDimInstance, PathMixture, ProductiveSpec,
-                       ScreeningInstance, StructuralError, agent_payoff,
-                       check_ic, check_ir, example1_instance,
+                       MultiplicativeMechanism, OneDimInstance, PathMixture,
+                       ProductiveSpec, ScreeningInstance, StructuralError,
+                       TypePath, agent_payoff, check_ic, check_ir,
+                       converse_construct, example1_instance,
                        example2_instance, example2_menu, example3_instance,
                        example3_menu, level_couplings, load_instance,
                        mechanism_value, menu_best_response, principal_payoff,
@@ -418,7 +419,30 @@ INDEX_FIELDS = {
                       lambda m: m.options[0][0]),
     "Menu.option_y": (lambda i: Menu(((0, i, 0.0),)),
                       lambda m: m.options[0][1]),
+    "BundleInstance.n_goods": (lambda i: BundleInstance(
+        i, [[0.0, 2.0], [0.0, 3.0]], [0.5, 0.5], [0.0, 0.5, 1.0],
+        [0.0, 0.1, 0.4]), lambda b: b.n_goods),
+    "PathMixture.a_indices": (lambda i: PathMixture((0, i), (0.5, 0.5), ()),
+                              lambda m: m.a_indices[1]),
+    "TypePath.b_indices": (lambda i: TypePath(1.0, (0, i)),
+                           lambda p: p.b_indices[1]),
+    "MultiplicativeInstance.y0_index": (lambda i: MultiplicativeInstance(
+        [1.0, 2.0], [[-0.5], [-0.25]], [0.5, 0.5], lambda x: x,
+        [[1.0], [0.0]], i), lambda m: m.y0_index),
+    "MultiplicativeMechanism.y": (lambda i: MultiplicativeMechanism(
+        (0.4, 0.8), (0, i), (0.1, 0.3)), lambda m: m.y[1]),
+    "converse_construct.coord": (lambda i: converse_construct(
+        _two_coordinates(example3_instance()), coord=i),
+        lambda art: art.coordinate),
 }
+
+
+def _two_coordinates(inst):
+    """`inst` with its costly type written twice, as coordinates 0 and 1."""
+    c = inst.costly
+    return ScreeningInstance(inst.productive, CostlySpec(
+        np.column_stack((c.theta_b, c.theta_b)), c.y_set, c.y0_index,
+        c.u_b, c.v_b), inst.dist)
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, 1.9, np.float64(1.0), "1"],
@@ -437,3 +461,104 @@ def test_index_fields_take_python_and_numpy_integers(field, good):
     build, held = INDEX_FIELDS[field]
     index = held(build(good))
     assert index == 1 and type(index) is int
+
+
+# ---------------------------------------------------------------------------
+# weights and grids: one rule for every container
+# ---------------------------------------------------------------------------
+
+#: Each container with its weights set to `w` and every other field valid.
+WEIGHTS = {
+    "JointDistribution.prob": lambda w: JointDistribution(((0, 0), (1, 1)), w),
+    "OneDimInstance.mu": lambda w: OneDimInstance(
+        [1.0, 2.0], w, [0.0, 1.0], [[0.0, 0.0], [1.0, 2.0]], np.zeros((2, 2))),
+    "BundleInstance.prob": lambda w: BundleInstance(
+        1, [[0.0, 2.0], [0.0, 3.0]], w, [0.0, 0.5, 1.0], [0.0, 0.1, 0.4]),
+    "MultiplicativeInstance.mu": lambda w: MultiplicativeInstance(
+        [1.0, 2.0], [[-0.5], [-0.25]], w, lambda x: x, [[0.0], [1.0]], 0),
+    "DiscreteDistribution.prob": lambda w: DiscreteDistribution([[0.0], [1.0]], w),
+}
+
+
+WEIGHT_RULE = r"must (hold \d+ weights|be strictly positive|sum to one)"
+
+
+@pytest.mark.parametrize("field", sorted(WEIGHTS))
+@pytest.mark.parametrize("bad", [[0.5, 0.5 + 1e-6], [1.0, 0.0], [1.5, -0.5],
+                                 [0.5, np.nan], [1.0], [0.25, 0.25, 0.5]],
+                         ids=["sum", "zero", "negative", "nan", "short", "long"])
+def test_weights_refuse_what_is_not_a_law(field, bad):
+    with pytest.raises(StructuralError, match=WEIGHT_RULE):
+        WEIGHTS[field](bad)
+
+
+@pytest.mark.parametrize("field", sorted(set(WEIGHTS) - {"DiscreteDistribution.prob"}))
+def test_payoff_weights_sum_to_one_within_prob_tol(field):
+    # they enter payoffs directly; MultiplicativeInstance allowed FEAS_TOL
+    with pytest.raises(StructuralError, match="must sum to one"):
+        WEIGHTS[field]([0.5, 0.5 + 5e-10])
+
+
+def test_flow_laws_sum_to_one_within_the_flow_slack():
+    # a law off by less than MASS_TOL feeds the max flow as it is
+    assert DiscreteDistribution([[0.0], [1.0]], [0.5, 0.5 + 5e-10]).prob.sum() > 1.0
+
+
+#: Each container with one grid set to `g` and every other field sized to it.
+GRIDS = {
+    "ProductiveSpec.theta_a": lambda g: ProductiveSpec(
+        g, [0.0, 1.0], np.zeros((2, len(g))), np.zeros((2, len(g)))),
+    "ProductiveSpec.x_grid": lambda g: ProductiveSpec(
+        [0.0, 1.0], g, np.zeros((len(g), 2)), np.zeros((len(g), 2))),
+    "OneDimInstance.theta": lambda g: OneDimInstance(
+        g, np.full(len(g), 1 / max(len(g), 1)), [0.0, 1.0],
+        np.zeros((2, len(g))), np.zeros((2, len(g)))),
+    "OneDimInstance.x_grid": lambda g: OneDimInstance(
+        [1.0, 2.0], [0.5, 0.5], g, np.zeros((len(g), 2)), np.zeros((len(g), 2))),
+    "MultiplicativeInstance.theta_a": lambda g: MultiplicativeInstance(
+        g, -np.ones((len(g), 1)), np.full(len(g), 1 / max(len(g), 1)),
+        lambda x: x, [[0.0], [1.0]], 0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(GRIDS))
+@pytest.mark.parametrize("bad", [[], [2.0, 1.0], [1.0, 1.0], [1.0, np.nan],
+                                 [[1.0, 2.0]]],
+                         ids=["empty", "falling", "tied", "nan", "2-D"])
+def test_grids_refuse_what_does_not_strictly_increase(field, bad):
+    # an empty OneDimInstance.x_grid was accepted, with n_alloc 0
+    with pytest.raises(StructuralError, match="nonempty 1-D array|strictly increasing"):
+        GRIDS[field](bad)
+
+
+#: Each container with its point cloud set to `p` and every other field sized to it.
+POINTS = {
+    "CostlySpec.theta_b": lambda p: CostlySpec(
+        p, [0.0], 0, np.zeros((1, len(p))), np.zeros((1, len(p)))),
+    "DiscreteDistribution.points": lambda p: DiscreteDistribution(
+        p, np.full(len(p), 1 / max(len(p), 1))),
+}
+
+
+@pytest.mark.parametrize("field", sorted(POINTS))
+@pytest.mark.parametrize("bad", [[], [[0.0, 1.0], [0.0, 1.0]], [[0.0], [np.nan]],
+                                 [[0.0], [np.inf]], [[[0.0]]]],
+                         ids=["empty", "repeated", "nan", "inf", "3-D"])
+def test_point_clouds_refuse_what_is_not_distinct_finite_points(field, bad):
+    # a NaN costly type was accepted: it passed the distinct check, being
+    # unequal to itself, and validation then reported it as unordered
+    with pytest.raises(StructuralError,
+                       match="nonempty \\(k, N\\) array|distinct rows|non-finite"):
+        POINTS[field](bad)
+
+
+@pytest.mark.parametrize("field, table", [
+    ("theta_b", [[-0.5], [np.nan]]), ("theta_b", [[-0.5], [-np.inf]]),
+    ("c", [[0.0], [np.nan]]), ("c", [[0.0], [np.inf]]),
+])
+def test_multiplicative_tables_refuse_non_finite_entries(field, table):
+    # no sign test caught these, so they were accepted
+    tables = {"theta_b": [[-0.5], [-0.25]], "c": [[0.0], [1.0]], field: table}
+    with pytest.raises(StructuralError, match=f"{field} contains non-finite entries"):
+        MultiplicativeInstance([1.0, 2.0], tables["theta_b"], [0.5, 0.5],
+                               lambda x: x, tables["c"], 0)

@@ -1,0 +1,48 @@
+"""Rules on the package source that no behaviour test sees: one home for
+the tolerances, and one integer rule for the containers' index fields.
+
+Parses `src/screenkit` with `ast`; it imports and compiles nothing.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "screenkit"
+
+#: The flow's own unit pair: the slack of the integer max flow and the mass
+#: it stands for, which a `DiscreteDistribution` is checked against.
+FLOW_UNITS = {("stochastics.py", "MASS_TOL"), ("stochastics.py", "_FLOW_SLACK")}
+
+
+def _trees():
+    return [(path.name, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted(SRC.glob("*.py"))]
+
+
+def _module_names(tree) -> list:
+    """Names a module's top level binds by assignment."""
+    names = []
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            names += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return names
+
+
+def test_tolerances_are_defined_in_model_alone():
+    stray = [(module, name) for module, tree in _trees() if module != "model.py"
+             for name in _module_names(tree)
+             if name.endswith(("_TOL", "_SLACK")) and (module, name) not in FLOW_UNITS]
+    assert stray == []
+
+
+def test_post_init_never_truncates_with_int():
+    # an index goes through model._as_index, which refuses what int() would cut
+    calls = [f"{module}:{cls.name}:{call.lineno}" for module, tree in _trees()
+             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body
+             if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+             for call in ast.walk(fn)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+             and call.func.id == "int"]
+    assert calls == []
