@@ -15,10 +15,10 @@ from operator import add
 import numpy as np
 
 from .errors import SizeGuardExceeded, StructuralError
-from .model import (_ROUND_TOL, FEAS_TOL, JointDistribution, Mechanism,
-                    ScreeningInstance)
+from .model import _ROUND_TOL, FEAS_TOL, Mechanism, ScreeningInstance
 from .stochastics import LevelCouplings, level_couplings, scalar_levels
-from .transfers import OneDimInstance, _closed_form, onedim_value
+from .transfers import (OneDimInstance, _downward_sweep, _monotone_transfers,
+                        onedim_value)
 
 #: Default ceiling on the allocations or assignment rows an exact solver
 #: enumerates or prices.
@@ -79,8 +79,8 @@ def solve_downward_1d(inst: OneDimInstance,
     """Maximize expected payoff subject to downward IC and participation only.
 
     Enumerates every allocation (size-guarded) in lexicographic order and
-    keeps the lexicographically smallest maximizer. Optimal allocations here
-    may be non-monotone.
+    keeps the lexicographically smallest maximizer of the sweep's values.
+    Optimal allocations here may be non-monotone.
 
     The downward constraints t_p <= t_q + u[x_p, p] - u[x_q, p] (q < p) and
     participation t_p <= u[x_p, p] form an acyclic difference system, so one
@@ -95,38 +95,18 @@ def solve_downward_1d(inst: OneDimInstance,
     prefixes of one depth, the last digit fastest, so the leaves come in
     lexicographic order and memory stays bounded.
 
-    The sweep rounds differently from the closed form, so the leaves whose
-    sweep value comes within a magnitude-scaled tolerance of the running
-    maximum are decoded, swept again for their transfers and re-priced with
-    the closed form, one call per block, before the strict comparison in
-    enumeration order; the result is that of closed-form pricing of every
-    allocation, bit for bit.
-    Where the closed form leaves the sweep by more than the tolerance, the
-    table breaks the model's assumptions (u falls in the type or differences
-    decrease), the closed form is infeasible and the sweep's transfers stay.
+    The first strict maximum of the leaves' values in that order wins, and
+    `_downward_sweep` prices its transfers with the tree's own max and
+    subtraction, bit for bit.
     """
     n, n_alloc = inst.n, inst.n_alloc
     total = n_alloc ** n
     if total > guard:
         raise SizeGuardExceeded("downward enumeration too large", total, guard)
-    # far above rounding, which is O(n * 1e-16) of the table's magnitude. A
-    # re-priced value lies within tol plus rounding of its sweep value, so
-    # every maximizer's sweep value comes within 3 * tol of the sweep maximum
-    tol = FEAS_TOL * n * (1.0 + np.abs(inst.u).max() + np.abs(inst.v).max())
     u, mu = inst.u, inst.mu
     u_by_type = np.ascontiguousarray(u.T)
     v_by_type = np.ascontiguousarray(inst.v.T)
-
-    def payoff(x, t):
-        # summed type by type from 0.0, like a scalar loop over the types
-        surplus = np.take_along_axis(v_by_type, x, axis=1) + t
-        values = np.zeros(x.shape[1])
-        for p in range(n):
-            values += mu[p] * surplus[p]
-        return values
-
-    sweep_best = best = -np.inf
-    best_x = best_t = None
+    best, best_id = -np.inf, 0
     # pending blocks: (depth, first parent id, the parents' rents M for the
     # types from the depth on and partial payoffs S, child id range); ids
     # number the prefixes of one depth lexicographically
@@ -149,23 +129,12 @@ def solve_downward_1d(inst: OneDimInstance,
                           min(start + _DOWNWARD_CHUNK, hi * n_alloc))
                          for start in reversed(starts))
             continue
-        sweep_best = max(sweep_best, S.max())
-        near = lo + np.flatnonzero(S >= sweep_best - 3 * tol)
-        if near.size == 0:
-            continue
-        x = np.ascontiguousarray(_decode(near, n, n_alloc).T)  # (n, near)
-        t = np.take_along_axis(u_by_type, x, axis=1)           # u[x_p, p]
-        for p in range(1, n):
-            t[p] -= np.maximum((u_by_type[p].take(x[:p]) - t[:p]).max(axis=0), 0.0)
-        closed = _closed_form(u, x)
-        agree = np.abs(closed - t).max(axis=0) <= tol
-        t[:, agree] = closed[:, agree]
-        values = payoff(x, t)
-        k = int(np.argmax(values))
-        if values[k] > best:
-            best, best_x, best_t = float(values[k]), x[:, k], t[:, k]
-    return SolveResult("downward1d", best, tuple(best_x.tolist()),
-                       tuple(best_t.tolist()),
+        k = int(np.argmax(S))
+        if S[k] > best:
+            best, best_id = float(S[k]), lo + k
+    x = np.unravel_index(best_id, (n_alloc,) * n)
+    return SolveResult("downward1d", best, tuple(map(int, x)),
+                       tuple(_downward_sweep(u, x).tolist()),
                        {"method": "enumeration", "enumerated": total})
 
 
@@ -176,7 +145,8 @@ def solve_full_1d(inst: OneDimInstance) -> SolveResult:
     with every local downward constraint binding, so each type contributes
     its weighted virtual surplus and an exact dynamic program over monotone
     allocations finds the optimum; no ironing step is needed. Transfers come
-    from the O(n) closed form of the downward relaxation. The lowest type's
+    from the O(n) running sum of local steps (`_monotone_transfers`), the
+    downward maximum of a monotone allocation. The lowest type's
     participation and every local downward constraint bind there, so these
     transfers bound every feasible vector from above; a level-wise check that
     they also satisfy every IC and participation constraint makes them the
@@ -214,7 +184,7 @@ def solve_full_1d(inst: OneDimInstance) -> SolveResult:
     for M, G in zip(stage_m, stage_g):
         floor = M.index(G[floor], floor)
         x_idx.append(floor)
-    t = _closed_form(u, x_idx)
+    t = _monotone_transfers(u, x_idx)
     cheapest = np.full(n_alloc, np.inf)
     np.minimum.at(cheapest, x_idx, t)
     # best of mimicking each level at its cheapest transfer and opting out
@@ -240,15 +210,6 @@ def solve_full_1d(inst: OneDimInstance) -> SolveResult:
 # ---------------------------------------------------------------------------
 # joint solver
 # ---------------------------------------------------------------------------
-
-
-def _decode(ids: np.ndarray, m: int, n_opts: int) -> np.ndarray:
-    digits = np.empty((ids.size, m), dtype=np.int64)
-    rem = ids.copy()
-    for p in range(m - 1, -1, -1):
-        digits[:, p] = rem % n_opts
-        rem //= n_opts
-    return digits
 
 
 def _batch_transfers(U: np.ndarray, allocs: np.ndarray):

@@ -10,7 +10,7 @@ certifies that by evaluation rather than by the bounds alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -206,7 +206,6 @@ class MultiplicativeInstance:
     c: np.ndarray                # (n_y, N) nonnegative, row y0 all zero
     y0_index: int
     cost: Callable[[float], float] = staticmethod(lambda x: 0.0)
-    u_inverse: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         ta = _grid(self.theta_a, "theta_a")
@@ -240,8 +239,6 @@ class MultiplicativeInstance:
         return self.theta_b / self.theta_a[:, None]
 
     def invert_u(self, target: float, hi: float) -> float:
-        if self.u_inverse is not None:
-            return float(self.u_inverse(target))
         lo = 0.0
         if target <= 0.0:
             return 0.0

@@ -1,15 +1,16 @@
 """Transfers for one-dimensional screening under downward incentive constraints.
 
-Given a (possibly non-monotone) allocation over a sorted scalar type grid,
-the closed form pins every type's transfer through the binding pattern of the
-relaxed problem: local downward constraints bind along monotonic runs, and
-inside each U-shaped region, which opens at a strict descent of the
-allocation and closes at the first later type allocated strictly above its
-origin, every type is held to its region origin. The same
-transfers fall out of single-source shortest paths on the difference
-constraint graph, which this module also implements. That route is O(n^3)
-and serves only as an independent oracle: the one-dimensional solvers price
-with the closed form.
+The downward constraints t_p <= t_q + u[x_p, p] - u[x_q, p] (q < p) and
+participation t_p <= u[x_p, p] form an acyclic difference system, so one
+forward sweep over the types gives the maximal transfers of any allocation
+over a sorted scalar type grid, monotone or not (Rochet 1987). For a
+nondecreasing allocation, where u rises in the type with increasing
+differences, every local downward constraint binds, and the transfers are a
+running sum of local steps. The same transfers fall out of
+single-source shortest paths on the difference constraint graph, which
+this module also implements. That route is O(n^3) and serves only as an
+independent oracle: the one-dimensional solvers price with the sweep and
+the running sum.
 """
 from __future__ import annotations
 
@@ -56,7 +57,10 @@ def _allocation(inst: OneDimInstance, x_idx: Sequence) -> np.ndarray:
     x = np.asarray(x_idx)
     if x.shape != (inst.n,):
         raise StructuralError("allocation must assign one entry per type")
-    if x.dtype.kind not in "iu" or ((x < 0) | (x >= inst.n_alloc)).any():
+    # np.asarray reads [0, True] as [0, 1]; an array's own dtype decides
+    if (x.dtype.kind not in "iu" or ((x < 0) | (x >= inst.n_alloc)).any()
+            or not (isinstance(x_idx, np.ndarray)
+                    or {bool, np.bool_}.isdisjoint(map(type, x_idx)))):
         raise StructuralError(
             f"allocation entries must be integer indices in [0, {inst.n_alloc})")
     return x
@@ -65,85 +69,58 @@ def _allocation(inst: OneDimInstance, x_idx: Sequence) -> np.ndarray:
 def closed_form_downward_transfers(inst: OneDimInstance, x_idx: Sequence) -> np.ndarray:
     """Componentwise-maximal transfers for the downward-constraint relaxation.
 
-    Each type pays its own gross utility less the rents accumulated along the
-    binding chain: local downward steps over the free indices below it, plus
-    one origin-anchored term per U-shaped region it sits in or above.
+    The downward constraints and participation form an acyclic difference
+    system, so one forward sweep over the types (`_downward_sweep`) gives
+    its maximum: each type pays its own gross utility less the most it
+    gains by imitating a lower type, or nothing.
 
-    The result is the downward maximum only when u rises in the type and has
-    increasing differences, so any other table raises StructuralError.
-    Otherwise the transfers could break participation or IC: u = [[2, 0],
-    [2, 2]] with x = (0, 1) would give t = (2, 4), leaving type 1 a payoff
-    of -2. An allocation entry that is not an integer index into the grid
-    raises StructuralError as well. `solve_full_1d` and `solve_downward_1d`
-    run the unchecked kernel and guard its result themselves.
+    The checks keep the contract of the U-region closed form, which is the
+    downward maximum only when u rises in the type and has increasing
+    differences: any other table raises StructuralError, although the
+    sweep is the maximum on every table (u = [[2, 0], [2, 2]] with
+    x = (0, 1) gives t = (2, 2), where the region form gives (2, 4) and
+    type 1 a payoff of -2). An allocation entry that is not an integer
+    index into the grid raises StructuralError as well. `solve_full_1d` and
+    `solve_downward_1d` run the unchecked kernels and guard their results
+    themselves.
     """
     x = _allocation(inst, x_idx)
     if (np.diff(inst.u, axis=1) < -FEAS_TOL).any():
         raise StructuralError("closed-form transfers need u nondecreasing in the type")
     if (np.diff(np.diff(inst.u, axis=0), axis=1) < -FEAS_TOL).any():
         raise StructuralError("closed-form transfers need u with increasing differences")
-    return _closed_form(inst.u, x)
+    return _downward_sweep(inst.u, x)
 
 
-def _regions(block: np.ndarray):
-    """The U-shaped regions of every column of an allocation block (n, k).
+def _downward_sweep(u: np.ndarray, x_idx: Sequence) -> np.ndarray:
+    """The downward maximum on the table u, with no checks.
 
-    A pass opens each column's next region at its first strict descent from
-    where the column's scan stands and closes it where the allocation first
-    strictly exceeds the origin's; the column's scan then stands at that
-    destination, and equal allocations never open or close a region. Returns the
-    passes, each (mask of the columns holding a region, origins,
-    destinations, n where a region never closes), and the (n - 1, k) mask
-    of the types j < n - 1 from an origin up to before its destination, the
-    ones that are not free (None when no column descends).
-    """
-    n, k = block.shape
-    descent = block[1:] < block[:-1]
-    if not descent.any():
-        return [], None
-    every, types = np.arange(k), np.arange(n)[:, None]
-    passes = []
-    bound = np.zeros_like(descent)
-    scan = np.zeros(k, dtype=np.intp)  # where each column's scan stands
-    while True:
-        opens = descent & (types[:-1] >= scan)
-        found = opens.any(axis=0)
-        if not found.any():
-            return passes, bound
-        origin = opens.argmax(axis=0)
-        above = (block > block[origin, every]) & (types > origin)
-        dest = np.where(above.any(axis=0), above.argmax(axis=0), n)
-        passes.append((found, origin, dest))
-        bound |= found & (types[:-1] >= origin) & (types[:-1] < dest)
-        scan = np.where(found, dest, n)
-
-
-def _closed_form(u: np.ndarray, x_idx: Sequence) -> np.ndarray:
-    """`closed_form_downward_transfers` on the table u, with no checks.
-
-    Type i pays u[x_i, i] less the running sum of the local steps
-    u[x_j, j + 1] - u[x_j, j] over the free j < i, then less one term per
-    region opened below it, region by region. `x_idx` is one allocation or
-    a block of them as columns (n, k), each column priced as if alone, and
-    `_regions` finds the regions of the whole block at once. `np.cumsum`
-    adds down the type axis from 0.0, so every transfer is the one a scalar
-    loop over the types computes, bit for bit.
+    Type by type, t_p = u[x_p, p] - max(0, max over q < p of u[x_q, p] - t_q).
+    `solve_downward_1d` prices with the same max and subtraction, so this
+    gives its transfers bit for bit.
     """
     x = np.asarray(x_idx, dtype=np.intp)
-    block = x.reshape(x.shape[0], -1)
-    types = np.arange(len(block))[:, None]
-    own = u[block, types]
-    step = np.zeros(block.shape)
-    step[1:] = u[block[:-1], types[1:]] - own[:-1]
-    passes, bound = _regions(block)
-    if passes:
-        step[1:][bound] = 0.0
-    t = own - step.cumsum(axis=0)
-    for found, origin, dest in passes:
-        row = block[origin, np.arange(block.shape[1])]
-        term = u[row, np.minimum(dest, types)] - u[row, origin]
-        t -= np.where(found & (types > origin), term, 0.0)
-    return t.reshape(x.shape)
+    t = u[x, np.arange(x.size)]
+    for p in range(1, x.size):
+        t[p] -= np.maximum((u[x[:p], p] - t[:p]).max(), 0.0)
+    return t
+
+
+def _monotone_transfers(u: np.ndarray, x_idx: Sequence) -> np.ndarray:
+    """The downward maximum for a nondecreasing allocation, with no checks.
+
+    Where u rises in the type with increasing differences, every local
+    downward constraint binds there, so type i pays u[x_i, i]
+    less the running sum of the local steps u[x_j, j + 1] - u[x_j, j] over
+    j < i. `np.cumsum` adds down the type axis from 0.0, so every transfer
+    is the one a scalar loop over the types computes, bit for bit.
+    """
+    x = np.asarray(x_idx, dtype=np.intp)
+    types = np.arange(x.size)
+    own = u[x, types]
+    step = np.zeros(x.size)
+    step[1:] = u[x[:-1], types[1:]] - own[:-1]
+    return own - step.cumsum()
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,6 @@ def u_region_decomposition(x: Sequence) -> URegions:
     A region opens at the first strict descent of a monotonic run and closes
     at the first later index whose allocation strictly exceeds the origin's;
     equal allocations extend the current run on both sides of the rule.
-    `transfers._regions` finds the same regions for a block of allocations.
     """
     x = list(x)
     n = len(x)
@@ -331,7 +330,10 @@ def canonical_json_oracle(obj) -> str:
 
 
 def closed_form_loop(u_rows: list, x_idx) -> np.ndarray:
-    """Closed-form downward transfers priced type by type from u's rows."""
+    """The U-region closed form of the downward transfers, priced type by
+    type from u's rows: local steps summed over the free types, less one
+    origin-anchored term per region below. It is the downward maximum when
+    u rises in the type with increasing differences."""
     x_idx = [int(i) for i in x_idx]
     decomp = u_region_decomposition(x_idx)
     n = len(x_idx)
@@ -348,6 +350,18 @@ def closed_form_loop(u_rows: list, x_idx) -> np.ndarray:
         if i in free and i < n - 1:
             row = u_rows[x_idx[i]]
             local_acc += row[i + 1] - row[i]
+    return np.array(t)
+
+
+def downward_sweep_loop(u_rows: list, x_idx) -> np.ndarray:
+    """The forward sweep of the downward transfers, one type and one lower
+    type at a time: t_p = u[x_p][p] - max(0, max over q < p of
+    u[x_q][p] - t_q)."""
+    x_idx = [int(i) for i in x_idx]
+    t = []
+    for p, xp in enumerate(x_idx):
+        gain = max((u_rows[x_idx[q]][p] - t[q] for q in range(p)), default=0.0)
+        t.append(u_rows[xp][p] - max(gain, 0.0))
     return np.array(t)
 
 

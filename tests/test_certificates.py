@@ -3,11 +3,12 @@
 `solve_downward_1d` runs one forward sweep on the prefix tree of the
 allocations, `_option_cells` builds the option table in one pass and
 `certify_bundling` pairs only distinct options whose caps reach the menu,
-found through weight classes; the oracles below are the previous
-implementations, which price every allocation with the closed form, every
-option pair with the two-type relaxation, and every pair of the options a
-lexsort over every option's agent values keeps. `helpers.bundle_options_loop`
-builds the option table one bundle composition at a time.
+found through weight classes. The oracles below price every allocation
+with a scalar sweep loop and, within rounding, the U-region closed form,
+every option pair with the two-type relaxation, and every pair of the
+options a lexsort over every option's agent values keeps.
+`helpers.bundle_options_loop` builds the option table one bundle
+composition at a time.
 """
 import dataclasses
 import itertools
@@ -33,7 +34,8 @@ from screenkit.transfers import (graph_optimal_transfers,
                                  onedim_value)
 
 from helpers import (bundle_options, bundle_options_loop, closed_form_loop,
-                     distinct_options_lexsort, random_onedim_instance)
+                     distinct_options_lexsort, downward_sweep_loop,
+                     random_onedim_instance)
 from test_applications import random_bundle
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -44,8 +46,9 @@ INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 # ---------------------------------------------------------------------------
 
 
-def downward_oracle(inst):
-    """Closed-form pricing of every allocation, first strict maximum kept."""
+def downward_oracle(inst, price):
+    """Every allocation priced by `price`, a scalar loop over u's rows, and
+    summed type by type from 0.0; the first strict maximum is kept."""
     n, n_alloc = inst.n, inst.n_alloc
     u_rows = inst.u.tolist()
     v_rows = inst.v.tolist()
@@ -53,7 +56,7 @@ def downward_oracle(inst):
     best = -float("inf")
     best_x = best_t = None
     for combo in itertools.product(range(n_alloc), repeat=n):
-        t = closed_form_loop(u_rows, combo)
+        t = price(u_rows, combo)
         value = 0.0
         for i in range(n):
             value += mu[i] * (v_rows[combo[i]][i] + t[i])
@@ -165,8 +168,9 @@ def _tie_heavy(seed):
 
 def _decimal_ties(seed):
     # decimal steps round differently in the sweep and in the closed form;
-    # at these seeds the closed-form maximizer's sweep value falls below the
-    # sweep maximum
+    # at these seeds maximizers tie in exact arithmetic and the closed-form
+    # maximizer's sweep value falls below the sweep maximum, so the two keep
+    # different allocations
     rng = np.random.default_rng([seed, 41])
     n, n_x = 3 + seed % 3, 2 + seed // 3 % 2
     a = np.cumsum(rng.integers(0, 3, n)) * (0.1, 0.3, 0.7, 0.35)[seed % 4]
@@ -180,7 +184,7 @@ def _decimal_ties(seed):
 
 
 def _zero_table(n, n_x=3):
-    # u = v = 0: every allocation ties, so every leaf is re-priced
+    # u = v = 0: every allocation ties, and the first is kept
     return OneDimInstance(np.arange(n, dtype=float), np.full(n, 1.0 / n),
                           np.arange(n_x, dtype=float), np.zeros((n_x, n)),
                           np.zeros((n_x, n)))
@@ -207,31 +211,18 @@ DOWNWARD_CASES = (
 @pytest.mark.parametrize("make", DOWNWARD_CASES)
 def test_downward_sweep_matches_closed_form_loop(make, chunk, monkeypatch):
     # small blocks cut the prefix tree's levels inside a parent's children
-    # and split ties across blocks
+    # and split ties across blocks. The solve is the scalar sweep bit for
+    # bit (repr spells out every bit of a float, the sign of zero too) and
+    # the U-region closed form within rounding: the two can keep different
+    # allocations only where maximizers tie in exact arithmetic
     if chunk is not None:
         monkeypatch.setattr(solver, "_DOWNWARD_CHUNK", chunk)
     inst = make()
-    assert solve_downward_1d(inst) == downward_oracle(inst)
-
-
-@pytest.mark.parametrize("chunk", [None, 1, 27, 81])
-def test_downward_reprices_each_block_of_leaves_in_one_call(chunk, monkeypatch):
-    # 3^7 leaves, all tied: blocks of 3^k prefixes cut the leaves into
-    # 3^7 / 3^k blocks, and each block's leaves are re-priced by one call
-    if chunk is not None:
-        monkeypatch.setattr(solver, "_DOWNWARD_CHUNK", chunk)
-    calls = []
-    closed_form = solver._closed_form
-
-    def spy(u, x):
-        calls.append(np.shape(x))
-        return closed_form(u, x)
-
-    monkeypatch.setattr(solver, "_closed_form", spy)
-    res = solve_downward_1d(_zero_table(7))
-    assert len(calls) == 3 ** 7 // min(chunk or 3 ** 7, 3 ** 7)
-    assert all(shape == (7, 3 ** 7 // len(calls)) for shape in calls)
-    assert res.x_idx == (0,) * 7 and res.value == 0.0
+    res = solve_downward_1d(inst)
+    assert repr(res) == repr(downward_oracle(inst, downward_sweep_loop))
+    assert abs(res.value - downward_oracle(inst, closed_form_loop).value) <= 1e-12
+    np.testing.assert_allclose(res.t, closed_form_loop(inst.u.tolist(), res.x_idx),
+                               rtol=0, atol=1e-12)
 
 
 def test_downward_sweep_memory_stays_bounded_by_the_block():

@@ -13,13 +13,24 @@ from screenkit import (FEAS_TOL, CostlySpec, GeneratorKnobs,
                        random_negative_instance, random_positive_instance,
                        solve_full_1d, solve_joint, verify_theorem1)
 from screenkit import solver
-from screenkit.solver import (_batch_transfers, _decode, _iron, _line_min,
+from screenkit.solver import (_batch_transfers, _iron, _line_min,
                               _ironing_terms, _option_tables,
                               _path_rent_bound, _price)
 
 from helpers import THEOREM_KNOBS, unfiltered_joint
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
+
+
+def _decode(ids: np.ndarray, m: int, n_opts: int) -> np.ndarray:
+    """The rows (len(ids), m) of the assignments numbered ids, last digit
+    fastest."""
+    digits = np.empty((ids.size, m), dtype=np.int64)
+    rem = ids.copy()
+    for p in range(m - 1, -1, -1):
+        digits[:, p] = rem % n_opts
+        rem //= n_opts
+    return digits
 
 
 def negative_ic_cycle(U, allocs):

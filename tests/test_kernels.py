@@ -2,19 +2,22 @@
 scalar loops in `helpers`.
 
 The full1d output check of the benchmark prices with the program's own
-closed form and value, so these loops and the shortest-path transfers are
-the only independent check on them. Floats compare through their bits, so
-a different summation order or sign of zero fails.
+transfers and value, so these loops, the U-region closed form and the
+shortest-path transfers are the only independent check on them. Floats
+compare through their bits, so a different summation order or sign of zero
+fails.
 """
 import numpy as np
 import pytest
 
-from screenkit import OneDimInstance, instance_rng, onedim_value, solve_full_1d
-from screenkit.transfers import _closed_form, _regions
+from screenkit import (OneDimInstance, closed_form_downward_transfers,
+                       graph_optimal_transfers, instance_rng, onedim_value,
+                       solve_full_1d)
+from screenkit.transfers import _downward_sweep, _monotone_transfers
 
-from helpers import (closed_form_loop, full1d_allocation_loop,
-                     onedim_value_loop, random_onedim_instance,
-                     u_region_decomposition)
+from helpers import (closed_form_loop, downward_sweep_loop,
+                     full1d_allocation_loop, onedim_value_loop,
+                     random_onedim_instance, u_region_decomposition)
 
 SIZES = [1, 2, 3, 5, 8, 9, 17, 64, 128, 256, 320]
 N_X = 6
@@ -41,11 +44,15 @@ def allocations(n, n_x, seed):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kind", ["monotone", "free", "valleys", "dip"])
 def test_closed_form_kernel_is_the_loop_bit_for_bit(n, kind):
+    # the sweep on every kind, and the running sum where it applies
     for seed in range(4):
         inst = random_onedim_instance(seed, n=n, n_x=N_X, stream=n)
         x = allocations(n, N_X, seed)[kind]
-        assert np.array_equal(bits(_closed_form(inst.u, x)),
-                              bits(closed_form_loop(inst.u.tolist(), x)))
+        assert np.array_equal(bits(_downward_sweep(inst.u, x)),
+                              bits(downward_sweep_loop(inst.u.tolist(), x)))
+        if kind == "monotone":
+            assert np.array_equal(bits(_monotone_transfers(inst.u, x)),
+                                  bits(closed_form_loop(inst.u.tolist(), x)))
 
 
 def test_closed_form_cases_reach_regions_and_the_sentinel():
@@ -56,43 +63,33 @@ def test_closed_form_cases_reach_regions_and_the_sentinel():
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_closed_form_block_prices_each_column_as_the_loop(n):
-    # the four kinds side by side, and random columns: regions of different
-    # counts and ends in one block
+@pytest.mark.parametrize("kind", ["free", "valleys", "dip"])
+def test_sweep_is_the_region_form_and_the_graph_within_rounding(n, kind):
+    # three independent routes to the downward maximum, on the allocations
+    # whose regions the closed form has to find
     for seed in range(4):
         inst = random_onedim_instance(seed, n=n, n_x=N_X, stream=n)
-        rng = instance_rng(seed, stream=557)
-        block = np.column_stack(list(allocations(n, N_X, seed).values())
-                                + [rng.integers(0, N_X, n) for _ in range(12)])
-        t = _closed_form(inst.u, block)
-        assert t.shape == block.shape
-        for k in range(block.shape[1]):
-            assert np.array_equal(bits(t[:, k]),
-                                  bits(closed_form_loop(inst.u.tolist(), block[:, k])))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 17])
-def test_block_regions_are_each_columns_decomposition(n):
-    rng = instance_rng(n, stream=563)
-    block = rng.integers(0, 4, (n, 200))
-    passes, bound = _regions(block)
-    for k in range(block.shape[1]):
-        want = u_region_decomposition(block[:, k].tolist())
-        got = [(int(o[k]), int(d[k])) for found, o, d in passes if found[k]]
-        assert tuple(got) == want.regions
-        free = [j for j in range(n - 1) if bound is None or not bound[j, k]]
-        assert free == [j for j in want.free if j < n - 1]
+        x = allocations(n, N_X, seed)[kind]
+        t = _downward_sweep(inst.u, x)
+        np.testing.assert_allclose(t, closed_form_loop(inst.u.tolist(), x),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t, graph_optimal_transfers(inst, x),
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_closed_form_block_of_every_allocation_is_the_loop(n):
-    # every allocation of a 3-point grid, on a random table and on u = 0
+    # every allocation of a 3-point grid, the columns of one block, priced
+    # by the public function on a random table and on u = 0
     inst = random_onedim_instance(n, n=n, n_x=3, stream=559)
     block = np.indices((3,) * n).reshape(n, -1)
     for u in (inst.u, np.zeros_like(inst.u)):
-        t = _closed_form(u, block)
-        for k in range(block.shape[1]):
-            assert np.array_equal(bits(t[:, k]), bits(closed_form_loop(u.tolist(), block[:, k])))
+        line = OneDimInstance(inst.theta, inst.mu, inst.x_grid, u, inst.v)
+        for x in block.T:
+            t = closed_form_downward_transfers(line, x)
+            assert np.array_equal(bits(t), bits(downward_sweep_loop(u.tolist(), x)))
+            np.testing.assert_allclose(t, closed_form_loop(u.tolist(), x),
+                                       rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -100,7 +97,7 @@ def test_onedim_value_is_the_loop_bit_for_bit(n):
     for seed in range(4):
         inst = random_onedim_instance(seed, n=n, n_x=N_X, stream=n)
         for x in allocations(n, N_X, seed).values():
-            t = _closed_form(inst.u, x)
+            t = _downward_sweep(inst.u, x)
             assert bits(onedim_value(inst, x, t)) == bits(onedim_value_loop(inst, x, t))
 
 

@@ -1,5 +1,6 @@
 """Rules on the package source that no behaviour test sees: one home for
-the tolerances, and one integer rule for the containers' index fields.
+the tolerances, one integer rule for the containers' index fields, and no
+import left unused.
 
 Parses `src/screenkit` with `ast`; it imports and compiles nothing.
 """
@@ -46,3 +47,23 @@ def test_post_init_never_truncates_with_int():
              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
              and call.func.id == "int"]
     assert calls == []
+
+
+def _imported_names(tree) -> list:
+    """(name, line) for every name a module's import statements bind."""
+    return [((alias.asname or alias.name).split(".")[0], node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names]
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in _trees():
+        if module == "__init__.py":  # imports to re-export
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module}:{line}:{name}" for name, line in _imported_names(tree)
+                   if name not in used]
+    assert unused == []

@@ -175,6 +175,20 @@ def test_evaluation_and_checks_reject_a_bad_index(x):
             check(inst, x, [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("x", [[0, True, 2], (0, 1, np.bool_(True))],
+                         ids=["bool", "numpy_bool"])
+@pytest.mark.parametrize("check", [
+    lambda inst, x: onedim_value(inst, x, [0.0, 0.0, 0.0]),
+    lambda inst, x: closed_form_downward_transfers(inst, x),
+    lambda inst, x: graph_optimal_transfers(inst, x),
+    lambda inst, x: onedim_ic_violations(inst, x, [0.0, 0.0, 0.0])],
+    ids=["onedim_value", "closed_form", "graph", "ic_violations"])
+def test_allocation_refuses_a_bool_entry(check, x):
+    # np.asarray reads [0, True, 2] as the integers [0, 1, 2]
+    with pytest.raises(StructuralError, match=BAD_INDEX):
+        check(random_onedim_instance(1, n=3, n_x=3), x)
+
+
 def test_solvers_guard_the_unchecked_closed_form_themselves():
     # the one-dimensional solvers price with the unchecked kernel and keep
     # their own guards on a table that breaks the closed form's precondition
