@@ -495,7 +495,7 @@ def _regulation_instance(params: dict) -> ScreeningInstance:
     c0 = float(params.get("c0", 0.8))
     c1 = float(params.get("c1", 1.0))
     theta_a = np.asarray(params.get("theta_a", (0.2, 0.4, 0.6)), dtype=float)
-    levels = int(params.get("certificate_levels", 2))
+    levels = _as_index(params.get("certificate_levels", 2), "certificate_levels")
     effort_cost = float(params.get("effort_cost", 0.3))
     x_grid = np.asarray(params.get("x_grid", np.linspace(0.0, 1.0, 4)),
                         dtype=float)
@@ -562,13 +562,13 @@ def _labor_instance(params: dict) -> ScreeningInstance:
     support = params.get("support")
     prob = params.get("prob")
     if support is None:
-        prob_a = params.get("prob_a", tuple(1.0 / theta_0.size
-                                            for _ in range(theta_0.size)))
-        prob_b = params.get("prob_b", tuple(1.0 / theta_b.shape[0]
-                                            for _ in range(theta_b.shape[0])))
-        support = tuple((ia, ib) for ia in range(theta_0.size)
-                        for ib in range(theta_b.shape[0]))
-        prob = tuple(prob_a[ia] * prob_b[ib] for ia, ib in support)
+        n_a, n_b = theta_0.size, theta_b.shape[0]
+        prob_a = _weights(params.get("prob_a", np.full(n_a, 1.0 / n_a)), n_a,
+                          "prob_a")
+        prob_b = _weights(params.get("prob_b", np.full(n_b, 1.0 / n_b)), n_b,
+                          "prob_b")
+        support = tuple((ia, ib) for ia in range(n_a) for ib in range(n_b))
+        prob = np.outer(prob_a, prob_b).ravel()
     dist = JointDistribution(tuple(tuple(p) for p in support), tuple(prob))
     return ScreeningInstance(
         ProductiveSpec(theta_0, x_grid, u_a, v_a),
@@ -619,12 +619,6 @@ def make_application_instance(kind: str,
 # ---------------------------------------------------------------------------
 # competitive screening
 # ---------------------------------------------------------------------------
-
-
-#: Steps of the separating program's coarse grid on [0, 1] and of its one
-#: refinement around the coarse maximizer.
-_COARSE_STEP = 1e-3
-_FINE_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -715,7 +709,6 @@ class SeparatingSet:
     offer_h: tuple
     value_high: float            # high type's payoff at its offer
     value_high_no_instrument: float
-    checked_points: int
 
     @property
     def gain(self) -> float:
@@ -723,56 +716,54 @@ class SeparatingSet:
         return self.value_high - self.value_high_no_instrument
 
 
-def _constrained_max(p: CompetitiveParams, xs: np.ndarray, ys: np.ndarray):
-    """Best (x, y) for the high type keeping the low type out.
-
-    Scans ys-by-xs in row-major order, so exact ties resolve to the smallest
-    activity level and then the smallest allocation; with a free activity for
-    the high type this lands on the boundary where the low type's IC binds.
-    """
-    cap = p.low_type_utility + _ROUND_TOL
-    imitate = (p.theta_h * xs[None, :] - p.psi_l(xs[None, :])
-               - p.c_l(ys[:, None]))
-    objective = (p.theta_h * xs[None, :] - p.psi_h(xs[None, :])
-                 - p.c_h(ys[:, None]))
-    feasible = imitate <= cap
-    if not feasible.any():
-        raise StructuralError("no feasible separating offer on the grid")
-    masked = np.where(feasible, objective, -np.inf)
-    flat = int(np.argmax(masked))
-    iy, ix = divmod(flat, xs.size)
-    return float(xs[ix]), float(ys[iy]), float(masked.flat[flat])
-
-
-def _window(center: float) -> np.ndarray:
-    """Fine steps within one coarse step of `center`, clipped to [0, 1]."""
-    lo = max(0.0, center - _COARSE_STEP)
-    hi = min(1.0, center + _COARSE_STEP)
-    n = int(round((hi - lo) / _FINE_STEP)) + 1
-    return lo + _FINE_STEP * np.arange(n)
-
-
 def competitive_separating(p: CompetitiveParams) -> SeparatingSet:
-    """Pareto-optimal separating offers via the constrained grid program.
+    """Pareto-optimal separating offers, solved exactly.
 
     The low type gets its efficient allocation at the competitive wage. The
-    high type's offer maximizes its surplus subject to the low type weakly
-    preferring its own offer, searched on a grid of step `_COARSE_STEP` over
-    [0, 1]^2 and refined once, in steps of `_FINE_STEP`, within one coarse
-    step of the maximizer. Unlike the monopoly solutions, the activity level
-    comes out strictly positive: competition hands all surplus to the worker,
-    so the binding constraint points upward and a cheap-for-the-high-type
-    activity relaxes it.
-    """
-    n_coarse = int(round(1.0 / _COARSE_STEP)) + 1
-    grid = _COARSE_STEP * np.arange(n_coarse)
-    x1, y1, _ = _constrained_max(p, grid, grid)
-    xs, ys = _window(x1), _window(y1)
-    x_star, y_star, v_star = _constrained_max(p, xs, ys)
+    high type's offer maximizes F(x, y) = theta_h x - psi_h(x) - c_h(y)
+    while the low type's gain from it, g(x) - c_l(y) with g(x) = theta_h x
+    - psi_l(x) - cap and cap = U_L + `_ROUND_TOL`, stays at most 0:
 
-    x0_1, _, _ = _constrained_max(p, grid, np.zeros(1))
-    xs0 = _window(x0_1)
-    _, _, v_no = _constrained_max(p, xs0, np.zeros(1))
+    - the cheapest deterring activity, y(x) = max(0, g(x) / b_l), is
+      positive exactly between the roots x0 < x1 of g; the
+      `adverse_selection` and `separation_at_one` checks put x^e_H between
+      them and x1 in [0, 1] and keep y(x) below 1/8, so y <= 1 never binds;
+    - F(x, 0) rises up to x0 and falls after x1, so work alone is worth
+      max(F(x0, 0), F(x1, 0));
+    - h(x) = F(x, y(x)) has h' > 0 at x0 and h' < 0 at x1, so its maximum
+      is at a real root of the cubic h' = 0 in (x0, x1): the offer is the
+      best of x0, x1 and those roots, the smallest x on a tie (x^e_H when
+      b_h = 0, where the cubic is linear).
+
+    Competition hands all surplus to the worker, so the binding constraint
+    points upward and an activity cheap for the high type relaxes it:
+    unlike the monopoly solutions, y comes out strictly positive, which the
+    checks below certify.
+    """
+    cap = p.low_type_utility + _ROUND_TOL
+    # with x = scale * s, g = V G(s) and h = V (s - s^2 / 2 - kappa G(s)^2):
+    # every coefficient is O(1) but kappa = b_h V / b_l^2, so the cubic and
+    # the candidates' ranks are divided by max(1, kappa); a coefficient below
+    # eps of the largest changes the cubic on (s0, s1), inside [0, 2], about
+    # as much as rounding does, and left in it overflows np.roots' companion
+    # matrix or loses the root near 1, so it is dropped
+    scale = p.efficient_high
+    V = p.theta_h * scale
+    G = np.poly1d([-p.a_l / p.a_h / 2, 1.0, -cap / V])
+    kappa = p.b_h / p.b_l * (V / p.b_l)
+    w_work, w_act = (1.0, kappa) if kappa <= 1 else (1 / kappa, 1.0)
+    s0, s1 = np.sort(G.roots.real)
+    dh = (w_work * np.poly1d([-1.0, 1.0]) - 2 * w_act * G * G.deriv()).coeffs
+    dh[abs(dh) < np.finfo(float).eps * abs(dh).max()] = 0.0
+    # a complex root's real part only adds one more feasible point to price
+    roots = np.roots(dh).real
+    s = np.sort(np.concatenate([[s0, s1], roots[(roots > s0) & (roots < s1)]]))
+    ranks = w_work * (s - s * s / 2) - w_act * np.maximum(G(s), 0.0) ** 2
+    x_star = float(scale * s[np.argmax(ranks)])
+    y_star = max(0.0, (p.theta_h * x_star - p.psi_l(x_star) - cap) / p.b_l)
+    v_star = p.theta_h * x_star - p.psi_h(x_star) - p.c_h(y_star)
+    x0, x1 = float(scale * s0), float(scale * s1)
+    v_no = max(p.theta_h * x0 - p.psi_h(x0), p.theta_h * x1 - p.psi_h(x1))
 
     offer_l = (p.efficient_low, 0.0, p.theta_l * p.efficient_low)
     offer_h = (x_star, y_star, p.theta_h * x_star)
@@ -789,6 +780,4 @@ def competitive_separating(p: CompetitiveParams) -> SeparatingSet:
     high_at_l = (p.theta_l * p.efficient_low - p.psi_h(p.efficient_low))
     if v_star < high_at_l - FEAS_TOL:
         raise StructuralError("high type prefers the low offer")
-    checked = n_coarse * n_coarse + xs.size * ys.size + n_coarse + xs0.size
-    return SeparatingSet(offer_l, offer_h, float(v_star), float(v_no),
-                         checked)
+    return SeparatingSet(offer_l, offer_h, v_star, v_no)

@@ -277,7 +277,6 @@ def cmd_competitive(args) -> int:
         "value": sep.value_high,
         "value_without_activity": sep.value_high_no_instrument,
         "gap": sep.gain,
-        "checked_points": sep.checked_points,
     }
     _emit(payload, args.format, args.out)
     return 0

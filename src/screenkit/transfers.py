@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotImplementable, StructuralError
-from .model import (_ROUND_TOL, FEAS_TOL, _grid, _table, _weights,
+from .model import (_ROUND_TOL, _grid, _table, _weights,
                     deviation_mask, ic_gains, ir_shortfalls)
 
 
@@ -72,24 +72,14 @@ def closed_form_downward_transfers(inst: OneDimInstance, x_idx: Sequence) -> np.
     The downward constraints and participation form an acyclic difference
     system, so one forward sweep over the types (`_downward_sweep`) gives
     its maximum: each type pays its own gross utility less the most it
-    gains by imitating a lower type, or nothing.
-
-    The checks keep the contract of the U-region closed form, which is the
-    downward maximum only when u rises in the type and has increasing
-    differences: any other table raises StructuralError, although the
-    sweep is the maximum on every table (u = [[2, 0], [2, 2]] with
-    x = (0, 1) gives t = (2, 2), where the region form gives (2, 4) and
-    type 1 a payoff of -2). An allocation entry that is not an integer
-    index into the grid raises StructuralError as well. `solve_full_1d` and
-    `solve_downward_1d` run the unchecked kernels and guard their results
-    themselves.
+    gains by imitating a lower type, or nothing. That holds on every table,
+    whether or not u rises in the type or has increasing differences
+    (u = [[2, 0], [2, 2]] with x = (0, 1) gives t = (2, 2), where the
+    U-region closed form gives (2, 4) and type 1 a payoff of -2). An
+    allocation entry that is not an integer index into the grid raises
+    StructuralError.
     """
-    x = _allocation(inst, x_idx)
-    if (np.diff(inst.u, axis=1) < -FEAS_TOL).any():
-        raise StructuralError("closed-form transfers need u nondecreasing in the type")
-    if (np.diff(np.diff(inst.u, axis=0), axis=1) < -FEAS_TOL).any():
-        raise StructuralError("closed-form transfers need u with increasing differences")
-    return _downward_sweep(inst.u, x)
+    return _downward_sweep(inst.u, _allocation(inst, x_idx))
 
 
 def _downward_sweep(u: np.ndarray, x_idx: Sequence) -> np.ndarray:

@@ -6,7 +6,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from screenkit import (FEAS_TOL, OUTSIDE, CostlySpec, DiscreteDistribution,
+from screenkit import (FEAS_TOL, OUTSIDE, AssumptionFailed, CompetitiveParams,
+                       CostlySpec, DiscreteDistribution,
                        GeneratorKnobs, JointDistribution, Mechanism, Menu,
                        OneDimInstance, ProductiveSpec, ScreeningInstance,
                        SizeGuardExceeded, StructuralError, agent_payoff,
@@ -15,6 +16,7 @@ from screenkit import (FEAS_TOL, OUTSIDE, CostlySpec, DiscreteDistribution,
                        solve_full_1d)
 from screenkit.applications import (_agent_values, _cell_tables, _group_types,
                                     _option_cells, _principal_values)
+from screenkit.model import _ROUND_TOL
 from screenkit.solver import (_batch_transfers, _option_tables,
                               _path_rent_bound, _price)
 from screenkit.stochastics import scalar_levels
@@ -719,3 +721,76 @@ def loop_converse(inst, coord=0, dominance_margin=1e-6):
                        np.where(cost.theta_b[:, coord] <= m1, -1.0, -eps_star)),
         r_val=float(r_val), q_val=float(q_val), menu_value=float(menu_value),
         productive_value=float(productive_value))
+
+
+# ---------------------------------------------------------------------------
+# competitive screening: the criterion-11 draws and the grid program, a
+# lower bound on the exact offer (every point it returns is feasible)
+# ---------------------------------------------------------------------------
+
+
+def draw_competitive(rng):
+    """One valid `CompetitiveParams` from `rng`, by rejection sampling."""
+    for _ in range(400):
+        theta_l = rng.uniform(0.4, 0.7)
+        theta_h = theta_l + rng.uniform(0.15, 0.6)
+        a_l = rng.uniform(0.9, 1.3)
+        a_h = rng.uniform(theta_h / 2, a_l)
+        b_l = 2 * a_l + rng.uniform(0.05, 2.0)
+        b_h = rng.uniform(0.0, 2.0)
+        try:
+            return CompetitiveParams(theta_l, theta_h, a_l, a_h, b_l, b_h)
+        except AssumptionFailed:
+            continue
+    raise RuntimeError("rejection sampling exhausted")
+
+
+#: Steps of the separating program's coarse grid on [0, 1] and of its one
+#: refinement around the coarse maximizer.
+_COARSE_STEP = 1e-3
+_FINE_STEP = 1e-5
+
+
+def _constrained_max(p: CompetitiveParams, xs: np.ndarray, ys: np.ndarray):
+    """Best (x, y) for the high type keeping the low type out.
+
+    Scans ys-by-xs in row-major order, so exact ties resolve to the smallest
+    activity level and then the smallest allocation; with a free activity for
+    the high type this lands on the boundary where the low type's IC binds.
+    """
+    cap = p.low_type_utility + _ROUND_TOL
+    imitate = (p.theta_h * xs[None, :] - p.psi_l(xs[None, :])
+               - p.c_l(ys[:, None]))
+    objective = (p.theta_h * xs[None, :] - p.psi_h(xs[None, :])
+                 - p.c_h(ys[:, None]))
+    feasible = imitate <= cap
+    if not feasible.any():
+        raise StructuralError("no feasible separating offer on the grid")
+    masked = np.where(feasible, objective, -np.inf)
+    flat = int(np.argmax(masked))
+    iy, ix = divmod(flat, xs.size)
+    return float(xs[ix]), float(ys[iy]), float(masked.flat[flat])
+
+
+def _window(center: float) -> np.ndarray:
+    """Fine steps within one coarse step of `center`, clipped to [0, 1]."""
+    lo = max(0.0, center - _COARSE_STEP)
+    hi = min(1.0, center + _COARSE_STEP)
+    n = int(round((hi - lo) / _FINE_STEP)) + 1
+    return lo + _FINE_STEP * np.arange(n)
+
+
+def grid_separating(p: CompetitiveParams) -> tuple:
+    """(x, y, value, work-only value) of the high type's offer, searched on
+    a grid of step `_COARSE_STEP` over [0, 1]^2 and refined once, in steps
+    of `_FINE_STEP`, within one coarse step of the maximizer."""
+    n_coarse = int(round(1.0 / _COARSE_STEP)) + 1
+    grid = _COARSE_STEP * np.arange(n_coarse)
+    x1, y1, _ = _constrained_max(p, grid, grid)
+    xs, ys = _window(x1), _window(y1)
+    x_star, y_star, v_star = _constrained_max(p, xs, ys)
+
+    x0_1, _, _ = _constrained_max(p, grid, np.zeros(1))
+    xs0 = _window(x0_1)
+    _, _, v_no = _constrained_max(p, xs0, np.zeros(1))
+    return x_star, y_star, v_star, v_no

@@ -10,8 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from screenkit import (CompetitiveParams, DiscreteDistribution, FEAS_TOL,
-                       GeneratorKnobs, AssumptionFailed,
+from screenkit import (DiscreteDistribution, FEAS_TOL, GeneratorKnobs,
                        agent_payoff, bundling_default, certify_bundling,
                        check_dominance, check_ic, check_ir,
                        closed_form_downward_transfers, competitive_separating,
@@ -30,6 +29,7 @@ from screenkit.theorems import _line_instance
 
 from helpers import (THEOREM_KNOBS, binding_report,
                      default_convergence_family, dominance_by_upper_sets,
+                     draw_competitive,
                      grid_convergence_study, ic_mechanism_on_line,
                      random_onedim_instance)
 
@@ -256,26 +256,11 @@ def test_criterion_10_converse_negative_correlation():
             assert abs(productive - art.productive_value) <= 1e-9, seed
 
 
-def _draw_competitive(rng):
-    for _ in range(400):
-        theta_l = rng.uniform(0.4, 0.7)
-        theta_h = theta_l + rng.uniform(0.15, 0.6)
-        a_l = rng.uniform(0.9, 1.3)
-        a_h = rng.uniform(theta_h / 2, a_l)
-        b_l = 2 * a_l + rng.uniform(0.05, 2.0)
-        b_h = rng.uniform(0.0, 2.0)
-        try:
-            return CompetitiveParams(theta_l, theta_h, a_l, a_h, b_l, b_h)
-        except AssumptionFailed:
-            continue
-    raise RuntimeError("rejection sampling exhausted")
-
-
 def test_criterion_11_competitive_separating_sets():
     with crit(11, "50 validated competitive draws: activity level positive, "
                   "high type strictly gains"):
         for seed in range(50):
-            params = _draw_competitive(instance_rng(seed, stream=507))
+            params = draw_competitive(instance_rng(seed, stream=507))
             sep = competitive_separating(params)
             assert sep.offer_h[1] > 0, seed
             assert sep.gain > 1e-6, (seed, sep.gain)

@@ -12,9 +12,11 @@ from screenkit import (AssumptionFailed, BundleInstance, CompetitiveParams,
                        validate_instance, verify_theorem1)
 from screenkit.applications import (_check_ratio_monotonicity, _group_types,
                                     _option_cells, _quality_line)
+from screenkit.model import _ROUND_TOL
 from screenkit.solver import DEFAULT_GUARD
 
-from helpers import ratio_check_by_instance, superset_violation_loop
+from helpers import (draw_competitive, grid_separating, ratio_check_by_instance,
+                     superset_violation_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +364,23 @@ def test_application_parameter_validation():
         make_application_instance("nonsense")
 
 
+@pytest.mark.parametrize("levels", [2.7, True, "2"])
+def test_regulation_refuses_a_certificate_level_count_int_would_cut(levels):
+    # int() made 3 instruments of 2.7 and of "2", and 2 of True
+    with pytest.raises(StructuralError, match="certificate_levels must be an "
+                                              "integer index"):
+        make_application_instance("regulation", {"certificate_levels": levels})
+
+
+@pytest.mark.parametrize("field", ["prob_a", "prob_b"])
+def test_labor_checks_its_marginal_weights(field):
+    # a short marginal ended in a bare IndexError
+    with pytest.raises(StructuralError, match=f"{field} must hold 2 weights"):
+        make_application_instance("labor", {field: (1.0,)})
+    with pytest.raises(StructuralError, match=f"{field} must sum to one"):
+        make_application_instance("labor", {field: (0.5, 0.6)})
+
+
 # ---------------------------------------------------------------------------
 # competitive screening
 # ---------------------------------------------------------------------------
@@ -379,7 +398,7 @@ def test_competitive_default_offers():
     # the low type's constraint binds at the optimum (free activity margin)
     p = CompetitiveParams()
     slack = p.low_type_utility - (p.theta_h * xh - p.psi_l(xh) - p.c_l(yh))
-    assert abs(slack) < 1e-4
+    assert abs(slack) < 1e-9
 
 
 def test_competitive_self_selection():
@@ -413,6 +432,81 @@ def test_zero_activity_cost_for_high_type_binds_constraint():
     p = CompetitiveParams(b_h=0.0)
     xh, yh, _ = sep.offer_h
     # with a free activity the high type climbs to its efficient allocation
-    assert xh == pytest.approx(p.efficient_high, abs=1e-3)
+    assert xh == p.efficient_high
     slack = p.low_type_utility - (p.theta_h * xh - p.psi_l(xh) - p.c_l(yh))
-    assert abs(slack) < 1e-4
+    assert abs(slack) < 1e-9
+
+
+@pytest.mark.parametrize("b_h", [1e-310, 2.2250738585072014e-308, 1e-200,
+                                 1e-100])
+def test_vanishing_activity_cost_keeps_the_efficient_allocation(b_h):
+    # the cubic's leading coefficients scale with b_h; left in, a tiny one
+    # overflows np.roots or loses the root near x^e_H
+    p = CompetitiveParams(b_h=b_h)
+    sep = competitive_separating(p)
+    assert sep.offer_h[0] == pytest.approx(p.efficient_high, abs=1e-12)
+    assert sep.offer_h[1] > 0 and sep.gain > 0
+
+
+def test_competitive_default_offer_is_the_exact_optimum():
+    sep = competitive_separating(CompetitiveParams())
+    assert sep.offer_h[:2] == pytest.approx((0.674795114303761,
+                                             0.052315556004845026), abs=1e-12)
+    assert sep.value_high == pytest.approx(0.3305468621874955, abs=1e-12)
+    assert sep.value_high_no_instrument == pytest.approx(0.2801281754735162,
+                                                         abs=1e-12)
+
+
+COMPETITIVE_CASES = ([CompetitiveParams(), CompetitiveParams(b_h=0.0)]
+                     + [draw_competitive(instance_rng(seed, stream=507))
+                        for seed in range(50)])
+
+
+@pytest.mark.parametrize("p", COMPETITIVE_CASES,
+                         ids=["default", "free_activity"]
+                         + [f"draw{seed}" for seed in range(50)])
+def test_competitive_offer_beats_every_feasible_point(p):
+    sep = competitive_separating(p)
+    xh, yh, _ = sep.offer_h
+    assert yh > 0 and sep.gain > 0
+    # the grid program's points are all feasible, so they bound it below
+    gx, gy, g_value, g_work = grid_separating(p)
+    assert p.theta_h * gx - p.psi_l(gx) - p.c_l(gy) <= p.low_type_utility + _ROUND_TOL
+    assert sep.value_high >= g_value - 1e-12
+    assert sep.value_high_no_instrument >= g_work - 1e-12
+    # and so do the cheapest deterring activities along a fine scan of x
+    xs = np.linspace(0.0, 1.0, 100_001)
+    ys = np.maximum(0.0, (p.theta_h * xs - p.psi_l(xs) - p.low_type_utility) / p.b_l)
+    assert sep.value_high >= (p.theta_h * xs - p.psi_h(xs) - p.c_h(ys)).max() - 1e-12
+    # the low type's constraint binds
+    low_at_h = p.theta_h * xh - p.psi_l(xh) - p.c_l(yh)
+    assert abs(low_at_h - p.low_type_utility) <= 1e-9
+    # work alone separates at the roots x0 < x1 of the low type's gain
+    cap = p.low_type_utility + _ROUND_TOL
+    d = np.sqrt(p.theta_h ** 2 - 4 * p.a_l * cap)
+    x0, x1 = 2 * cap / (p.theta_h + d), (p.theta_h + d) / (2 * p.a_l)
+    work = max(p.theta_h * x0 - p.psi_h(x0), p.theta_h * x1 - p.psi_h(x1))
+    assert sep.value_high_no_instrument == pytest.approx(work, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1024.0, 1e200])
+def test_competitive_offer_scales_with_the_parameters(scale):
+    # payoffs are homogeneous of degree one in the six parameters, so x and y
+    # stay and the values scale, with no coefficient overflowing at 1e200
+    p = CompetitiveParams()
+    sep = competitive_separating(p)
+    big = competitive_separating(CompetitiveParams(
+        *(scale * v for v in (p.theta_l, p.theta_h, p.a_l, p.a_h, p.b_l, p.b_h))))
+    assert big.offer_h[:2] == pytest.approx(sep.offer_h[:2], rel=1e-9)
+    assert big.value_high / scale == pytest.approx(sep.value_high, rel=1e-12)
+    assert (big.value_high_no_instrument / scale
+            == pytest.approx(sep.value_high_no_instrument, rel=1e-12))
+
+
+def test_competitive_offer_with_a_prohibitive_low_type_cost():
+    # b_l ** 2 overflows; any y > 0 deters, so the high type works at x^e_H
+    p = CompetitiveParams(b_l=1e308)
+    sep = competitive_separating(p)
+    assert sep.offer_h[0] == p.efficient_high
+    assert sep.offer_h[1] > 0
+    assert sep.value_high == p.theta_h * p.efficient_high - p.psi_h(p.efficient_high)

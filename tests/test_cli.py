@@ -626,6 +626,9 @@ BUNDLING = (["bundling", "--params", None],
     ("bundling_default.json", {"cost_samples": [0.0, 0.1, 0.3, 0.6, 1e308]}, 0),
     ("competitive_default.json", {"b_h": float("inf")}, 3),
     ("competitive_default.json", {"b_l": float("inf")}, 3),
+    # a subnormal activity cost drops out of the first-order condition
+    ("competitive_default.json", {"b_h": 1e-310}, 0),
+    ("competitive_default.json", {"b_h": 2.2250738585072014e-308}, 0),
 ])
 def test_params_boundary_values_keep_the_exit_contract(name, changes, code):
     commands = BUNDLING if name.startswith("bundling") else (

@@ -37,15 +37,40 @@ def test_tolerances_are_defined_in_model_alone():
     assert stray == []
 
 
+def _int_calls(node) -> list:
+    return [call for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "int"]
+
+
+def _reads_params(node) -> bool:
+    """Whether `node` is `params.get(...)` or `params[...]`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+        lookup = isinstance(node, ast.Attribute) and node.attr == "get"
+    else:
+        lookup = isinstance(node, ast.Subscript)
+    return lookup and isinstance(node.value, ast.Name) and node.value.id == "params"
+
+
 def test_post_init_never_truncates_with_int():
-    # an index goes through model._as_index, which refuses what int() would cut
+    # an index goes through model._as_index, which refuses what int() would
+    # cut: no int() at all in a container's __post_init__
     calls = [f"{module}:{cls.name}:{call.lineno}" for module, tree in _trees()
              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
              for fn in cls.body
              if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
-             for call in ast.walk(fn)
-             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-             and call.func.id == "int"]
+             for call in _int_calls(fn)]
+    assert calls == []
+
+
+def test_generators_never_truncate_a_parameter_with_int():
+    """The application generators read their `params` dictionaries through
+    model._as_index too. The rule matches only a dictionary named `params`,
+    the name every generator gives it."""
+    calls = [f"{module}:{call.lineno}" for module, tree in _trees()
+             for call in _int_calls(tree)
+             if any(_reads_params(arg) for arg in call.args)]
     assert calls == []
 
 

@@ -125,18 +125,19 @@ FALLING = OneDimInstance([1.0, 2.0], [0.5, 0.5], [0.0, 1.0],
                          [[2.0, 0.0], [2.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]])
 
 
-def test_closed_form_rejects_a_table_falling_in_the_type():
-    with pytest.raises(StructuralError, match="nondecreasing in the type"):
-        closed_form_downward_transfers(FALLING, (0, 1))
-    assert graph_optimal_transfers(FALLING, (0, 1), "downward").tolist() == [2.0, 2.0]
+def test_closed_form_prices_a_table_falling_in_the_type():
+    # the U-region closed form would give (2, 4) here, and type 1 a payoff of -2
+    t = closed_form_downward_transfers(FALLING, (0, 1))
+    assert t.tolist() == [2.0, 2.0]
+    assert t.tolist() == graph_optimal_transfers(FALLING, (0, 1), "downward").tolist()
 
 
-def test_closed_form_rejects_decreasing_differences():
+def test_closed_form_prices_decreasing_differences():
     # rises in the type, but the gain from x = 1 falls from 2 to 1
     inst = OneDimInstance([1.0, 2.0], [0.5, 0.5], [0.0, 1.0],
                           [[0.0, 1.0], [2.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(StructuralError, match="increasing differences"):
-        closed_form_downward_transfers(inst, (1, 1))
+    t = closed_form_downward_transfers(inst, (1, 1))
+    assert t.tolist() == graph_optimal_transfers(inst, (1, 1), "downward").tolist()
 
 
 def test_closed_form_rejects_a_short_allocation():
@@ -190,8 +191,9 @@ def test_allocation_refuses_a_bool_entry(check, x):
 
 
 def test_solvers_guard_the_unchecked_closed_form_themselves():
-    # the one-dimensional solvers price with the unchecked kernel and keep
-    # their own guards on a table that breaks the closed form's precondition
+    # the one-dimensional solvers price with the unchecked kernels and keep
+    # their own guards on a table falling in the type: the downward solve
+    # prices it, and the full-IC solve refuses it
     down = solve_downward_1d(FALLING)
     assert (down.value, down.x_idx, down.t) == (2.0, (0, 1), (2.0, 2.0))
     with pytest.raises(StructuralError, match="deviation gain of 2; instance "
