@@ -17,7 +17,8 @@ from .errors import (AssumptionFailed, OutOfRange, RatioMonotonicityFailed,
                      SizeGuardExceeded, StructuralError)
 from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, CostlySpec,
                     JointDistribution, ProductiveSpec, ScreeningInstance,
-                    _as_index, _grid, _table, _weights, frozen_array)
+                    _as_index, _as_real, _grid, _table, _weights,
+                    frozen_array)
 from .solver import DEFAULT_GUARD, SolveResult, solve_full_1d
 from .stochastics import _adjacent_couplings, _level_table
 from .transfers import OneDimInstance
@@ -289,29 +290,6 @@ def _principal_values(cost: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return -sum(cost[cells[:, k]] for k in range(cells.shape[1]))
 
 
-def _weight_classes(weight: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Each option's weight class as one int64 key.
-
-    An option's agent values are its bundle weights times the bundle values,
-    summed from bundle 0, whose value is zero: its term and every zero
-    weight, of either sign, add +0.0. Options whose weights on bundles 1 ..
-    B - 1 are equal thus have bitwise equal agent values. The key numbers
-    those weights by their `np.unique` codes in mixed radix, densified by
-    `np.unique` whenever one more digit could overflow int64.
-    """
-    codes, code = np.unique(weight, return_inverse=True)
-    radix = codes.size
-    code = code.astype(np.int64)
-    key, span = code[cells[:, 1]], radix
-    for k in range(2, cells.shape[1]):
-        if span > np.iinfo(np.int64).max // radix:
-            uniq, key = np.unique(key, return_inverse=True)
-            span = uniq.size
-        key = key * radix + code[cells[:, k]]
-        span *= radix
-    return key
-
-
 @dataclass(frozen=True)
 class BundlingCertificate:
     brute_force_value: float
@@ -324,57 +302,11 @@ class BundlingCertificate:
         return self.menu_value >= self.brute_force_value - FEAS_TOL
 
 
-#: Most option pairs `certify_bundling` prices at once.
-_PAIR_BLOCK = 1 << 16
-
-
-def _distinct_options(U: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Ascending indices of the options that no identical option beats.
-
-    Options whose columns of U (agent values, or any rows of 64-bit keys)
-    are bitwise identical differ only in principal utility, and a pair's
-    value rises with either option's P, so each such group keeps its largest
-    P, ties going to the smallest index. One lexsort of the bit keys forms
-    the groups; a reduction over each finds its largest P and then the
-    smallest index attaining it, so P itself is never sorted.
-    """
-    keys = U.view(np.int64)
-    order = np.lexsort(keys[::-1])
-    keys = keys[:, order]
-    start = np.ones(order.size, dtype=bool)
-    start[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(start)
-    P = P[order]
-    best = np.maximum.reduceat(P, starts)[start.cumsum() - 1]
-    first = np.minimum.reduceat(np.where(P == best, order, P.size), starts)
-    return np.sort(first)
-
-
-def _kept_options(b: BundleInstance, cells: np.ndarray, weight: np.ndarray,
-                  P: np.ndarray):
-    """`_distinct_options` of every option, and the kept options' agent
-    values, pricing agent values for one option per weight class only.
-
-    Equal weight classes give bitwise equal agent values, so each class's
-    best option (largest P, then smallest index) is the only one that can be
-    kept; `_distinct_options` over those representatives then merges the
-    classes whose agent values are still equal, such as two bundles of
-    equal value, and keeps exactly the options it keeps over all of them.
-    """
-    reps = _distinct_options(_weight_classes(weight, cells)[None], P)
-    U = _agent_values(b, weight, cells[reps])
-    kept = _distinct_options(U, P[reps])
-    return reps[kept], U[:, kept]
-
-
 def _pair_values(U: np.ndarray, P: np.ndarray, mu: np.ndarray,
-                 i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Two-type relaxation value of option i for type 1 and j for type 2.
-
-    i and j broadcast. Each type's transfer is capped by its participation
-    constraint and by IC against the other's option; a negative IC 2-cycle
-    makes the pair infeasible (-inf).
-    """
+                 i: int, j: int) -> float:
+    """Two-type relaxation value of option i for type 1 and j for type 2,
+    each transfer capped by participation and by IC against the other's
+    option. `_best_pair` has decided the pair's feasibility."""
     u1_i, u2_i = U[0, i], U[1, i]
     u1_j, u2_j = U[0, j], U[1, j]
     w21 = u1_i - u1_j            # deviation edge: 2's bundle to 1
@@ -383,36 +315,27 @@ def _pair_values(U: np.ndarray, P: np.ndarray, mu: np.ndarray,
     d2 = np.minimum(u2_j, u1_i + w12)
     d1 = np.minimum(d1, d2 + w21)
     d2 = np.minimum(d2, d1 + w12)
-    vals = mu[0] * (P[i] + d1) + mu[1] * (P[j] + d2)
-    vals[w12 + w21 < -_ROUND_TOL] = -np.inf
-    return vals
+    return float(mu[0] * (P[i] + d1) + mu[1] * (P[j] + d2))
 
 
-def _best_pair(U: np.ndarray, P: np.ndarray, mu: np.ndarray, floor: float):
-    """(value, (i, j)) of the first best pair, in row-major order, among the
-    pairs whose cap mu[0] (P_i + U_1i) + mu[1] (P_j + U_2j) reaches `floor`.
+def _best_pair(U: np.ndarray, P: np.ndarray, mu: np.ndarray) -> tuple:
+    """(i, j), the row-major first maximizer of A_i + B_j over the pairs
+    with s_j <= s_i + `_ROUND_TOL` (`certify_bundling` derives A, B, s).
 
-    Every other pair is worth less than the floor; a floor of -inf prices
-    every pair. At most `_PAIR_BLOCK` pairs are held at once. Returns value
-    -inf when no pair is priced.
+    Row i's partners are a prefix of the options sorted by s, so A_i plus a
+    running maximum of B read at the prefix's end is row i's largest sum
+    V_i, float addition being monotone; j is i's first partner attaining V_i.
     """
-    cap1, cap2 = mu[0] * (P + U[0]), mu[1] * (P + U[1])
-    rows = np.flatnonzero(cap1 + cap2.max() >= floor)
-    cols = np.flatnonzero(cap2 + cap1.max() >= floor)
-    best_val, best_pair = -np.inf, (0, 0)
-    step = max(1, _PAIR_BLOCK // max(cols.size, 1))
-    for start in range(0, rows.size, step):
-        i, j = rows[start:start + step, None], cols[None, :]
-        ii, jj = np.nonzero(cap1[i] + cap2[j] >= floor)
-        if not ii.size:
-            continue
-        i, j = i[ii, 0], j[0, jj]
-        vals = _pair_values(U, P, mu, i, j)
-        flat = int(np.argmax(vals))
-        top = float(vals[flat])
-        if top > best_val:
-            best_val, best_pair = top, (int(i[flat]), int(j[flat]))
-    return best_val, best_pair
+    s = U[0] - U[1]
+    A = mu[0] * (P + U[0]) - mu[1] * np.maximum(0.0, -s)
+    B = mu[1] * (P + U[1]) - mu[0] * np.maximum(0.0, s)
+    order = np.argsort(s, kind="stable")
+    # s_i itself lies in row i's prefix, so every prefix is nonempty
+    reach = np.searchsorted(s[order], s + _ROUND_TOL, side="right")
+    V = A + np.maximum.accumulate(B[order])[reach - 1]
+    i = int(np.argmax(V))
+    j = int(np.argmax((s <= s[i] + _ROUND_TOL) & (A[i] + B == V[i])))
+    return i, j
 
 
 def certify_bundling(b: BundleInstance,
@@ -428,27 +351,21 @@ def certify_bundling(b: BundleInstance,
     Options are held as integer cells (`_option_cells`) and priced through
     per-cell tables. With one type, every option is priced and the first
     maximizer wins: a rounding tie in P + U could make any option the first.
-    With two types, each pair of options (one per type) is priced by the
-    two-type relaxation of the IC and participation constraints. Pairs run
-    only over the options `_distinct_options` keeps, which attain the same
-    maximum as all options; `_kept_options` finds them through integer
-    weight classes, pricing agent values for one option per class only, so
-    the kept options, and the inputs of the pair scan, are the ones every
-    option's agent values give, bit for bit. A pair's transfers never
-    exceed its participation caps, so pairing option i with j is worth at most
-    cap1[i] + cap2[j], where cap_k = mu[k] (P + U[k]); float rounding is
-    monotone, so the cap bounds the priced value bit for bit. Only pairs
-    whose cap reaches the floor `menu_value - FEAS_TOL` are priced: rows and
-    columns that cannot reach it even against the other side's largest cap
-    are dropped first, and the rest is tested and priced in blocks of at
-    most `_PAIR_BLOCK` pairs, so no options-by-options array is built. If no
-    priced pair reaches the floor (a `solution` above the true optimum), the
-    scan reruns with floor -inf, which prices every pair. The maximum and the
-    best pair, the first maximizer in row-major order over the kept options,
-    are therefore those of pricing every pair, for any `solution`. `options`
-    still counts every enumerated option; above `DEFAULT_GUARD` options it
-    raises SizeGuardExceeded before enumerating any. Pass the
-    `solve_bundling(b)` result as `solution` to reuse it.
+    With two types, option i goes to type 1 and j to type 2, and the
+    two-type relaxation caps the transfers by participation, t1 <= U1_i and
+    t2 <= U2_j, and by IC, t1 <= t2 + U1_i - U1_j and t2 <= t1 + U2_j -
+    U2_i. With s = U[0] - U[1], the IC 2-cycle weighs s_i - s_j, so the pair
+    is feasible when s_j <= s_i, to `_ROUND_TOL`. The largest transfers are
+    then shortest paths that no cycle shortens, t1 = U1_i - max(0, s_j) and
+    t2 = U2_j - max(0, -s_i), so the pair is worth A_i + B_j, with A =
+    mu[0] (P + U[0]) - mu[1] max(0, -s) and B = mu[1] (P + U[1]) - mu[0]
+    max(0, s). `_best_pair` finds the first maximizer in row-major order
+    over every option with one sort of s and a running maximum of B, and
+    that one pair is priced through the relaxation's min steps
+    (`_pair_values`), the bits a scan pricing every pair gives it. `options`
+    counts every enumerated option; above `DEFAULT_GUARD` options it raises
+    SizeGuardExceeded before enumerating any. Pass the `solve_bundling(b)`
+    result as `solution` to reuse it.
     """
     if b.n_types > 2:
         raise SizeGuardExceeded("certificate supports at most two types",
@@ -465,24 +382,20 @@ def certify_bundling(b: BundleInstance,
     cells = _option_cells(b)
     alpha, q, weight, cost = _cell_tables(b)
     P = _principal_values(cost, cells)
+    U = _agent_values(b, weight, cells)
 
     def descriptor(i):
         return (tuple(alpha[cells[i]]), tuple(q[cells[i]]))
 
     if b.n_types == 1:
-        vals = P + _agent_values(b, weight, cells)[0]
+        vals = P + U[0]
         best = int(np.argmax(vals))
         return BundlingCertificate(float(vals[best]), float(menu_value),
                                    n_options, (descriptor(best),))
-    keep, U = _kept_options(b, cells, weight, P)
-    P = P[keep]
-    floor = menu_value - FEAS_TOL
-    best_val, best_pair = _best_pair(U, P, b.prob, floor)
-    if not best_val >= floor:
-        best_val, best_pair = _best_pair(U, P, b.prob, -np.inf)
-    return BundlingCertificate(best_val, float(menu_value), n_options,
-                               (descriptor(keep[best_pair[0]]),
-                                descriptor(keep[best_pair[1]])))
+    i, j = _best_pair(U, P, b.prob)
+    return BundlingCertificate(_pair_values(U, P, b.prob, i, j),
+                               float(menu_value), n_options,
+                               (descriptor(i), descriptor(j)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +404,12 @@ def certify_bundling(b: BundleInstance,
 
 
 def _regulation_instance(params: dict) -> ScreeningInstance:
-    lam = float(params.get("lam", 1.0))
-    c0 = float(params.get("c0", 0.8))
-    c1 = float(params.get("c1", 1.0))
+    lam = _as_real(params.get("lam", 1.0), "lam")
+    c0 = _as_real(params.get("c0", 0.8), "c0")
+    c1 = _as_real(params.get("c1", 1.0), "c1")
     theta_a = np.asarray(params.get("theta_a", (0.2, 0.4, 0.6)), dtype=float)
     levels = _as_index(params.get("certificate_levels", 2), "certificate_levels")
-    effort_cost = float(params.get("effort_cost", 0.3))
+    effort_cost = _as_real(params.get("effort_cost", 0.3), "effort_cost")
     x_grid = np.asarray(params.get("x_grid", np.linspace(0.0, 1.0, 4)),
                         dtype=float)
     if lam <= 0:
@@ -535,7 +448,7 @@ def _regulation_instance(params: dict) -> ScreeningInstance:
 
 
 def _labor_instance(params: dict) -> ScreeningInstance:
-    c0 = float(params.get("c0", 1.5))
+    c0 = _as_real(params.get("c0", 1.5), "c0")
     theta_0 = np.asarray(params.get("theta_0", (0.5, 1.0)), dtype=float)
     x_grid = np.asarray(params.get("x_grid", (0.0, 0.5, 1.0)), dtype=float)
     activity_costs = tuple(params.get("activity_costs", (0.4,)))
@@ -553,7 +466,8 @@ def _labor_instance(params: dict) -> ScreeningInstance:
     combos = list(itertools.product(*[range(len(l)) for l in activity_levels]))
     y_vectors = np.array([[activity_levels[i][c[i]] for i in range(len(c))]
                           for c in combos])
-    theta_b = np.atleast_2d(np.asarray(theta_b_rows, dtype=float))
+    theta_b = np.atleast_2d(frozen_array(theta_b_rows))
+    theta_b = _table(theta_b, (len(theta_b), len(activity_costs)), "theta_b_rows")
     u_b = np.zeros((y_vectors.shape[0], theta_b.shape[0]))
     for i, coef in enumerate(activity_costs):
         u_b -= coef * np.maximum(
@@ -579,7 +493,7 @@ def _labor_instance(params: dict) -> ScreeningInstance:
 def _costly_production_instance(params: dict) -> ScreeningInstance:
     # two linear-utility consumers with opposed tastes; the second item
     # costs more to make than anyone values it
-    item_cost = float(params.get("item_cost", 2.0))
+    item_cost = _as_real(params.get("item_cost", 2.0), "item_cost")
     theta_a = np.array([1.0, 2.0])
     theta_b = np.array([[1.0], [2.0]])
     x_grid = np.array([0.0, 1.0])
@@ -768,6 +682,10 @@ def competitive_separating(p: CompetitiveParams) -> SeparatingSet:
     offer_l = (p.efficient_low, 0.0, p.theta_l * p.efficient_low)
     offer_h = (x_star, y_star, p.theta_h * x_star)
     if y_star <= 0:
+        if x_star in (x0, x1):  # the exact offer, with y > 0, lies inside
+            raise StructuralError(
+                f"optimal separating activity is below float resolution "
+                f"beside x = {x_star!r}: kappa = b_h V / b_l^2 = {kappa:.6g}")
         raise StructuralError("optimal separating offer uses no costly "
                               "activity; contradicts the competitive result")
     if v_star <= v_no:

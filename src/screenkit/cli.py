@@ -21,9 +21,9 @@ from .applications import (BundleInstance, CompetitiveParams,
                            certify_bundling, competitive_separating,
                            solve_bundling)
 from .errors import ScreenkitError, SizeGuardExceeded, StructuralError
-from .io import (canonical_json, float_table, json_float, load_instance,
-                 load_params, read_field)
-from .model import _as_index, validate_instance
+from .io import (canonical_json, float_table, load_instance, load_params,
+                 read_field)
+from .model import _as_index, _as_real, validate_instance
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_downward_1d,
                      solve_full_1d, solve_joint)
 from .stochastics import level_couplings, random_positive_instance
@@ -70,7 +70,7 @@ def _competitive_fields(params: dict) -> dict:
     unknown = sorted(set(params) - {f.name for f in fields(CompetitiveParams)})
     if unknown:
         raise StructuralError(f"unknown competitive parameters: {unknown}")
-    return {k: read_field(params, k, json_float) for k in params}
+    return {k: read_field(params, k, _as_real) for k in params}
 
 
 def _bundling_fields(params: dict) -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .model import (CostlySpec, JointDistribution, ProductiveSpec,
-                    ScreeningInstance, _as_index)
+                    ScreeningInstance, _as_index, _as_real)
 
 Pathish = Union[str, Path]
 
@@ -50,9 +50,10 @@ def read_field(data: dict, key: str, convert):
     that names the field: "malformed field '<key>': <reason>".
 
     Rejection is a StructuralError (such as `model._as_index` refusing a
-    float, bool or string index), any TypeError, ValueError, IndexError or
-    KeyError (a mis-shaped value) or OverflowError (an infinite number
-    where an integer belongs).
+    float, bool or string index, or `model._as_real` a bool, string or
+    null number), any TypeError, ValueError, IndexError or KeyError (a
+    mis-shaped value) or OverflowError (an infinite number where an integer
+    belongs).
     """
     if key not in data:
         raise StructuralError(f"missing field {key!r}")
@@ -73,27 +74,19 @@ def _support_points(points) -> tuple:
     return tuple(pairs)
 
 
-def json_float(value) -> float:
-    """A JSON number as a float: an int or float that is not a bool. A bool,
-    string or null raises TypeError, so `read_field` names the field."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def float_table(value) -> np.ndarray:
     """JSON numbers, nested to any rectangular shape, as a float array.
 
-    Anything else raises TypeError, so `read_field` names the field. Numpy's
-    own type discovery flags strings, nulls and booleans alone; a boolean
-    among numbers reads as 0 or 1, so only the entries that read so are
-    looked up in `value`. The array is read-only, so the containers share it
-    rather than copy it.
+    Anything else raises TypeError or StructuralError (`model._as_real`), so
+    `read_field` names the field. Numpy's own type discovery flags strings,
+    nulls and booleans alone; a boolean among numbers reads as 0 or 1, so
+    only the entries that read so are looked up in `value`. The array is
+    read-only, so the containers share it rather than copy it.
     """
     arr = np.asarray(value)
     kind = arr.dtype.kind
     if kind == "O":  # integers beyond 64 bits, or not numbers
-        arr = np.array([json_float(v) for v in arr.flat]).reshape(arr.shape)
+        arr = np.array([_as_real(v) for v in arr.flat]).reshape(arr.shape)
     elif kind not in "iuf":
         raise TypeError("expected numbers only")
     arr = arr.astype(float, copy=False)
@@ -101,7 +94,7 @@ def float_table(value) -> np.ndarray:
         # only 0 and 1 equal their own truth values
         hits = (arr == arr.astype(bool)).nonzero()
         for index in zip(*[axis.tolist() for axis in hits]):
-            json_float(reduce(getitem, index, value))
+            _as_real(reduce(getitem, index, value))
     arr.setflags(write=False)
     return arr
 

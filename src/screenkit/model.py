@@ -61,6 +61,16 @@ def _as_index(value, name: str) -> int:
     return int(value)
 
 
+def _as_real(value, name: str = "") -> float:
+    """`value` as a float: a Python or numpy real number. A bool, str, None
+    or anything else raises StructuralError, led by `name` if one is given."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        lead = f"{name}: " if name else ""
+        raise StructuralError(f"{lead}expected a number, got {value!r}")
+    return float(value)
+
+
 # The input rules every container shares. Each returns its field as a
 # read-only array or raises StructuralError naming it; a NaN fails them all.
 

@@ -543,8 +543,9 @@ def unfiltered_joint(inst, chunk=1 << 14):
 
 
 def distinct_options_lexsort(U, P):
-    """`_distinct_options` as one lexsort on (-P, index) within each group of
-    bitwise identical agent-value columns."""
+    """Ascending indices of the options that no identical option beats:
+    one lexsort on (-P, index) within each group of bitwise identical
+    agent-value columns keeps the first."""
     keys = U.view(np.int64)
     order = np.lexsort((np.arange(P.size), -P, *keys[::-1]))
     first = np.ones(order.size, dtype=bool)

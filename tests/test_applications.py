@@ -381,6 +381,37 @@ def test_labor_checks_its_marginal_weights(field):
         make_application_instance("labor", {field: (0.5, 0.6)})
 
 
+def test_labor_checks_one_activity_column_per_activity():
+    # two activities against the default one-column rows ended in a bare
+    # IndexError
+    two = {"activity_costs": (0.4, 0.3), "activity_levels": ((0.0, 1.0), (0.0, 1.0))}
+    with pytest.raises(StructuralError, match=r"theta_b_rows must have shape \(2, 2\)"):
+        make_application_instance("labor", two)
+    with pytest.raises(StructuralError, match="theta_b_rows contains non-finite"):
+        make_application_instance("labor", {"theta_b_rows": ((0.0,), (np.nan,))})
+    inst = make_application_instance(
+        "labor", {**two, "theta_b_rows": ((0.0, 0.1), (0.5, 0.2))})
+    assert inst.costly.theta_b.shape == (2, 2)
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("regulation", "lam"), ("regulation", "c0"), ("regulation", "c1"),
+    ("regulation", "effort_cost"), ("labor", "c0"),
+    ("costly_production", "item_cost")])
+@pytest.mark.parametrize("value", ["0.3", True, None])
+def test_generators_read_scalar_parameters_as_numbers(kind, field, value):
+    # float() read "0.3" as 0.3 and True as 1.0
+    with pytest.raises(StructuralError, match=f"{field}: expected a number"):
+        make_application_instance(kind, {field: value})
+
+
+def test_generators_take_python_and_numpy_reals():
+    base = make_application_instance("regulation")
+    for lam in (1, np.float64(1.0), np.int64(1), np.float32(1.0)):
+        inst = make_application_instance("regulation", {"lam": lam})
+        assert inst.productive.v_a.tobytes() == base.productive.v_a.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # competitive screening
 # ---------------------------------------------------------------------------

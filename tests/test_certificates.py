@@ -2,11 +2,12 @@
 
 `solve_downward_1d` runs one forward sweep on the prefix tree of the
 allocations, `_option_cells` builds the option table in one pass and
-`certify_bundling` pairs only distinct options whose caps reach the menu,
-found through weight classes. The oracles below price every allocation
-with a scalar sweep loop and, within rounding, the U-region closed form,
-every option pair with the two-type relaxation, and every pair of the
-options a lexsort over every option's agent values keeps.
+`certify_bundling` finds its best pair of options with one sort of s =
+U[0] - U[1] and a running maximum, pricing that pair alone. The oracles
+below price every allocation with a scalar sweep loop and, within
+rounding, the U-region closed form, every option pair with the two-type
+relaxation, and every pair of the options a lexsort over every option's
+agent values keeps.
 `helpers.bundle_options_loop` builds the option table one bundle
 composition at a time.
 """
@@ -22,12 +23,10 @@ from screenkit import (FEAS_TOL, BundleInstance, GeneratorKnobs, OneDimInstance,
                        bundling_default, certify_bundling,
                        load_instance, productive_marginal,
                        random_positive_instance, solve_downward_1d)
-from screenkit import applications, solver
+from screenkit import solver
 from screenkit.applications import (BundlingSolution, _best_pair,
-                                    _cell_tables,
-                                    _distinct_options, _kept_options,
-                                    _option_cells, _principal_values,
-                                    _weight_classes, solve_bundling)
+                                    _cell_tables, _pair_values,
+                                    solve_bundling)
 from screenkit.solver import SolveResult
 from screenkit.transfers import (graph_optimal_transfers,
                                  onedim_ic_violations, onedim_ir_violations,
@@ -91,8 +90,9 @@ def bundle_options_oracle(b):
     return np.array(agent_rows).T, -np.array(cost_col), descr
 
 
-def pair_values(b, U, P, rows, cols):
-    """Two-type relaxation values, option rows[i] for type 0, cols[j] for 1."""
+def pair_values(mu, U, P, rows, cols):
+    """Two-type relaxation values, option rows[i] for type 0, cols[j] for 1,
+    type weights mu; -inf where the IC 2-cycle is negative."""
     u1_i, u2_i = U[0, rows][:, None], U[1, rows][:, None]
     u1_j, u2_j = U[0, cols][None, :], U[1, cols][None, :]
     w21 = u1_i - u1_j
@@ -101,7 +101,7 @@ def pair_values(b, U, P, rows, cols):
     d2 = np.minimum(u2_j, u1_i + w12)
     d1 = np.minimum(d1, d2 + w21)
     d2 = np.minimum(d2, d1 + w12)
-    vals = b.prob[0] * (P[rows][:, None] + d1) + b.prob[1] * (P[cols][None, :] + d2)
+    vals = mu[0] * (P[rows][:, None] + d1) + mu[1] * (P[cols][None, :] + d2)
     vals[w12 + w21 < -1e-12] = -np.inf
     return vals
 
@@ -113,7 +113,7 @@ def bundling_oracle(b):
     if b.n_types == 1:
         return float((P + U[0]).max()), n_o
     rows_per_block = max(1, (1 << 20) // n_o)
-    best = max(float(pair_values(b, U, P, slice(start, start + rows_per_block),
+    best = max(float(pair_values(b.prob, U, P, slice(start, start + rows_per_block),
                                  slice(None)).max())
                for start in range(0, n_o, rows_per_block))
     return best, n_o
@@ -135,7 +135,7 @@ def distinct_scan_oracle(b):
     best_val, best_pair = -np.inf, (0, 0)
     rows_per_block = max(1, (1 << 16) // n_k)
     for start in range(0, n_k, rows_per_block):
-        vals = pair_values(b, U, P, np.arange(start, min(start + rows_per_block, n_k)),
+        vals = pair_values(b.prob, U, P, np.arange(start, min(start + rows_per_block, n_k)),
                            np.arange(n_k))
         flat = int(np.argmax(vals))
         if float(vals.flat[flat]) > best_val:
@@ -295,7 +295,7 @@ def test_bundling_certificate_matches_all_pairs(make):
     if b.n_types == 1:
         attained = P[found[0]] + U[0, found[0]]
     else:
-        attained = pair_values(b, U, P, [found[0]], [found[1]])[0, 0]
+        attained = pair_values(b.prob, U, P, [found[0]], [found[1]])[0, 0]
     assert abs(attained - cert.brute_force_value) <= 1e-12
 
 
@@ -311,8 +311,9 @@ PRUNE_CASES = (
                          ids=["menu", "fallback", "low_floor"])
 @pytest.mark.parametrize("make", PRUNE_CASES)
 def test_pruned_bundling_certificate_matches_the_distinct_scan(make, shift):
-    # a menu value 1 above the optimum leaves no pair at the floor and runs
-    # the full scan; 1 below it prices far more pairs
+    # the menu value, at the optimum or 1 off it either way, moves nothing:
+    # the closed form finds the best pair over every option, and the scan
+    # over the distinct options agrees bit for bit
     b = make()
     sol = solve_bundling(b)
     sol = dataclasses.replace(sol, value=sol.value + shift)
@@ -323,46 +324,80 @@ def test_pruned_bundling_certificate_matches_the_distinct_scan(make, shift):
     assert cert.menu_value == sol.value
 
 
-@pytest.mark.parametrize("block", [7, 1 << 10])
-@pytest.mark.parametrize("make", [p for p in BUNDLE_CASES if p.id != "one_type"])
-def test_pruned_bundling_certificate_across_block_sizes(make, block, monkeypatch):
-    # blocks of 7 pairs hold one row each; ties split across blocks
-    monkeypatch.setattr(applications, "_PAIR_BLOCK", block)
-    b = make()
-    for shift in (0.0, 1.0):
-        sol = solve_bundling(b)
-        cert = certify_bundling(b, dataclasses.replace(sol, value=sol.value + shift))
-        assert (cert.brute_force_value, cert.best_descriptor) == distinct_scan_oracle(b)
+def _scan_first_max(U, P, mu):
+    """(value, (i, j)): the first maximizer, row-major, of pricing every
+    pair by the two-type relaxation."""
+    n = P.size
+    vals = pair_values(mu, U, P, np.arange(n), np.arange(n))
+    flat = int(np.argmax(vals))
+    return vals.flat[flat], divmod(flat, n)
 
 
-@pytest.mark.parametrize("make", [bundling_default,
-                                  lambda: random_bundle(2, 917),
-                                  lambda: bundling_default(zero_cost=True)])
-def test_bundling_prune_prices_exactly_the_pairs_whose_cap_reaches_the_floor(
-        make, monkeypatch):
-    b = make()
-    U, P, _, _ = bundle_options(b)
-    keep = _distinct_options(U, P)
-    U, P, mu = U[:, keep], P[keep], b.prob
-    cap = (mu[0] * (P + U[0]))[:, None] + (mu[1] * (P + U[1]))[None, :]
-    priced, price = [], applications._pair_values
+def _exact_table(rng, far):
+    """(U, P, mu) whose every sum and product the certificate forms is exact,
+    with ties in U, P and s = U[0] - U[1].
 
-    def spy(U_, P_, mu_, i, j):
-        priced.extend(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(i, j))))
-        return price(U_, P_, mu_, i, j)
+    Near: integers plus multiples of 2^-40, so two options' s may be one
+    multiple apart, 2^-40 < `_ROUND_TOL`: the pair is feasible only through
+    the tolerance. Far: |s| about 2^20, so s + `_ROUND_TOL` rounds to s and
+    only exact ties in s make a pair feasible at the boundary.
+    """
+    n = int(rng.integers(1, 9))
+    if far:
+        U1 = rng.integers(0, 4, n) * 2.0 ** 20
+        s = rng.choice([-1, 1]) * (2.0 ** 20 + rng.integers(-1, 2, n))
+        P = -rng.integers(0, 4, n) * 2.0 ** 19
+    else:
+        U1 = rng.integers(0, 4, n) + rng.integers(-2, 3, n) * 2.0 ** -40
+        s = rng.integers(-2, 3, n) + rng.integers(-2, 3, n) * 2.0 ** -40
+        P = -rng.integers(0, 4, n) * 0.5 + rng.integers(-2, 3, n) * 2.0 ** -40
+    mu0 = rng.choice([0.25, 0.375, 0.5])
+    return np.array([U1 + s, U1]), P, np.array([mu0, 1.0 - mu0])
 
-    monkeypatch.setattr(applications, "_pair_values", spy)
-    monkeypatch.setattr(applications, "_PAIR_BLOCK", 64)
-    full = pair_values(b, U, P, np.arange(P.size), np.arange(P.size))
-    # floors equal to the largest cap (its row and column tie the filters'
-    # bounds), to a middle cap and to the optimum
-    for floor in (cap.max(), float(np.median(cap)), float(full.max())):
-        priced.clear()
-        value, (i, j) = _best_pair(U, P, mu, floor)
-        assert priced == list(zip(*np.nonzero(cap >= floor)))
-        if value >= floor:
-            assert value == full.max()
-            assert (i, j) == divmod(int(np.argmax(full)), P.size)
+
+@pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
+def test_best_pair_is_the_first_maximizer_of_every_pair(far):
+    # exact tables: the closed form and pricing every pair agree bit for bit,
+    # on the value and on the row-major first maximizer
+    rng = np.random.default_rng([int(far), 919])
+    for _ in range(400):
+        U, P, mu = _exact_table(rng, far)
+        want, (wi, wj) = _scan_first_max(U, P, mu)
+        i, j = _best_pair(U, P, mu)
+        assert (i, j) == (wi, wj)
+        assert np.float64(_pair_values(U, P, mu, i, j)).tobytes() == want.tobytes()
+
+
+def test_best_pair_keeps_a_pair_feasible_only_through_the_tolerance():
+    # s = (0, -1e-12): the pair (1, 0) has s_0 = s_1 + `_ROUND_TOL` exactly.
+    # Its value ties the diagonal (1, 1) in the last bit, so the first
+    # maximizer is (1, 0) in the scan and in the closed form
+    U = np.array([[2e-12, 0.0], [2e-12, 1e-12]])
+    P = np.array([2.0 ** 14, 2.0 ** 14 + 2 * np.spacing(2.0 ** 14)])
+    mu = np.array([0.7, 1.0 - 0.7])
+    want, pair = _scan_first_max(U, P, mu)
+    assert pair == (1, 0) == _best_pair(U, P, mu)
+    assert _pair_values(U, P, mu, 1, 0) == want
+
+
+def test_best_pair_is_the_first_maximizer_of_the_sum_on_rounding_tables():
+    # entries within a few units of `_ROUND_TOL` beside P near 2^e, where
+    # sums round: the pair is the first feasible maximizer of A_i + B_j, the
+    # quantity the closed form maximizes, found here by brute force
+    rng = np.random.default_rng(923)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        L = 2.0 ** int(rng.integers(-2, 20))
+        P = L + rng.integers(-2, 3, n) * np.spacing(L)
+        U = rng.choice([0.0, 5e-13, 1e-12, 2e-12, 3e-12], (2, n))
+        mu0 = rng.uniform(0.05, 0.95)
+        mu = np.array([mu0, 1.0 - mu0])
+        s = U[0] - U[1]
+        A = mu[0] * (P + U[0]) - mu[1] * np.maximum(0.0, -s)
+        B = mu[1] * (P + U[1]) - mu[0] * np.maximum(0.0, s)
+        sums = np.where(s[None, :] <= s[:, None] + 1e-12,
+                        A[:, None] + B[None, :], -np.inf)
+        assert _best_pair(U, P, mu) == divmod(int(np.argmax(sums)), n)
 
 
 def _swap_types(b):
@@ -385,8 +420,8 @@ def test_bundling_certificate_invariant_under_relabelling(make, relabel):
 
 
 def _bundle_variant(n_goods, points, n_types, variant):
-    """`_additive_bundle` reshaped so that weight classes and agent values
-    part ways, or P ties, or zeros carry a sign."""
+    """`_additive_bundle` reshaped so that distinct bundle weights give equal
+    agent values, or P ties, or zeros carry a sign."""
     b = _additive_bundle(n_goods, points, n_types)
     values, grid, cost = b.values.copy(), b.quality_grid.copy(), b.cost_samples.copy()
     if variant == "equal_bundles":
@@ -409,39 +444,14 @@ BUNDLE_VARIANTS = ["additive", "equal_bundles", "flat_cost", "nonuniform_grid",
                    "negative_zero"]
 
 
-@pytest.mark.parametrize("variant", BUNDLE_VARIANTS)
-@pytest.mark.parametrize("n_goods,points", [(g, k) for g in (1, 2) for k in (2, 3, 4, 5, 6, 7, 9)]
-                         + [(3, k) for k in range(2, 6)] + [(4, 3), (5, 3)])
-def test_weight_classes_keep_what_every_options_agent_values_keep(n_goods, points, variant):
-    # five goods on the non-uniform 3-point grid: 31 weight codes of radix 5
-    # pass int64, so the key is densified on the way
-    b = _bundle_variant(n_goods, points, 2, variant)
-    U, P, _, _ = bundle_options(b)
-    want = distinct_options_lexsort(U, P)
-    assert _distinct_options(U, P).tobytes() == want.tobytes()
-    cells = _option_cells(b)
-    _, _, weight, cost = _cell_tables(b)
-    P_cells = _principal_values(cost, cells)
-    assert P_cells.tobytes() == P.tobytes()
-    keep, U_keep = _kept_options(b, cells, weight, P_cells)
-    assert keep.tobytes() == want.tobytes()
-    assert U_keep.tobytes() == U[:, want].tobytes()
-    if n_goods == 5 and variant == "nonuniform_grid":
-        assert np.unique(weight).size ** 31 > np.iinfo(np.int64).max
-    if variant == "equal_bundles" and n_goods > 1:
-        # the second stage merges weight classes here
-        reps = _distinct_options(_weight_classes(weight, cells)[None], P)
-        assert reps.size > keep.size
-
-
 @pytest.mark.parametrize("n_types", [1, 2])
 @pytest.mark.parametrize("variant", BUNDLE_VARIANTS)
 @pytest.mark.parametrize("n_goods,points", [(1, 2), (1, 5), (1, 9), (2, 2), (2, 3),
                                             (2, 5), (2, 7), (3, 2), (3, 3), (3, 4)])
 def test_weight_class_certificate_matches_the_distinct_scan(n_goods, points, variant,
                                                             n_types):
-    # a menu value at the optimum prunes to the pairs reaching it; one above
-    # it reaches no pair and rescans them all
+    # instances where weights and agent values part ways, P ties or zeros
+    # carry a sign; the menu value, at the optimum or above it, moves nothing
     b = _bundle_variant(n_goods, points, n_types, variant)
     value, descriptors = distinct_scan_oracle(b)
     for menu in (value, value + 1.0):
@@ -456,8 +466,8 @@ def test_weight_class_certificate_memory_stays_within_two_option_tables():
     # three goods on a 5-point grid: 66,890 options of 8 cells, 4.3 MB a
     # table. The certificate's traced peak was 19.5 MiB while it built every
     # option's alpha, q and agent values; it is about 9 MiB now, two cell
-    # tables. A table indexed by the weight-class key space (10^7 keys here)
-    # would break the bound alone, even one byte a key
+    # tables. A table indexed by the space of bundle-weight codes (10^7
+    # here) would break the bound alone, even one byte a code
     members = (np.arange(8)[:, None] >> np.arange(3)) & 1
     base = members @ np.array([1.0, 1.5, 0.75])
     grid = np.linspace(0.0, 1.0, 5)

@@ -444,6 +444,29 @@ def test_non_number_float_fields_are_named(case, field, capsys, tmp_path):
     assert f"malformed field {field!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("boolean_b_h", "malformed field 'b_h': expected a number, got True"),
+    ("string_theta_l", "malformed field 'theta_l': expected a number, got '0.5'"),
+    ("boolean_among_numbers_u_b", "malformed field 'u_b': expected a number, got False"),
+], ids=["boolean_b_h", "string_theta_l", "boolean_among_numbers_u_b"])
+def test_non_number_float_fields_keep_their_message(case, message, capsys, tmp_path):
+    assert main(MALFORMED[case](tmp_path)) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("b_h", [1e50, 1e308])
+def test_competitive_names_float_resolution_when_the_activity_rounds_away(
+        b_h, capsys, tmp_path):
+    # the exact offer uses an activity, but one below float resolution beside
+    # a root of the low type's gain: still exit 3, now with the cause
+    data = _edited("competitive_default.json", b_h=b_h)
+    assert main(["competitive", "--params", _write(tmp_path, data)]) == 3
+    err = capsys.readouterr().err
+    assert "below float resolution" in err
+    assert "kappa = b_h V / b_l^2 = " in err
+    assert "contradicts the competitive result" not in err
+
+
 @pytest.mark.parametrize("field, row, col, bad", [
     ("values", 0, 1, float("nan")),
     ("values", 1, 3, float("inf")),

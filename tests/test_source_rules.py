@@ -1,6 +1,7 @@
 """Rules on the package source that no behaviour test sees: one home for
-the tolerances, one integer rule for the containers' index fields, and no
-import left unused.
+the tolerances, one integer rule for the containers' index fields, one
+number rule for the generators' scalar parameters, and no import left
+unused.
 
 Parses `src/screenkit` with `ast`; it imports and compiles nothing.
 """
@@ -37,10 +38,11 @@ def test_tolerances_are_defined_in_model_alone():
     assert stray == []
 
 
-def _int_calls(node) -> list:
+def _builtin_calls(node, name: str) -> list:
+    """Calls of the builtin `name` under `node`."""
     return [call for call in ast.walk(node)
             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-            and call.func.id == "int"]
+            and call.func.id == name]
 
 
 def _reads_params(node) -> bool:
@@ -60,7 +62,7 @@ def test_post_init_never_truncates_with_int():
              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
              for fn in cls.body
              if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
-             for call in _int_calls(fn)]
+             for call in _builtin_calls(fn, "int")]
     assert calls == []
 
 
@@ -69,7 +71,17 @@ def test_generators_never_truncate_a_parameter_with_int():
     model._as_index too. The rule matches only a dictionary named `params`,
     the name every generator gives it."""
     calls = [f"{module}:{call.lineno}" for module, tree in _trees()
-             for call in _int_calls(tree)
+             for call in _builtin_calls(tree, "int")
+             if any(_reads_params(arg) for arg in call.args)]
+    assert calls == []
+
+
+def test_generators_never_convert_a_parameter_with_float():
+    """Scalar parameters go through model._as_real, which refuses the bool,
+    str and None that float() would read as numbers; the rule matches a
+    dictionary named `params` as the one above does."""
+    calls = [f"{module}:{call.lineno}" for module, tree in _trees()
+             for call in _builtin_calls(tree, "float")
              if any(_reads_params(arg) for arg in call.args)]
     assert calls == []
 
