@@ -18,7 +18,7 @@ from .errors import (AssumptionFailed, OutOfRange, RatioMonotonicityFailed,
 from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, CostlySpec,
                     JointDistribution, ProductiveSpec, ScreeningInstance,
                     _as_index, _as_real, _grid, _table, _weights,
-                    frozen_array)
+                    float_table, frozen_array)
 from .solver import DEFAULT_GUARD, SolveResult, solve_full_1d
 from .stochastics import _adjacent_couplings, _level_table
 from .transfers import OneDimInstance
@@ -407,11 +407,10 @@ def _regulation_instance(params: dict) -> ScreeningInstance:
     lam = _as_real(params.get("lam", 1.0), "lam")
     c0 = _as_real(params.get("c0", 0.8), "c0")
     c1 = _as_real(params.get("c1", 1.0), "c1")
-    theta_a = np.asarray(params.get("theta_a", (0.2, 0.4, 0.6)), dtype=float)
+    theta_a = float_table(params.get("theta_a", (0.2, 0.4, 0.6)), "theta_a")
     levels = _as_index(params.get("certificate_levels", 2), "certificate_levels")
     effort_cost = _as_real(params.get("effort_cost", 0.3), "effort_cost")
-    x_grid = np.asarray(params.get("x_grid", np.linspace(0.0, 1.0, 4)),
-                        dtype=float)
+    x_grid = float_table(params.get("x_grid", np.linspace(0.0, 1.0, 4)), "x_grid")
     if lam <= 0:
         raise OutOfRange("lam must be positive")
     if c1 <= 0:
@@ -441,7 +440,7 @@ def _regulation_instance(params: dict) -> ScreeningInstance:
         m = min(theta_a.size, theta_b.shape[0])
         support = tuple((k, k) for k in range(m))
         prob = tuple(1.0 / m for _ in range(m))
-    dist = JointDistribution(tuple(tuple(p) for p in support), tuple(prob))
+    dist = JointDistribution(support, float_table(prob, "prob"))
     return ScreeningInstance(
         ProductiveSpec(theta_a, x_grid, u_a, v_a),
         CostlySpec(theta_b, y_set, 0, u_b, v_b), dist)
@@ -449,24 +448,26 @@ def _regulation_instance(params: dict) -> ScreeningInstance:
 
 def _labor_instance(params: dict) -> ScreeningInstance:
     c0 = _as_real(params.get("c0", 1.5), "c0")
-    theta_0 = np.asarray(params.get("theta_0", (0.5, 1.0)), dtype=float)
-    x_grid = np.asarray(params.get("x_grid", (0.0, 0.5, 1.0)), dtype=float)
-    activity_costs = tuple(params.get("activity_costs", (0.4,)))
-    activity_levels = tuple(tuple(l) for l in
-                            params.get("activity_levels", ((0.0, 0.5, 1.0),)))
-    theta_b_rows = params.get("theta_b_rows", ((0.0,), (0.5,)))
+    theta_0 = float_table(params.get("theta_0", (0.5, 1.0)), "theta_0")
+    x_grid = float_table(params.get("x_grid", (0.0, 0.5, 1.0)), "x_grid")
+    activity_costs = float_table(params.get("activity_costs", (0.4,)),
+                                 "activity_costs")
+    activity_levels = [float_table(l, "activity_levels") for l in
+                       params.get("activity_levels", ((0.0, 0.5, 1.0),))]
+    theta_b_rows = float_table(params.get("theta_b_rows", ((0.0,), (0.5,))),
+                               "theta_b_rows")
     if c0 <= theta_0.max():
         raise OutOfRange("work cost must stay positive: need c0 > max(theta_0)")
     if len(activity_costs) != len(activity_levels):
         raise OutOfRange("one cost coefficient per activity is required")
-    if any(c <= 0 for c in activity_costs):
+    if (activity_costs <= 0).any():
         raise OutOfRange("activity costs must be positive")
     u_a = -(c0 - theta_0[None, :]) * (x_grid[:, None] ** 2)
     v_a = x_grid[:, None] * theta_0[None, :]
     combos = list(itertools.product(*[range(len(l)) for l in activity_levels]))
     y_vectors = np.array([[activity_levels[i][c[i]] for i in range(len(c))]
                           for c in combos])
-    theta_b = np.atleast_2d(frozen_array(theta_b_rows))
+    theta_b = np.atleast_2d(theta_b_rows)
     theta_b = _table(theta_b, (len(theta_b), len(activity_costs)), "theta_b_rows")
     u_b = np.zeros((y_vectors.shape[0], theta_b.shape[0]))
     for i, coef in enumerate(activity_costs):
@@ -477,13 +478,13 @@ def _labor_instance(params: dict) -> ScreeningInstance:
     prob = params.get("prob")
     if support is None:
         n_a, n_b = theta_0.size, theta_b.shape[0]
-        prob_a = _weights(params.get("prob_a", np.full(n_a, 1.0 / n_a)), n_a,
-                          "prob_a")
-        prob_b = _weights(params.get("prob_b", np.full(n_b, 1.0 / n_b)), n_b,
-                          "prob_b")
+        prob_a = _weights(float_table(params.get("prob_a", np.full(n_a, 1.0 / n_a)),
+                                      "prob_a"), n_a, "prob_a")
+        prob_b = _weights(float_table(params.get("prob_b", np.full(n_b, 1.0 / n_b)),
+                                      "prob_b"), n_b, "prob_b")
         support = tuple((ia, ib) for ia in range(n_a) for ib in range(n_b))
         prob = np.outer(prob_a, prob_b).ravel()
-    dist = JointDistribution(tuple(tuple(p) for p in support), tuple(prob))
+    dist = JointDistribution(support, float_table(prob, "prob"))
     return ScreeningInstance(
         ProductiveSpec(theta_0, x_grid, u_a, v_a),
         CostlySpec(theta_b, np.arange(y_vectors.shape[0], dtype=float),
@@ -688,9 +689,11 @@ def competitive_separating(p: CompetitiveParams) -> SeparatingSet:
                 f"beside x = {x_star!r}: kappa = b_h V / b_l^2 = {kappa:.6g}")
         raise StructuralError("optimal separating offer uses no costly "
                               "activity; contradicts the competitive result")
-    if v_star <= v_no:
-        raise StructuralError("costly activity failed to improve on "
-                              "work-only separation")
+    if v_star <= v_no:  # h rises from x0 and falls to x1: the gain is real
+        raise StructuralError(
+            f"the costly activity's gain over work-only separation is below "
+            f"float resolution of the value {v_no!r} at x = {x_star!r}, "
+            f"y = {y_star!r}: kappa = b_h V / b_l^2 = {kappa:.6g}")
     # self-selection, both directions
     low_at_h = p.theta_h * x_star - p.psi_l(x_star) - p.c_l(y_star)
     if low_at_h > p.low_type_utility + FEAS_TOL:

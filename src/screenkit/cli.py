@@ -21,9 +21,8 @@ from .applications import (BundleInstance, CompetitiveParams,
                            certify_bundling, competitive_separating,
                            solve_bundling)
 from .errors import ScreenkitError, SizeGuardExceeded, StructuralError
-from .io import (canonical_json, float_table, load_instance, load_params,
-                 read_field)
-from .model import _as_index, _as_real, validate_instance
+from .io import canonical_json, load_instance, load_params, read_field
+from .model import _as_index, _as_real, float_table, validate_instance
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_downward_1d,
                      solve_full_1d, solve_joint)
 from .stochastics import level_couplings, random_positive_instance

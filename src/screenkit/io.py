@@ -8,18 +8,15 @@ saved instance reproduces it exactly: values pass through float() untouched.
 from __future__ import annotations
 
 import json
-from functools import lru_cache, reduce
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import getitem
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from .errors import StructuralError
 from .model import (CostlySpec, JointDistribution, ProductiveSpec,
-                    ScreeningInstance, _as_index, _as_real)
+                    ScreeningInstance, _as_index, float_table)
 
 Pathish = Union[str, Path]
 
@@ -64,39 +61,13 @@ def read_field(data: dict, key: str, convert):
         raise StructuralError(f"malformed field {key!r}: {exc}") from exc
 
 
-def _support_points(points) -> tuple:
-    """Support pairs: each a list of exactly two integer indices."""
-    pairs = []
+def _support_points(points) -> list:
+    """Support points as JSON gives them, lists; `JointDistribution` reads
+    each as a pair of integer indices."""
     for point in points:
-        if not isinstance(point, list) or len(point) != 2:
+        if type(point) is not list:
             raise ValueError(f"support point {point!r} is not a pair")
-        pairs.append((_as_index(point[0], "support"), _as_index(point[1], "support")))
-    return tuple(pairs)
-
-
-def float_table(value) -> np.ndarray:
-    """JSON numbers, nested to any rectangular shape, as a float array.
-
-    Anything else raises TypeError or StructuralError (`model._as_real`), so
-    `read_field` names the field. Numpy's own type discovery flags strings,
-    nulls and booleans alone; a boolean among numbers reads as 0 or 1, so
-    only the entries that read so are looked up in `value`. The array is
-    read-only, so the containers share it rather than copy it.
-    """
-    arr = np.asarray(value)
-    kind = arr.dtype.kind
-    if kind == "O":  # integers beyond 64 bits, or not numbers
-        arr = np.array([_as_real(v) for v in arr.flat]).reshape(arr.shape)
-    elif kind not in "iuf":
-        raise TypeError("expected numbers only")
-    arr = arr.astype(float, copy=False)
-    if arr.ndim:  # a lone boolean has a dtype of its own
-        # only 0 and 1 equal their own truth values
-        hits = (arr == arr.astype(bool)).nonzero()
-        for index in zip(*[axis.tolist() for axis in hits]):
-            _as_real(reduce(getitem, index, value))
-    arr.setflags(write=False)
-    return arr
+    return points
 
 
 def instance_from_dict(data: dict) -> ScreeningInstance:

@@ -18,6 +18,8 @@ sides exactly zero; evaluators append it implicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem
 from typing import NamedTuple
 
 import numpy as np
@@ -69,6 +71,33 @@ def _as_real(value, name: str = "") -> float:
         lead = f"{name}: " if name else ""
         raise StructuralError(f"{lead}expected a number, got {value!r}")
     return float(value)
+
+
+def float_table(value, name: str = "") -> np.ndarray:
+    """Numbers, nested to any rectangular shape, as a read-only float array.
+
+    The number rule of `_as_real` for tables: a string, null or boolean
+    entry raises StructuralError, led by `name` if one is given. Numpy's own
+    type discovery flags strings, nulls and booleans alone; a boolean among
+    numbers reads as 0 or 1, so only the entries that read so are looked up
+    in `value`. The array is read-only, so the containers share it rather
+    than copy it.
+    """
+    arr = np.asarray(value)
+    kind = arr.dtype.kind
+    if kind == "O":  # integers beyond 64 bits, or not numbers
+        arr = np.array([_as_real(v, name) for v in arr.flat]).reshape(arr.shape)
+    elif kind not in "iuf":
+        lead = f"{name}: " if name else ""
+        raise StructuralError(f"{lead}expected numbers only")
+    arr = arr.astype(float, copy=False)
+    if arr.ndim:  # a lone boolean has a dtype of its own
+        # only 0 and 1 equal their own truth values
+        hits = (arr == arr.astype(bool)).nonzero()
+        for index in zip(*[axis.tolist() for axis in hits]):
+            _as_real(reduce(getitem, index, value), name)
+    arr.setflags(write=False)
+    return arr
 
 
 # The input rules every container shares. Each returns its field as a
@@ -209,13 +238,22 @@ class JointDistribution:
     prob: np.ndarray
 
     def __post_init__(self):
-        support = tuple((_as_index(a, "support"), _as_index(b, "support"))
-                        for a, b in self.support)
-        if len(support) == 0:
+        # the one pass over the points: each a pair of integer indices, a
+        # refused one named as `io.read_field` names a field
+        support = []
+        for point in self.support:
+            try:
+                a, b = point
+                support.append((_as_index(a, "support"), _as_index(b, "support")))
+            except (TypeError, ValueError, StructuralError) as exc:
+                reason = (exc if isinstance(exc, StructuralError)
+                          else f"support point {point!r} is not a pair")
+                raise StructuralError(f"malformed field 'support': {reason}") from None
+        if not support:
             raise StructuralError("support must be nonempty")
         if len(set(support)) != len(support):
             raise StructuralError("support pairs must be distinct")
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "support", tuple(support))
         object.__setattr__(self, "prob", _weights(self.prob, len(support), "prob"))
 
     def __len__(self) -> int:
@@ -231,10 +269,13 @@ class ScreeningInstance:
     dist: JointDistribution
 
     def __post_init__(self):
+        # the pairs hold integer indices already, so bounds suffice
         n_a, n_b = self.productive.n_types, self.costly.n_types
-        for ia, ib in self.dist.support:
-            if not (0 <= ia < n_a and 0 <= ib < n_b):
-                raise StructuralError(f"support pair ({ia}, {ib}) out of range")
+        a, b = zip(*self.dist.support)
+        if min(a) < 0 or min(b) < 0 or max(a) >= n_a or max(b) >= n_b:
+            bad = next(p for p in self.dist.support
+                       if not (0 <= p[0] < n_a and 0 <= p[1] < n_b))
+            raise StructuralError(f"support pair {bad} out of range")
 
     @property
     def n_support(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
 from math import comb, prod
-from operator import add
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .errors import SizeGuardExceeded, StructuralError
 from .model import _ROUND_TOL, FEAS_TOL, Mechanism, ScreeningInstance
 from .stochastics import LevelCouplings, level_couplings, scalar_levels
 from .transfers import (OneDimInstance, _downward_sweep, _monotone_transfers,
-                        onedim_value)
+                        _onedim_value)
 
 #: Default ceiling on the allocations or assignment rows an exact solver
 #: enumerates or prices.
@@ -154,56 +153,62 @@ def solve_full_1d(inst: OneDimInstance) -> SolveResult:
     O(n * n_x) work: a type's best deviation takes the cheapest transfer
     among the types allocated each level.
 
-    The dynamic program runs on Python lists, a running suffix maximum per
-    stage and a first-match backtrack, so ties go to the lowest allocation.
+    The dynamic program runs over the n_x - 1 allocation steps, not the
+    types. A nondecreasing allocation is the same as its thresholds
+    k_1 <= ... <= k_S (S = n_x - 1), k_s the first type with x >= s (n if
+    none). Its value is the sum of surplus[0, j] over the types plus
+    D_1(k_1) + ... + D_S(k_S), where D_s(k) sums surplus[s, j] -
+    surplus[s - 1, j] over the types j >= k; one reversed `cumsum` gives
+    every D_s. Going down the steps, stage s adds to D_s the best the steps
+    above can do with thresholds from k on, a reversed running maximum. The
+    backtrack takes the largest maximizer k_1, then at each later step the
+    largest maximizer at or above the last threshold, one `searchsorted` on
+    the running maximum. A larger early threshold means lower early
+    allocations, so this is the lexicographically smallest optimum.
     """
     n, n_alloc = inst.n, inst.n_alloc
     u, v, mu = inst.u, inst.v, inst.mu
-    tail = np.concatenate([np.cumsum(mu[::-1])[::-1][1:], [0.0]])  # tail[j] = sum_{i>j} mu_i
-    contrib = mu[:, None] * (u.T + v.T)
-    contrib[:-1] -= (u.T[1:] - u.T[:-1]) * tail[:-1, None]
-    # M[j][c] = contrib + best continuation; G[j][c] = max over allocations >= c
-    rows = contrib.tolist()
-    G = [0.0] * n_alloc
-    stage_m = [None] * n
-    stage_g = [None] * n
-    downward = range(n_alloc - 2, -1, -1)
-    for j in range(n - 1, -1, -1):
-        M = list(map(add, rows[j], G))
-        G = M[:]
-        best = G[-1]  # running suffix maximum; a tie keeps the lower index
-        for c in downward:
-            g = G[c]
-            if best > g:
-                G[c] = best
-            else:
-                best = g
-        stage_m[j], stage_g[j] = M, G
-    x_idx = []
-    floor = 0
-    for M, G in zip(stage_m, stage_g):
-        floor = M.index(G[floor], floor)
-        x_idx.append(floor)
+    # surplus[c, j]: type j's weighted virtual surplus at allocation c; then
+    # every row above the first less the row below it
+    surplus = mu * (u + v)
+    surplus[:, :-1] -= (u[:, 1:] - u[:, :-1]) * mu[:0:-1].cumsum()[::-1]
+    surplus[1:] -= surplus[:-1]
+    # R[s, r] over r = n - k: the sum of surplus[s, j] over j >= k, which is
+    # D_s(k) for s >= 1; then, for s >= 1, the best of the thresholds
+    # k <= k_{s+1} <= ..., a running maximum over r
+    R = np.zeros((n_alloc, n + 1))
+    surplus[:, ::-1].cumsum(axis=1, out=R[:, 1:])
+    above = None
+    for row in R[:0:-1]:  # the steps from the top down
+        if above is not None:
+            row += above
+        above = np.maximum.accumulate(row, out=row)
+    thresholds = []
+    r = n
+    for row in R[1:]:  # the smallest r, so the largest k, that reaches the best
+        r = row.searchsorted(row[r])
+        thresholds.append(n - r)
+    x_idx = np.bincount(thresholds, minlength=n + 1)[:n].cumsum()
     t = _monotone_transfers(u, x_idx)
     cheapest = np.full(n_alloc, np.inf)
     np.minimum.at(cheapest, x_idx, t)
     # best of mimicking each level at its cheapest transfer and opting out
     best_deviation = np.maximum((u - cheapest[:, None]).max(axis=0), 0.0)
     gain = best_deviation - (u[x_idx, np.arange(n)] - t)
-    worst = int(np.argmax(gain))
+    worst = gain.argmax()
     if gain[worst] > FEAS_TOL:
         raise StructuralError(
             f"closed-form transfers leave type {worst} a deviation gain of "
             f"{gain[worst]:.3g}; instance likely violates increasing "
             f"differences")
-    value = onedim_value(inst, x_idx, t)
-    dp_value = stage_g[0][0]
+    value = _onedim_value(inst, x_idx, t)
+    dp_value = R[:2, n].sum()  # the first allocation's sum and the best steps
     if abs(value - dp_value) > FEAS_TOL:
         raise StructuralError(
             f"full-IC transfers disagree with the dynamic program "
             f"({value:.12g} vs {dp_value:.12g}); instance likely violates "
             f"increasing differences")
-    return SolveResult("full1d", float(value), tuple(x_idx),
+    return SolveResult("full1d", value, tuple(x_idx.tolist()),
                        tuple(t.tolist()), {"method": "monotone_dp", "stages": n})
 
 

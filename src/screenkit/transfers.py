@@ -186,8 +186,13 @@ def onedim_value(inst: OneDimInstance, x_idx: Sequence, t: Sequence) -> float:
     """Expected principal payoff of (x, t) under truthful play; an
     allocation entry that is not an integer index into the grid raises
     StructuralError."""
-    terms = inst.mu * (inst.v[_allocation(inst, x_idx), np.arange(inst.n)]
-                       + np.asarray(t, dtype=float))
-    # added in type order from 0.0: np.sum would add pairwise
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+    return _onedim_value(inst, _allocation(inst, x_idx), t)
+
+
+def _onedim_value(inst: OneDimInstance, x: np.ndarray, t: Sequence) -> float:
+    """`onedim_value` of an index array x, with no checks."""
+    terms = inst.mu * (inst.v[x, np.arange(inst.n)] + np.asarray(t, dtype=float))
+    # added in type order: np.sum would add pairwise. A loop from 0.0 gives
+    # the same sum but never -0.0, which adding 0.0 turns into +0.0
+    return float(terms.cumsum()[-1]) + 0.0
 

@@ -405,11 +405,36 @@ def test_generators_read_scalar_parameters_as_numbers(kind, field, value):
         make_application_instance(kind, {field: value})
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("regulation", "theta_a", ("0.2", "0.4", "0.6")),
+    ("regulation", "x_grid", ("0", "0.5", "1")),
+    ("regulation", "prob", ("0.5", "0.5")),
+    ("labor", "activity_costs", ("0.4",)),
+    ("labor", "theta_0", (0.5, True)),
+    ("labor", "x_grid", (0.0, None, 1.0)),
+    ("labor", "activity_levels", (("0", "1"),)),
+    ("labor", "theta_b_rows", (("0",), (0.5,))),
+    ("labor", "prob_b", ("0.5", "0.5")),
+])
+def test_generators_read_array_parameters_as_numbers(kind, field, value):
+    # np.asarray(..., dtype=float) read strings as numbers, and the labor
+    # costs ended in a bare TypeError
+    params = {field: value}
+    if field == "prob":
+        params["support"] = ((0, 0), (1, 1))
+    with pytest.raises(StructuralError,
+                       match=f"{field}: expected (numbers only|a number)"):
+        make_application_instance(kind, params)
+
+
 def test_generators_take_python_and_numpy_reals():
     base = make_application_instance("regulation")
     for lam in (1, np.float64(1.0), np.int64(1), np.float32(1.0)):
         inst = make_application_instance("regulation", {"lam": lam})
         assert inst.productive.v_a.tobytes() == base.productive.v_a.tobytes()
+    inst = make_application_instance("regulation", {
+        "theta_a": np.array([0.2, 0.4, 0.6]), "x_grid": [0, 1]})
+    assert inst.productive.x_grid.tolist() == [0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +557,19 @@ def test_competitive_offer_scales_with_the_parameters(scale):
     assert big.value_high / scale == pytest.approx(sep.value_high, rel=1e-12)
     assert (big.value_high_no_instrument / scale
             == pytest.approx(sep.value_high_no_instrument, rel=1e-12))
+
+
+@pytest.mark.parametrize("b_h", [1e16, 1e20, 1e30])
+def test_competitive_names_float_resolution_when_the_gain_rounds_away(b_h):
+    # the offer keeps a positive activity, but what it buys the high type
+    # lies below the float resolution of the value
+    with pytest.raises(StructuralError) as info:
+        competitive_separating(CompetitiveParams(b_h=b_h))
+    message = str(info.value)
+    assert "below float resolution" in message
+    assert "failed to improve" not in message
+    # at 1e14 the gain still shows
+    assert competitive_separating(CompetitiveParams(b_h=1e14)).gain > 0
 
 
 def test_competitive_offer_with_a_prohibitive_low_type_cost():

@@ -454,11 +454,13 @@ def test_non_number_float_fields_keep_their_message(case, message, capsys, tmp_p
     assert capsys.readouterr().err == message + "\n"
 
 
-@pytest.mark.parametrize("b_h", [1e50, 1e308])
+@pytest.mark.parametrize("b_h", [1e16, 1e30, 1e50, 1e308])
 def test_competitive_names_float_resolution_when_the_activity_rounds_away(
         b_h, capsys, tmp_path):
     # the exact offer uses an activity, but one below float resolution beside
-    # a root of the low type's gain: still exit 3, now with the cause
+    # a root of the low type's gain (1e50, 1e308), or one whose gain lies
+    # below float resolution of the value (1e16, 1e30): still exit 3, now
+    # with the cause
     data = _edited("competitive_default.json", b_h=b_h)
     assert main(["competitive", "--params", _write(tmp_path, data)]) == 3
     err = capsys.readouterr().err

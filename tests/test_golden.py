@@ -3,10 +3,10 @@
 The inputs are the files in `instances/` and a few seeded generator draws
 stored in `tests/golden/inputs/`: dim-2 verify inputs whose levels hold one
 or several costly points (one of them not monotone), negatively dependent
-converse inputs, a downward input, and bundling files with tied grand
-values, ratio failures and three types. Each case's expected output is
-`tests/golden/<case>.out`, with its exit code and stderr in
-`tests/golden/manifest.json`, so a change that should keep every output
+converse inputs, a downward input, a 96-level full1d input, and bundling
+files with tied grand values, ratio failures and three types. Each case's
+expected output is `tests/golden/<case>.out`, with its exit code and stderr
+in `tests/golden/manifest.json`, so a change that should keep every output
 byte for byte is checked by this one test.
 
     PYTHONPATH=src python tests/test_golden.py
@@ -64,6 +64,11 @@ def write_inputs() -> None:
     save_instance(random_positive_instance(
         7, GeneratorKnobs(n_a=8, n_b=2, n_x=3, n_y=2, max_paths=1), stream=0),
         INPUTS / "downward.json")
+    # a full1d line of 96 levels and six allocations; its optimum skips
+    # allocations 1, 2 and 4, so three thresholds meet
+    save_instance(random_positive_instance(
+        10, GeneratorKnobs(n_a=96, n_b=2, n_x=6, n_y=2, max_paths=1), stream=0),
+        INPUTS / "full1d-large.json")
     bundles = {
         "bundle-tied": _bundle([[0.0, 2.0, 3.0, 6.0], [0.0, 2.5, 3.5, 6.0]],
                                [0.4, 0.6]),
@@ -100,6 +105,8 @@ def cases() -> dict:
         for mode in ("full1d", "downward1d"):
             out[f"{mode}-{path.stem}"] = ["solve", "--mode", mode, "--instance",
                                           _rel(path)]
+    out["full1d-large"] = ["solve", "--mode", "full1d", "--instance",
+                           _rel(INPUTS / "full1d-large.json")]
     for path in instances + negatives:
         out[f"converse-{path.stem}"] = ["converse", "--instance", _rel(path)]
     bundles = [ROOT / "instances" / "bundling_default.json"]

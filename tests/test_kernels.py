@@ -7,6 +7,9 @@ shortest-path transfers are the only independent check on them. Floats
 compare through their bits, so a different summation order or sign of zero
 fails.
 """
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -111,16 +114,19 @@ def test_onedim_value_of_all_zero_terms_is_positive_zero():
 
 
 def tie_heavy(seed, n, n_x):
-    """Integer tables with strict increasing differences and weights 1/n,
-    n a power of two: every contribution is an exact multiple of 1/n, so
-    the dynamic program meets exact ties."""
+    """Integer tables with strict increasing differences and dyadic weights:
+    1/2^m for every type but the last, which takes the rest, 2^m the least
+    power of two from n (1/n each when n is one). Every contribution is an
+    exact dyadic rational, so the dynamic program meets exact ties and
+    every sum in it is exact."""
     rng = instance_rng(seed, stream=547)
     a = np.cumsum(rng.integers(1, 3, n))
     b = np.arange(n_x)
     u = np.outer(b, a).astype(float)
     v = (-np.outer(b, a) + rng.integers(-2, 3, (n_x, n))).astype(float)
-    return OneDimInstance(np.arange(1.0, n + 1), np.full(n, 1.0 / n),
-                          np.arange(float(n_x)), u, v)
+    mu = np.full(n, 0.5 ** int(np.ceil(np.log2(n))))
+    mu[-1] = 1.0 - mu[:-1].sum()
+    return OneDimInstance(np.arange(1.0, n + 1), mu, np.arange(float(n_x)), u, v)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 32, 256])
@@ -129,6 +135,48 @@ def test_full1d_allocation_is_the_loop_on_exact_ties(n, n_x):
     for seed in range(6):
         inst = tie_heavy(seed, n, n_x)
         assert solve_full_1d(inst).x_idx == full1d_allocation_loop(inst)
+
+
+def exact_monotone_values(inst) -> dict:
+    """Every nondecreasing allocation's full-IC value in exact rationals:
+    type 0's participation and every local downward constraint bind."""
+    u, v = inst.u.tolist(), inst.v.tolist()
+    mu = [Fraction(m) for m in inst.mu.tolist()]
+    values = {}
+    for x in combinations_with_replacement(range(inst.n_alloc), inst.n):
+        t = [Fraction(u[x[0]][0])]
+        for j in range(1, inst.n):
+            t.append(t[-1] + Fraction(u[x[j]][j]) - Fraction(u[x[j - 1]][j]))
+        values[x] = sum(m * (Fraction(v[c][j]) + tj)
+                        for j, (m, c, tj) in enumerate(zip(mu, x, t)))
+    return values
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n_x", [1, 2, 3, 4])
+def test_full1d_allocation_is_the_smallest_exact_optimum(n, n_x):
+    # a brute force over every monotone allocation, on tables whose sums are
+    # exact: the optimum value, and the lexicographically smallest optimum
+    for seed in range(6):
+        inst = tie_heavy(seed, n, n_x)
+        values = exact_monotone_values(inst)
+        best = max(values.values())
+        res = solve_full_1d(inst)
+        assert res.value == best
+        assert res.x_idx == min(x for x, value in values.items() if value == best)
+
+
+@pytest.mark.parametrize("n, n_x", [(1, 1), (1, 2), (1, 6), (2, 1), (64, 1), (256, 1)])
+def test_full1d_edge_lines_are_the_loop(n, n_x):
+    # one type, or one allocation: no step, or no threshold but the first
+    for seed in range(4):
+        inst = random_onedim_instance(seed, n=n, n_x=n_x, stream=n,
+                                      surplus_single_crossing=True)
+        res = solve_full_1d(inst)
+        assert res.x_idx == full1d_allocation_loop(inst)
+        assert bits(res.value) == bits(onedim_value_loop(inst, res.x_idx, res.t))
+        if n_x == 1:
+            assert res.x_idx == (0,) * n
 
 
 @pytest.mark.parametrize("n", [3, 64, 256])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -461,6 +463,28 @@ def test_index_fields_take_python_and_numpy_integers(field, good):
     build, held = INDEX_FIELDS[field]
     index = held(build(good))
     assert index == 1 and type(index) is int
+
+
+@pytest.mark.parametrize("support, message", [
+    (((0, 0), (1, 0.5)), "support must be an integer index, got 0.5"),
+    (((0, 0), (1, True)), "support must be an integer index, got True"),
+    (((0, 0, 5), (1, 1)), r"support point \(0, 0, 5\) is not a pair"),
+    (((0, 0), 7), "support point 7 is not a pair"),
+])
+def test_support_points_are_named_as_the_json_reader_names_them(support, message):
+    # one rule reads every support point, in the constructor; a file's
+    # support goes through it too and reads the same
+    with pytest.raises(StructuralError, match=f"^malformed field 'support': {message}$"):
+        JointDistribution(support, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("pair", [(3, 0), (0, 2), (-1, 0), (0, -1)])
+def test_support_pairs_out_of_range_are_named(pair):
+    inst = example2_instance()
+    dist = JointDistribution(((0, 0), pair), (0.5, 0.5))
+    with pytest.raises(StructuralError,
+                       match=f"^support pair {re.escape(str(pair))} out of range$"):
+        ScreeningInstance(inst.productive, inst.costly, dist)
 
 
 # ---------------------------------------------------------------------------
