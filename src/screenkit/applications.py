@@ -7,7 +7,7 @@ answers are known or checkable by an independent route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from math import comb
 from typing import Optional
 
@@ -18,7 +18,7 @@ from .errors import (AssumptionFailed, OutOfRange, RatioMonotonicityFailed,
 from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, CostlySpec,
                     JointDistribution, ProductiveSpec, ScreeningInstance,
                     _as_index, _as_real, _grid, _table, _weights,
-                    float_table, frozen_array)
+                    float_table)
 from .solver import DEFAULT_GUARD, SolveResult, solve_full_1d
 from .stochastics import _adjacent_couplings, _level_table
 from .transfers import OneDimInstance
@@ -48,7 +48,7 @@ class BundleInstance:
     cost_samples: np.ndarray  # C on quality_grid
 
     def __post_init__(self):
-        values = np.atleast_2d(frozen_array(self.values))
+        values = np.atleast_2d(float_table(self.values, "values"))
         if not np.isfinite(values).all():
             raise StructuralError("values contains non-finite entries")
         n_goods = _as_index(self.n_goods, "n_goods")
@@ -145,19 +145,15 @@ def _check_ratio_monotonicity(b: BundleInstance, grand: tuple) -> None:
 _INSTRUMENT_GUARD = 10 ** 6
 
 
-def _reduced_types(b: BundleInstance, guard: int):
+def _reduced_types(b: BundleInstance):
     """`_group_types` of each type's value differences to the grand bundle,
-    after the reduction's checks in order: positive grand values, ratio
-    monotonicity, then the instrument guard."""
+    after the reduction's checks in order: positive grand values, then
+    ratio monotonicity."""
     vstar = b.grand_values
     if (vstar <= 0).any():
         raise StructuralError("grand-bundle values must be positive")
     grand = np.unique(vstar, return_inverse=True)
     _check_ratio_monotonicity(b, grand)
-    n_sub, g = b.grand, b.quality_grid.size  # proper bundles, empty included
-    if g ** n_sub > guard:
-        raise SizeGuardExceeded("instrument enumeration too large",
-                                g ** n_sub, guard)
     return _group_types(b, b.values[:, :b.grand] - vstar[:, None], grand)
 
 
@@ -168,17 +164,20 @@ def _quality_tables(b: BundleInstance, levels: np.ndarray) -> tuple:
             np.tile(-b.cost_samples[:, None], (1, levels.size)))
 
 
-def bundling_reduce(b: BundleInstance,
-                    guard: int = _INSTRUMENT_GUARD) -> ScreeningInstance:
+def bundling_reduce(b: BundleInstance) -> ScreeningInstance:
     """Recast bundling as screening with the grand bundle as the product.
 
     The scalar type is the grand-bundle value; assigning a proper bundle
     instead of the grand one becomes an instrument whose utility weight is
     the (nonpositive) value difference. Ratios must rise stochastically with
-    the grand value or the recast problem loses its ordering.
+    the grand value or the recast problem loses its ordering. The candidate
+    instrument vectors it enumerates are capped by `_INSTRUMENT_GUARD`.
     """
-    levels, theta_b, cell_level, cell_point, mass = _reduced_types(b, guard)
+    levels, theta_b, cell_level, cell_point, mass = _reduced_types(b)
     n_sub, grid = b.grand, b.quality_grid
+    if grid.size ** n_sub > _INSTRUMENT_GUARD:
+        raise SizeGuardExceeded("instrument enumeration too large",
+                                grid.size ** n_sub, _INSTRUMENT_GUARD)
     # vectors over the grid summing to at most one, in lexicographic order
     # of grid index; the first is the baseline, zero as grid[0] is
     y_vectors = grid[np.indices((grid.size,) * n_sub).reshape(n_sub, -1).T]
@@ -203,11 +202,11 @@ class BundlingSolution:
 def _quality_line(b: BundleInstance) -> OneDimInstance:
     """`productive_marginal(bundling_reduce(b))`, built directly.
 
-    The reduction's checks run in the same order, but no instrument vector
-    and no screening instance is built. The level masses are summed over
-    the reduction's support cells in their order, as the marginal sums them.
+    The reduction's type checks run in the same order, but no instrument
+    vector, so no instrument guard, and no screening instance. The level
+    masses are summed over the reduction's support cells in their order.
     """
-    levels, _, cell_level, _, mass = _reduced_types(b, _INSTRUMENT_GUARD)
+    levels, _, cell_level, _, mass = _reduced_types(b)
     return OneDimInstance(levels, np.bincount(cell_level, weights=mass),
                           b.quality_grid, *_quality_tables(b, levels))
 
@@ -440,7 +439,7 @@ def _regulation_instance(params: dict) -> ScreeningInstance:
         m = min(theta_a.size, theta_b.shape[0])
         support = tuple((k, k) for k in range(m))
         prob = tuple(1.0 / m for _ in range(m))
-    dist = JointDistribution(support, float_table(prob, "prob"))
+    dist = JointDistribution(support, prob)
     return ScreeningInstance(
         ProductiveSpec(theta_a, x_grid, u_a, v_a),
         CostlySpec(theta_b, y_set, 0, u_b, v_b), dist)
@@ -478,13 +477,11 @@ def _labor_instance(params: dict) -> ScreeningInstance:
     prob = params.get("prob")
     if support is None:
         n_a, n_b = theta_0.size, theta_b.shape[0]
-        prob_a = _weights(float_table(params.get("prob_a", np.full(n_a, 1.0 / n_a)),
-                                      "prob_a"), n_a, "prob_a")
-        prob_b = _weights(float_table(params.get("prob_b", np.full(n_b, 1.0 / n_b)),
-                                      "prob_b"), n_b, "prob_b")
+        prob_a = _weights(params.get("prob_a", np.full(n_a, 1.0 / n_a)), n_a, "prob_a")
+        prob_b = _weights(params.get("prob_b", np.full(n_b, 1.0 / n_b)), n_b, "prob_b")
         support = tuple((ia, ib) for ia in range(n_a) for ib in range(n_b))
         prob = np.outer(prob_a, prob_b).ravel()
-    dist = JointDistribution(support, float_table(prob, "prob"))
+    dist = JointDistribution(support, prob)
     return ScreeningInstance(
         ProductiveSpec(theta_0, x_grid, u_a, v_a),
         CostlySpec(theta_b, np.arange(y_vectors.shape[0], dtype=float),
@@ -553,6 +550,8 @@ class CompetitiveParams:
     b_h: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _as_real(getattr(self, f.name), f.name))
         if not np.isfinite(astuple(self)).all():
             raise StructuralError("competitive parameters must be finite")
         if not self.theta_h > self.theta_l >= 0:

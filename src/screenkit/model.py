@@ -40,19 +40,6 @@ _ROUND_TOL = 1e-12
 OUTSIDE = -1
 
 
-def frozen_array(values, dtype=float) -> np.ndarray:
-    """Read-only array of `values` that no caller can write through.
-
-    A fresh conversion is frozen in place and a read-only array is shared;
-    only an array that would alias a writable caller array is copied.
-    """
-    arr = np.asarray(values, dtype=dtype)
-    if arr.flags.writeable and (arr is values or arr.base is not None):
-        arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 def _as_index(value, name: str) -> int:
     """`value` as an int index: a Python or numpy integer. A bool, float,
     str or anything else raises StructuralError rather than truncate."""
@@ -77,25 +64,32 @@ def float_table(value, name: str = "") -> np.ndarray:
     """Numbers, nested to any rectangular shape, as a read-only float array.
 
     The number rule of `_as_real` for tables: a string, null or boolean
-    entry raises StructuralError, led by `name` if one is given. Numpy's own
-    type discovery flags strings, nulls and booleans alone; a boolean among
-    numbers reads as 0 or 1, so only the entries that read so are looked up
-    in `value`. The array is read-only, so the containers share it rather
-    than copy it.
+    entry, or a ragged nesting, raises StructuralError, led by `name` if one
+    is given. Numpy's own type discovery flags strings, nulls and booleans
+    alone; a boolean among numbers reads as 0 or 1, so only the entries
+    that read so are looked up in a nested `value` (an array holds none).
+    A read-only array is shared and a fresh one frozen; only one that would
+    alias a writable caller array is copied.
     """
-    arr = np.asarray(value)
+    lead = f"{name}: " if name else ""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # a ragged nesting
+        raise StructuralError(f"{lead}{exc}") from None
     kind = arr.dtype.kind
     if kind == "O":  # integers beyond 64 bits, or not numbers
         arr = np.array([_as_real(v, name) for v in arr.flat]).reshape(arr.shape)
     elif kind not in "iuf":
-        lead = f"{name}: " if name else ""
         raise StructuralError(f"{lead}expected numbers only")
-    arr = arr.astype(float, copy=False)
-    if arr.ndim:  # a lone boolean has a dtype of its own
-        # only 0 and 1 equal their own truth values
+    elif arr.ndim and not isinstance(value, np.ndarray):
+        # a lone boolean has a dtype of its own, and only 0 and 1 equal
+        # their own truth values
         hits = (arr == arr.astype(bool)).nonzero()
         for index in zip(*[axis.tolist() for axis in hits]):
             _as_real(reduce(getitem, index, value), name)
+    arr = arr.astype(float, copy=False)
+    if arr.flags.writeable and (arr is value or arr.base is not None):
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -106,7 +100,7 @@ def float_table(value, name: str = "") -> np.ndarray:
 
 def _grid(values, name: str) -> np.ndarray:
     """`values` as a nonempty, strictly increasing 1-D array."""
-    arr = frozen_array(values)
+    arr = float_table(values, name)
     if arr.ndim != 1 or arr.size == 0:
         raise StructuralError(f"{name} must be a nonempty 1-D array")
     if not (arr[1:] > arr[:-1]).all():
@@ -116,7 +110,7 @@ def _grid(values, name: str) -> np.ndarray:
 
 def _table(values, shape: tuple, name: str) -> np.ndarray:
     """`values` as an array of the given shape with finite entries."""
-    arr = frozen_array(values)
+    arr = float_table(values, name)
     if arr.shape != shape:
         raise StructuralError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -126,7 +120,7 @@ def _table(values, shape: tuple, name: str) -> np.ndarray:
 
 def _weights(values, n: int, name: str, tol: float = PROB_TOL) -> np.ndarray:
     """`values` as n positive weights summing to one within `tol`."""
-    arr = frozen_array(values)
+    arr = float_table(values, name)
     if arr.shape != (n,):
         raise StructuralError(f"{name} must hold {n} weights, got shape {arr.shape}")
     if not (arr > 0).all():
@@ -138,7 +132,7 @@ def _weights(values, n: int, name: str, tol: float = PROB_TOL) -> np.ndarray:
 
 def _distinct_rows(points, name: str) -> np.ndarray:
     """`points` as a nonempty (k, N) array of distinct finite rows; 1-D is N = 1."""
-    arr = frozen_array(points)
+    arr = float_table(points, name)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.size == 0:
@@ -192,7 +186,7 @@ class CostlySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_b", _distinct_rows(self.theta_b, "theta_b"))
-        object.__setattr__(self, "y_set", frozen_array(self.y_set))
+        object.__setattr__(self, "y_set", float_table(self.y_set, "y_set"))
         object.__setattr__(self, "y0_index", _as_index(self.y0_index, "y0_index"))
         if self.y_set.ndim != 1 or self.y_set.size == 0:
             raise StructuralError("y_set must be a nonempty 1-D array")
@@ -298,7 +292,7 @@ class Mechanism:
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(_as_index(i, "x") for i in self.x))
         object.__setattr__(self, "y", tuple(_as_index(i, "y") for i in self.y))
-        object.__setattr__(self, "t", tuple(float(v) for v in self.t))
+        object.__setattr__(self, "t", tuple(_as_real(v, "t") for v in self.t))
         if not (len(self.x) == len(self.y) == len(self.t)):
             raise StructuralError("mechanism columns must have equal length")
 
@@ -317,7 +311,7 @@ class Menu:
 
     def __post_init__(self):
         opts = tuple((_as_index(ix, "option x"), _as_index(iy, "option y"),
-                      float(t)) for ix, iy, t in self.options)
+                      _as_real(t, "option t")) for ix, iy, t in self.options)
         object.__setattr__(self, "options", opts)
         if len(set(opts)) != len(opts):
             raise StructuralError("menu options must be distinct")

@@ -280,8 +280,14 @@ def _chain(inst: ScreeningInstance, levels: LevelCouplings):
     return lv, mu[lv[:, None], ib[:, None], ib[None, :]] * (lv[None, :] == lv[:, None] + 1)
 
 
+def _rents(weight: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """sum_q weight[p, q] (U_q - U_p) per support point p and option: the
+    rent term of q's IC against p's option, weighted by weight[p, q]."""
+    return weight @ U - weight.sum(axis=1)[:, None] * U
+
+
 def _path_rent_bound(inst: ScreeningInstance, levels: LevelCouplings,
-                     U: np.ndarray, VG: np.ndarray):
+                     chain: tuple, U: np.ndarray, VG: np.ndarray):
     """The path-rent bound: (g, lift) with value <= sum_p g[p, a_p] + lift.
 
     Holds for every assignment a and its maximal IC and IR transfers. For
@@ -298,36 +304,26 @@ def _path_rent_bound(inst: ScreeningInstance, levels: LevelCouplings,
     plus what it receives; couplings read off the integer max-flow miss
     their marginals by up to MASS_TOL, and `lift` prices that shortfall at
     the largest rent any point can get, (m - 1) times the largest gain of
-    one point over another from the same option.
+    one point over another from the same option. `chain` is `_chain`'s.
     """
     prob = np.asarray(inst.dist.prob)
-    lv, c = _chain(inst, levels)
+    lv, c = chain
     above = np.append(np.cumsum(levels.a_probs[::-1])[::-1][1:], 0.0)
     # weight[p, q]: multiplier of q's IC against p's option, q one level up
     weight = above[lv][:, None] * c
-    inflow = weight.sum(axis=1)
-    g = prob[:, None] * (U + VG) - (weight @ U - inflow[:, None] * U)
-    shortfall = np.maximum(weight.sum(axis=0) - inflow - prob, 0.0).sum()
+    g = prob[:, None] * (U + VG) - _rents(weight, U)
+    shortfall = np.maximum(weight.sum(axis=0) - weight.sum(axis=1) - prob, 0.0).sum()
     return g, shortfall * (len(prob) - 1) * float(np.ptp(U, axis=0).max())
 
 
-def _ironing_terms(inst: ScreeningInstance, levels: LevelCouplings,
-                   U: np.ndarray):
-    """The upward-IC terms of the path-rent bound: (lv, down, up).
-
-    With c from `_chain`, down[p] = sum_q c(p, q) (U_q - U_p) and
-    up[q] = sum_p c(p, q) (U_q - U_p), over every option. For the level
-    pair j and any mu_j >= 0, adding -mu_j down to the rows of g at level j
-    (lv == j) and mu_j up to those at level j + 1 keeps the bound of
-    `_path_rent_bound`: it weights q's IC against p's option and p's IC
-    against q's option both by mu_j c(p, q), so the rents cancel and the
-    pair adds mu_j c (U_q(a_q) - U_p(a_q) - U_q(a_p) + U_p(a_p)), at least
-    0 by the two constraints. Every point's net outflow stays as it was, so
-    `lift` needs no change.
-    """
-    lv, c = _chain(inst, levels)
-    return (lv, c @ U - c.sum(axis=1)[:, None] * U,
-            c.sum(axis=0)[:, None] * U - c.T @ U)
+def _pair_direction(U: np.ndarray, chain: tuple, j: int) -> tuple:
+    """(rows, h): the support points at levels j and j + 1, and what a unit
+    upward multiplier on the pair adds to their g, minus the rent term of
+    the symmetric weight: `chain`'s c on the level-j rows plus its transpose."""
+    lv, c = chain
+    rows = np.flatnonzero((lv == j) | (lv == j + 1))
+    pair = np.where((lv == j)[:, None], c, 0.0)
+    return rows, -_rents(pair + pair.T, U)[rows]
 
 
 def _line_min(G: np.ndarray, h: np.ndarray) -> float:
@@ -362,20 +358,30 @@ def _line_min(G: np.ndarray, h: np.ndarray) -> float:
     return float(lo if at_min[-1] == mus.size - 1 else 0.5 * (lo + hi))
 
 
-def _iron(g: np.ndarray, terms, pairs: list, target: float) -> np.ndarray:
+def _iron(g: np.ndarray, U: np.ndarray, chain: tuple, pairs: list,
+          target: float) -> np.ndarray:
     """Lower the root bound sum_p max_a g[p, a] toward `target` by upward
-    multipliers on the level `pairs`, `terms` being `_ironing_terms`: one
-    exact line search per pair in turn, until the bound reaches the target
-    or a whole pass lowers it by no more than FEAS_TOL."""
-    lv, down, up = terms
+    multipliers on the level `pairs`: one exact line search per pair in
+    turn, until the bound reaches the target or a whole pass lowers it by
+    no more than FEAS_TOL.
+
+    A multiplier mu_j >= 0 on level pair j adds mu_j times
+    `_pair_direction(U, chain, j)` to the rows of g at levels j and j + 1
+    and keeps the bound of `_path_rent_bound`: with c from `chain`, it
+    weights q's IC against p's option and p's IC against q's option both by
+    mu_j c(p, q), so the rents cancel and the pair adds
+    mu_j c (U_q(a_q) - U_p(a_q) - U_q(a_p) + U_p(a_p)), at least 0 by the
+    two constraints. Every point's net outflow stays as it was, so `lift`
+    needs no change.
+    """
+    steps = {j: _pair_direction(U, chain, j) for j in pairs}
     g = g.copy()
     mu = dict.fromkeys(pairs, 0.0)
     root = g.max(axis=1).sum()
     while root > target:
         start = root
         for j in pairs:
-            rows = np.flatnonzero((lv == j) | (lv == j + 1))
-            h = np.where((lv[rows] == j)[:, None], -down[rows], up[rows])
+            rows, h = steps[j]
             base = g[rows] - mu[j] * h
             mu[j] = _line_min(base, h)
             g[rows] = base + mu[j] * h
@@ -413,7 +419,7 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     instrument at baseline. Where the root misses that row by more than
     FEAS_TOL, the bound is ironed: each level pair the full1d allocation
     pools gets an upward multiplier mu_j >= 0 along the same coupling
-    (`_ironing_terms`; Myerson 1981, Rochet 1987), chosen by exact line
+    (`_iron`; Myerson 1981, Rochet 1987), chosen by exact line
     search over the breakpoints of the convex root bound until it meets the
     row. Any mu >= 0 keeps the bound sound. Only when the row still misses
     does the seed enumerate the baseline-only menus that give every support
@@ -457,8 +463,8 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
             pass  # off the assumptions; the monotone seed stands in
     prob, m = np.asarray(dist.prob), inst.n_support
     opt_x, opt_y, U, VG = _option_tables(inst)
-    g, lift = _path_rent_bound(inst, levels, U, VG)
-    level_of = np.searchsorted(levels.a_indices, [a for a, _ in dist.support])
+    chain = level_of, _ = _chain(inst, levels)
+    g, lift = _path_rent_bound(inst, levels, chain, U, VG)
     certificate = {"method": "branch_and_bound",
                    "enumerated": opt_x.size ** m}
 
@@ -471,8 +477,7 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
         best, n_evaluated = float(values[0]), 1
         pooled = [j for j in range(len(x) - 1) if x[j] == x[j + 1]]
         if pooled and g.max(axis=1).sum() + lift > best + FEAS_TOL:
-            g = _iron(g, _ironing_terms(inst, levels, U), pooled,
-                      best + FEAS_TOL - lift)
+            g = _iron(g, U, chain, pooled, best + FEAS_TOL - lift)
     root = float(g.max(axis=1).sum()) + lift
     n_seed = 0
     if best < root - FEAS_TOL:
@@ -496,8 +501,7 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
         raise SizeGuardExceeded("joint search too large", n_seed + n_kept, guard)
     certificate["kept"] = n_kept
     if n_kept == 1 and full1d is not None and [k[0] for k in kept] == lifted.tolist():
-        mech = Mechanism(tuple(opt_x[lifted]), tuple(opt_y[lifted]),
-                         tuple(float(t) for t in D[0]))
+        mech = Mechanism(opt_x[lifted], opt_y[lifted], D[0])
         return JointSolveResult(best, mech, True, True, {
             **certificate, "evaluated": n_evaluated, "nodes": 0, "optima": 1,
             "root_certified": bool(root <= best + FEAS_TOL)})
@@ -555,8 +559,7 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
         raise StructuralError("joint search found no feasible assignment")
     optimal = np.concatenate(cand_vals) >= best_val - FEAS_TOL
     baseline_mask = np.concatenate(cand_base)[optimal]
-    mech = Mechanism(tuple(opt_x[best_alloc]), tuple(opt_y[best_alloc]),
-                     tuple(float(t) for t in best_t))
+    mech = Mechanism(opt_x[best_alloc], opt_y[best_alloc], best_t)
     return JointSolveResult(
         best_val, mech, bool(baseline_mask.any()), bool(baseline_mask.all()),
         {**certificate, "evaluated": n_evaluated, "nodes": n_nodes,

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import NotDominated, NotMonotone, StructuralError
 from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, CostlySpec,
                     JointDistribution, ProductiveSpec, ScreeningInstance,
-                    _as_index, _distinct_rows, _weights, frozen_array)
+                    _as_index, _as_real, _distinct_rows, _weights,
+                    float_table)
 
 # Probabilities are scaled by this before max-flow; one unit is 1e-12 mass.
 _FLOW_SCALE = 10 ** 12
@@ -60,7 +61,7 @@ class Coupling:
     mass: np.ndarray  # (len(p), len(q))
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", frozen_array(self.mass))
+        object.__setattr__(self, "mass", float_table(self.mass, "mass"))
 
     def marginal_error(self) -> float:
         row = np.abs(self.mass.sum(axis=1) - self.p.prob).max()
@@ -76,6 +77,7 @@ class TypePath:
     b_indices: tuple  # theta_b index per scalar-type level
 
     def __post_init__(self):
+        object.__setattr__(self, "weight", _as_real(self.weight, "weight"))
         object.__setattr__(self, "b_indices", tuple(
             _as_index(i, "b_indices") for i in self.b_indices))
 
@@ -89,7 +91,7 @@ class PathMixture:
     paths: tuple         # TypePath entries
 
     def __post_init__(self):
-        object.__setattr__(self, "a_probs", frozen_array(self.a_probs))
+        object.__setattr__(self, "a_probs", float_table(self.a_probs, "a_probs"))
         object.__setattr__(self, "a_indices", tuple(
             _as_index(i, "a_indices") for i in self.a_indices))
         object.__setattr__(self, "paths", tuple(self.paths))
@@ -121,8 +123,9 @@ def _admissible(p_pts: np.ndarray, q_pts: np.ndarray) -> np.ndarray:
     return np.all(p_pts[:, None, :] <= q_pts[None, :, :], axis=2)
 
 
-def _flow_between(p: DiscreteDistribution, q: DiscreteDistribution):
-    """Max flow through the admissibility graph, integer units.
+def _flow_between(p_points, p_prob, q_points, q_prob):
+    """Max flow through the admissibility graph, integer units, from the law
+    p (weights `p_prob` on the rows of `p_points`) into the law q.
 
     Returns the value and the int64 table of the units p point i sends to q
     point j. When either law is a point mass the max flow is unique: the
@@ -130,24 +133,24 @@ def _flow_between(p: DiscreteDistribution, q: DiscreteDistribution):
     carries the integer weight of its point on the other side, and no
     augmenting path is searched. Otherwise `_augmenting_flow` decides.
     """
-    if len(p) > 1 and len(q) > 1:
-        return _augmenting_flow(p, q)
-    adm = _admissible(p.points, q.points)
-    if len(p) == 1:
-        units = adm * np.array(_integer_weights(q.prob), dtype=np.int64)
+    if len(p_prob) > 1 and len(q_prob) > 1:
+        return _augmenting_flow(p_points, p_prob, q_points, q_prob)
+    adm = _admissible(p_points, q_points)
+    if len(p_prob) == 1:
+        units = adm * np.array(_integer_weights(q_prob), dtype=np.int64)
     else:
-        units = adm * np.array(_integer_weights(p.prob), dtype=np.int64)[:, None]
+        units = adm * np.array(_integer_weights(p_prob), dtype=np.int64)[:, None]
     return int(units.sum()), units
 
 
-def _augmenting_flow(p: DiscreteDistribution, q: DiscreteDistribution):
+def _augmenting_flow(p_points, p_prob, q_points, q_prob):
     """`_flow_between` by Edmonds-Karp on a dense residual table over source,
     p points, q points and sink."""
-    k, n = len(p), len(p) + len(q) + 2
+    k, n = len(p_prob), len(p_prob) + len(q_prob) + 2
     cap = np.zeros((n, n), dtype=np.int64)
-    cap[0, 1:k + 1] = _integer_weights(p.prob)
-    cap[k + 1:-1, -1] = _integer_weights(q.prob)
-    cap[1:k + 1, k + 1:-1] = _FLOW_SCALE * _admissible(p.points, q.points)
+    cap[0, 1:k + 1] = _integer_weights(p_prob)
+    cap[k + 1:-1, -1] = _integer_weights(q_prob)
+    cap[1:k + 1, k + 1:-1] = _FLOW_SCALE * _admissible(p_points, q_points)
     cap = cap.tolist()
     while True:
         prev, queue = {0: 0}, [0]
@@ -198,7 +201,7 @@ def check_dominance(p: DiscreteDistribution, q: DiscreteDistribution) -> bool:
         laws[0, :len(p)], laws[1, len(p):] = p.prob, q.prob
         values = np.concatenate([p.points[:, 0], q.points[:, 0]])
         return not _unordered_rows(_row_cdfs(laws, values)).size
-    value, _ = _flow_between(p, q)
+    value, _ = _flow_between(p.points, p.prob, q.points, q.prob)
     return _FLOW_SCALE - value <= _FLOW_SLACK
 
 
@@ -210,7 +213,7 @@ def strassen_coupling(p: DiscreteDistribution, q: DiscreteDistribution) -> Coupl
     """
     if p.dim != q.dim:
         raise StructuralError("distributions must share a dimension")
-    value, units = _flow_between(p, q)
+    value, units = _flow_between(p.points, p.prob, q.points, q.prob)
     if _FLOW_SCALE - value > _FLOW_SLACK:
         raise NotDominated("no monotone coupling: distributions are not ordered")
     mass = units / _FLOW_SCALE
@@ -307,9 +310,9 @@ def _adjacent_couplings(cond: np.ndarray, theta: np.ndarray) -> tuple:
     `first_unordered` is the first k whose rows are not stochastically
     ordered, or None. Scalar points take the common-quantile coupling of the
     row CDFs and run no flow. Higher dimensions run one max-flow per pair
-    (`strassen_coupling`); a pair with no monotone coupling gets the product
-    coupling instead, as the rent bound holds for any coupling. Adjacent
-    pairs decide monotonicity since the order is transitive.
+    on the rows' support arrays, and a pair it leaves short by more than
+    `_FLOW_SLACK` gets the product coupling, as the rent bound holds for
+    any coupling. Adjacent pairs decide monotonicity since the order is transitive.
     """
     if theta.shape[1] == 1:
         cdf = _row_cdfs(cond, theta[:, 0])
@@ -317,18 +320,14 @@ def _adjacent_couplings(cond: np.ndarray, theta: np.ndarray) -> tuple:
         couplings = _quantile_couplings(cdf, np.argsort(theta[:, 0], kind="stable"))
     else:
         on = [np.flatnonzero(row) for row in cond]
-        dists = []
-        for cols, row in zip(on, cond):
-            points, prob = theta[cols], row[cols]
-            for fresh in (points, prob):
-                fresh.setflags(write=False)  # shared by the law, not copied
-            dists.append(DiscreteDistribution(points, prob))
         bad, couplings = [], []
-        for k in range(len(dists) - 1):
-            try:
-                block = strassen_coupling(dists[k], dists[k + 1]).mass
-            except NotDominated:
-                block = np.outer(dists[k].prob, dists[k + 1].prob)
+        for k in range(len(cond) - 1):
+            lo, hi = cond[k, on[k]], cond[k + 1, on[k + 1]]
+            value, units = _flow_between(theta[on[k]], lo, theta[on[k + 1]], hi)
+            if _FLOW_SCALE - value <= _FLOW_SLACK:
+                block = units / _FLOW_SCALE
+            else:
+                block = np.outer(lo, hi)
                 bad.append(k)
             mass = np.zeros((theta.shape[0],) * 2)
             mass[np.ix_(on[k], on[k + 1])] = block
@@ -372,7 +371,7 @@ def _peeled_paths(levels: LevelCouplings):
     # chain the couplings in integer flow units level to level, then peel
     # bottleneck paths
     if not levels.couplings:
-        return [TypePath(float(levels.cond[0, ib]), (ib,))
+        return [TypePath(levels.cond[0, ib], (ib,))
                 for ib in np.flatnonzero(levels.cond[0]).tolist()]
     edge_units = [np.rint(mass * _FLOW_SCALE).astype(np.int64)
                   for mass in levels.couplings]
@@ -411,8 +410,7 @@ def path_decomposition(inst: ScreeningInstance) -> PathMixture:
     levels = level_couplings(inst)
     if levels.first_unordered is not None:
         raise _not_monotone(inst, levels.a_indices, levels.first_unordered)
-    mixture = PathMixture(levels.a_indices, levels.a_probs,
-                          tuple(_peeled_paths(levels)))
+    mixture = PathMixture(levels.a_indices, levels.a_probs, _peeled_paths(levels))
     _assert_reproduces(inst, mixture)
     return mixture
 
@@ -448,6 +446,10 @@ class GeneratorKnobs:
     dim: int = 1
     strict_costly: bool = True
     max_paths: int = 2
+
+    def __post_init__(self):
+        for name in ("n_a", "n_b", "n_x", "n_y", "dim", "max_paths"):
+            object.__setattr__(self, name, _as_index(getattr(self, name), name))
 
 
 def instance_rng(seed: int, stream: int = 0) -> np.random.Generator:

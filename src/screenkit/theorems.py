@@ -18,9 +18,9 @@ from .errors import (InputNotIC, OutOfRange, PreconditionFailed,
                      StructuralError)
 from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, VALUE_TOL, CostlySpec,
                     JointDistribution, Mechanism, Menu, ProductiveSpec,
-                    ScreeningInstance, ValidationReport, _as_index, _grid,
-                    _table, _weights, best_response, check_ic, check_ir,
-                    frozen_array, ic_gains, ir_shortfalls, mechanism_value,
+                    ScreeningInstance, ValidationReport, _as_index, _as_real,
+                    _grid, _table, _weights, best_response, check_ic, check_ir,
+                    float_table, ic_gains, ir_shortfalls, mechanism_value,
                     payoff_tables, validate_instance)
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_full_1d,
                      solve_joint)
@@ -151,8 +151,7 @@ def shift_mechanism(inst: ScreeningInstance, path: TypePath,
                          f"{(ic + ir)[0]}")
     u_b = inst.costly.u_b
     y0 = inst.costly.y0_index
-    t_new = tuple(float(mech.t[k]) - float(u_b[mech.y[k], line.dist.support[k][1]])
-                  for k in range(n))
+    t_new = [t - u_b[y, b] for t, y, (_, b) in zip(mech.t, mech.y, line.dist.support)]
     shifted = Mechanism(mech.x, (y0,) * n, t_new)
 
     before, after = (np.diagonal(line.payoffs(m.x, m.y, m.t)[0])
@@ -209,9 +208,9 @@ class MultiplicativeInstance:
 
     def __post_init__(self):
         ta = _grid(self.theta_a, "theta_a")
-        tb = np.atleast_2d(frozen_array(self.theta_b))
+        tb = np.atleast_2d(float_table(self.theta_b, "theta_b"))
         tb = _table(tb, (ta.size, tb.shape[1]), "theta_b")  # a row per type
-        c = np.atleast_2d(frozen_array(self.c))
+        c = np.atleast_2d(float_table(self.c, "c"))
         c = _table(c, (c.shape[0], tb.shape[1]), "c")  # a row per instrument
         y0 = _as_index(self.y0_index, "y0_index")
         if ta[0] <= 0:
@@ -258,7 +257,9 @@ class MultiplicativeMechanism:
     t: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "x", tuple(_as_real(v, "x") for v in self.x))
         object.__setattr__(self, "y", tuple(_as_index(i, "y") for i in self.y))
+        object.__setattr__(self, "t", tuple(_as_real(v, "t") for v in self.t))
 
 
 def _mult_payoffs(minst: MultiplicativeInstance,
@@ -313,8 +314,7 @@ def shift_multiplicative(minst: MultiplicativeInstance,
             raise OutOfRange(f"shifted utility argument {arg:.3g} below zero "
                              f"at type {k}; IR or t >= 0 must have failed")
         x_new.append(minst.invert_u(max(arg, 0.0), hi=float(mech.x[k])))
-    shifted = MultiplicativeMechanism(tuple(x_new), (minst.y0_index,) * n,
-                                      tuple(float(v) for v in mech.t))
+    shifted = MultiplicativeMechanism(x_new, (minst.y0_index,) * n, mech.t)
 
     x_old, x_new = np.asarray(mech.x, dtype=float), np.asarray(x_new)
     left = np.flatnonzero((x_new < -FEAS_TOL) | (x_new > x_old + FEAS_TOL))

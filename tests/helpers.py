@@ -17,7 +17,7 @@ from screenkit import (FEAS_TOL, OUTSIDE, AssumptionFailed, CompetitiveParams,
 from screenkit.applications import (_agent_values, _cell_tables, _group_types,
                                     _option_cells, _principal_values)
 from screenkit.model import _ROUND_TOL
-from screenkit.solver import (_batch_transfers, _option_tables,
+from screenkit.solver import (_batch_transfers, _chain, _option_tables,
                               _path_rent_bound, _price)
 from screenkit.stochastics import scalar_levels
 from screenkit.theorems import (_check_nonincreasing_coordinate,
@@ -491,7 +491,7 @@ def unfiltered_joint(inst, chunk=1 << 14):
     prob = np.asarray(dist.prob)
     opt_x, opt_y, U, VG = _option_tables(inst)
     surplus = prob[:, None] * (U + VG)
-    g, lift = _path_rent_bound(inst, levels, U, VG)
+    g, lift = _path_rent_bound(inst, levels, _chain(inst, levels), U, VG)
     rest = np.append(np.cumsum(surplus.max(axis=1)[::-1])[::-1], 0.0)
     bound = np.append(np.cumsum(g.max(axis=1)[::-1])[::-1], 0.0) + lift
     level_of = np.searchsorted(levels.a_indices, [a for a, _ in dist.support])

@@ -13,8 +13,8 @@ from screenkit import (FEAS_TOL, CostlySpec, GeneratorKnobs,
                        random_negative_instance, random_positive_instance,
                        solve_full_1d, solve_joint, verify_theorem1)
 from screenkit import solver
-from screenkit.solver import (_batch_transfers, _iron, _line_min,
-                              _ironing_terms, _option_tables,
+from screenkit.solver import (_batch_transfers, _chain, _iron, _line_min,
+                              _option_tables, _pair_direction,
                               _path_rent_bound, _price)
 
 from helpers import THEOREM_KNOBS, unfiltered_joint
@@ -408,7 +408,7 @@ def test_path_rent_bound_caps_every_feasible_assignment(name, coupling):
     if coupling == "product":
         levels = _product_couplings(levels)
     U, VG, allocs, values = _every_assignment(inst)
-    g, lift = _path_rent_bound(inst, levels, U, VG)
+    g, lift = _path_rent_bound(inst, levels, _chain(inst, levels), U, VG)
     bound = g[np.arange(inst.n_support), allocs].sum(axis=1)
     feasible = values > -np.inf
     assert feasible.any()
@@ -426,20 +426,22 @@ def test_ironed_bound_caps_every_feasible_assignment(name, coupling):
     if coupling == "product":
         levels = _product_couplings(levels)
     U, VG, allocs, values = _every_assignment(inst)
-    g, lift = _path_rent_bound(inst, levels, U, VG)
-    lv, down, up = _ironing_terms(inst, levels, U)
+    chain = lv, _ = _chain(inst, levels)
+    g, lift = _path_rent_bound(inst, levels, chain, U, VG)
+    pairs = list(range(lv.max()))
+    steps = [_pair_direction(U, chain, j) for j in pairs]
     feasible = values > -np.inf
     rows = np.arange(inst.n_support)
     rng = np.random.default_rng(SMALL_CASES.index(name))
     for scale in (0.1, 1.0, 100.0):
         mu = scale * rng.exponential(size=lv.max() + 1) * rng.integers(0, 2, lv.max() + 1)
-        below = np.concatenate(([0.0], mu))  # the multiplier of the pair under each level
-        ironed = g - mu[lv][:, None] * down + below[lv][:, None] * up
+        ironed = g.copy()
+        for j, (pair_rows, h) in zip(pairs, steps):
+            ironed[pair_rows] += mu[j] * h
         bound = ironed[rows, allocs].sum(axis=1) + lift
         assert (bound[feasible] >= values[feasible] - FEAS_TOL).all()
     # and so does the search's own choice, aimed at the best feasible value
-    pairs = list(range(lv.max()))
-    ironed = _iron(g, (lv, down, up), pairs, values.max() - lift)
+    ironed = _iron(g, U, chain, pairs, values.max() - lift)
     bound = ironed[rows, allocs].sum(axis=1) + lift
     assert (bound[feasible] >= values[feasible] - FEAS_TOL).all()
 
@@ -452,7 +454,7 @@ def test_lift_covers_couplings_with_wrong_marginals(name):
     levels = level_couplings(inst)
     levels = replace(levels, couplings=tuple(2.0 * c for c in levels.couplings))
     U, VG, allocs, values = _every_assignment(inst)
-    g, lift = _path_rent_bound(inst, levels, U, VG)
+    g, lift = _path_rent_bound(inst, levels, _chain(inst, levels), U, VG)
     bound = g[np.arange(inst.n_support), allocs].sum(axis=1) + lift
     assert lift > 0
     assert (bound >= values - FEAS_TOL).all()
@@ -480,11 +482,12 @@ def _pooled_draws():
         res = solve_joint(inst)
         levels = level_couplings(inst)
         _, _, U, VG = _option_tables(inst)
-        g, lift = _path_rent_bound(inst, levels, U, VG)
+        chain = _chain(inst, levels)
+        g, lift = _path_rent_bound(inst, levels, chain, U, VG)
         if g.max(axis=1).sum() + lift > res.value + FEAS_TOL:
             x = solve_full_1d(productive_marginal(inst, levels)).x_idx
             pooled = [j for j in range(len(x) - 1) if x[j] == x[j + 1]]
-            yield seed, res, g, lift, _ironing_terms(inst, levels, U), pooled
+            yield seed, res, g, lift, U, chain, pooled
 
 
 def test_ironing_certifies_the_pooled_optima():
@@ -529,19 +532,19 @@ def test_ironing_reaches_the_optimum_of_its_family():
     # the root bound is convex in the multipliers; the coordinate line
     # searches stop where a linear program over all of them does
     linprog = pytest.importorskip("scipy.optimize").linprog
-    for seed, res, g, lift, (lv, down, up), pooled in _pooled_draws():
+    for seed, res, g, lift, U, chain, pooled in _pooled_draws():
         m, A = g.shape
         h = np.zeros((len(pooled), m, A))
         for k, j in enumerate(pooled):
-            h[k][lv == j] = -down[lv == j]
-            h[k][lv == j + 1] = up[lv == j + 1]
+            rows, step = _pair_direction(U, chain, j)
+            h[k][rows] = step
         # variables: one cap per point, then the multipliers; g + mu h <= cap
         a_ub = np.hstack((-np.repeat(np.eye(m), A, axis=0),
                           h.reshape(len(pooled), -1).T))
         lp = linprog(np.r_[np.ones(m), np.zeros(len(pooled))], A_ub=a_ub,
                      b_ub=-g.ravel(), bounds=[(None, None)] * m + [(0, None)] * len(pooled))
         assert lp.status == 0
-        root = _iron(g, (lv, down, up), pooled, res.value + FEAS_TOL - lift).max(axis=1).sum()
+        root = _iron(g, U, chain, pooled, res.value + FEAS_TOL - lift).max(axis=1).sum()
         assert root + lift == pytest.approx(max(lp.fun + lift, res.value), abs=1e-9), seed
 
 

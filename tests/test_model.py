@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screenkit import (FEAS_TOL, OUTSIDE, BundleInstance, CostlySpec,
-                       Coupling, DiscreteDistribution, JointDistribution,
-                       Mechanism, Menu, MultiplicativeInstance,
+from screenkit import (FEAS_TOL, OUTSIDE, BundleInstance, CompetitiveParams,
+                       CostlySpec, Coupling, DiscreteDistribution,
+                       GeneratorKnobs, JointDistribution, Mechanism, Menu,
+                       MultiplicativeInstance,
                        MultiplicativeMechanism, OneDimInstance, PathMixture,
                        ProductiveSpec, ScreeningInstance, StructuralError,
                        TypePath, agent_payoff, check_ic, check_ir,
@@ -18,7 +19,6 @@ from screenkit import (FEAS_TOL, OUTSIDE, BundleInstance, CostlySpec,
                        productive_marginal, random_positive_instance,
                        save_instance, validate_instance)
 from screenkit import model
-from screenkit.model import frozen_array
 
 from helpers import (baseline_loop, costly_monotone_loop, costly_sign_loop,
                      increasing_differences_loop, productive_monotone_loop,
@@ -223,15 +223,74 @@ def test_construction_leaves_caller_arrays_writable_and_apart(name):
         assert not getattr(obj, key).flags.writeable, key
 
 
-def test_frozen_array_shares_read_only_arrays_and_freezes_fresh_ones():
+def test_float_table_shares_read_only_arrays_and_freezes_fresh_ones():
     ro = np.array([1.0, 2.0])
     ro.setflags(write=False)
-    assert frozen_array(ro) is ro
-    fresh = frozen_array([1, 2])
+    assert model.float_table(ro) is ro
+    fresh = model.float_table([1, 2])
     assert fresh.dtype == float and not fresh.flags.writeable
     # a writable view aliases its caller's base, so it is copied
     base = np.zeros((2, 2))
-    assert not np.shares_memory(frozen_array(base[0]), base)
+    assert not np.shares_memory(model.float_table(base[0]), base)
+
+
+# ---------------------------------------------------------------------------
+# number fields: numbers only
+# ---------------------------------------------------------------------------
+
+
+def _first_entry_set(table, value):
+    """Nested lists `table` with its first scalar entry set to `value`."""
+    if not isinstance(table, list):
+        return value
+    return [_first_entry_set(table[0], value)] + table[1:]
+
+
+def _table_cases():
+    """(case, field, builder of the container from the field's value, the
+    field's valid nested lists), one per CALLER_ARRAYS field."""
+    for name, (build, arrays) in sorted(CALLER_ARRAYS.items()):
+        for key, table in sorted(arrays.items()):
+            yield (f"{name}.{key}", key,
+                   lambda v, build=build, arrays=arrays, key=key:
+                   build({**arrays, key: v}), table)
+
+
+TABLE_FIELDS = {case: rest for case, *rest in _table_cases()}
+
+#: Each constructor with one scalar number field set to `v`, every other
+#: field valid, and the name its refusal leads with.
+SCALAR_FIELDS = {
+    "Mechanism.t": ("t", lambda v: Mechanism((0, 0), (0, 0), (0.0, v))),
+    "Menu.option_t": ("option t", lambda v: Menu(((0, 0, v),))),
+    "TypePath.weight": ("weight", lambda v: TypePath(v, (0,))),
+    "MultiplicativeMechanism.x": ("x", lambda v: MultiplicativeMechanism(
+        (0.4, v), (0, 0), (0.1, 0.3))),
+    "MultiplicativeMechanism.t": ("t", lambda v: MultiplicativeMechanism(
+        (0.4, 0.8), (0, 0), (0.1, v))),
+    **{f"CompetitiveParams.{name}": (
+        name, lambda v, name=name: CompetitiveParams(**{name: v}))
+       for name in ("theta_l", "theta_h", "a_l", "a_h", "b_l", "b_h")},
+}
+
+
+@pytest.mark.parametrize("bad", ["1", True, None], ids=["str", "bool", "none"])
+@pytest.mark.parametrize("case", sorted(TABLE_FIELDS) + sorted(SCALAR_FIELDS))
+def test_number_fields_refuse_what_is_not_a_number(case, bad):
+    if case in TABLE_FIELDS:
+        name, build, table = TABLE_FIELDS[case]
+        bad = _first_entry_set(table, bad)
+    else:
+        name, build = SCALAR_FIELDS[case]
+    with pytest.raises(StructuralError, match=rf"^{re.escape(name)}\b"):
+        build(bad)
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_FIELDS))
+def test_table_fields_refuse_a_ragged_nesting(case):
+    name, build, table = TABLE_FIELDS[case]
+    with pytest.raises(StructuralError, match=rf"^{re.escape(name)}: "):
+        build(table[:-1] + [[table[-1]]])
 
 
 def test_loaded_instances_share_their_tables_downstream(tmp_path):
@@ -433,6 +492,10 @@ INDEX_FIELDS = {
         [[1.0], [0.0]], i), lambda m: m.y0_index),
     "MultiplicativeMechanism.y": (lambda i: MultiplicativeMechanism(
         (0.4, 0.8), (0, i), (0.1, 0.3)), lambda m: m.y[1]),
+    **{f"GeneratorKnobs.{name}": (
+        lambda i, name=name: GeneratorKnobs(**{name: i}),
+        lambda k, name=name: getattr(k, name))
+       for name in ("n_a", "n_b", "n_x", "n_y", "dim", "max_paths")},
     "converse_construct.coord": (lambda i: converse_construct(
         _two_coordinates(example3_instance()), coord=i),
         lambda art: art.coordinate),
@@ -447,8 +510,9 @@ def _two_coordinates(inst):
         c.u_b, c.v_b), inst.dist)
 
 
-@pytest.mark.parametrize("bad", [True, 1.0, 1.9, np.float64(1.0), "1"],
-                         ids=["bool", "float", "fraction", "numpy_float", "str"])
+@pytest.mark.parametrize("bad", [True, 1.0, 1.9, np.float64(1.0), "1", None],
+                         ids=["bool", "float", "fraction", "numpy_float", "str",
+                              "none"])
 @pytest.mark.parametrize("field", sorted(INDEX_FIELDS))
 def test_index_fields_refuse_what_int_would_truncate(field, bad):
     build, _ = INDEX_FIELDS[field]

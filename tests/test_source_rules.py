@@ -1,7 +1,7 @@
 """Rules on the package source that no behaviour test sees: one home for
 the tolerances, one integer rule for the containers' index fields, one
-number rule for the generators' scalar parameters, and no import left
-unused.
+number rule for their number fields and the generators' scalar
+parameters, and no import left unused.
 
 Parses `src/screenkit` with `ast`; it imports and compiles nothing.
 """
@@ -55,15 +55,33 @@ def _reads_params(node) -> bool:
     return lookup and isinstance(node.value, ast.Name) and node.value.id == "params"
 
 
+def _post_init_calls(name: str) -> list:
+    """Calls of the builtin `name` in every container's __post_init__."""
+    return [f"{module}:{cls.name}:{call.lineno}" for module, tree in _trees()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+            for call in _builtin_calls(fn, name)]
+
+
 def test_post_init_never_truncates_with_int():
     # an index goes through model._as_index, which refuses what int() would
     # cut: no int() at all in a container's __post_init__
-    calls = [f"{module}:{cls.name}:{call.lineno}" for module, tree in _trees()
-             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-             for fn in cls.body
-             if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
-             for call in _builtin_calls(fn, "int")]
-    assert calls == []
+    assert _post_init_calls("int") == []
+
+
+def test_post_init_reads_numbers_through_the_number_rules():
+    # a number goes through model._as_real and a table through
+    # model.float_table, which refuse the bool, str and None that float()
+    # reads as numbers: no float() in a container's __post_init__, and no
+    # second array rule named frozen_array defined, imported or called
+    assert _post_init_calls("float") == []
+    names = [f"{module}:{node.lineno}" for module, tree in _trees()
+             for node in ast.walk(tree)
+             if "frozen_array" in (getattr(node, "name", None),
+                                   getattr(node, "id", None),
+                                   getattr(node, "attr", None))]
+    assert names == []
 
 
 def test_generators_never_truncate_a_parameter_with_int():

@@ -104,6 +104,11 @@ def _law(points, probs):
     return DiscreteDistribution(np.array(points, dtype=float), np.array(probs))
 
 
+def _flow(p, q, flow=stochastics._flow_between):
+    """`flow` from the law p into the law q, called on their arrays."""
+    return flow(p.points, p.prob, q.points, q.prob)
+
+
 # case: (p, q, flow value in integer units)
 FLOW_CASES = {
     "one_point_ordered": (_law([[0, 0]], [1.0]), _law([[1, 0]], [1.0]), SCALE),
@@ -136,7 +141,7 @@ def assert_units_feasible(p, q, value, units):
 @pytest.mark.parametrize("case", sorted(FLOW_CASES))
 def test_flow_edge_cases(case):
     p, q, want = FLOW_CASES[case]
-    value, units = stochastics._flow_between(p, q)
+    value, units = _flow(p, q)
     assert value == want
     assert_units_feasible(p, q, value, units)
     ordered = SCALE - want <= stochastics._FLOW_SLACK
@@ -166,7 +171,7 @@ def test_flow_matches_networkx(seed):
     rng = instance_rng(seed, stream=105)
     p = _random_grid_dist(rng, max_pts=7)
     q = _random_grid_dist(rng, max_pts=7)
-    value, units = stochastics._flow_between(p, q)
+    value, units = _flow(p, q)
     assert_units_feasible(p, q, value, units)
     assert value == networkx_flow_value(p, q)
 
@@ -200,8 +205,8 @@ def test_point_mass_pairs_cover_every_admissibility():
 @pytest.mark.parametrize("index", range(len(POINT_MASS_PAIRS)))
 def test_point_mass_flow_matches_augmenting_paths(index):
     p, q = POINT_MASS_PAIRS[index]
-    value, units = stochastics._flow_between(p, q)
-    want_value, want_units = stochastics._augmenting_flow(p, q)
+    value, units = _flow(p, q)
+    want_value, want_units = _flow(p, q, stochastics._augmenting_flow)
     assert type(value) is int and value == want_value
     assert units.dtype == want_units.dtype and units.shape == want_units.shape
     assert units.tobytes() == want_units.tobytes()
@@ -295,9 +300,9 @@ def test_path_decomposition_runs_one_flow_per_level_pair(seed, monkeypatch):
     calls = []
     flow = stochastics._flow_between
 
-    def counted(p, q):
+    def counted(p_points, p_prob, q_points, q_prob):
         calls.append(1)
-        return flow(p, q)
+        return flow(p_points, p_prob, q_points, q_prob)
 
     monkeypatch.setattr(stochastics, "_flow_between", counted)
     knobs = GeneratorKnobs(n_a=3 + seed, n_b=3, dim=2)
@@ -337,9 +342,9 @@ def test_validation_and_joint_share_one_flow_per_level_pair(dim, command,
     calls = []
     flow = stochastics._flow_between
 
-    def counted(p, q):
+    def counted(p_points, p_prob, q_points, q_prob):
         calls.append(1)
-        return flow(p, q)
+        return flow(p_points, p_prob, q_points, q_prob)
 
     monkeypatch.setattr(stochastics, "_flow_between", counted)
     knobs = GeneratorKnobs(n_a=5, n_b=3, n_x=2, n_y=2, dim=dim, max_paths=1)
@@ -353,23 +358,16 @@ def test_validation_and_joint_share_one_flow_per_level_pair(dim, command,
     assert n_levels > 2
 
 
-def test_level_couplings_share_their_level_laws(monkeypatch):
-    # the dim-2 level laws are built from fresh temporaries, which the
-    # distributions share instead of copying
-    copies = []
-    frozen = stochastics.frozen_array
-
-    def counted(values, *args, **kwargs):
-        out = frozen(values, *args, **kwargs)
-        if isinstance(values, np.ndarray) and not np.shares_memory(out, values):
-            copies.append(values.shape)
-        return out
-
-    monkeypatch.setattr(stochastics, "frozen_array", counted)
+def test_level_couplings_build_no_level_laws(monkeypatch):
+    # the dim-2 flows read each level's points and weights as plain arrays:
+    # no per-level DiscreteDistribution is built and validated
+    built = []
+    monkeypatch.setattr(DiscreteDistribution, "__post_init__",
+                        lambda self: built.append(1))
     knobs = GeneratorKnobs(n_a=4, n_b=3, n_x=2, n_y=2, dim=2, max_paths=3)
     levels = level_couplings(random_positive_instance(2, knobs))
     assert len(levels.couplings) == 3
-    assert copies == []
+    assert built == []
 
 
 @pytest.mark.parametrize("seed", [74, 179])
