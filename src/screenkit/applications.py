@@ -19,7 +19,7 @@ from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, CostlySpec,
                     JointDistribution, ProductiveSpec, ScreeningInstance,
                     _as_index, _as_real, _grid, _table, _weights,
                     float_table)
-from .solver import DEFAULT_GUARD, SolveResult, solve_full_1d
+from .solver import DEFAULT_GUARD, SolveResult, _price, solve_full_1d
 from .stochastics import _adjacent_couplings, _level_table
 from .transfers import OneDimInstance
 
@@ -301,22 +301,6 @@ class BundlingCertificate:
         return self.menu_value >= self.brute_force_value - FEAS_TOL
 
 
-def _pair_values(U: np.ndarray, P: np.ndarray, mu: np.ndarray,
-                 i: int, j: int) -> float:
-    """Two-type relaxation value of option i for type 1 and j for type 2,
-    each transfer capped by participation and by IC against the other's
-    option. `_best_pair` has decided the pair's feasibility."""
-    u1_i, u2_i = U[0, i], U[1, i]
-    u1_j, u2_j = U[0, j], U[1, j]
-    w21 = u1_i - u1_j            # deviation edge: 2's bundle to 1
-    w12 = u2_j - u2_i
-    d1 = np.minimum(u1_i, u2_j + w21)
-    d2 = np.minimum(u2_j, u1_i + w12)
-    d1 = np.minimum(d1, d2 + w21)
-    d2 = np.minimum(d2, d1 + w12)
-    return float(mu[0] * (P[i] + d1) + mu[1] * (P[j] + d2))
-
-
 def _best_pair(U: np.ndarray, P: np.ndarray, mu: np.ndarray) -> tuple:
     """(i, j), the row-major first maximizer of A_i + B_j over the pairs
     with s_j <= s_i + `_ROUND_TOL` (`certify_bundling` derives A, B, s).
@@ -348,9 +332,9 @@ def certify_bundling(b: BundleInstance,
     float tolerance. Supports one or two consumer types.
 
     Options are held as integer cells (`_option_cells`) and priced through
-    per-cell tables. With one type, every option is priced and the first
-    maximizer wins: a rounding tie in P + U could make any option the first.
-    With two types, option i goes to type 1 and j to type 2, and the
+    per-cell tables. With one type, the first maximizer of P + U[0] is
+    picked: a rounding tie in P + U could make any option the first. With
+    two types, option i goes to type 1 and j to type 2, and the
     two-type relaxation caps the transfers by participation, t1 <= U1_i and
     t2 <= U2_j, and by IC, t1 <= t2 + U1_i - U1_j and t2 <= t1 + U2_j -
     U2_i. With s = U[0] - U[1], the IC 2-cycle weighs s_i - s_j, so the pair
@@ -359,10 +343,11 @@ def certify_bundling(b: BundleInstance,
     t2 = U2_j - max(0, -s_i), so the pair is worth A_i + B_j, with A =
     mu[0] (P + U[0]) - mu[1] max(0, -s) and B = mu[1] (P + U[1]) - mu[0]
     max(0, s). `_best_pair` finds the first maximizer in row-major order
-    over every option with one sort of s and a running maximum of B, and
-    that one pair is priced through the relaxation's min steps
-    (`_pair_values`), the bits a scan pricing every pair gives it. `options`
-    counts every enumerated option; above `DEFAULT_GUARD` options it raises
+    over every option with one sort of s and a running maximum of B. The
+    pick, one option per type, is priced as one assignment row by the joint
+    solver's `solver._price`, whose Bellman-Ford gives the bits a scan
+    pricing every pair by the relaxation gives it. `options` counts every
+    enumerated option; above `DEFAULT_GUARD` options it raises
     SizeGuardExceeded before enumerating any. Pass the `solve_bundling(b)`
     result as `solution` to reuse it.
     """
@@ -382,19 +367,12 @@ def certify_bundling(b: BundleInstance,
     alpha, q, weight, cost = _cell_tables(b)
     P = _principal_values(cost, cells)
     U = _agent_values(b, weight, cells)
-
-    def descriptor(i):
-        return (tuple(alpha[cells[i]]), tuple(q[cells[i]]))
-
-    if b.n_types == 1:
-        vals = P + U[0]
-        best = int(np.argmax(vals))
-        return BundlingCertificate(float(vals[best]), float(menu_value),
-                                   n_options, (descriptor(best),))
-    i, j = _best_pair(U, P, b.prob)
-    return BundlingCertificate(_pair_values(U, P, b.prob, i, j),
-                               float(menu_value), n_options,
-                               (descriptor(i), descriptor(j)))
+    picks = ((int(np.argmax(P + U[0])),) if b.n_types == 1
+             else _best_pair(U, P, b.prob))
+    value, _ = _price(U, np.broadcast_to(P, U.shape), b.prob, np.array([picks]))
+    return BundlingCertificate(
+        float(value[0]), float(menu_value), n_options,
+        tuple((tuple(alpha[cells[k]]), tuple(q[cells[k]])) for k in picks))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,15 @@ def _as_real(value, name: str = "") -> float:
     return float(value)
 
 
+def _sequence(value, name: str) -> tuple:
+    """`value`, a sequence or any other iterable, as a tuple; anything else
+    raises StructuralError naming the field."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise StructuralError(f"{name}: expected a sequence, got {value!r}") from None
+
+
 def float_table(value, name: str = "") -> np.ndarray:
     """Numbers, nested to any rectangular shape, as a read-only float array.
 
@@ -290,9 +299,9 @@ class Mechanism:
     t: tuple  # transfers paid by the agent
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(_as_index(i, "x") for i in self.x))
-        object.__setattr__(self, "y", tuple(_as_index(i, "y") for i in self.y))
-        object.__setattr__(self, "t", tuple(_as_real(v, "t") for v in self.t))
+        for name, rule in (("x", _as_index), ("y", _as_index), ("t", _as_real)):
+            object.__setattr__(self, name, tuple(
+                rule(v, name) for v in _sequence(getattr(self, name), name)))
         if not (len(self.x) == len(self.y) == len(self.t)):
             raise StructuralError("mechanism columns must have equal length")
 
@@ -310,9 +319,16 @@ class Menu:
     options: tuple  # ((ix, iy, t), ...)
 
     def __post_init__(self):
-        opts = tuple((_as_index(ix, "option x"), _as_index(iy, "option y"),
-                      _as_real(t, "option t")) for ix, iy, t in self.options)
-        object.__setattr__(self, "options", opts)
+        opts = []
+        for option in _sequence(self.options, "options"):
+            try:
+                ix, iy, t = option
+            except (TypeError, ValueError):
+                raise StructuralError(f"options: {option!r} is not an "
+                                      f"(x, y, t) triple") from None
+            opts.append((_as_index(ix, "option x"), _as_index(iy, "option y"),
+                         _as_real(t, "option t")))
+        object.__setattr__(self, "options", tuple(opts))
         if len(set(opts)) != len(opts):
             raise StructuralError("menu options must be distinct")
 
@@ -445,12 +461,13 @@ def ir_shortfalls(own: np.ndarray) -> list:
 def menu_best_response(inst: ScreeningInstance, menu: Menu):
     """Assign every support point its chosen option and value the menu.
 
-    Ties break as in `best_response`. Returns (assignment, value) where
-    assignment[p] is an option index or OUTSIDE and value is exactly the
+    Ties break as in `best_response`. A raw sequence of (x, y, t) options
+    is read through `Menu`. Returns (assignment, value) where assignment[p]
+    is an option index or OUTSIDE and value is exactly the
     probability-weighted sum of principal payoffs over the assignment.
     """
-    options = menu.options if isinstance(menu, Menu) else tuple(menu)
-    x, y, t = np.array(options, dtype=float).reshape(-1, 3).T
+    menu = menu if isinstance(menu, Menu) else Menu(menu)
+    x, y, t = np.array(menu.options, dtype=float).reshape(-1, 3).T
     choice, value = best_response(*inst.payoffs(x, y, t), inst.dist.prob)
     return choice.tolist(), float(value)
 

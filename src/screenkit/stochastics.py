@@ -20,8 +20,8 @@ import numpy as np
 from .errors import NotDominated, NotMonotone, StructuralError
 from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, CostlySpec,
                     JointDistribution, ProductiveSpec, ScreeningInstance,
-                    _as_index, _as_real, _distinct_rows, _weights,
-                    float_table)
+                    _as_index, _as_real, _distinct_rows, _sequence, _table,
+                    _weights)
 
 # Probabilities are scaled by this before max-flow; one unit is 1e-12 mass.
 _FLOW_SCALE = 10 ** 12
@@ -61,7 +61,8 @@ class Coupling:
     mass: np.ndarray  # (len(p), len(q))
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", float_table(self.mass, "mass"))
+        object.__setattr__(self, "mass", _table(
+            self.mass, (len(self.p), len(self.q)), "mass"))
 
     def marginal_error(self) -> float:
         row = np.abs(self.mass.sum(axis=1) - self.p.prob).max()
@@ -79,7 +80,8 @@ class TypePath:
     def __post_init__(self):
         object.__setattr__(self, "weight", _as_real(self.weight, "weight"))
         object.__setattr__(self, "b_indices", tuple(
-            _as_index(i, "b_indices") for i in self.b_indices))
+            _as_index(i, "b_indices")
+            for i in _sequence(self.b_indices, "b_indices")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +93,19 @@ class PathMixture:
     paths: tuple         # TypePath entries
 
     def __post_init__(self):
-        object.__setattr__(self, "a_probs", float_table(self.a_probs, "a_probs"))
-        object.__setattr__(self, "a_indices", tuple(
-            _as_index(i, "a_indices") for i in self.a_indices))
-        object.__setattr__(self, "paths", tuple(self.paths))
+        a_indices = tuple(_as_index(i, "a_indices")
+                          for i in _sequence(self.a_indices, "a_indices"))
+        object.__setattr__(self, "a_indices", a_indices)
+        # one weight per level, read as the flow reads a law
+        object.__setattr__(self, "a_probs", _weights(
+            self.a_probs, len(a_indices), "a_probs", tol=MASS_TOL))
+        paths = _sequence(self.paths, "paths")
+        for path in paths:
+            if (not isinstance(path, TypePath)
+                    or len(path.b_indices) != len(a_indices)):
+                raise StructuralError(f"paths: expected a TypePath with "
+                                      f"{len(a_indices)} b_indices, got {path!r}")
+        object.__setattr__(self, "paths", paths)
 
     def joint(self) -> dict:
         """Reconstructed joint law as {(ia, ib): probability}."""
@@ -449,7 +460,10 @@ class GeneratorKnobs:
 
     def __post_init__(self):
         for name in ("n_a", "n_b", "n_x", "n_y", "dim", "max_paths"):
-            object.__setattr__(self, name, _as_index(getattr(self, name), name))
+            count = _as_index(getattr(self, name), name)
+            if count < 1:
+                raise StructuralError(f"{name} must be at least 1, got {count}")
+            object.__setattr__(self, name, count)
 
 
 def instance_rng(seed: int, stream: int = 0) -> np.random.Generator:

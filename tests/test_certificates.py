@@ -3,7 +3,8 @@
 `solve_downward_1d` runs one forward sweep on the prefix tree of the
 allocations, `_option_cells` builds the option table in one pass and
 `certify_bundling` finds its best pair of options with one sort of s =
-U[0] - U[1] and a running maximum, pricing that pair alone. The oracles
+U[0] - U[1] and a running maximum, pricing that pair alone through the
+joint solver's `_price`. The oracles
 below price every allocation with a scalar sweep loop and, within
 rounding, the U-region closed form, every option pair with the two-type
 relaxation, and every pair of the options a lexsort over every option's
@@ -23,10 +24,9 @@ from screenkit import (FEAS_TOL, BundleInstance, GeneratorKnobs, OneDimInstance,
                        bundling_default, certify_bundling,
                        load_instance, productive_marginal,
                        random_positive_instance, solve_downward_1d)
-from screenkit import solver
+from screenkit import applications, solver
 from screenkit.applications import (BundlingSolution, _best_pair,
-                                    _cell_tables, _pair_values,
-                                    solve_bundling)
+                                    _cell_tables, solve_bundling)
 from screenkit.solver import SolveResult
 from screenkit.transfers import (graph_optimal_transfers,
                                  onedim_ic_violations, onedim_ir_violations,
@@ -299,6 +299,26 @@ def test_bundling_certificate_matches_all_pairs(make):
     assert abs(attained - cert.brute_force_value) <= 1e-12
 
 
+@pytest.mark.parametrize("make", [case for case in BUNDLE_CASES
+                                  if case.id in ("default", "one_type")])
+def test_bundling_certificate_prices_once_through_the_joint_kernel(make, monkeypatch):
+    # one assignment row, the picked option per type, priced by `_price`
+    b = make()
+    rows = []
+
+    def counting(U, VG, prob, allocs):
+        rows.append(allocs.tolist())
+        return solver._price(U, VG, prob, allocs)
+
+    monkeypatch.setattr(applications, "_price", counting)
+    cert = certify_bundling(b)
+    assert len(rows) == 1 and len(rows[0]) == 1
+    picks = rows[0][0]
+    U, P, alpha, q = bundle_options(b)
+    assert cert.best_descriptor == tuple((tuple(alpha[k]), tuple(q[k])) for k in picks)
+    assert cert.brute_force_value == kernel_value(U, P, b.prob, picks)
+
+
 PRUNE_CASES = (
     list(BUNDLE_CASES)
     + [pytest.param(lambda s=s: random_bundle(s, 917), id=f"draw{s}")
@@ -333,6 +353,13 @@ def _scan_first_max(U, P, mu):
     return vals.flat[flat], divmod(flat, n)
 
 
+def kernel_value(U, P, mu, picks):
+    """The joint solver's price of option picks[k] for type k, the one
+    assignment row `certify_bundling` prices."""
+    value, _ = solver._price(U, np.broadcast_to(P, U.shape), mu, np.array([picks]))
+    return value[0]
+
+
 def _exact_table(rng, far):
     """(U, P, mu) whose every sum and product the certificate forms is exact,
     with ties in U, P and s = U[0] - U[1].
@@ -365,7 +392,7 @@ def test_best_pair_is_the_first_maximizer_of_every_pair(far):
         want, (wi, wj) = _scan_first_max(U, P, mu)
         i, j = _best_pair(U, P, mu)
         assert (i, j) == (wi, wj)
-        assert np.float64(_pair_values(U, P, mu, i, j)).tobytes() == want.tobytes()
+        assert kernel_value(U, P, mu, (i, j)).tobytes() == want.tobytes()
 
 
 def test_best_pair_keeps_a_pair_feasible_only_through_the_tolerance():
@@ -377,7 +404,7 @@ def test_best_pair_keeps_a_pair_feasible_only_through_the_tolerance():
     mu = np.array([0.7, 1.0 - 0.7])
     want, pair = _scan_first_max(U, P, mu)
     assert pair == (1, 0) == _best_pair(U, P, mu)
-    assert _pair_values(U, P, mu, 1, 0) == want
+    assert kernel_value(U, P, mu, (1, 0)) == want
 
 
 def test_best_pair_is_the_first_maximizer_of_the_sum_on_rounding_tables():
@@ -397,7 +424,11 @@ def test_best_pair_is_the_first_maximizer_of_the_sum_on_rounding_tables():
         B = mu[1] * (P + U[1]) - mu[0] * np.maximum(0.0, s)
         sums = np.where(s[None, :] <= s[:, None] + 1e-12,
                         A[:, None] + B[None, :], -np.inf)
-        assert _best_pair(U, P, mu) == divmod(int(np.argmax(sums)), n)
+        pair = _best_pair(U, P, mu)
+        assert pair == divmod(int(np.argmax(sums)), n)
+        # the kernel's negative-cycle test keeps the pick the closed form
+        # counts feasible, 6 of these picks only through `_ROUND_TOL`
+        assert np.isfinite(kernel_value(U, P, mu, pair))
 
 
 def _swap_types(b):

@@ -565,7 +565,11 @@ WEIGHTS = {
     "MultiplicativeInstance.mu": lambda w: MultiplicativeInstance(
         [1.0, 2.0], [[-0.5], [-0.25]], w, lambda x: x, [[0.0], [1.0]], 0),
     "DiscreteDistribution.prob": lambda w: DiscreteDistribution([[0.0], [1.0]], w),
+    "PathMixture.a_probs": lambda w: PathMixture((0, 1), w, ()),
 }
+
+#: The weights read as the max flow reads a law, within MASS_TOL.
+FLOW_WEIGHTS = {"DiscreteDistribution.prob", "PathMixture.a_probs"}
 
 
 WEIGHT_RULE = r"must (hold \d+ weights|be strictly positive|sum to one)"
@@ -580,7 +584,7 @@ def test_weights_refuse_what_is_not_a_law(field, bad):
         WEIGHTS[field](bad)
 
 
-@pytest.mark.parametrize("field", sorted(set(WEIGHTS) - {"DiscreteDistribution.prob"}))
+@pytest.mark.parametrize("field", sorted(set(WEIGHTS) - FLOW_WEIGHTS))
 def test_payoff_weights_sum_to_one_within_prob_tol(field):
     # they enter payoffs directly; MultiplicativeInstance allowed FEAS_TOL
     with pytest.raises(StructuralError, match="must sum to one"):
@@ -650,3 +654,84 @@ def test_multiplicative_tables_refuse_non_finite_entries(field, table):
     with pytest.raises(StructuralError, match=f"{field} contains non-finite entries"):
         MultiplicativeInstance([1.0, 2.0], tables["theta_b"], [0.5, 0.5],
                                lambda x: x, tables["c"], 0)
+
+
+# ---------------------------------------------------------------------------
+# shapes: columns, options, paths and counts
+# ---------------------------------------------------------------------------
+
+POINT = DiscreteDistribution([[0.0]], [1.0])
+
+#: A constructor call with one malformed column, option, path or shape,
+#: and the whole refusal it raises.
+SHAPES = {
+    "Menu.pair": (lambda: Menu(((0, 0),)),
+                  r"options: (0, 0) is not an (x, y, t) triple"),
+    "Menu.quadruple": (lambda: Menu(((0, 0, 0.0, 1),)),
+                       r"options: (0, 0, 0.0, 1) is not an (x, y, t) triple"),
+    "Menu.scalar_option": (lambda: Menu((5,)),
+                           r"options: 5 is not an (x, y, t) triple"),
+    "Menu.none": (lambda: Menu(None), "options: expected a sequence, got None"),
+    "Mechanism.x": (lambda: Mechanism(0, (0,), (0.0,)),
+                    "x: expected a sequence, got 0"),
+    "Mechanism.y": (lambda: Mechanism((0,), 1.5, (0.0,)),
+                    "y: expected a sequence, got 1.5"),
+    "Mechanism.t": (lambda: Mechanism((0,), (0,), None),
+                    "t: expected a sequence, got None"),
+    "Coupling.mass": (lambda: Coupling(POINT, POINT, [[0.5, 0.5]]),
+                      "mass must have shape (1, 1), got (1, 2)"),
+    "Coupling.mass_1d": (lambda: Coupling(LAW, LAW, [0.5, 0.5]),
+                         "mass must have shape (2, 2), got (2,)"),
+    "PathMixture.a_probs_short": (lambda: PathMixture((0, 1), (1.0,), ()),
+                                  "a_probs must hold 2 weights, got shape (1,)"),
+    "PathMixture.a_probs_2d": (
+        lambda: PathMixture((0,), ((1.0,),), (TypePath(1.0, (0,)),)),
+        "a_probs must hold 1 weights, got shape (1, 1)"),
+    "PathMixture.long_path": (
+        lambda: PathMixture((0,), (1.0,), (TypePath(1.0, (0, 1)),)),
+        "paths: expected a TypePath with 1 b_indices, "
+        "got TypePath(weight=1.0, b_indices=(0, 1))"),
+    "PathMixture.short_path": (
+        lambda: PathMixture((0, 1), (0.5, 0.5), (TypePath(1.0, (0,)),)),
+        "paths: expected a TypePath with 2 b_indices, "
+        "got TypePath(weight=1.0, b_indices=(0,))"),
+    "PathMixture.raw_path": (
+        lambda: PathMixture((0,), (1.0,), ((1.0, (0,)),)),
+        "paths: expected a TypePath with 1 b_indices, got (1.0, (0,))"),
+    "PathMixture.paths_none": (lambda: PathMixture((0,), (1.0,), None),
+                               "paths: expected a sequence, got None"),
+    "PathMixture.a_indices_none": (lambda: PathMixture(None, (1.0,), ()),
+                                   "a_indices: expected a sequence, got None"),
+    "TypePath.b_indices": (lambda: TypePath(1.0, 0),
+                           "b_indices: expected a sequence, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPES))
+def test_constructors_refuse_malformed_shapes_naming_the_field(case):
+    # each ended in a bare ValueError, TypeError or AttributeError, or built
+    build, message = SHAPES[case]
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("raw, message", [
+    (((0.7, 0, 0.0),), "option x must be an integer index, got 0.7"),
+    ((("1", 0, 0.0),), "option x must be an integer index, got '1'"),
+    (((0, True, 0.0),), "option y must be an integer index, got True"),
+    (((0, 0),), "options: (0, 0) is not an (x, y, t) triple"),
+    (((1, 0, 0.5), (1, 0, 0.5)), "menu options must be distinct"),
+], ids=["fraction", "str", "bool", "pair", "repeated"])
+def test_menu_best_response_reads_a_raw_menu_through_menu(raw, message):
+    # 0.7 was read as allocation 0, "1" and True as index 1
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        menu_best_response(example2_instance(), raw)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("name", ["n_a", "n_b", "n_x", "n_y", "dim", "max_paths"])
+def test_generator_knobs_refuse_counts_below_one(name, count):
+    # random_positive_instance ended in a bare ValueError or IndexError, or
+    # blamed theta_b for dim = 0
+    with pytest.raises(StructuralError, match=f"^{name} must be at least 1, got {count}$"):
+        GeneratorKnobs(**{name: count})
