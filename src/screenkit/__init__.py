@@ -8,9 +8,8 @@ from .errors import (AssumptionFailed, InputNotIC, NotDominated,
 from .model import (FEAS_TOL, OUTSIDE, PROB_TOL, VALUE_TOL, CheckResult,
                     CostlySpec, ICViolation, IRViolation, JointDistribution,
                     Mechanism, Menu, ProductiveSpec, ScreeningInstance,
-                    ValidationReport, agent_payoff, check_ic, check_ir,
-                    mechanism_value, menu_best_response, principal_payoff,
-                    validate_instance)
+                    ValidationReport, check_ic, check_ir, mechanism_value,
+                    menu_best_response, validate_instance)
 from .stochastics import (MASS_TOL, Coupling, DiscreteDistribution,
                           GeneratorKnobs, LevelCouplings, PathMixture,
                           TypePath, check_dominance,
@@ -49,9 +48,8 @@ __all__ = [
     "FEAS_TOL", "OUTSIDE", "PROB_TOL", "VALUE_TOL", "CheckResult",
     "CostlySpec", "ICViolation", "IRViolation", "JointDistribution",
     "Mechanism", "Menu", "ProductiveSpec", "ScreeningInstance",
-    "ValidationReport", "agent_payoff", "check_ic", "check_ir",
-    "mechanism_value", "menu_best_response", "principal_payoff",
-    "validate_instance",
+    "ValidationReport", "check_ic", "check_ir", "mechanism_value",
+    "menu_best_response", "validate_instance",
     "MASS_TOL", "Coupling", "DiscreteDistribution", "GeneratorKnobs",
     "LevelCouplings", "PathMixture", "TypePath", "check_dominance",
     "check_stochastic_monotonicity", "instance_rng", "level_couplings",

@@ -17,7 +17,7 @@ sides exactly zero; evaluators append it implicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import getitem
 from typing import NamedTuple
@@ -239,6 +239,7 @@ class JointDistribution:
 
     support: tuple  # ((ia, ib), ...)
     prob: np.ndarray
+    pairs: np.ndarray = field(init=False, repr=False)  # support as (m, 2) intp
 
     def __post_init__(self):
         # the one pass over the points: each a pair of integer indices, a
@@ -257,6 +258,9 @@ class JointDistribution:
         if len(set(support)) != len(support):
             raise StructuralError("support pairs must be distinct")
         object.__setattr__(self, "support", tuple(support))
+        pairs = np.array(support, dtype=np.intp)
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "prob", _weights(self.prob, len(support), "prob"))
 
     def __len__(self) -> int:
@@ -272,22 +276,44 @@ class ScreeningInstance:
     dist: JointDistribution
 
     def __post_init__(self):
-        # the pairs hold integer indices already, so bounds suffice
-        n_a, n_b = self.productive.n_types, self.costly.n_types
-        a, b = zip(*self.dist.support)
-        if min(a) < 0 or min(b) < 0 or max(a) >= n_a or max(b) >= n_b:
-            bad = next(p for p in self.dist.support
-                       if not (0 <= p[0] < n_a and 0 <= p[1] < n_b))
+        # the pairs hold integer indices already, so bounds suffice; a
+        # negative index reads as a huge unsigned one
+        out = self.dist.pairs.view(np.uintp) >= (self.productive.n_types,
+                                                 self.costly.n_types)
+        if out.any():
+            bad = self.dist.support[out.any(axis=1).argmax()]
             raise StructuralError(f"support pair {bad} out of range")
 
     @property
     def n_support(self) -> int:
         return len(self.dist)
 
-    def payoffs(self, x, y, t):
-        """`payoff_tables` of the support for options (x[k], y[k], t[k])."""
+    def payoffs(self, x, y, t=None):
+        """Agent and principal payoffs, each (point, option).
+
+        Support point (ia, ib) taking option k = (x[k], y[k], t[k]) gets
+        u_a[x, ia] + u_b[y, ib] - t, and the principal gets
+        v_a[x, ia] + v_b[y, ib] + t; with `t` omitted neither table has a
+        transfer term. Every IC, IR, best-response and value check reads
+        these tables. An x outside [0, n_x) or a y outside [0, n_y) raises
+        StructuralError naming the option.
+        """
         p, c = self.productive, self.costly
-        return payoff_tables((p.u_a, p.v_a, c.u_b, c.v_b), self.dist.support, x, y, t)
+        x, y = np.asarray(x, dtype=int), np.asarray(y, dtype=int)
+        for name, index, grid, size in (("x", x, "x_grid", p.n_alloc),
+                                        ("y", y, "y_set", c.n_alloc)):
+            values = index.tolist()  # few options: Python's min and max are faster
+            if values and (min(values) < 0 or max(values) >= size):
+                k = next(k for k, v in enumerate(values) if not 0 <= v < size)
+                raise StructuralError(f"option {k}: {name} index {values[k]} out "
+                                      f"of range for {grid} of size {size}")
+        ia, ib = self.dist.pairs.T[:, :, None]
+        agent = p.u_a[x, ia] + c.u_b[y, ib]
+        principal = p.v_a[x, ia] + c.v_b[y, ib]
+        if t is None:
+            return agent, principal
+        t = np.asarray(t, dtype=float)
+        return agent - t, principal + t
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,60 +374,8 @@ class IRViolation(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# payoffs
+# best responses and IC gains: each reads `ScreeningInstance.payoffs` tables
 # ---------------------------------------------------------------------------
-
-
-def agent_payoff(inst: ScreeningInstance, p: int, option) -> float:
-    """Agent payoff of support point p taking `option` = (ix, iy, t) or OUTSIDE."""
-    if option is None or option == OUTSIDE:
-        return 0.0
-    ia, ib = inst.dist.support[p]
-    ix, iy, t = option
-    return float(inst.productive.u_a[ix, ia] + inst.costly.u_b[iy, ib] - t)
-
-
-def principal_payoff(inst: ScreeningInstance, p: int, option) -> float:
-    """Principal payoff from support point p taking `option`."""
-    if option is None or option == OUTSIDE:
-        return 0.0
-    ia, ib = inst.dist.support[p]
-    ix, iy, t = option
-    return float(inst.productive.v_a[ix, ia] + inst.costly.v_b[iy, ib] + t)
-
-
-def mechanism_value(inst: ScreeningInstance, mech: Mechanism) -> float:
-    """Expected principal payoff under truthful play."""
-    if len(mech) != inst.n_support:
-        raise StructuralError("mechanism length must match support size")
-    return float(sum(
-        inst.dist.prob[p] * principal_payoff(inst, p, mech.option(p))
-        for p in range(inst.n_support)
-    ))
-
-
-# ---------------------------------------------------------------------------
-# payoff tables: every IC, IR and best-response check reads these
-# ---------------------------------------------------------------------------
-
-
-def payoff_tables(tables, support, x, y, t):
-    """Agent and principal payoffs, each (..., point, option).
-
-    `tables` is (u_a, v_a, u_b, v_b). Support point (ia, ib) taking option
-    k = (x[k], y[k], t[k]) gets u_a[x, ia] + u_b[y, ib] - t, and the
-    principal gets v_a[x, ia] + v_b[y, ib] + t. Leading axes of u_b, v_b and
-    t broadcast, so one call prices a family of instances that differ only
-    in their instrument utilities and transfers.
-    """
-    u_a, v_a, u_b, v_b = tables
-    ia, ib = np.asarray(support, dtype=int).reshape(-1, 2).T
-    x = np.asarray(x, dtype=int)[None, :]
-    y = np.asarray(y, dtype=int)[None, :]
-    t = np.asarray(t, dtype=float)[..., None, :]
-    ia, ib = ia[:, None], ib[:, None]
-    return (u_a[x, ia] + u_b[..., y, ib] - t,
-            v_a[x, ia] + v_b[..., y, ib] + t)
 
 
 def best_response(agent, principal, prob):
@@ -477,11 +451,19 @@ def menu_best_response(inst: ScreeningInstance, menu: Menu):
 # ---------------------------------------------------------------------------
 
 
-def _mechanism_payoffs(inst: ScreeningInstance, mech: Mechanism) -> np.ndarray:
-    """Agent table (deviator, target): what each point gets from each bundle."""
+def _mechanism_payoffs(inst: ScreeningInstance, mech: Mechanism) -> tuple:
+    """Agent and principal tables (deviator, target): what each point and
+    the principal get from each bundle."""
     if len(mech) != inst.n_support:
         raise StructuralError("mechanism length must match support size")
-    return inst.payoffs(mech.x, mech.y, mech.t)[0]
+    return inst.payoffs(mech.x, mech.y, mech.t)
+
+
+def mechanism_value(inst: ScreeningInstance, mech: Mechanism) -> float:
+    """Expected principal payoff under truthful play, summed point by point
+    from 0.0 (so a -0.0 sum reads +0.0)."""
+    own = np.diagonal(_mechanism_payoffs(inst, mech)[1])
+    return float(0.0 + np.cumsum(inst.dist.prob * own)[-1])
 
 
 def check_ic(inst: ScreeningInstance, mech: Mechanism, direction: str = "all"):
@@ -491,16 +473,16 @@ def check_ic(inst: ScreeningInstance, mech: Mechanism, direction: str = "all"):
     componentwise below the deviator, "upward" to componentwise above; "all"
     checks every ordered pair. A violation is a strict gain above FEAS_TOL.
     """
-    ia, ib = np.array(inst.dist.support).T
+    ia, ib = inst.dist.pairs.T
     types = np.column_stack((inst.productive.theta_a[ia], inst.costly.theta_b[ib]))
     leq = (types[:, None, :] <= types[None, :, :]).all(axis=-1)
     allowed = deviation_mask(leq, direction)
-    return ic_gains(_mechanism_payoffs(inst, mech), allowed)
+    return ic_gains(_mechanism_payoffs(inst, mech)[0], allowed)
 
 
 def check_ir(inst: ScreeningInstance, mech: Mechanism):
     """List support points whose truthful payoff falls below the outside option."""
-    return ir_shortfalls(np.diagonal(_mechanism_payoffs(inst, mech)))
+    return ir_shortfalls(np.diagonal(_mechanism_payoffs(inst, mech)[0]))
 
 
 # ---------------------------------------------------------------------------

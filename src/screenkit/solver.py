@@ -259,20 +259,17 @@ def _price(U: np.ndarray, VG: np.ndarray, prob: np.ndarray, allocs: np.ndarray):
 def _option_tables(inst: ScreeningInstance):
     """Options in x-major order, and the agent's and the principal's gross
     utility of each (support point, option): opt_x, opt_y, U, VG."""
-    prod, cost = inst.productive, inst.costly
-    opt_x = np.repeat(np.arange(prod.n_alloc), cost.n_alloc)
-    opt_y = np.tile(np.arange(cost.n_alloc), prod.n_alloc)
-    ia, ib = np.array(inst.dist.support).reshape(-1, 2).T
-    U = prod.u_a[opt_x][:, ia].T + cost.u_b[opt_y][:, ib].T
-    VG = prod.v_a[opt_x][:, ia].T + cost.v_b[opt_y][:, ib].T
-    return opt_x, opt_y, U, VG
+    n_x, n_y = inst.productive.n_alloc, inst.costly.n_alloc
+    opt_x = np.repeat(np.arange(n_x), n_y)
+    opt_y = np.tile(np.arange(n_y), n_x)
+    return (opt_x, opt_y, *inst.payoffs(opt_x, opt_y))
 
 
 def _chain(inst: ScreeningInstance, levels: LevelCouplings):
     """Level of each support point, and c[p, q]: the mass the coupling of
     levels j and j + 1 sends from p at level j to q, zero unless q lies at
     level j + 1."""
-    ia, ib = np.array(inst.dist.support).reshape(-1, 2).T
+    ia, ib = inst.dist.pairs.T
     lv = np.searchsorted(levels.a_indices, ia)
     n_b = levels.cond.shape[1]
     mu = np.concatenate((np.reshape(levels.couplings, (-1, n_b, n_b)),

@@ -54,15 +54,28 @@ class DiscreteDistribution:
 
 @dataclass(frozen=True, eq=False)
 class Coupling:
-    """Joint law on pairs (p point, q point) supported on comparable pairs."""
+    """Joint law on pairs (p point, q point) of two laws of one dimension,
+    supported on comparable pairs (p point componentwise below q point) to
+    within MASS_TOL; anything else raises StructuralError."""
 
     p: DiscreteDistribution
     q: DiscreteDistribution
     mass: np.ndarray  # (len(p), len(q))
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", _table(
-            self.mass, (len(self.p), len(self.q)), "mass"))
+        for name in ("p", "q"):
+            law = getattr(self, name)
+            if not isinstance(law, DiscreteDistribution):
+                raise StructuralError(f"{name}: expected a DiscreteDistribution, "
+                                      f"got {law!r}")
+        if self.p.dim != self.q.dim:
+            raise StructuralError("distributions must share a dimension")
+        mass = _table(self.mass, (len(self.p), len(self.q)), "mass")
+        off = np.abs(mass[~_admissible(self.p.points, self.q.points)]).sum()
+        if off > MASS_TOL:
+            raise StructuralError(f"mass {off:.3g} sits on pairs whose p point "
+                                  f"is not below its q point")
+        object.__setattr__(self, "mass", mass)
 
     def marginal_error(self) -> float:
         row = np.abs(self.mass.sum(axis=1) - self.p.prob).max()
@@ -246,7 +259,7 @@ def scalar_levels(inst: ScreeningInstance):
     a_indices[l], zero off the support. Everything that groups the support
     by productive level reads this table.
     """
-    pairs = np.array(inst.dist.support).reshape(-1, 2)
+    pairs = inst.dist.pairs
     a_indices, level = np.unique(pairs[:, 0], return_inverse=True)
     return (a_indices, *_level_table(level, pairs[:, 1], inst.dist.prob,
                                      inst.costly.n_types))

@@ -19,9 +19,9 @@ from .errors import (InputNotIC, OutOfRange, PreconditionFailed,
 from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, VALUE_TOL, CostlySpec,
                     JointDistribution, Mechanism, Menu, ProductiveSpec,
                     ScreeningInstance, ValidationReport, _as_index, _as_real,
-                    _grid, _table, _weights, best_response, check_ic, check_ir,
-                    float_table, ic_gains, ir_shortfalls, mechanism_value,
-                    payoff_tables, validate_instance)
+                    _grid, _table, _weights, check_ic, check_ir, float_table,
+                    ic_gains, ir_shortfalls, mechanism_value,
+                    menu_best_response, validate_instance)
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_full_1d,
                      solve_joint)
 from .stochastics import (TypePath, _row_cdfs, _unordered_rows,
@@ -122,12 +122,13 @@ def _line_instance(inst: ScreeningInstance, path: TypePath) -> ScreeningInstance
     if len(path.b_indices) != len(levels):
         raise PreconditionFailed("path length does not match the number of "
                                  "productive type levels")
-    rows = inst.costly.theta_b[list(path.b_indices)]
+    # built first: its bounds check names a pair off the costly types
+    line = ScreeningInstance(inst.productive, inst.costly, JointDistribution(
+        tuple(zip(levels.tolist(), path.b_indices)), weight))
+    rows = inst.costly.theta_b[line.dist.pairs[:, 1]]
     if not all((rows[k + 1] >= rows[k] - FEAS_TOL).all() for k in range(len(rows) - 1)):
         raise PreconditionFailed("path is not monotone in the costly type")
-    support = tuple(zip(levels.tolist(), path.b_indices))
-    return ScreeningInstance(inst.productive, inst.costly,
-                             JointDistribution(support, weight))
+    return line
 
 
 def shift_mechanism(inst: ScreeningInstance, path: TypePath,
@@ -265,6 +266,10 @@ class MultiplicativeMechanism:
 def _mult_payoffs(minst: MultiplicativeInstance,
                   mech: MultiplicativeMechanism) -> np.ndarray:
     """Agent table (type, bundle): theta^A_k u(x_j) + theta^B_k . c(y_j) - t_j."""
+    out = [y for y in mech.y if not 0 <= y < minst.c.shape[0]]
+    if out:
+        raise StructuralError(f"instrument index {out[0]} out of range for "
+                              f"{minst.c.shape[0]} instruments")
     u = np.array([minst.u(x) for x in mech.x], dtype=float)
     return (np.outer(minst.theta_a, u) + minst.theta_b @ minst.c[list(mech.y)].T
             - np.asarray(mech.t, dtype=float))
@@ -386,7 +391,7 @@ def _median_split(values: Sequence[float], masses: Sequence[float],
 
 def _coordinate_marginals(inst: ScreeningInstance, coord: int):
     """Per-support-point productive values, coordinate values, and weights."""
-    ia, ib = np.array(inst.dist.support).T
+    ia, ib = inst.dist.pairs.T
     return (inst.productive.theta_a[ia], inst.costly.theta_b[ib, coord],
             np.asarray(inst.dist.prob))
 
@@ -472,12 +477,13 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     g = np.where(cost.theta_b[:, coord] <= m1, -1.0, -eps)
     u_b = np.outer(np.arange(cost.n_alloc) != y0, g)
     v_b = np.zeros_like(u_b)
+    built = ScreeningInstance(
+        ProductiveSpec(prod.theta_a, x, u_a, v_a),
+        CostlySpec(cost.theta_b, cost.y_set, y0, u_b, v_b),
+        inst.dist)
     menu = Menu(((top, y0, 2.0 - eps), (top, 1 if y0 == 0 else 0, 1.0 - eps),
                  (0, y0, 0.0)))
-    menu_x, menu_y, t = zip(*menu.options)
-    agent, principal = payoff_tables((u_a, v_a, u_b, v_b), inst.dist.support,
-                                     menu_x, menu_y, [t])  # a batch of one
-    menu_value = float(best_response(agent, principal, inst.dist.prob)[1][0])
+    menu_value = menu_best_response(built, menu)[1]
 
     # the productive-only optimum reads only f, on the productive marginal
     productive_value = solve_full_1d(OneDimInstance(
@@ -493,10 +499,6 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
             f"no epsilon clears the dominance margin {dominance_margin:.6g}: "
             f"the best gap over productive-only screening is "
             f"{menu_value - productive_value:.6g}, at eps {eps:.6g}")
-    built = ScreeningInstance(
-        ProductiveSpec(prod.theta_a, x, u_a, v_a),
-        CostlySpec(cost.theta_b, cost.y_set, y0, u_b, v_b),
-        inst.dist)
     return ConverseArtifacts(
         instance=built, menu=menu, coordinate=coord, m0=m0, m1=m1,
         f_values=tuple(f.tolist()), g_values=tuple(g.tolist()),

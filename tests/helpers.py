@@ -10,10 +10,9 @@ from screenkit import (FEAS_TOL, OUTSIDE, AssumptionFailed, CompetitiveParams,
                        CostlySpec, DiscreteDistribution,
                        GeneratorKnobs, JointDistribution, Mechanism, Menu,
                        OneDimInstance, ProductiveSpec, ScreeningInstance,
-                       SizeGuardExceeded, StructuralError, agent_payoff,
+                       SizeGuardExceeded, StructuralError,
                        check_stochastic_monotonicity, instance_rng,
-                       level_couplings, principal_payoff, productive_marginal,
-                       solve_full_1d)
+                       level_couplings, productive_marginal, solve_full_1d)
 from screenkit.applications import (_agent_values, _cell_tables, _group_types,
                                     _option_cells, _principal_values)
 from screenkit.model import _ROUND_TOL
@@ -45,7 +44,7 @@ def ic_mechanism_on_line(line, rng, want_instrument=True):
     n_x, n_y = line.productive.n_alloc, line.costly.n_alloc
     opt_x = np.repeat(np.arange(n_x), n_y)
     opt_y = np.tile(np.arange(n_y), n_x)
-    U = line.payoffs(opt_x, opt_y, np.zeros(opt_x.size))[0]
+    U = line.payoffs(opt_x, opt_y)[0]
     for _ in range(60):
         x = np.sort(rng.integers(0, n_x, m))
         y = rng.integers(0, n_y, m)
@@ -630,18 +629,39 @@ def baseline_loop(spec):
 # ---------------------------------------------------------------------------
 
 
+def loop_agent_payoff(inst, p, option) -> float:
+    """Agent payoff of support point p taking `option` = (ix, iy, t), or
+    0.0 for None or OUTSIDE: the scalar read of the tables the
+    `ScreeningInstance.payoffs` table is checked against."""
+    if option is None or option == OUTSIDE:
+        return 0.0
+    ia, ib = inst.dist.support[p]
+    ix, iy, t = option
+    return float(inst.productive.u_a[ix, ia] + inst.costly.u_b[iy, ib] - t)
+
+
+def loop_principal_payoff(inst, p, option) -> float:
+    """Principal payoff from support point p taking `option`, read as
+    `loop_agent_payoff` reads the agent's."""
+    if option is None or option == OUTSIDE:
+        return 0.0
+    ia, ib = inst.dist.support[p]
+    ix, iy, t = option
+    return float(inst.productive.v_a[ix, ia] + inst.costly.v_b[iy, ib] + t)
+
+
 def loop_menu_best_response(inst, menu):
     options = menu.options if isinstance(menu, Menu) else tuple(menu)
     assignment = []
     value = 0.0
     for p in range(inst.n_support):
-        agent_vals = [agent_payoff(inst, p, o) for o in options]
+        agent_vals = [loop_agent_payoff(inst, p, o) for o in options]
         best_agent = max(agent_vals, default=0.0)
         best_agent = max(best_agent, 0.0)  # outside option
         cand = [k for k, a in enumerate(agent_vals) if a >= best_agent - FEAS_TOL]
         outside_ok = 0.0 >= best_agent - FEAS_TOL
         if cand:
-            pvals = [principal_payoff(inst, p, options[k]) for k in cand]
+            pvals = [loop_principal_payoff(inst, p, options[k]) for k in cand]
             best_p = max(pvals)
             if outside_ok:
                 best_p = max(best_p, 0.0)
@@ -652,7 +672,7 @@ def loop_menu_best_response(inst, menu):
             chosen = OUTSIDE
         assignment.append(chosen)
         picked = None if chosen == OUTSIDE else options[chosen]
-        value += float(inst.dist.prob[p]) * principal_payoff(inst, p, picked)
+        value += float(inst.dist.prob[p]) * loop_principal_payoff(inst, p, picked)
     return assignment, value
 
 

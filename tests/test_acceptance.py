@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from screenkit import (DiscreteDistribution, FEAS_TOL, GeneratorKnobs,
-                       agent_payoff, bundling_default, certify_bundling,
+                       bundling_default, certify_bundling,
                        check_dominance, check_ic, check_ir,
                        closed_form_downward_transfers, competitive_separating,
                        converse_construct, example1_instance,
@@ -31,7 +31,7 @@ from helpers import (THEOREM_KNOBS, binding_report,
                      default_convergence_family, dominance_by_upper_sets,
                      draw_competitive,
                      grid_convergence_study, ic_mechanism_on_line,
-                     random_onedim_instance)
+                     loop_agent_payoff, random_onedim_instance)
 
 
 @contextmanager
@@ -327,8 +327,8 @@ def test_criterion_14_shift_operations():
             result = shift_mechanism(inst, path, mech)
             shifted = result.mechanism
             for k in range(len(mech)):
-                before = agent_payoff(line, k, mech.option(k))
-                after = agent_payoff(line, k, shifted.option(k))
+                before = loop_agent_payoff(line, k, mech.option(k))
+                after = loop_agent_payoff(line, k, shifted.option(k))
                 assert abs(after - before) <= 1e-12, (seed, k)
             assert check_ic(line, shifted, "downward") == [], seed
             assert check_ir(line, shifted) == [], seed

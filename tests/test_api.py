@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "ProductiveSpec", "RatioMonotonicityFailed", "ScreeningInstance",
     "ScreenkitError", "SeparatingSet", "ShiftResult", "SizeGuardExceeded",
     "SolveResult", "StructuralError", "TheoremReport", "TypePath",
-    "VALUE_TOL", "ValidationReport", "agent_payoff", "bundling_default",
+    "VALUE_TOL", "ValidationReport", "bundling_default",
     "bundling_reduce", "canonical_json", "certify_bundling",
     "check_dominance", "check_ic", "check_ir",
     "check_stochastic_monotonicity", "closed_form_downward_transfers",
@@ -30,7 +30,7 @@ PUBLIC_NAMES = [
     "instance_rng", "instance_to_dict", "level_couplings", "load_instance",
     "load_params", "make_application_instance", "mechanism_value",
     "menu_best_response", "onedim_ic_violations", "onedim_ir_violations",
-    "onedim_value", "path_decomposition", "principal_payoff",
+    "onedim_value", "path_decomposition",
     "productive_marginal", "random_negative_instance",
     "random_positive_instance", "save_instance", "shift_mechanism",
     "shift_multiplicative", "solve_bundling", "solve_downward_1d",

@@ -11,35 +11,74 @@ from screenkit import (FEAS_TOL, OUTSIDE, BundleInstance, CompetitiveParams,
                        MultiplicativeInstance,
                        MultiplicativeMechanism, OneDimInstance, PathMixture,
                        ProductiveSpec, ScreeningInstance, StructuralError,
-                       TypePath, agent_payoff, check_ic, check_ir,
+                       TypePath, check_ic, check_ir,
                        converse_construct, example1_instance,
                        example2_instance, example2_menu, example3_instance,
                        example3_menu, level_couplings, load_instance,
-                       mechanism_value, menu_best_response, principal_payoff,
+                       mechanism_value, menu_best_response,
                        productive_marginal, random_positive_instance,
                        save_instance, validate_instance)
 from screenkit import model
 
 from helpers import (baseline_loop, costly_monotone_loop, costly_sign_loop,
-                     increasing_differences_loop, productive_monotone_loop,
-                     single_crossing_loop)
+                     increasing_differences_loop, loop_principal_payoff,
+                     productive_monotone_loop, single_crossing_loop)
 
 
 def test_example2_payoff_arithmetic():
     inst = example2_instance()
-    # type (theta_a=0, theta_b=-1) is support point 0
-    assert agent_payoff(inst, 0, (0, 1, -1.0)) == pytest.approx(0.0, abs=1e-12)
-    assert principal_payoff(inst, 0, (0, 1, -1.0)) == pytest.approx(-1.0)
-    assert agent_payoff(inst, 0, (1, 0, 0.0)) == pytest.approx(0.0)
-    assert principal_payoff(inst, 0, (1, 0, 0.0)) == pytest.approx(1.25)
-    # type (theta_a=1, theta_b=0) taking (x=0, y=1, t=-1) keeps the agent at 1
-    assert agent_payoff(inst, 1, (0, 1, -1.0)) == pytest.approx(1.0)
+    # options (x=0, y=1, t=-1) and (x=1, y=0, t=0); type (theta_a=0,
+    # theta_b=-1) is support point 0, type (theta_a=1, theta_b=0) point 1
+    agent, principal = inst.payoffs([0, 1], [1, 0], [-1.0, 0.0])
+    assert agent[0] == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert principal[0] == pytest.approx([-1.0, 1.25])
+    # point 1 taking (x=0, y=1, t=-1) keeps the agent at 1
+    assert agent[1, 0] == pytest.approx(1.0)
+    # without transfers the tables are the gross utilities
+    gross = inst.payoffs([0, 1], [1, 0])
+    assert np.array_equal(gross[0], agent + [-1.0, 0.0])
+    assert np.array_equal(gross[1], principal - [-1.0, 0.0])
 
 
-def test_outside_option_is_zero():
+PAYOFF_INDEX_CASES = {
+    "x_negative": ([-1], [0], "option 0: x index -1 out of range for x_grid of size 2"),
+    "x_beyond": ([0, 5], [0, 0], "option 1: x index 5 out of range for x_grid of size 2"),
+    "y_negative": ([0], [-1], "option 0: y index -1 out of range for y_set of size 2"),
+    "y_beyond": ([0], [7], "option 0: y index 7 out of range for y_set of size 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAYOFF_INDEX_CASES))
+def test_payoffs_refuse_an_index_off_the_grid(case):
+    x, y, message = PAYOFF_INDEX_CASES[case]
     inst = example2_instance()
-    assert agent_payoff(inst, 0, None) == 0.0
-    assert principal_payoff(inst, 1, None) == 0.0
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        inst.payoffs(x, y)
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        inst.payoffs(x, y, [0.0] * len(x))
+
+
+@pytest.mark.parametrize("ix", [-1, 5])
+def test_menu_best_response_refuses_an_allocation_off_the_grid(ix):
+    # -1 read the last allocation and 5 ended in a bare IndexError
+    with pytest.raises(StructuralError, match=f"option 0: x index {ix} out of range"):
+        menu_best_response(example2_instance(), Menu(((ix, 0, 0.5),)))
+
+
+def test_incentive_checks_refuse_a_mechanism_off_the_grid():
+    inst = example2_instance()
+    mech = Mechanism((-1, 5), (0, 0), (0.0, 0.0))
+    for check in (check_ic, check_ir):
+        with pytest.raises(StructuralError, match="option 0: x index -1 out of range"):
+            check(inst, mech)
+
+
+@pytest.mark.parametrize("iy", [-1, 7])
+def test_mechanism_value_refuses_an_instrument_off_the_grid(iy):
+    # -1 silently priced instrument 1
+    mech = Mechanism((1, 0), (0, iy), (0.0, -1.0))
+    with pytest.raises(StructuralError, match=f"option 1: y index {iy} out of range"):
+        mechanism_value(example2_instance(), mech)
 
 
 def test_example2_menu_value():
@@ -146,7 +185,7 @@ def test_structural_checks_reject_bad_shapes():
 def test_mechanism_value_matches_pointwise_sum():
     inst = example2_instance()
     mech = Mechanism((1, 0), (0, 1), (0.0, -1.0))
-    by_hand = sum(pr * principal_payoff(inst, p, mech.option(p))
+    by_hand = sum(pr * loop_principal_payoff(inst, p, mech.option(p))
                   for p, pr in enumerate(inst.dist.prob))
     assert mechanism_value(inst, mech) == pytest.approx(by_hand, abs=1e-12)
 
@@ -166,12 +205,11 @@ def test_menu_assignment_is_agent_optimal(seed, data):
         return
     menu = Menu(tuple(options))
     assignment, _ = menu_best_response(inst, menu)
+    agent = inst.payoffs(*zip(*menu.options))[0]
     for p, choice in enumerate(assignment):
-        chosen = 0.0 if choice == OUTSIDE else agent_payoff(
-            inst, p, menu.options[choice])
+        chosen = 0.0 if choice == OUTSIDE else agent[p, choice]
         assert chosen >= -FEAS_TOL
-        for opt in menu.options:
-            assert chosen >= agent_payoff(inst, p, opt) - FEAS_TOL
+        assert (chosen >= agent[p] - FEAS_TOL).all()
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +720,18 @@ SHAPES = {
                       "mass must have shape (1, 1), got (1, 2)"),
     "Coupling.mass_1d": (lambda: Coupling(LAW, LAW, [0.5, 0.5]),
                          "mass must have shape (2, 2), got (2,)"),
+    "Coupling.no_laws": (lambda: Coupling(None, None, [[1.0]]),
+                         "p: expected a DiscreteDistribution, got None"),
+    "Coupling.dimensions": (lambda: Coupling(POINT, LAW, [[0.5, 0.5]]),
+                            "distributions must share a dimension"),
+    "Coupling.not_below": (
+        lambda: Coupling(DiscreteDistribution([[1.0]], [1.0]), POINT, [[1.0]]),
+        "mass 1 sits on pairs whose p point is not below its q point"),
+    "Coupling.incomparable": (
+        lambda: Coupling(DiscreteDistribution([[0.0, 1.0], [0.0, 0.0]], [0.5, 0.5]),
+                         DiscreteDistribution([[1.0, 0.0], [1.0, 1.0]], [0.5, 0.5]),
+                         [[0.25, 0.25], [0.25, 0.25]]),
+        "mass 0.25 sits on pairs whose p point is not below its q point"),
     "PathMixture.a_probs_short": (lambda: PathMixture((0, 1), (1.0,), ()),
                                   "a_probs must hold 2 weights, got shape (1,)"),
     "PathMixture.a_probs_2d": (

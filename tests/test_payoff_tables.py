@@ -1,11 +1,12 @@
 """The payoff tables against the per-pair loops they replaced.
 
-`menu_best_response`, `check_ic`, `check_ir`, the `onedim_*` checks and
-`converse_construct` all read one (point, option) payoff table. The oracles
-are the previous implementations: one Python loop per (deviator, target)
-pair, and one built and validated instance per converse epsilon of the old
-grid search (`helpers.loop_converse`). Results must match them bitwise,
-ties included.
+`menu_best_response`, `check_ic`, `check_ir`, `mechanism_value`, the
+`onedim_*` checks and `converse_construct` all read one (point, option)
+payoff table, `ScreeningInstance.payoffs`. The oracles are the previous
+implementations: one Python loop per (deviator, target) pair over scalar
+reads of the utility tables (`helpers.loop_agent_payoff`), and one built
+and validated instance per converse epsilon of the old grid search
+(`helpers.loop_converse`). Results must match them bitwise, ties included.
 """
 import struct
 
@@ -15,15 +16,16 @@ import pytest
 from screenkit import (FEAS_TOL, OUTSIDE, CostlySpec, GeneratorKnobs,
                        ICViolation, JointDistribution, Mechanism, Menu,
                        PreconditionFailed, ProductiveSpec,
-                       ScreeningInstance, StructuralError, agent_payoff,
-                       check_ic, check_ir, converse_construct,
-                       example3_instance, instance_rng, menu_best_response,
+                       ScreeningInstance, StructuralError, check_ic,
+                       check_ir, converse_construct, example3_instance,
+                       instance_rng, mechanism_value, menu_best_response,
                        productive_marginal, random_negative_instance,
                        random_positive_instance)
-from screenkit.model import best_response, ic_gains, payoff_tables
+from screenkit.model import best_response, ic_gains
 from screenkit.transfers import onedim_ic_violations, onedim_ir_violations
 
-from helpers import loop_converse, loop_menu_best_response
+from helpers import (loop_agent_payoff, loop_converse, loop_menu_best_response,
+                     loop_principal_payoff)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +45,7 @@ def _type_leq(inst, p, q):
 def loop_check_ic(inst, mech, direction="all"):
     out = []
     for p in range(inst.n_support):
-        truthful = agent_payoff(inst, p, mech.option(p))
+        truthful = loop_agent_payoff(inst, p, mech.option(p))
         for q in range(inst.n_support):
             if q == p:
                 continue
@@ -51,7 +53,7 @@ def loop_check_ic(inst, mech, direction="all"):
                 continue
             if direction == "upward" and not _type_leq(inst, p, q):
                 continue
-            gain = agent_payoff(inst, p, mech.option(q)) - truthful
+            gain = loop_agent_payoff(inst, p, mech.option(q)) - truthful
             if gain > FEAS_TOL:
                 out.append(ICViolation(p, q, float(gain)))
     return out
@@ -60,7 +62,7 @@ def loop_check_ic(inst, mech, direction="all"):
 def loop_check_ir(inst, mech):
     out = []
     for p in range(inst.n_support):
-        payoff = agent_payoff(inst, p, mech.option(p))
+        payoff = loop_agent_payoff(inst, p, mech.option(p))
         if payoff < -FEAS_TOL:
             out.append((p, float(payoff)))
     return out
@@ -238,23 +240,6 @@ def test_empty_menu_sends_everyone_outside():
     assert menu_best_response(inst, ()) == loop_menu_best_response(inst, ())
 
 
-def test_best_response_prices_a_batch_like_its_rows():
-    # a leading batch axis on u_b and t, as the converse uses for its epsilons
-    inst = INSTANCES[0]
-    menu = _tie_menu(inst, instance_rng(0, stream=961), 3)
-    x, y, t = zip(*menu.options)
-    batch = np.array(t) + np.array([0.0, 4e-10, -0.5, 0.5, 1.0])[:, None]
-    p, c = inst.productive, inst.costly
-    u_b = np.broadcast_to(c.u_b, (len(batch),) + c.u_b.shape)
-    agent, principal = payoff_tables((p.u_a, p.v_a, u_b, c.v_b),
-                                     inst.dist.support, x, y, batch)
-    choice, value = best_response(agent, principal, inst.dist.prob)
-    for k, row in enumerate(batch):
-        want = loop_menu_best_response(inst, Menu(tuple(zip(x, y, row))))
-        assert choice[k].tolist() == want[0]
-        assert _bits(float(value[k])) == _bits(want[1])
-
-
 # ---------------------------------------------------------------------------
 # incentive checks
 # ---------------------------------------------------------------------------
@@ -277,7 +262,7 @@ def test_check_ic_matches_loop(index, direction):
 
 def test_incomparable_types_only_count_in_all():
     inst = _grid_instance(1, dim=2)
-    ia, ib = np.array(inst.dist.support).T
+    ia, ib = inst.dist.pairs.T
     types = np.column_stack((inst.productive.theta_a[ia], inst.costly.theta_b[ib]))
     leq = (types[:, None] <= types[None]).all(-1)
     assert (~(leq | leq.T)).any()  # some pair cannot be compared
@@ -288,6 +273,21 @@ def test_incomparable_types_only_count_in_all():
             assert leq[v.target, v.deviator]
         for v in check_ic(inst, mech, "upward"):
             assert leq[v.deviator, v.target]
+
+
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_mechanism_value_matches_loop(index):
+    # transfers of -0.0 and 0.0 among the jitter: a point-by-point sum from
+    # 0 reads an all -0.0 sum as +0.0
+    inst = INSTANCES[index]
+    rng = instance_rng(index, stream=965)
+    for _ in range(20):
+        mech = _mechanism(inst, rng)
+        mech = Mechanism(mech.x, mech.y, np.where(
+            rng.random(len(mech)) < 0.3, -0.0, mech.t))
+        want = float(sum(pr * loop_principal_payoff(inst, p, mech.option(p))
+                         for p, pr in enumerate(inst.dist.prob)))
+        assert _bits(mechanism_value(inst, mech)) == _bits(want)
 
 
 @pytest.mark.parametrize("direction", ["downward", "upward", "all"])

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from screenkit import (GeneratorKnobs, OneDimInstance, SizeGuardExceeded,
-                       StructuralError, agent_payoff, example1_instance,
+                       StructuralError, example1_instance,
                        example2_instance, example3_instance,
                        graph_optimal_transfers, instance_rng,
-                       principal_payoff, productive_marginal,
+                       productive_marginal,
                        random_positive_instance, solve_downward_1d,
                        solve_full_1d, solve_joint)
 
 from helpers import (default_convergence_family, discretize_family,
-                     grid_convergence_study, random_onedim_instance)
+                     grid_convergence_study, loop_agent_payoff,
+                     loop_principal_payoff, random_onedim_instance)
 
 
 def oracle_joint_value(inst):
@@ -22,7 +23,7 @@ def oracle_joint_value(inst):
                for iy in range(inst.costly.n_alloc)]
 
     def util(p, opt):
-        return agent_payoff(inst, p, (opt[0], opt[1], 0.0))
+        return loop_agent_payoff(inst, p, (*opt, 0.0))
 
     best = None
     for combo in itertools.product(options, repeat=m):
@@ -41,7 +42,7 @@ def oracle_joint_value(inst):
                 break
         else:
             continue  # still relaxing after m+1 sweeps: negative cycle
-        value = sum(pr * principal_payoff(inst, p, (combo[p][0], combo[p][1], t[p]))
+        value = sum(pr * loop_principal_payoff(inst, p, (*combo[p], t[p]))
                     for p, pr in enumerate(inst.dist.prob))
         if best is None or value > best:
             best = value

@@ -122,3 +122,30 @@ def test_every_import_is_used():
         unused += [f"{module}:{line}:{name}" for name, line in _imported_names(tree)
                    if name not in used]
     assert unused == []
+
+
+def _mentions_support(node) -> bool:
+    """Whether `node` reads `<...>dist.support`."""
+    return any(isinstance(n, ast.Attribute) and n.attr == "support"
+               and (getattr(n.value, "id", None) == "dist"
+                    or getattr(n.value, "attr", None) == "dist")
+               for n in ast.walk(node))
+
+
+def test_payoffs_and_support_arrays_have_one_home():
+    # `ScreeningInstance.payoffs` prices every option and bounds its
+    # indices, and `JointDistribution.pairs` is the support as an array:
+    # no module but model.py turns `dist.support` into an array, and no
+    # scalar or batch payoff copy is defined, imported or called
+    arrays = [f"{module}:{call.lineno}" for module, tree in _trees()
+              if module != "model.py"
+              for call in ast.walk(tree) if isinstance(call, ast.Call)
+              and getattr(call.func, "attr", None) in ("array", "asarray")
+              and any(_mentions_support(arg) for arg in call.args)]
+    assert arrays == []
+    copies = {"payoff_tables", "agent_payoff", "principal_payoff"}
+    names = [f"{module}:{node.lineno}" for module, tree in _trees()
+             for node in ast.walk(tree)
+             if copies & {getattr(node, "name", None), getattr(node, "id", None),
+                          getattr(node, "attr", None)}]
+    assert names == []

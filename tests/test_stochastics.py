@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import screenkit
 import screenkit.stochastics as stochastics
-from screenkit import (MASS_TOL, DiscreteDistribution, GeneratorKnobs,
-                       JointDistribution, NotDominated, NotMonotone,
-                       ScreeningInstance, check_dominance,
+from screenkit import (MASS_TOL, Coupling, DiscreteDistribution,
+                       GeneratorKnobs, JointDistribution, NotDominated,
+                       NotMonotone, ScreeningInstance, StructuralError,
+                       check_dominance,
                        check_stochastic_monotonicity, example2_instance,
                        example3_instance, instance_rng, level_couplings,
                        path_decomposition, random_negative_instance,
@@ -33,6 +34,15 @@ def test_scalar_dominance_via_cdfs():
     assert check_dominance(low, high)
     assert not check_dominance(high, low)
     assert check_dominance(low, low)
+
+
+def test_coupling_allows_mass_off_the_comparable_pairs_within_mass_tol():
+    # the refusals beyond it are in test_model's SHAPES table
+    low = DiscreteDistribution([[0.0], [1.0]], [0.5, 0.5])
+    mass = [[0.5, 0.0], [MASS_TOL, 0.5 - MASS_TOL]]  # (1, 0) is not comparable
+    assert Coupling(low, low, mass).mass[1, 0] == MASS_TOL
+    with pytest.raises(StructuralError):
+        Coupling(low, low, [[0.5, 0.0], [2 * MASS_TOL, 0.5 - 2 * MASS_TOL]])
 
 
 def test_multivariate_dominance_needs_coupling_not_just_marginals():

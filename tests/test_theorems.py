@@ -1,25 +1,26 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from screenkit import (FEAS_TOL, GeneratorKnobs, InputNotIC, Mechanism,
                        MultiplicativeInstance, MultiplicativeMechanism,
-                       PreconditionFailed, StructuralError, agent_payoff,
-                       check_ic, check_ir,
+                       PreconditionFailed, StructuralError, check_ic,
+                       check_ir,
                        converse_construct, example2_instance,
                        example2_mechanism, example3_instance,
                        menu_best_response, path_decomposition,
                        random_negative_instance, random_positive_instance,
                        shift_mechanism, shift_multiplicative, solve_full_1d,
                        productive_marginal, verify_theorem1)
-from screenkit.stochastics import instance_rng
+from screenkit.stochastics import TypePath, instance_rng
 from screenkit import theorems
-from screenkit.model import best_response, payoff_tables
+from screenkit.model import best_response
 from screenkit.theorems import (_CONVERSE_EPS, _coordinate_marginals,
                                 _line_instance, _median_split)
 
-from helpers import ic_mechanism_on_line
+from helpers import ic_mechanism_on_line, loop_agent_payoff
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +87,8 @@ def test_shift_preserves_payoffs_and_downward_ic(seed):
     result = shift_mechanism(inst, path, mech)
     shifted = result.mechanism
     for k in range(len(mech)):
-        before = agent_payoff(line, k, mech.option(k))
-        after = agent_payoff(line, k, shifted.option(k))
+        before = loop_agent_payoff(line, k, mech.option(k))
+        after = loop_agent_payoff(line, k, shifted.option(k))
         assert after == pytest.approx(before, abs=1e-12)
     assert check_ic(line, shifted, "downward") == []
     assert check_ir(line, shifted) == []
@@ -105,6 +106,22 @@ def test_shift_rejects_non_ic_input():
     greedy = Mechanism((1, 0), (0, 1), (5.0, -1.0))  # IR fails for the low type
     with pytest.raises(InputNotIC):
         shift_mechanism(inst, path, greedy)
+
+
+def test_shift_refuses_an_instrument_off_the_grid():
+    # y = -1 was priced as instrument 1 and the shift returned a result
+    inst = example2_instance()
+    mech = Mechanism((1, 0), (0, -1), (0.0, -1.0))
+    with pytest.raises(StructuralError, match="option 1: y index -1 out of range"):
+        shift_mechanism(inst, TypePath(1.0, (0, 1)), mech)
+
+
+def test_shift_refuses_a_path_off_the_costly_types():
+    # the line's own bounds check names the pair, where the path's costly
+    # types were read first and a bare IndexError escaped
+    with pytest.raises(StructuralError, match=re.escape("support pair (1, 5) out of range")):
+        shift_mechanism(example2_instance(), TypePath(1.0, (0, 5)),
+                        example2_mechanism())
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +187,15 @@ def test_multiplicative_shift_rejects_non_ic_input():
     mech = MultiplicativeMechanism((0.4, 0.8), (0, 0), (0.4, 0.0))
     with pytest.raises(InputNotIC):
         shift_multiplicative(minst, mech)
+
+
+@pytest.mark.parametrize("iy", [-1, 5])
+def test_multiplicative_shift_refuses_an_instrument_off_the_grid(iy):
+    # 5 ended in a bare IndexError and -1 read the last instrument row
+    mech = MultiplicativeMechanism((0.4, 0.8), (0, iy), (0.1, 0.3))
+    with pytest.raises(StructuralError,
+                       match=f"instrument index {iy} out of range for 2 instruments"):
+        shift_multiplicative(_mult_instance(), mech)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +280,9 @@ def test_converse_unmet_margin_names_the_margin_and_the_best_gap():
 
 def test_converse_without_a_bound_certified_eps_blames_the_construction(monkeypatch):
     # every menu value below the bound r: no eps passes the r/q check
-    def below_every_bound(agent, principal, prob):
-        return None, np.zeros(agent.shape[0])
-    monkeypatch.setattr(theorems, "best_response", below_every_bound)
+    def below_every_bound(inst, menu):
+        return [], 0.0
+    monkeypatch.setattr(theorems, "menu_best_response", below_every_bound)
     with pytest.raises(StructuralError, match="inconsistent"):
         converse_construct(random_negative_instance(3, stream=0))
 
@@ -285,11 +311,12 @@ def _menu_values_over_eps(inst, art, eps):
     g = np.where(cost.theta_b[:, art.coordinate] <= art.m1, -1.0, -eps[:, None])
     off_baseline = np.arange(cost.n_alloc) != cost.y0_index
     u_b = off_baseline[None, :, None] * g[:, None, :]
-    t = np.stack((2.0 - eps, 1.0 - eps, np.zeros_like(eps)), axis=-1)
-    x, y, _ = zip(*art.menu.options)
-    tables = (art.instance.productive.u_a, art.instance.productive.v_a, u_b,
-              cost.v_b)
-    agent, principal = payoff_tables(tables, inst.dist.support, x, y, t)
+    t = np.stack((2.0 - eps, 1.0 - eps, np.zeros_like(eps)), axis=-1)[:, None, :]
+    x, y, _ = np.array(art.menu.options).T.astype(int)
+    ia, ib = inst.dist.pairs.T[:, :, None]
+    prod = art.instance.productive
+    agent = prod.u_a[x, ia] + u_b[:, y, ib] - t  # (eps, point, option)
+    principal = prod.v_a[x, ia] + cost.v_b[y, ib] + t
     return best_response(agent, principal, inst.dist.prob)[1]
 
 
