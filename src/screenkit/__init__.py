@@ -14,9 +14,8 @@ from .stochastics import (MASS_TOL, Coupling, DiscreteDistribution,
                           GeneratorKnobs, LevelCouplings, PathMixture,
                           TypePath, check_dominance,
                           check_stochastic_monotonicity, instance_rng,
-                          level_couplings, path_decomposition,
-                          random_negative_instance, random_positive_instance,
-                          strassen_coupling)
+                          path_decomposition, random_negative_instance,
+                          random_positive_instance, strassen_coupling)
 from .transfers import (OneDimInstance, closed_form_downward_transfers,
                         graph_optimal_transfers, onedim_ic_violations,
                         onedim_ir_violations, onedim_value)
@@ -52,9 +51,9 @@ __all__ = [
     "menu_best_response", "validate_instance",
     "MASS_TOL", "Coupling", "DiscreteDistribution", "GeneratorKnobs",
     "LevelCouplings", "PathMixture", "TypePath", "check_dominance",
-    "check_stochastic_monotonicity", "instance_rng", "level_couplings",
-    "path_decomposition", "random_negative_instance",
-    "random_positive_instance", "strassen_coupling",
+    "check_stochastic_monotonicity", "instance_rng", "path_decomposition",
+    "random_negative_instance", "random_positive_instance",
+    "strassen_coupling",
     "OneDimInstance", "closed_form_downward_transfers",
     "graph_optimal_transfers", "onedim_ic_violations",
     "onedim_ir_violations", "onedim_value",

@@ -17,10 +17,10 @@ from .errors import (AssumptionFailed, OutOfRange, RatioMonotonicityFailed,
                      SizeGuardExceeded, StructuralError)
 from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, CostlySpec,
                     JointDistribution, ProductiveSpec, ScreeningInstance,
-                    _as_index, _as_real, _grid, _table, _weights,
-                    float_table)
+                    _as_index, _as_real, _grid, _level_table, _table,
+                    _weights, float_table)
 from .solver import DEFAULT_GUARD, SolveResult, _price, solve_full_1d
-from .stochastics import _adjacent_couplings, _level_table
+from .stochastics import _adjacent_couplings
 from .transfers import OneDimInstance
 
 
@@ -292,9 +292,13 @@ def _principal_values(cost: np.ndarray, cells: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class BundlingCertificate:
     brute_force_value: float
-    menu_value: float
+    solution: BundlingSolution   # the quality menu the certificate solved
     options: int
     best_descriptor: tuple
+
+    @property
+    def menu_value(self) -> float:
+        return self.solution.value
 
     @property
     def menu_is_optimal(self) -> bool:
@@ -321,15 +325,15 @@ def _best_pair(U: np.ndarray, P: np.ndarray, mu: np.ndarray) -> tuple:
     return i, j
 
 
-def certify_bundling(b: BundleInstance,
-                     solution: BundlingSolution | None = None) -> BundlingCertificate:
+def certify_bundling(b: BundleInstance) -> BundlingCertificate:
     """Exhaustive check that the quality menu beats probabilistic bundling.
 
-    Enumerates every grid-valued bundling mechanism with maximal feasible
-    transfers and compares against the quality-menu value. Costs are
-    piecewise linear between samples, so the scalar solver already attains
-    the continuum optimum at a grid point and the comparison is exact up to
-    float tolerance. Supports one or two consumer types.
+    Solves the quality menu (`solve_bundling`, carried as `solution`),
+    enumerates every grid-valued bundling mechanism with maximal feasible
+    transfers and compares. Costs are piecewise linear between samples, so
+    the scalar solver already attains the continuum optimum at a grid point
+    and the comparison is exact up to float tolerance. Supports one or two
+    consumer types.
 
     Options are held as integer cells (`_option_cells`) and priced through
     per-cell tables. With one type, the first maximizer of P + U[0] is
@@ -348,9 +352,9 @@ def certify_bundling(b: BundleInstance,
     solver's `solver._price`, whose Bellman-Ford gives the bits a scan
     pricing every pair by the relaxation gives it. `options` counts every
     enumerated option; above `DEFAULT_GUARD` options it raises
-    SizeGuardExceeded before enumerating any. Pass the `solve_bundling(b)`
-    result as `solution` to reuse it.
+    SizeGuardExceeded before enumerating any.
     """
+    solution = solve_bundling(b)
     if b.n_types > 2:
         raise SizeGuardExceeded("certificate supports at most two types",
                                 b.n_types, 2)
@@ -362,7 +366,6 @@ def certify_bundling(b: BundleInstance,
     if n_options > DEFAULT_GUARD:
         raise SizeGuardExceeded("bundling option enumeration too large",
                                 n_options, DEFAULT_GUARD)
-    menu_value = (solve_bundling(b) if solution is None else solution).value
     cells = _option_cells(b)
     alpha, q, weight, cost = _cell_tables(b)
     P = _principal_values(cost, cells)
@@ -371,7 +374,7 @@ def certify_bundling(b: BundleInstance,
              else _best_pair(U, P, b.prob))
     value, _ = _price(U, np.broadcast_to(P, U.shape), b.prob, np.array([picks]))
     return BundlingCertificate(
-        float(value[0]), float(menu_value), n_options,
+        float(value[0]), solution, n_options,
         tuple((tuple(alpha[cells[k]]), tuple(q[cells[k]])) for k in picks))
 
 

@@ -22,10 +22,11 @@ from .applications import (BundleInstance, CompetitiveParams,
                            solve_bundling)
 from .errors import ScreenkitError, SizeGuardExceeded, StructuralError
 from .io import canonical_json, load_instance, load_params, read_field
-from .model import _as_index, _as_real, float_table, validate_instance
+from .model import (VALUE_TOL, _as_index, _as_real, float_table,
+                    validate_instance)
 from .solver import (DEFAULT_GUARD, productive_marginal, solve_downward_1d,
                      solve_full_1d, solve_joint)
-from .stochastics import level_couplings, random_positive_instance
+from .stochastics import random_positive_instance
 from .theorems import converse_construct, verify_theorem1
 
 REPORT_COLUMNS = ("instance_id", "mode", "value", "gap", "y0_as",
@@ -138,45 +139,29 @@ def _pretty(rows: list) -> str:
 
 
 def _solve_payload(inst, mode: str, guard: int, timing: bool,
-                   instance_id: str, levels=None) -> dict:
+                   instance_id: str) -> dict:
     t0 = time.perf_counter()
     if mode == "joint":
-        res = solve_joint(inst, guard=guard, levels=levels)
+        res = solve_joint(inst, guard=guard)
         mech = res.mechanism
         payload = {
-            "instance_id": instance_id,
-            "mode": mode,
-            "value": res.value,
-            "mechanism": {
-                "support": [list(p) for p in inst.dist.support],
-                "x": list(mech.x),
-                "y": list(mech.y),
-                "t": list(mech.t),
-            },
+            "mechanism": {"support": [list(p) for p in inst.dist.support],
+                          "x": list(mech.x), "y": list(mech.y), "t": list(mech.t)},
             "some_optimum_baseline": res.some_optimum_baseline,
             "all_optima_baseline": res.all_optima_baseline,
-            "certificate": res.certificate,
         }
     elif mode in ("downward1d", "full1d"):
-        line = productive_marginal(inst, levels)
-        if mode == "downward1d":
-            res = solve_downward_1d(line, guard)
-        else:
-            res = solve_full_1d(line)
-        payload = {
-            "instance_id": instance_id,
-            "mode": mode,
-            "value": res.value,
-            "mechanism": {
-                "levels": line.theta.tolist(),
-                "x_idx": list(res.x_idx),
-                "x": line.x_grid[list(res.x_idx)].tolist(),
-                "t": list(res.t),
-            },
-            "certificate": res.certificate,
-        }
+        line = productive_marginal(inst)
+        res = (solve_downward_1d(line, guard) if mode == "downward1d"
+               else solve_full_1d(line))
+        payload = {"mechanism": {"levels": line.theta.tolist(),
+                                 "x_idx": list(res.x_idx),
+                                 "x": line.x_grid[list(res.x_idx)].tolist(),
+                                 "t": list(res.t)}}
     else:
         raise _CliExit(f"unknown mode {mode!r}", 1)
+    payload.update(instance_id=instance_id, mode=mode, value=res.value,
+                   certificate=res.certificate)
     if timing:
         payload["runtime_ms"] = round(1e3 * (time.perf_counter() - t0), 3)
     return payload
@@ -224,15 +209,13 @@ def _converse_payload(inst, coordinate: int, margin: float,
 
 def cmd_solve(args) -> int:
     inst = _load(args.instance)
-    levels = None
     if args.strict:
-        levels = level_couplings(inst)  # validation and solve_joint share it
-        report = validate_instance(inst, levels)
+        report = validate_instance(inst)
         if not report.assumptions_hold:
             raise _CliExit(
                 f"assumption checks failed: {report.failures}", 3)
     payload = _solve_payload(inst, args.mode, args.guard, args.timing,
-                             Path(args.instance).stem, levels)
+                             Path(args.instance).stem)
     _emit(payload, args.format, args.out)
     return 0
 
@@ -288,14 +271,14 @@ def cmd_bundling(args) -> int:
     else:
         from .presets import bundling_default
         b = bundling_default()
-    sol = solve_bundling(b)
+    cert = certify_bundling(b) if args.certify else None
+    sol = solve_bundling(b) if cert is None else cert.solution
     payload = {
         "mode": "bundling",
         "value": sol.value,
         "menu": [list(opt) for opt in sol.menu],
     }
-    if args.certify:
-        cert = certify_bundling(b, sol)
+    if cert is not None:
         payload["certificate"] = {
             "brute_force_value": cert.brute_force_value,
             "options": cert.options,
@@ -404,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="menu construction for negatively dependent types")
     c.add_argument("--instance", required=True)
     c.add_argument("--coordinate", type=int, default=0)
-    c.add_argument("--margin", type=float, default=1e-6)
+    c.add_argument("--margin", type=float, default=VALUE_TOL)
     _add_output(c)
     c.set_defaults(func=cmd_converse)
 

@@ -18,7 +18,7 @@ sides exactly zero; evaluators append it implicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import getitem
 from typing import NamedTuple
 
@@ -48,6 +48,18 @@ def _as_index(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise StructuralError(f"{name} must be an integer index, got {value!r}")
     return int(value)
+
+
+def _index_column(values, name: str) -> np.ndarray:
+    """`values` as a 1-D intp array, each entry read by `_as_index`; an
+    array passes on its own dtype and shape."""
+    if not isinstance(values, np.ndarray):
+        return np.array([_as_index(v, name) for v in _sequence(values, name)],
+                        dtype=np.intp)
+    if values.ndim != 1 or values.dtype.kind not in "iu":
+        raise StructuralError(f"{name} must be a 1-D integer array, got "
+                              f"{values.dtype} of shape {values.shape}")
+    return values.astype(np.intp, copy=False)
 
 
 def _as_real(value, name: str = "") -> float:
@@ -267,9 +279,24 @@ class JointDistribution:
         return len(self.support)
 
 
+def _level_table(level: np.ndarray, point: np.ndarray, prob: np.ndarray,
+                 n_points: int) -> tuple:
+    """(marginal, cond) of a law on (level, point) cells, every level in use.
+
+    The marginal sums `prob` per level in cell order; row l of the
+    (levels, n_points) table `cond` is the law of the point at level l,
+    zero off the cells.
+    """
+    marginal = np.bincount(level, weights=prob)
+    marginal.setflags(write=False)  # shared by the marginal and the mixture
+    cells = np.bincount(level * n_points + point, weights=prob,
+                        minlength=marginal.size * n_points)
+    return marginal, cells.reshape(-1, n_points) / marginal[:, None]
+
+
 @dataclass(frozen=True, eq=False)
 class ScreeningInstance:
-    """A complete finite screening problem."""
+    """A complete finite screening problem; it owns its level pass."""
 
     productive: ProductiveSpec
     costly: CostlySpec
@@ -288,6 +315,31 @@ class ScreeningInstance:
     def n_support(self) -> int:
         return len(self.dist)
 
+    @cached_property
+    def levels(self) -> tuple:
+        """(a_indices, a_probs, cond), read-only: the theta_a indices in the
+        support, ascending; their marginal masses, summed in support order;
+        and the (L, n_b) table whose row l is the law of the theta_b index
+        at level a_indices[l], zero off the support."""
+        a_indices, level = np.unique(self.dist.pairs[:, 0], return_inverse=True)
+        a_probs, cond = _level_table(level, self.dist.pairs[:, 1], self.dist.prob,
+                                     self.costly.n_types)
+        a_indices.setflags(write=False)
+        cond.setflags(write=False)
+        return a_indices, a_probs, cond
+
+    @cached_property
+    def level_couplings(self):
+        """`levels` and read-only couplings of the conditional costly laws
+        of adjacent levels (`stochastics.LevelCouplings`): the one pass behind
+        the monotonicity check, the path decomposition and the joint bound."""
+        from .stochastics import LevelCouplings, _adjacent_couplings  # a cycle
+        couplings, first_unordered = _adjacent_couplings(self.levels[2],
+                                                         self.costly.theta_b)
+        for mass in couplings:
+            mass.setflags(write=False)
+        return LevelCouplings(*self.levels, couplings, first_unordered)
+
     def payoffs(self, x, y, t=None):
         """Agent and principal payoffs, each (point, option).
 
@@ -295,11 +347,15 @@ class ScreeningInstance:
         u_a[x, ia] + u_b[y, ib] - t, and the principal gets
         v_a[x, ia] + v_b[y, ib] + t; with `t` omitted neither table has a
         transfer term. Every IC, IR, best-response and value check reads
-        these tables. An x outside [0, n_x) or a y outside [0, n_y) raises
-        StructuralError naming the option.
+        these tables. x and y hold integer indices (`_as_index`), t one
+        number per option, all of one length; StructuralError names a field
+        that breaks this, or the option whose x or y is off its grid.
         """
         p, c = self.productive, self.costly
-        x, y = np.asarray(x, dtype=int), np.asarray(y, dtype=int)
+        x, y = _index_column(x, "x"), _index_column(y, "y")
+        if y.size != x.size:
+            raise StructuralError(f"y must hold {x.size} indices, one per "
+                                  f"option, got {y.size}")
         for name, index, grid, size in (("x", x, "x_grid", p.n_alloc),
                                         ("y", y, "y_set", c.n_alloc)):
             values = index.tolist()  # few options: Python's min and max are faster
@@ -312,7 +368,10 @@ class ScreeningInstance:
         principal = p.v_a[x, ia] + c.v_b[y, ib]
         if t is None:
             return agent, principal
-        t = np.asarray(t, dtype=float)
+        t = float_table(t, "t")
+        if t.shape != x.shape:
+            raise StructuralError(f"t must hold {x.size} transfers, one per "
+                                  f"option, got shape {t.shape}")
         return agent - t, principal + t
 
 
@@ -441,7 +500,7 @@ def menu_best_response(inst: ScreeningInstance, menu: Menu):
     probability-weighted sum of principal payoffs over the assignment.
     """
     menu = menu if isinstance(menu, Menu) else Menu(menu)
-    x, y, t = np.array(menu.options, dtype=float).reshape(-1, 3).T
+    x, y, t = ([option[k] for option in menu.options] for k in range(3))
     choice, value = best_response(*inst.payoffs(x, y, t), inst.dist.prob)
     return choice.tolist(), float(value)
 
@@ -459,11 +518,23 @@ def _mechanism_payoffs(inst: ScreeningInstance, mech: Mechanism) -> tuple:
     return inst.payoffs(mech.x, mech.y, mech.t)
 
 
+def truthful_value(prob: np.ndarray, principal: np.ndarray) -> float:
+    """Expected principal payoff under truthful play, from a (deviator,
+    target) principal table, summed point by point from 0.0 (so a -0.0 sum
+    reads +0.0)."""
+    return float(0.0 + np.cumsum(prob * np.diagonal(principal))[-1])
+
+
 def mechanism_value(inst: ScreeningInstance, mech: Mechanism) -> float:
-    """Expected principal payoff under truthful play, summed point by point
-    from 0.0 (so a -0.0 sum reads +0.0)."""
-    own = np.diagonal(_mechanism_payoffs(inst, mech)[1])
-    return float(0.0 + np.cumsum(inst.dist.prob * own)[-1])
+    """Expected principal payoff of `mech` under truthful play (`truthful_value`)."""
+    return truthful_value(inst.dist.prob, _mechanism_payoffs(inst, mech)[1])
+
+
+def support_leq(inst: ScreeningInstance) -> np.ndarray:
+    """leq[i, j]: support point i's type lies componentwise below point j's."""
+    ia, ib = inst.dist.pairs.T
+    types = np.column_stack((inst.productive.theta_a[ia], inst.costly.theta_b[ib]))
+    return (types[:, None, :] <= types[None, :, :]).all(axis=-1)
 
 
 def check_ic(inst: ScreeningInstance, mech: Mechanism, direction: str = "all"):
@@ -473,10 +544,7 @@ def check_ic(inst: ScreeningInstance, mech: Mechanism, direction: str = "all"):
     componentwise below the deviator, "upward" to componentwise above; "all"
     checks every ordered pair. A violation is a strict gain above FEAS_TOL.
     """
-    ia, ib = inst.dist.pairs.T
-    types = np.column_stack((inst.productive.theta_a[ia], inst.costly.theta_b[ib]))
-    leq = (types[:, None, :] <= types[None, :, :]).all(axis=-1)
-    allowed = deviation_mask(leq, direction)
+    allowed = deviation_mask(support_leq(inst), direction)
     return ic_gains(_mechanism_payoffs(inst, mech)[0], allowed)
 
 
@@ -629,7 +697,7 @@ def _check_baseline(spec: CostlySpec) -> CheckResult:
     return CheckResult(True)
 
 
-def validate_instance(inst: ScreeningInstance, levels=None) -> ValidationReport:
+def validate_instance(inst: ScreeningInstance) -> ValidationReport:
     """Run every model assumption check and return a full report.
 
     Structural defects raise StructuralError at construction; everything here
@@ -638,8 +706,7 @@ def validate_instance(inst: ScreeningInstance, levels=None) -> ValidationReport:
     Each table check builds one mask of its violations (for single crossing
     and costly monotonicity, over every pair of allocations or costly types);
     the mask decides the check, and its first hit in the check's scan order
-    is the witness. Pass `levels` to reuse a computed
-    `stochastics.level_couplings(inst)`.
+    is the witness.
     """
     from .stochastics import check_stochastic_monotonicity  # local to avoid a cycle
 
@@ -648,7 +715,7 @@ def validate_instance(inst: ScreeningInstance, levels=None) -> ValidationReport:
     checks["productive_increasing_differences"] = _check_increasing_differences(inst.productive)
     checks["surplus_single_crossing"] = _check_single_crossing(inst.productive)
     checks["costly_monotone"] = _check_costly_monotone(inst.costly)
-    ok, witness = check_stochastic_monotonicity(inst, levels)
+    ok, witness = check_stochastic_monotonicity(inst)
     checks["stochastic_monotone"] = CheckResult(ok, witness)
     checks["costly_sign"] = _check_costly_sign(inst.costly)
     checks["costly_sign_strict"] = CheckResult(inst.costly.strictly_costly, None,

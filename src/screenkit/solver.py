@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SizeGuardExceeded, StructuralError
 from .model import _ROUND_TOL, FEAS_TOL, Mechanism, ScreeningInstance
-from .stochastics import LevelCouplings, level_couplings, scalar_levels
+from .stochastics import LevelCouplings
 from .transfers import (OneDimInstance, _downward_sweep, _monotone_transfers,
                         _onedim_value)
 
@@ -55,12 +55,10 @@ class JointSolveResult:
     certificate: dict
 
 
-def productive_marginal(inst: ScreeningInstance,
-                        levels: LevelCouplings | None = None) -> OneDimInstance:
-    """Scalar-type problem induced by ignoring the costly instruments; pass
-    `levels`, a computed `level_couplings(inst)`, to reuse its level table."""
-    a, mu = (scalar_levels(inst)[:2] if levels is None
-             else (levels.a_indices, levels.a_probs))
+def productive_marginal(inst: ScreeningInstance) -> OneDimInstance:
+    """Scalar-type problem induced by ignoring the costly instruments, on
+    the instance's level table."""
+    a, mu, _ = inst.levels
     p = inst.productive
     theta, u, v = p.theta_a[a], p.u_a[:, a], p.v_a[:, a]
     for fresh in (theta, u, v):
@@ -390,9 +388,8 @@ def _iron(g: np.ndarray, U: np.ndarray, chain: tuple, pairs: list,
     return g
 
 
-def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
-                levels: LevelCouplings | None = None,
-                full1d: SolveResult | None = None) -> JointSolveResult:
+def solve_joint(inst: ScreeningInstance,
+                guard: int = DEFAULT_GUARD) -> JointSolveResult:
     """Exact optimum of the joint problem: a root bound decides, and a
     search classifies what the bound leaves.
 
@@ -404,24 +401,24 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     level below along a coupling of adjacent conditional costly laws bounds
     every IC assignment's value by a separable virtual surplus,
     sum_p g_p(a_p) + lift (`_path_rent_bound`). It holds for any coupling;
-    `levels` (default `level_couplings(inst)`) supplies the monotone one
-    where the paper's assumption holds, which makes it tight, and the
-    product coupling on unordered pairs. Its root value, the sum of
-    max_a g_p(a) plus the lift, caps the optimum; the certificate's
-    `root_certified` says it equals it, so the bound alone proves the
-    optimal value.
+    the instance's `level_couplings` supply the monotone one where the
+    paper's assumption holds, which makes it tight, and the product
+    coupling on unordered pairs. Its root value, the sum of max_a g_p(a)
+    plus the lift, caps the optimum; the certificate's `root_certified`
+    says it equals it, so the bound alone proves the optimal value.
 
-    The first row priced is the full-IC productive optimum (`full1d`,
-    default `solve_full_1d` of the productive marginal) with every
-    instrument at baseline. Where the root misses that row by more than
-    FEAS_TOL, the bound is ironed: each level pair the full1d allocation
-    pools gets an upward multiplier mu_j >= 0 along the same coupling
-    (`_iron`; Myerson 1981, Rochet 1987), chosen by exact line
-    search over the breakpoints of the convex root bound until it meets the
-    row. Any mu >= 0 keeps the bound sound. Only when the row still misses
-    does the seed enumerate the baseline-only menus that give every support
-    point of a productive level the same allocation, nondecreasing in the
-    level: C(n_x + L - 1, L) assignments for L levels and n_x allocations.
+    The first row priced is the full-IC productive optimum
+    (`solve_full_1d` of the productive marginal; off the assumptions, where
+    it raises, the monotone seed stands in) with every instrument at
+    baseline. Where the root misses that row by more than FEAS_TOL, the
+    bound is ironed: each level pair the full1d allocation pools gets an
+    upward multiplier mu_j >= 0 along the same coupling (`_iron`; Myerson
+    1981, Rochet 1987), chosen by exact line search over the breakpoints of
+    the convex root bound until it meets the row. Any mu >= 0 keeps the
+    bound sound. Only when the row still misses does the seed enumerate the
+    baseline-only menus that give every support point of a productive level
+    the same allocation, nondecreasing in the level: C(n_x + L - 1, L)
+    assignments for L levels and n_x allocations.
     Each seed row is a real assignment priced exactly, so the incumbent
     `best` is a feasible value or -inf and never above the optimum. Where
     u_a has strict increasing differences the monotone seed is the best of
@@ -451,13 +448,17 @@ def solve_joint(inst: ScreeningInstance, guard: int = DEFAULT_GUARD,
     mechanism is the lexicographically smallest assignment of the maximal
     value.
     """
-    cost, dist = inst.costly, inst.dist
-    levels = level_couplings(inst) if levels is None else levels
-    if full1d is None:
-        try:
-            full1d = solve_full_1d(productive_marginal(inst, levels))
-        except StructuralError:
-            pass  # off the assumptions; the monotone seed stands in
+    try:
+        full1d = solve_full_1d(productive_marginal(inst))
+    except StructuralError:
+        full1d = None
+    return _solve_joint(inst, guard, full1d)
+
+
+def _solve_joint(inst: ScreeningInstance, guard: int,
+                 full1d: SolveResult | None) -> JointSolveResult:
+    """`solve_joint` given its full1d row, None where that solve raised."""
+    cost, dist, levels = inst.costly, inst.dist, inst.level_couplings
     prob, m = np.asarray(dist.prob), inst.n_support
     opt_x, opt_y, U, VG = _option_tables(inst)
     chain = level_of, _ = _chain(inst, levels)

@@ -4,12 +4,12 @@ Dominance between finitely supported laws on R^N is decided by an exact
 max-flow on the componentwise admissibility graph (capacities are
 probabilities scaled to integer units of 10**-12 mass, so there is no flow
 tolerance to tune); against a point mass the max flow is unique and is read
-off the admissibility table directly. One pass couples the conditional
-costly laws of adjacent productive levels (`level_couplings`: common
-quantiles for a scalar costly type, one max-flow per pair otherwise). It
-decides monotonicity and feeds the joint solver's path-rent bound and the
-one path routine, which peels a stochastically monotone joint law into a
-finite mixture of nondecreasing paths along those couplings.
+off the admissibility table directly. One pass, an instance's
+`level_couplings`, couples the conditional costly laws of adjacent
+productive levels (common quantiles for a scalar costly type, one max-flow
+per pair otherwise). It decides monotonicity and feeds the joint solver's
+path-rent bound and the one path routine, which peels a stochastically
+monotone joint law into a finite mixture of nondecreasing paths.
 """
 from __future__ import annotations
 
@@ -250,52 +250,11 @@ def strassen_coupling(p: DiscreteDistribution, q: DiscreteDistribution) -> Coupl
 # ---------------------------------------------------------------------------
 
 
-def scalar_levels(inst: ScreeningInstance):
-    """Productive levels of the support, their marginal, and the conditionals.
-
-    Returns (a_indices, a_probs, cond): the theta_a indices in the support,
-    ascending; their marginal masses, summed in support order; and the
-    (L, n_b) table whose row l is the law of the theta_b index at level
-    a_indices[l], zero off the support. Everything that groups the support
-    by productive level reads this table.
-    """
-    pairs = inst.dist.pairs
-    a_indices, level = np.unique(pairs[:, 0], return_inverse=True)
-    return (a_indices, *_level_table(level, pairs[:, 1], inst.dist.prob,
-                                     inst.costly.n_types))
-
-
-def _level_table(level: np.ndarray, point: np.ndarray, prob: np.ndarray,
-                 n_points: int) -> tuple:
-    """(marginal, cond) of a law on (level, point) cells, every level in use.
-
-    The marginal sums `prob` per level in cell order; row l of the
-    (levels, n_points) table `cond` is the law of the point at level l,
-    zero off the cells.
-    """
-    marginal = np.bincount(level, weights=prob)
-    marginal.setflags(write=False)  # shared by the marginal and the mixture
-    cells = np.bincount(level * n_points + point, weights=prob,
-                        minlength=marginal.size * n_points)
-    return marginal, cells.reshape(-1, n_points) / marginal[:, None]
-
-
-def _level_values(inst: ScreeningInstance, a_indices, k: int) -> tuple:
-    """Productive values of support levels k and k + 1: a failure witness."""
-    theta = inst.productive.theta_a
-    return float(theta[a_indices[k]]), float(theta[a_indices[k + 1]])
-
-
-def _not_monotone(inst: ScreeningInstance, a_indices, k: int) -> NotMonotone:
-    return NotMonotone(f"costly type not stochastically monotone at levels "
-                       f"{_level_values(inst, a_indices, k)}")
-
-
 @dataclass(frozen=True, eq=False)
 class LevelCouplings:
     """The support grouped by productive level, and a coupling per level pair.
 
-    `a_indices`, `a_probs` and `cond` are `scalar_levels(inst)`.
+    `a_indices`, `a_probs` and `cond` are an instance's `levels`.
     `couplings[k][i, j]` is the mass a coupling of the conditional laws at
     levels k and k + 1 sends from theta_b index i to theta_b index j; its
     marginals are rows k and k + 1 of `cond`. `first_unordered` is the first
@@ -359,31 +318,18 @@ def _adjacent_couplings(cond: np.ndarray, theta: np.ndarray) -> tuple:
     return tuple(couplings), bad[0] if bad else None
 
 
-def level_couplings(inst: ScreeningInstance) -> LevelCouplings:
-    """Couple the conditional costly laws of every adjacent pair of levels.
-
-    One pass serves the monotonicity check, the path decomposition and the
-    joint solver's path-rent bound: `scalar_levels` groups the support and
-    `_adjacent_couplings` couples its conditional table.
-    """
-    a_indices, a_probs, cond = scalar_levels(inst)
-    return LevelCouplings(a_indices, a_probs, cond,
-                          *_adjacent_couplings(cond, inst.costly.theta_b))
-
-
-def check_stochastic_monotonicity(inst: ScreeningInstance,
-                                  levels: LevelCouplings | None = None):
+def check_stochastic_monotonicity(inst: ScreeningInstance):
     """Check that the costly type rises stochastically with the scalar type.
 
     Returns (ok, witness); the witness is the offending pair of scalar-type
-    values, the first adjacent pair of levels `level_couplings` finds
-    unordered. Pass `levels` to reuse a computed `level_couplings(inst)`.
+    values, the first adjacent pair of levels the instance's
+    `level_couplings` finds unordered.
     """
-    levels = level_couplings(inst) if levels is None else levels
-    k = levels.first_unordered
+    k = inst.level_couplings.first_unordered
     if k is None:
         return True, None
-    return False, _level_values(inst, levels.a_indices, k)
+    theta, a_indices = inst.productive.theta_a, inst.levels[0]
+    return False, (float(theta[a_indices[k]]), float(theta[a_indices[k + 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +370,18 @@ def path_decomposition(inst: ScreeningInstance) -> PathMixture:
     """Write the joint type law as a weighted mixture of monotone paths.
 
     Requires stochastic monotonicity (NotMonotone naming the first failing
-    pair of levels otherwise). Chains the monotone couplings of
-    `level_couplings` (common-quantile for a scalar costly type, one
-    max-flow per adjacent pair otherwise) in integer flow units and
+    pair of levels otherwise). Chains the monotone couplings of the
+    instance's `level_couplings` (common-quantile for a scalar costly type,
+    one max-flow per adjacent pair otherwise) in integer flow units and
     repeatedly peels the bottleneck trajectory, so every path steps along
     pairs its couplings carry. The mixture reproduces the joint law to
     MASS_TOL and every path is componentwise nondecreasing.
     """
-    levels = level_couplings(inst)
-    if levels.first_unordered is not None:
-        raise _not_monotone(inst, levels.a_indices, levels.first_unordered)
+    ok, witness = check_stochastic_monotonicity(inst)
+    if not ok:
+        raise NotMonotone(f"costly type not stochastically monotone at "
+                          f"levels {witness}")
+    levels = inst.level_couplings
     mixture = PathMixture(levels.a_indices, levels.a_probs, _peeled_paths(levels))
     _assert_reproduces(inst, mixture)
     return mixture

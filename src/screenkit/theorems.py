@@ -19,13 +19,12 @@ from .errors import (InputNotIC, OutOfRange, PreconditionFailed,
 from .model import (_ROUND_TOL, FEAS_TOL, PROB_TOL, VALUE_TOL, CostlySpec,
                     JointDistribution, Mechanism, Menu, ProductiveSpec,
                     ScreeningInstance, ValidationReport, _as_index, _as_real,
-                    _grid, _table, _weights, check_ic, check_ir, float_table,
-                    ic_gains, ir_shortfalls, mechanism_value,
-                    menu_best_response, validate_instance)
-from .solver import (DEFAULT_GUARD, productive_marginal, solve_full_1d,
-                     solve_joint)
-from .stochastics import (TypePath, _row_cdfs, _unordered_rows,
-                          level_couplings, scalar_levels)
+                    _grid, _table, _weights, deviation_mask, float_table,
+                    ic_gains, ir_shortfalls, menu_best_response, support_leq,
+                    truthful_value, validate_instance)
+from .solver import (DEFAULT_GUARD, _solve_joint, productive_marginal,
+                     solve_full_1d)
+from .stochastics import TypePath, _row_cdfs, _unordered_rows
 from .transfers import OneDimInstance
 
 #: The converse's discount eps. Its menu value falls in eps, so the least
@@ -73,15 +72,14 @@ def verify_theorem1(inst: ScreeningInstance,
     Solves the joint problem exactly, solves the induced scalar problem under
     full IC, and reports the gap. When any assumption check fails the report
     is diagnostic: the gap is whatever it is and `passed` stays False without
-    implying an error. One `level_couplings` pass serves the monotonicity
-    check, the productive marginal and the joint bound, and the scalar optimum
-    seeds the joint search. The size guard bounds the rows the joint solver
-    prices (`solve_joint`), so it is checked after the scalar solve.
+    implying an error. The instance's one level pass serves the monotonicity
+    check, the productive marginal and the joint bound, and the scalar
+    optimum, solved once before any joint work, seeds the joint search: the
+    joint size guard (`solve_joint`) is checked after the scalar solve.
     """
-    levels = level_couplings(inst)
-    status = validate_instance(inst, levels)
-    productive = solve_full_1d(productive_marginal(inst, levels))
-    joint = solve_joint(inst, guard=guard, levels=levels, full1d=productive)
+    status = validate_instance(inst)
+    productive = solve_full_1d(productive_marginal(inst))
+    joint = _solve_joint(inst, guard, productive)
     gap = joint.value - productive.value
     if gap < -FEAS_TOL:
         raise StructuralError(
@@ -118,7 +116,7 @@ class ShiftResult:
 
 def _line_instance(inst: ScreeningInstance, path: TypePath) -> ScreeningInstance:
     """One-path restriction of the instance, carrying the scalar marginal."""
-    levels, weight, _ = scalar_levels(inst)
+    levels, weight, _ = inst.levels
     if len(path.b_indices) != len(levels):
         raise PreconditionFailed("path length does not match the number of "
                                  "productive type levels")
@@ -145,31 +143,31 @@ def shift_mechanism(inst: ScreeningInstance, path: TypePath,
     n = line.n_support
     if len(mech.x) != n:
         raise PreconditionFailed("mechanism length does not match the path")
-    ic = check_ic(line, mech, "all")
-    ir = check_ir(line, mech)
-    if ic or ir:
-        raise InputNotIC(f"input mechanism violates IC/IR on the path line: "
-                         f"{(ic + ir)[0]}")
-    u_b = inst.costly.u_b
-    y0 = inst.costly.y0_index
+    leq = support_leq(line)
+    agent, principal = line.payoffs(mech.x, mech.y, mech.t)
+    bad = ic_gains(agent, deviation_mask(leq, "all"))
+    bad += ir_shortfalls(np.diagonal(agent))
+    if bad:
+        raise InputNotIC(f"input mechanism violates IC/IR on the path line: {bad[0]}")
+    u_b, y0 = inst.costly.u_b, inst.costly.y0_index
     t_new = [t - u_b[y, b] for t, y, (_, b) in zip(mech.t, mech.y, line.dist.support)]
     shifted = Mechanism(mech.x, (y0,) * n, t_new)
+    agent_new, principal_new = line.payoffs(shifted.x, shifted.y, shifted.t)
 
-    before, after = (np.diagonal(line.payoffs(m.x, m.y, m.t)[0])
-                     for m in (mech, shifted))
     # a truthful payoff moved by rounding alone has not moved
-    moved = np.flatnonzero(np.abs(before - after) > _ROUND_TOL)
+    own = np.diagonal(agent_new)
+    moved = np.flatnonzero(np.abs(np.diagonal(agent) - own) > _ROUND_TOL)
     if moved.size:
         raise StructuralError(f"shift changed a truthful payoff at point {moved[0]}")
-    down = check_ic(line, shifted, "downward")
+    down = ic_gains(agent_new, deviation_mask(leq, "downward"))
     if down:
         raise StructuralError(f"shift broke a downward constraint: {down[0]}")
-    ir_after = check_ir(line, shifted)
+    ir_after = ir_shortfalls(own)
     if ir_after:
         raise StructuralError(f"shift broke participation: {ir_after[0]}")
 
-    before_val = mechanism_value(line, mech)
-    after_val = mechanism_value(line, shifted)
+    before_val, after_val = (truthful_value(line.dist.prob, table)
+                             for table in (principal, principal_new))
     improvement = after_val - before_val
     if improvement < -FEAS_TOL:
         raise StructuralError("shift decreased the principal's payoff")
@@ -179,7 +177,7 @@ def shift_mechanism(inst: ScreeningInstance, path: TypePath,
     if strict and improvement <= 0:
         raise StructuralError("strictly costly instrument in use but the "
                               "shift gained nothing")
-    upward = check_ic(line, shifted, "upward")
+    upward = ic_gains(agent_new, deviation_mask(leq, "upward"))
     return ShiftResult(shifted, float(before_val), float(after_val),
                        float(improvement), tuple(upward), strict)
 
@@ -396,9 +394,8 @@ def _coordinate_marginals(inst: ScreeningInstance, coord: int):
             np.asarray(inst.dist.prob))
 
 
-def _check_nonincreasing_coordinate(inst: ScreeningInstance, coord: int,
-                                    levels: np.ndarray, cond: np.ndarray) -> None:
-    """`levels` and `cond` are those of `scalar_levels(inst)`."""
+def _check_nonincreasing_coordinate(inst: ScreeningInstance, coord: int) -> None:
+    levels, _, cond = inst.levels
     cdf = _row_cdfs(cond, inst.costly.theta_b[:, coord])
     # rising in reversed level order; its last failure is the lowest pair
     bad = _unordered_rows(cdf[::-1])
@@ -410,7 +407,7 @@ def _check_nonincreasing_coordinate(inst: ScreeningInstance, coord: int,
 
 
 def converse_construct(inst: ScreeningInstance, coord: int = 0,
-                       dominance_margin: float = 1e-6) -> ConverseArtifacts:
+                       dominance_margin: float = VALUE_TOL) -> ConverseArtifacts:
     """Build utilities making costly screening strictly profitable.
 
     Keeps the input's type geometry (values, joint distribution, allocation
@@ -455,8 +452,7 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     t0, t1, w = _coordinate_marginals(inst, coord)
     m0 = _median_split(t0, w, "the productive type")
     m1 = _median_split(t1, w, f"costly coordinate {coord}")
-    a_indices, a_probs, cond = scalar_levels(inst)
-    _check_nonincreasing_coordinate(inst, coord, a_indices, cond)
+    _check_nonincreasing_coordinate(inst, coord)
     window = float(w[(t0 > m0) & (t1 <= m1)].sum())
     if window <= 0.25 + PROB_TOL:
         raise PreconditionFailed(
@@ -486,6 +482,7 @@ def converse_construct(inst: ScreeningInstance, coord: int = 0,
     menu_value = menu_best_response(built, menu)[1]
 
     # the productive-only optimum reads only f, on the productive marginal
+    a_indices, a_probs, _ = inst.levels
     productive_value = solve_full_1d(OneDimInstance(
         prod.theta_a[a_indices], a_probs, x, u_a[:, a_indices],
         v_a[:, a_indices])).value

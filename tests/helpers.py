@@ -12,13 +12,12 @@ from screenkit import (FEAS_TOL, OUTSIDE, AssumptionFailed, CompetitiveParams,
                        OneDimInstance, ProductiveSpec, ScreeningInstance,
                        SizeGuardExceeded, StructuralError,
                        check_stochastic_monotonicity, instance_rng,
-                       level_couplings, productive_marginal, solve_full_1d)
+                       productive_marginal, solve_full_1d)
 from screenkit.applications import (_agent_values, _cell_tables, _group_types,
                                     _option_cells, _principal_values)
 from screenkit.model import _ROUND_TOL
 from screenkit.solver import (_batch_transfers, _chain, _option_tables,
                               _path_rent_bound, _price)
-from screenkit.stochastics import scalar_levels
 from screenkit.theorems import (_check_nonincreasing_coordinate,
                                 _coordinate_marginals, _median_split)
 
@@ -482,9 +481,9 @@ def unfiltered_joint(inst, chunk=1 << 14):
     """
     cost, dist = inst.costly, inst.dist
     m = inst.n_support
-    levels = level_couplings(inst)
+    levels = inst.level_couplings
     try:
-        full1d = solve_full_1d(productive_marginal(inst, levels))
+        full1d = solve_full_1d(productive_marginal(inst))
     except StructuralError:
         full1d = None
     prob = np.asarray(dist.prob)
@@ -698,8 +697,7 @@ def loop_converse(inst, coord=0, dominance_margin=1e-6):
     t0, t1, w = _coordinate_marginals(inst, coord)
     m0 = _median_split(t0, w, "the productive type")
     m1 = _median_split(t1, w, f"costly coordinate {coord}")
-    a_indices, _, cond = scalar_levels(inst)
-    _check_nonincreasing_coordinate(inst, coord, a_indices, cond)
+    _check_nonincreasing_coordinate(inst, coord)
     x0_idx, xhat_idx = 0, prod.n_alloc - 1
     yhat_idx = 1 if cost.y0_index == 0 else 0
     p_high_instrument = float(w[t1 > m1].sum())

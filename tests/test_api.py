@@ -1,10 +1,14 @@
 """The package's public names, pinned so that the API changes only on
 purpose. A change to this list goes with an entry in README's "API changes"
 section."""
+import inspect
 import io
 import types
 
+import pytest
+
 import screenkit
+import screenkit.cli
 
 PUBLIC_NAMES = [
     "AssumptionFailed", "BundleInstance", "BundlingCertificate",
@@ -27,7 +31,7 @@ PUBLIC_NAMES = [
     "converse_construct", "example1_instance", "example2_instance",
     "example2_mechanism", "example2_menu", "example3_instance",
     "example3_menu", "graph_optimal_transfers", "instance_from_dict",
-    "instance_rng", "instance_to_dict", "level_couplings", "load_instance",
+    "instance_rng", "instance_to_dict", "load_instance",
     "load_params", "make_application_instance", "mechanism_value",
     "menu_best_response", "onedim_ic_violations", "onedim_ir_violations",
     "onedim_value", "path_decomposition",
@@ -56,3 +60,18 @@ def test_star_import_leaves_the_standard_io_bound():
     exec("from screenkit import *", namespace)
     assert namespace["io"] is io
     assert namespace["converse_construct"] is screenkit.converse_construct
+
+
+@pytest.mark.parametrize("function, params", [
+    (screenkit.validate_instance, ["inst"]),
+    (screenkit.check_stochastic_monotonicity, ["inst"]),
+    (screenkit.productive_marginal, ["inst"]),
+    (screenkit.solve_joint, ["inst", "guard"]),
+    (screenkit.certify_bundling, ["b"]),
+    (screenkit.cli._solve_payload, ["inst", "mode", "guard", "timing", "instance_id"]),
+])
+def test_no_function_takes_a_result_derived_from_its_input(function, params):
+    # the level pass, the full1d incumbent and the bundling menu are worked
+    # out from the input: a caller-supplied one from another input gave
+    # wrong verdicts, bare exceptions or a far larger search
+    assert list(inspect.signature(function).parameters) == params

@@ -330,14 +330,16 @@ PRUNE_CASES = (
 @pytest.mark.parametrize("shift", [0.0, 1.0, -1.0],
                          ids=["menu", "fallback", "low_floor"])
 @pytest.mark.parametrize("make", PRUNE_CASES)
-def test_pruned_bundling_certificate_matches_the_distinct_scan(make, shift):
+def test_pruned_bundling_certificate_matches_the_distinct_scan(make, shift,
+                                                               monkeypatch):
     # the menu value, at the optimum or 1 off it either way, moves nothing:
     # the closed form finds the best pair over every option, and the scan
     # over the distinct options agrees bit for bit
     b = make()
     sol = solve_bundling(b)
     sol = dataclasses.replace(sol, value=sol.value + shift)
-    cert = certify_bundling(b, sol)
+    monkeypatch.setattr(applications, "solve_bundling", lambda _: sol)
+    cert = certify_bundling(b)
     value, descriptors = distinct_scan_oracle(b)
     assert cert.brute_force_value == value
     assert cert.best_descriptor == descriptors
@@ -480,13 +482,15 @@ BUNDLE_VARIANTS = ["additive", "equal_bundles", "flat_cost", "nonuniform_grid",
 @pytest.mark.parametrize("n_goods,points", [(1, 2), (1, 5), (1, 9), (2, 2), (2, 3),
                                             (2, 5), (2, 7), (3, 2), (3, 3), (3, 4)])
 def test_weight_class_certificate_matches_the_distinct_scan(n_goods, points, variant,
-                                                            n_types):
+                                                            n_types, monkeypatch):
     # instances where weights and agent values part ways, P ties or zeros
     # carry a sign; the menu value, at the optimum or above it, moves nothing
     b = _bundle_variant(n_goods, points, n_types, variant)
     value, descriptors = distinct_scan_oracle(b)
     for menu in (value, value + 1.0):
-        cert = certify_bundling(b, BundlingSolution(menu, (), None))
+        monkeypatch.setattr(applications, "solve_bundling",
+                            lambda _, menu=menu: BundlingSolution(menu, (), None))
+        cert = certify_bundling(b)
         assert cert.brute_force_value == value
         assert cert.best_descriptor == descriptors
         assert [type(v) for d in cert.best_descriptor for row in d for v in row] == \

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import screenkit
-from screenkit import solver
+from screenkit import ScreeningInstance, solver
 from screenkit.cli import build_parser, main
 from screenkit.solver import DEFAULT_GUARD
 
@@ -154,20 +154,84 @@ def test_bundling_certify_solves_the_menu_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def _count_level_tables(monkeypatch):
+    """Count the level tables instances build: each computation of a
+    `ScreeningInstance.levels`."""
+    calls = []
+    compute = ScreeningInstance.levels.func
+
+    def counted(self):
+        calls.append("levels")
+        return compute(self)
+
+    levels = functools.cached_property(counted)
+    levels.__set_name__(ScreeningInstance, "levels")
+    monkeypatch.setattr(ScreeningInstance, "levels", levels)
+    return calls
+
+
 @pytest.mark.parametrize("argv", [
     ["verify"],
     ["solve", "--mode", "joint", "--strict"],
     ["solve", "--mode", "full1d", "--strict"],
 ])
 def test_one_level_table_per_command(argv, capsys, monkeypatch, tmp_path):
-    from screenkit import solver, stochastics, theorems
     path = tmp_path / "positive.json"
     screenkit.save_instance(screenkit.random_positive_instance(3), path)
-    calls = _count_calls(monkeypatch, "scalar_levels",
-                         (stochastics, solver, theorems))
+    calls = _count_level_tables(monkeypatch)
     code, _ = run(capsys, *argv, "--instance", str(path))
     assert code == 0
     assert len(calls) == 1
+
+
+def _workload_op(kind, tmp_path):
+    """The argv of one benchmark op of `kind` on a seed-3 input drawn with
+    the knobs its workload in bench/workloads.py uses."""
+    from test_bench_names import _load
+    workloads = _load("workloads")
+    path = tmp_path / f"{kind}.json"
+    if kind == "bundling":
+        path.write_text(json.dumps(workloads.bundling_params(3, 0)))
+    else:
+        knobs = {"verify": workloads.VERIFY_CLASSES[1][0],
+                 "joint": workloads.JOINT_KNOBS,
+                 "full1d": screenkit.GeneratorKnobs(
+                     n_a=workloads.FULL1D_LEVELS[0], n_b=2, n_x=6, n_y=2,
+                     max_paths=1),
+                 "downward1d": workloads.DOWNWARD_KNOBS}
+        screenkit.save_instance(
+            screenkit.random_negative_instance(3) if kind == "converse"
+            else screenkit.random_positive_instance(3, knobs[kind]), path)
+    return list(workloads._ARGV[kind]) + [str(path)]
+
+
+#: Per op of each workload: the coupling passes, the instance level tables,
+#: the full-IC scalar solves and the bundling quality lines one op runs.
+#: Full1d, downward1d and converse ops read the level table alone; the
+#: bundling op's one coupling pass is its ratio check.
+OP_WORK = {
+    "verify": (1, 1, 1, 0),
+    "joint": (1, 1, 1, 0),
+    "full1d": (0, 1, 1, 0),
+    "downward1d": (0, 1, 0, 0),
+    "converse": (0, 1, 1, 0),
+    "bundling": (1, 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OP_WORK))
+def test_op_work_is_pinned(kind, capsys, monkeypatch, tmp_path):
+    from screenkit import applications, stochastics, theorems
+    argv = _workload_op(kind, tmp_path)
+    couplings = _count_calls(monkeypatch, "_adjacent_couplings",
+                             (stochastics, applications))
+    tables = _count_level_tables(monkeypatch)
+    full1d = _count_calls(monkeypatch, "solve_full_1d",
+                          (solver, theorems, applications, screenkit.cli))
+    lines = _count_calls(monkeypatch, "_quality_line", (applications,))
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert (len(couplings), len(tables), len(full1d), len(lines)) == OP_WORK[kind]
 
 
 def test_guard_exceeded_is_exit_2(capsys, tmp_path):

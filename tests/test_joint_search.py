@@ -8,7 +8,7 @@ import pytest
 
 from screenkit import (FEAS_TOL, CostlySpec, GeneratorKnobs,
                        JointDistribution, ProductiveSpec, ScreeningInstance,
-                       SizeGuardExceeded, StructuralError, level_couplings,
+                       SizeGuardExceeded, StructuralError,
                        load_instance, productive_marginal,
                        random_negative_instance, random_positive_instance,
                        solve_full_1d, solve_joint, verify_theorem1)
@@ -404,7 +404,7 @@ def test_path_rent_bound_caps_every_feasible_assignment(name, coupling):
     # every implementable assignment; level_couplings gives the monotone
     # coupling where the levels are ordered
     inst = CASES[name]()
-    levels = level_couplings(inst)
+    levels = inst.level_couplings
     if coupling == "product":
         levels = _product_couplings(levels)
     U, VG, allocs, values = _every_assignment(inst)
@@ -422,7 +422,7 @@ def test_ironed_bound_caps_every_feasible_assignment(name, coupling):
     # upward multipliers on any level pairs, of any size, keep the bound:
     # each pair's downward and upward IC chains cancel in the rents
     inst = CASES[name]()
-    levels = level_couplings(inst)
+    levels = inst.level_couplings
     if coupling == "product":
         levels = _product_couplings(levels)
     U, VG, allocs, values = _every_assignment(inst)
@@ -451,7 +451,7 @@ def test_lift_covers_couplings_with_wrong_marginals(name):
     # too much coupled mass makes some point pay out more rent weight than it
     # holds; the lift prices that and keeps the bound sound
     inst = CASES[name]()
-    levels = level_couplings(inst)
+    levels = inst.level_couplings
     levels = replace(levels, couplings=tuple(2.0 * c for c in levels.couplings))
     U, VG, allocs, values = _every_assignment(inst)
     g, lift = _path_rent_bound(inst, levels, _chain(inst, levels), U, VG)
@@ -480,12 +480,12 @@ def _pooled_draws():
     for seed in range(30):
         inst = random_positive_instance(seed, heavy, stream=13)
         res = solve_joint(inst)
-        levels = level_couplings(inst)
+        levels = inst.level_couplings
         _, _, U, VG = _option_tables(inst)
         chain = _chain(inst, levels)
         g, lift = _path_rent_bound(inst, levels, chain, U, VG)
         if g.max(axis=1).sum() + lift > res.value + FEAS_TOL:
-            x = solve_full_1d(productive_marginal(inst, levels)).x_idx
+            x = solve_full_1d(productive_marginal(inst)).x_idx
             pooled = [j for j in range(len(x) - 1) if x[j] == x[j + 1]]
             yield seed, res, g, lift, U, chain, pooled
 

@@ -14,7 +14,7 @@ from screenkit import (FEAS_TOL, OUTSIDE, BundleInstance, CompetitiveParams,
                        TypePath, check_ic, check_ir,
                        converse_construct, example1_instance,
                        example2_instance, example2_menu, example3_instance,
-                       example3_menu, level_couplings, load_instance,
+                       example3_menu, load_instance,
                        mechanism_value, menu_best_response,
                        productive_marginal, random_positive_instance,
                        save_instance, validate_instance)
@@ -45,6 +45,17 @@ PAYOFF_INDEX_CASES = {
     "x_beyond": ([0, 5], [0, 0], "option 1: x index 5 out of range for x_grid of size 2"),
     "y_negative": ([0], [-1], "option 0: y index -1 out of range for y_set of size 2"),
     "y_beyond": ([0], [7], "option 0: y index 7 out of range for y_set of size 2"),
+    # read through np.asarray(..., dtype=int), the first three priced an
+    # index they do not hold, one y broadcast over two options, and a
+    # nesting ended in a bare TypeError
+    "x_float": ([0.7], [0], "x must be an integer index, got 0.7"),
+    "x_string": (["1"], [0], "x must be an integer index, got '1'"),
+    "x_bool": ([True], [0], "x must be an integer index, got True"),
+    "y_bool_in_list": ([0, 1], [0, True], "y must be an integer index, got True"),
+    "y_broadcast": ([0, 1], [1], "y must hold 2 indices, one per option, got 1"),
+    "nested": ([[0, 1]], [[1, 0]], "x must be an integer index, got [0, 1]"),
+    "float_array": (np.array([0.0]), [0],
+                    "x must be a 1-D integer array, got float64 of shape (1,)"),
 }
 
 
@@ -56,6 +67,16 @@ def test_payoffs_refuse_an_index_off_the_grid(case):
         inst.payoffs(x, y)
     with pytest.raises(StructuralError, match=re.escape(message)):
         inst.payoffs(x, y, [0.0] * len(x))
+
+
+@pytest.mark.parametrize("t, message", [
+    ([0.5], "t must hold 2 transfers, one per option, got shape (1,)"),
+    (0.5, "t must hold 2 transfers, one per option, got shape ()"),
+    ([0.5, True], "t: expected a number, got True"),
+])
+def test_payoffs_read_one_transfer_per_option(t, message):
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        example2_instance().payoffs([0, 1], [0, 0], t)
 
 
 @pytest.mark.parametrize("ix", [-1, 5])
@@ -336,10 +357,9 @@ def test_loaded_instances_share_their_tables_downstream(tmp_path):
     # productive marginal shares the grid and the level masses
     save_instance(example2_instance(), tmp_path / "inst.json")
     inst = load_instance(tmp_path / "inst.json")
-    levels = level_couplings(inst)
-    line = productive_marginal(inst, levels)
+    line = productive_marginal(inst)
     assert line.x_grid is inst.productive.x_grid
-    assert line.mu is levels.a_probs
+    assert line.mu is inst.level_couplings.a_probs
 
 
 # ---------------------------------------------------------------------------

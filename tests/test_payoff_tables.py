@@ -193,7 +193,7 @@ def test_tie_menus_reach_every_tie_rule():
         rng = instance_rng(index, stream=960)
         for k in (0, 1, 2, 3, 3, 4, 5, 6):
             menu = _tie_menu(inst, rng, k)
-            x, y, t = np.array(menu.options, dtype=float).reshape(-1, 3).T
+            x, y, t = ([option[k] for option in menu.options] for k in range(3))
             agent, principal = inst.payoffs(x, y, t)
             agent = np.concatenate((agent, np.zeros((inst.n_support, 1))), axis=1)
             principal = np.concatenate((principal, np.zeros((inst.n_support, 1))), axis=1)

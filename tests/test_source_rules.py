@@ -1,7 +1,7 @@
 """Rules on the package source that no behaviour test sees: one home for
 the tolerances, one integer rule for the containers' index fields, one
 number rule for their number fields and the generators' scalar
-parameters, and no import left unused.
+parameters, one owner of the level pass, and no import left unused.
 
 Parses `src/screenkit` with `ast`; it imports and compiles nothing.
 """
@@ -35,6 +35,26 @@ def test_tolerances_are_defined_in_model_alone():
     stray = [(module, name) for module, tree in _trees() if module != "model.py"
              for name in _module_names(tree)
              if name.endswith(("_TOL", "_SLACK")) and (module, name) not in FLOW_UNITS]
+    assert stray == []
+
+
+#: Small float literals allowed outside model.py's tolerance block: the
+#: converse's discount, which is a construction parameter, not a tolerance.
+SMALL_LITERALS = {("theorems.py", "_CONVERSE_EPS")}
+
+
+def test_small_float_literals_are_named_tolerances():
+    # a float literal below 1e-3 is a tolerance in all but name: it may
+    # appear only as the value of one of model.py's top-level *_TOL names
+    stray = []
+    for module, tree in _trees():
+        named = {id(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)
+                 and ((module == "model.py" and target.id.endswith("_TOL"))
+                      or (module, target.id) in SMALL_LITERALS)}
+        stray += [f"{module}:{node.lineno}:{node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0 < node.value < 1e-3 and id(node) not in named]
     assert stray == []
 
 
@@ -149,3 +169,34 @@ def test_payoffs_and_support_arrays_have_one_home():
              if copies & {getattr(node, "name", None), getattr(node, "id", None),
                           getattr(node, "attr", None)}]
     assert names == []
+
+
+def _callers(name: str) -> list:
+    """module:class.function or module:function of every call of `name`,
+    called by its bare name or as an attribute."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                out.append(f"{module}:{scope}")
+            visit(child, inner)
+
+    for module, tree in _trees():
+        visit(tree, "")
+    return sorted(out)
+
+
+def test_the_level_pass_has_one_owner():
+    # the instance groups its support by productive level and couples the
+    # adjacent levels, once each; the bundling ratio check is the one other
+    # user of the two kernels, on its own conditional laws
+    ratio = "applications.py:_check_ratio_monotonicity"
+    assert _callers("_level_table") == sorted(
+        [ratio, "model.py:ScreeningInstance.levels"])
+    assert _callers("_adjacent_couplings") == sorted(
+        [ratio, "model.py:ScreeningInstance.level_couplings"])

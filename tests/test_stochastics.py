@@ -14,7 +14,7 @@ from screenkit import (MASS_TOL, Coupling, DiscreteDistribution,
                        NotMonotone, ScreeningInstance, StructuralError,
                        check_dominance,
                        check_stochastic_monotonicity, example2_instance,
-                       example3_instance, instance_rng, level_couplings,
+                       example3_instance, instance_rng,
                        path_decomposition, random_negative_instance,
                        random_positive_instance, save_instance,
                        strassen_coupling)
@@ -324,7 +324,7 @@ def test_path_decomposition_runs_one_flow_per_level_pair(seed, monkeypatch):
 @pytest.mark.parametrize("case", sorted(MONOTONICITY_CASES))
 def test_level_couplings_keep_marginals_and_order(case):
     inst = MONOTONICITY_CASES[case]
-    levels = level_couplings(inst)
+    levels = inst.level_couplings
     theta = inst.costly.theta_b
     leq = (theta[:, None, :] <= theta[None, :, :]).all(axis=-1)
     unordered = []
@@ -375,7 +375,7 @@ def test_level_couplings_build_no_level_laws(monkeypatch):
     monkeypatch.setattr(DiscreteDistribution, "__post_init__",
                         lambda self: built.append(1))
     knobs = GeneratorKnobs(n_a=4, n_b=3, n_x=2, n_y=2, dim=2, max_paths=3)
-    levels = level_couplings(random_positive_instance(2, knobs))
+    levels = random_positive_instance(2, knobs).level_couplings
     assert len(levels.couplings) == 3
     assert built == []
 
@@ -420,7 +420,7 @@ def test_paths_are_monotone(seed, knobs):
     # its level couplings carry, so it is monotone wherever they are
     inst = random_positive_instance(seed, knobs)
     rows = inst.costly.theta_b
-    couplings = level_couplings(inst).couplings
+    couplings = inst.level_couplings.couplings
     for path in path_decomposition(inst).paths:
         assert path.weight > 0
         seq = rows[list(path.b_indices)]
